@@ -10,7 +10,6 @@
 #include "mpn/tile_msr.h"
 #include "mpn/tile_verify.h"
 #include "mpn/verify.h"
-#include "util/arena.h"
 #include "util/macros.h"
 
 namespace mpn {
@@ -62,9 +61,9 @@ const VerifyFixture& Fixture(size_t tiles_per_user) {
     // produce identical counters (the bit-identity contract the
     // differential tests enforce engine-wide).
     MaxGtVerifier verifier;
-    Arena arena;
-    const TileLanes lanes = BuildTileLanes(f.regions, f.probe_tile, f.po,
-                                           &arena);
+    TileSnapshot snapshot;
+    snapshot.Sync(f.regions, f.po);
+    const TileLanes lanes = snapshot.Lanes(f.probe_tile);
     VerifyStats scalar_stats, soa_stats;
     for (const Candidate& c : f.candidates) {
       const bool a = verifier.VerifyTileThreadSafe(f.regions, 0, f.probe_tile,
@@ -138,12 +137,12 @@ void BM_GtVerifyScanScalar(benchmark::State& state) {
 void BM_GtVerifyScanSoA(benchmark::State& state) {
   const auto& f = Fixture(static_cast<size_t>(state.range(0)));
   MaxGtVerifier verifier;
-  Arena arena;
+  TileSnapshot snapshot;
   VerifyStats stats;
   for (auto _ : state) {
-    arena.Reset();
-    const TileLanes lanes = BuildTileLanes(f.regions, f.probe_tile, f.po,
-                                           &arena);
+    snapshot.Invalidate();
+    snapshot.Sync(f.regions, f.po);
+    const TileLanes lanes = snapshot.Lanes(f.probe_tile);
     bool all = true;
     for (const Candidate& c : f.candidates) {
       all &= verifier.VerifyTileLanes(lanes, 0, f.probe_tile, c, &stats);

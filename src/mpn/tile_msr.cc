@@ -62,6 +62,11 @@ bool ParallelVerifyScan(const std::vector<TileRegion>& regions, size_t user_i,
   return ok;
 }
 
+// A scratch's snapshot may still hold another computation's regions.
+void InvalidateTileSnapshot(MsrScratch* scratch) {
+  if (scratch->tiles != nullptr) scratch->tiles->Invalidate();
+}
+
 bool DivideVerifyImpl(std::vector<TileRegion>* regions, size_t user_i,
                       const GridTile& tile, const Point& po,
                       CandidateSource* source, TileVerifier* verifier,
@@ -79,14 +84,19 @@ bool DivideVerifyImpl(std::vector<TileRegion>* regions, size_t user_i,
     const bool use_fanout = fanout.executor != nullptr &&
                             verifier->parallel_safe() &&
                             candidates.size() >= fanout.min_candidates;
-    // The snapshot (and all fan-out scratch) lives until the scan ends; a
-    // recursion into sub-tiles only starts after that, so resetting here
-    // can never invalidate a live allocation.
-    Arena& arena = scratch->arena;
-    arena.Reset();
     TileLanes lanes;
-    if (use_lanes) lanes = BuildTileLanes(*regions, rect, po, &arena);
+    if (use_lanes) {
+      if (scratch->tiles == nullptr) {
+        scratch->tiles = std::make_unique<TileSnapshot>();
+      }
+      scratch->tiles->Sync(*regions, po);
+      lanes = scratch->tiles->Lanes(rect);
+    }
     if (use_fanout) {
+      // Chunk state lives until the scan ends; a recursion into sub-tiles
+      // only starts after that, so resetting here frees nothing live.
+      Arena& arena = scratch->arena;
+      arena.Reset();
       const size_t grain = fanout.grain < 1 ? 1 : fanout.grain;
       const size_t chunk_count = (candidates.size() + grain - 1) / grain;
       auto* chunk_stats = arena.AllocateArray<VerifyStats>(chunk_count);
@@ -141,9 +151,10 @@ bool DivideVerify(std::vector<TileRegion>* regions, size_t user_i,
                   MsrStats* stats, const VerifyFanout& fanout,
                   KernelKind kernel, MsrScratch* scratch) {
   MsrScratch local;
+  if (scratch == nullptr) scratch = &local;
+  InvalidateTileSnapshot(scratch);
   return DivideVerifyImpl(regions, user_i, tile, po, source, verifier, level,
-                          stats, fanout, kernel,
-                          scratch != nullptr ? scratch : &local);
+                          stats, fanout, kernel, scratch);
 }
 
 MsrResult ComputeTileMsr(SpatialIndex tree, const std::vector<Point>& users,
@@ -158,6 +169,7 @@ MsrResult ComputeTileMsr(SpatialIndex tree, const std::vector<Point>& users,
   MsrScratch local_scratch;
   MsrScratch* scratch =
       config.scratch != nullptr ? config.scratch : &local_scratch;
+  InvalidateTileSnapshot(scratch);
 
   // Step 1 (Algorithm 3 line 1): optimum + maximal circle radius. In
   // buffered mode the best b+1 GNNs come from a single index pass and

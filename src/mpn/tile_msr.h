@@ -34,15 +34,23 @@ enum class KernelKind {
   kSoA,     ///< batched SoA lane kernels (default; geom/lanes.h)
 };
 
-/// Reusable per-computation scratch: a bump arena for the SoA scan
-/// snapshots and fan-out chunk state, plus the candidate buffer. Owned by
-/// the caller (MpnServer keeps one per session) so steady-state recomputes
-/// perform no allocator traffic; ComputeTileMsr falls back to a local one
-/// when the config carries none. Not thread-safe — callers must serialize
-/// recomputes sharing a scratch (GroupSession already serializes its own).
+/// Scratch reused across safe-region computations. Owned by the caller
+/// (MpnServer keeps one per session, Circle sessions included) so steady-
+/// state recomputes perform no allocator traffic; ComputeTileMsr falls back
+/// to a local one when the config carries none. Lifetimes:
+///  - `candidates` holds one Divide-Verify call's candidate list;
+///  - `arena` holds one scan's fan-out chunk state and is reset per scan;
+///  - `tiles` is the SoA snapshot of the regions, allocated on the first
+///    lanes scan and kept for a whole computation: each scan syncs it,
+///    which copies tiles only after a region grew. ComputeTileMsr and
+///    DivideVerify invalidate it on entry, since one scratch serves many
+///    groups.
+/// Not thread-safe — callers must serialize recomputes sharing a scratch
+/// (GroupSession already serializes its own).
 struct MsrScratch {
   Arena arena;
   std::vector<Candidate> candidates;
+  std::unique_ptr<TileSnapshot> tiles;
 };
 
 /// Abstract parallel executor for the per-user candidate fan-out inside
@@ -130,7 +138,9 @@ struct MotionHint {
 /// (*regions)[user_i]. Returns true when at least one tile was inserted.
 /// `fanout` optionally parallelizes the candidate scan (see VerifyFanout);
 /// `kernel` selects the scan kernel (SoA requires a lanes-capable
-/// verifier, otherwise the scalar walk runs); `scratch` may be null.
+/// verifier, otherwise the scalar walk runs); `scratch` may be null, and
+/// its tile snapshot is invalidated on entry. Calls that share `source`
+/// must pass the same, only-growing regions (mpn/candidates.h).
 bool DivideVerify(std::vector<TileRegion>* regions, size_t user_i,
                   const GridTile& tile, const Point& po,
                   CandidateSource* source, TileVerifier* verifier, int level,

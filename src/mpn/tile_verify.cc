@@ -326,38 +326,56 @@ bool TileVerifier::VerifyTileLanes(const TileLanes& lanes, size_t user_i,
   return false;
 }
 
-TileLanes BuildTileLanes(const std::vector<TileRegion>& regions, const Rect& s,
-                         const Point& po, Arena* arena) {
-  TileLanes out;
-  out.users = regions.size();
-  size_t* offset = arena->AllocateArray<size_t>(out.users + 1);
-  size_t total = 0;
-  for (size_t j = 0; j < out.users; ++j) {
-    offset[j] = total;
-    total += regions[j].size();
-  }
-  offset[out.users] = total;
-  out.total = total;
-  out.offset = offset;
+void TileSnapshot::Invalidate() { offset_.clear(); }
 
-  double* lo_x = arena->AllocateArray<double>(total);
-  double* lo_y = arena->AllocateArray<double>(total);
-  double* hi_x = arena->AllocateArray<double>(total);
-  double* hi_y = arena->AllocateArray<double>(total);
-  for (size_t j = 0; j < out.users; ++j) {
+void TileSnapshot::Sync(const std::vector<TileRegion>& regions,
+                        const Point& po) {
+  const size_t m = regions.size();
+  if (offset_.empty()) {
+    po_ = po;
+    offset_.assign(m + 1, 0);
+    for (std::vector<double>* lane :
+         {&lo_x_, &lo_y_, &hi_x_, &hi_y_, &max_po_}) {
+      lane->clear();
+    }
+  }
+  MPN_ASSERT_MSG(offset_.size() == m + 1 && po == po_,
+                 "TileSnapshot synced to another computation");
+  for (size_t j = 0; j < m; ++j) {
+    const size_t have = offset_[j + 1] - offset_[j];
+    const size_t want = regions[j].size();
+    if (want == have) continue;
+    MPN_ASSERT_MSG(want > have, "a region shrank within one computation");
+    // Splice user j's new tiles in after its old ones; later users shift.
     const RectLanes src = regions[j].lanes();
-    std::copy(src.lo_x, src.lo_x + src.n, lo_x + offset[j]);
-    std::copy(src.lo_y, src.lo_y + src.n, lo_y + offset[j]);
-    std::copy(src.hi_x, src.hi_x + src.n, hi_x + offset[j]);
-    std::copy(src.hi_y, src.hi_y + src.n, hi_y + offset[j]);
+    const size_t at = offset_[j + 1];
+    const size_t added = want - have;
+    const auto splice = [&](std::vector<double>* lane, const double* from) {
+      lane->insert(lane->begin() + static_cast<ptrdiff_t>(at), from + have,
+                   from + want);
+    };
+    splice(&lo_x_, src.lo_x);
+    splice(&lo_y_, src.lo_y);
+    splice(&hi_x_, src.hi_x);
+    splice(&hi_y_, src.hi_y);
+    max_po_.insert(max_po_.begin() + static_cast<ptrdiff_t>(at), added, 0.0);
+    RectMaxDistLanes(RectLanes{lo_x_.data() + at, lo_y_.data() + at,
+                               hi_x_.data() + at, hi_y_.data() + at, added},
+                     po_, max_po_.data() + at);
+    for (size_t k = j + 1; k <= m; ++k) offset_[k] += added;
   }
-  out.rects = RectLanes{lo_x, lo_y, hi_x, hi_y, total};
+}
 
-  // Candidate-independent halves of the GT predicates, hoisted per scan.
-  double* max_po = arena->AllocateArray<double>(total);
-  RectMaxDistLanes(out.rects, po, max_po);
-  out.max_po = max_po;
-  out.d_o = s.MaxDist(po);
+TileLanes TileSnapshot::Lanes(const Rect& s) const {
+  MPN_DCHECK(!offset_.empty());
+  TileLanes out;
+  out.users = offset_.size() - 1;
+  out.total = lo_x_.size();
+  out.offset = offset_.data();
+  out.rects = RectLanes{lo_x_.data(), lo_y_.data(), hi_x_.data(),
+                        hi_y_.data(), out.total};
+  out.max_po = max_po_.data();
+  out.d_o = s.MaxDist(po_);
   return out;
 }
 

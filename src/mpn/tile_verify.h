@@ -32,19 +32,17 @@
 #include "geom/lanes.h"
 #include "mpn/candidates.h"
 #include "mpn/safe_region.h"
-#include "util/arena.h"
 
 namespace mpn {
 
-/// Immutable SoA snapshot of every user's tile rects for one candidate
-/// scan of Divide-Verify. Built once per (tile, candidate-set) scan by
-/// BuildTileLanes; the per-candidate kernels then run over the contiguous
-/// lanes instead of walking vector<Rect> per user.
+/// SoA view of every user's tile rects for one candidate scan of
+/// Divide-Verify; the per-candidate kernels run over its contiguous lanes
+/// instead of walking vector<Rect> per user. TileSnapshot owns the storage.
 ///
 /// Layout: the tiles of user j occupy lanes [offset[j], offset[j+1]) of
 /// `rects` and of every parallel array. `max_po` caches the per-tile
 /// ||po, t||_max — the candidate-independent half of GT-Verify — so it is
-/// computed once per scan instead of once per (tile, candidate).
+/// computed once per tile instead of once per (tile, candidate).
 struct TileLanes {
   size_t users = 0;                ///< m
   size_t total = 0;                ///< total tiles across users
@@ -54,11 +52,32 @@ struct TileLanes {
   double d_o = 0.0;                ///< s.MaxDist(po) of the tile under test
 };
 
-/// Builds the scan snapshot for tile `s` from the current regions. All
-/// storage comes from `arena` and stays valid until the arena is reset;
-/// the per-tile geometry is copied out of the regions' SoA lanes.
-TileLanes BuildTileLanes(const std::vector<TileRegion>& regions, const Rect& s,
-                         const Point& po, Arena* arena);
+/// The storage behind TileLanes, kept for a whole safe-region computation.
+/// Regions only grow within one computation, so Sync() splices in just the
+/// tiles added since the previous Sync() (copying their coordinates and
+/// computing their ||po, t||_max) and the scans between two commits share
+/// one snapshot. Per-user tile counts cannot tell two computations apart —
+/// two groups can end with equal counts — so Invalidate() must run before
+/// the snapshot serves other regions or another po. Lanes() views are valid
+/// until the next Sync() or Invalidate().
+class TileSnapshot {
+ public:
+  /// Forgets every tile; the next Sync() rebuilds from the regions.
+  void Invalidate();
+
+  /// Brings the snapshot up to date with `regions`, which must extend the
+  /// regions of the previous Sync() since the last Invalidate(), for the
+  /// same `po`.
+  void Sync(const std::vector<TileRegion>& regions, const Point& po);
+
+  /// The view for a scan of tile `s` (d_o = s.MaxDist(po)).
+  TileLanes Lanes(const Rect& s) const;
+
+ private:
+  Point po_;
+  std::vector<size_t> offset_;  // users + 1 prefix offsets; empty = invalid
+  std::vector<double> lo_x_, lo_y_, hi_x_, hi_y_, max_po_;
+};
 
 /// Verification statistics (shared across back-ends).
 struct VerifyStats {
@@ -95,8 +114,8 @@ class TileVerifier {
                                     VerifyStats* stats) const;
 
   /// True when the back-end has a lane (SoA) kernel: Divide-Verify then
-  /// builds one TileLanes snapshot per candidate scan and drives
-  /// VerifyTileLanes instead of the AoS walk. Implies parallel_safe().
+  /// scans through a TileSnapshot and drives VerifyTileLanes instead of
+  /// the AoS walk. Implies parallel_safe().
   virtual bool lanes_capable() const { return false; }
 
   /// SoA verification core: decision and counters bit-identical to

@@ -92,11 +92,12 @@ class MpnServer {
   double compute_seconds_ = 0.0;
   size_t recompute_count_ = 0;
   MsrStats stats_;
-  /// Arena + candidate buffer reused across Recompute calls, so a
-  /// steady-state recompute allocates nothing. Safe because a server
-  /// belongs to one session and the session serializes its recomputes
-  /// (engine/group_session.h); fan-out workers only read/write buffers the
-  /// recompute thread carved out of the arena.
+  /// Candidate buffer, fan-out arena and tile snapshot reused across
+  /// Recompute calls, so a steady-state recompute allocates nothing (see
+  /// MsrScratch for their lifetimes). Safe because a server belongs to one
+  /// session and the session serializes its recomputes
+  /// (engine/group_session.h); fan-out workers only read the snapshot and
+  /// read/write buffers the recompute thread carved out of the arena.
   MsrScratch scratch_;
 };
 

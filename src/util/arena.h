@@ -1,10 +1,10 @@
-// Bump-pointer arena for per-recompute scratch memory.
+// Bump-pointer arena for short-lived scratch memory.
 //
-// The tile-MSR hot path allocates short-lived buffers on every candidate
-// scan (SoA tile snapshots, per-chunk fan-out scratch, statistics blocks).
-// Routing those through the general-purpose allocator costs a lock + free
-// per scan; an Arena turns each allocation into a pointer bump and each
-// "free" into a single Reset() at a point where no allocation is live.
+// The tile-MSR fan-out allocates per-chunk state (statistics blocks, result
+// flags) on every parallel candidate scan. Routing those through the
+// general-purpose allocator costs a lock + free per scan; an Arena turns
+// each allocation into a pointer bump and each "free" into a single Reset()
+// at a point where no allocation is live.
 //
 // Usage contract:
 //  * Allocate()/AllocateArray() return uninitialized storage valid until

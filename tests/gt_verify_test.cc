@@ -187,8 +187,9 @@ TEST(GtVerifyTest, SoAKernelMatchesScalarOnRandomScenes) {
         GridTile{0, static_cast<int32_t>(rng.UniformInt(-4, 4)),
                  static_cast<int32_t>(rng.UniformInt(-4, 4))});
     MaxGtVerifier gt;
-    Arena arena;
-    const TileLanes lanes = BuildTileLanes(regions, s, po, &arena);
+    TileSnapshot snapshot;
+    snapshot.Sync(regions, po);
+    const TileLanes lanes = snapshot.Lanes(s);
     for (int c = 0; c < 24; ++c) {
       Candidate cand{static_cast<uint32_t>(c), {}};
       if (c % 3 == 0) {

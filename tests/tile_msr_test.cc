@@ -307,6 +307,107 @@ TEST(TileMsrTest, DeterministicAcrossCalls) {
   }
 }
 
+// Same meeting point, same tiles and the same digested counters
+// (engine/digest.h).
+void ExpectSameResult(const MsrResult& a, const MsrResult& b,
+                      const std::string& what) {
+  EXPECT_EQ(a.po_id, b.po_id) << what;
+  ASSERT_EQ(a.regions.size(), b.regions.size()) << what;
+  for (size_t i = 0; i < a.regions.size(); ++i) {
+    ASSERT_EQ(a.regions[i].is_circle(), b.regions[i].is_circle()) << what;
+    if (!a.regions[i].is_circle()) {
+      EXPECT_TRUE(a.regions[i].tiles().tiles() == b.regions[i].tiles().tiles())
+          << what << ", user " << i;
+    }
+  }
+  const MsrStats& x = a.stats;
+  const MsrStats& y = b.stats;
+  EXPECT_EQ(x.tiles_tried, y.tiles_tried) << what;
+  EXPECT_EQ(x.tiles_added, y.tiles_added) << what;
+  EXPECT_EQ(x.divide_calls, y.divide_calls) << what;
+  EXPECT_EQ(x.verify.calls, y.verify.calls) << what;
+  EXPECT_EQ(x.verify.accepted, y.verify.accepted) << what;
+  EXPECT_EQ(x.verify.tile_groups, y.verify.tile_groups) << what;
+  EXPECT_EQ(x.verify.focal_evals, y.verify.focal_evals) << what;
+  EXPECT_EQ(x.verify.memo_hits, y.verify.memo_hits) << what;
+  EXPECT_EQ(x.candidates.retrievals, y.candidates.retrievals) << what;
+  EXPECT_EQ(x.candidates.candidates_total, y.candidates.candidates_total)
+      << what;
+  EXPECT_EQ(x.candidates.rejected_by_buffer, y.candidates.rejected_by_buffer)
+      << what;
+}
+
+// Two users a unit apart at `center`, a POI at the center, and a dense ring
+// of POIs 20 units out. Every first-ring tile reaches past the ring, where
+// a ring POI beats the center, so without splits Divide-Verify rejects
+// them all and each region ends with its initial tile only.
+Scenario RingWorld(const Point& center) {
+  Scenario s;
+  s.pois.push_back(center);
+  for (int k = 0; k < 48; ++k) {
+    s.pois.push_back(center + UnitFromAngle(k * 3.14159265358979 / 24) * 20.0);
+  }
+  s.users = {center + Point{-0.5, 0.1}, center + Point{0.5, -0.1}};
+  s.tree = RTree::BulkLoad(s.pois);
+  return s;
+}
+
+// One MsrScratch serves many groups back to back, as MpnServer and the
+// benchmark's trace replay use it: every computation must match one run on
+// a fresh scratch. The random groups are each followed by the same group
+// with its users nudged. The ring worlds end with one tile per user, the
+// counts they started from, so a tile snapshot keyed on region sizes alone
+// would serve the next group the previous group's tiles.
+TEST(MsrScratchTest, ReusedScratchMatchesFreshScratch) {
+  MsrScratch shared;
+  const auto check = [&](const Scenario& s, Objective obj,
+                         TileMsrConfig config,
+                         const std::vector<MotionHint>& hints,
+                         const std::string& what) {
+    config.scratch = &shared;
+    const MsrResult reused =
+        ComputeTileMsr(s.tree, s.users, obj, config, hints);
+    config.scratch = nullptr;
+    const MsrResult fresh =
+        ComputeTileMsr(s.tree, s.users, obj, config, hints);
+    ExpectSameResult(reused, fresh, what);
+    return fresh;
+  };
+  Rng rng(4242);
+  for (int trial = 0; trial < 24; ++trial) {
+    const size_t m = 1 + trial % 4;
+    const Objective obj = trial % 3 == 2 ? Objective::kSum : Objective::kMax;
+    Scenario s = MakeScenario(200, m, 5150 + trial, 800.0);
+    TileMsrConfig config;
+    config.alpha = 4 + trial % 5;
+    config.directed = trial % 2 == 1;
+    config.buffered = trial % 5 == 4;
+    const auto hints = RandomHints(m, &rng);
+    for (int step = 0; step < 2; ++step) {
+      check(s, obj, config, hints,
+            "trial " + std::to_string(trial) + " step " + std::to_string(step));
+      for (Point& u : s.users) {
+        u = u + Point{rng.Uniform(-1, 1), rng.Uniform(-1, 1)};
+      }
+    }
+  }
+  const Point centers[] = {{100, 100}, {300, 120}, {100, 100}, {130, 340}};
+  for (size_t k = 0; k < 4; ++k) {
+    Scenario s = RingWorld(centers[k]);
+    if (k == 2) s.users[0] = s.users[0] + Point{0.2, 0.3};
+    TileMsrConfig config;
+    config.split_level = 0;
+    const MsrResult r = check(s, Objective::kMax, config, {},
+                              "ring world " + std::to_string(k));
+    EXPECT_EQ(r.po_id, 0u);
+    EXPECT_EQ(r.stats.divide_calls, 16u);
+    for (const SafeRegion& region : r.regions) {
+      ASSERT_FALSE(region.is_circle());
+      EXPECT_EQ(region.tiles().size(), 1u);
+    }
+  }
+}
+
 // --- Tile ordering unit tests ----------------------------------------------
 
 TEST(TileOrderingTest, FirstRingVisitsEightCellsCcwFromEast) {
