@@ -48,14 +48,14 @@ struct RunOut {
   double region_values_raw = 0.0;
 };
 
-RunOut RunEngine(const RTree& tree, const std::vector<Probe>& probes,
+RunOut RunEngine(const PackedRTree& tree, const std::vector<Probe>& probes,
                  const TileMsrConfig& config) {
   RunOut out;
   Timer timer;
   MsrStats total;
   for (const Probe& p : probes) {
     const MsrResult r =
-        ComputeTileMsr(tree, p.users, Objective::kMax, config, p.hints);
+        ComputeTileMsr(&tree, p.users, Objective::kMax, config, p.hints);
     total.tiles_added += r.stats.tiles_added;
     total.verify.calls += r.stats.verify.calls;
     total.candidates.retrievals += r.stats.candidates.retrievals;
@@ -84,7 +84,7 @@ void Run() {
   const BenchEnv env = GetBenchEnv();
   Banner("Ablations — pruning, GT vs IT, cone width, compression", env);
   const auto pois = MakePoiSet(env.n_pois);
-  const RTree tree = RTree::BulkLoad(pois);
+  const PackedRTree tree = PackedRTree::Build(pois);
   const auto probes = MakeProbes(env.full ? 48 : 16, 0xAB1);
 
   // A. Theorem-3 pruning.

@@ -17,7 +17,7 @@
 #include <string>
 #include <vector>
 
-#include "index/rtree.h"
+#include "index/packed_rtree.h"
 #include "sim/simulator.h"
 #include "traj/generators.h"
 #include "traj/road_network.h"
@@ -101,14 +101,15 @@ inline std::vector<Point> MakePoiSet(size_t n, uint64_t seed = 0x901) {
 
 /// Runs one method over `groups` group blocks of size m and returns merged
 /// metrics.
-inline SimMetrics RunConfig(const std::vector<Point>& pois, const RTree& tree,
-                            const TrajectorySet& set, size_t m,
-                            const BenchEnv& env, const ServerConfig& server) {
+inline SimMetrics RunConfig(const std::vector<Point>& pois,
+                            const PackedRTree& tree, const TrajectorySet& set,
+                            size_t m, const BenchEnv& env,
+                            const ServerConfig& server) {
   auto all_groups = MakeGroups(set.trajectories, m, env.block);
   if (all_groups.size() > env.groups) all_groups.resize(env.groups);
   SimOptions opt;
   opt.server = server;
-  return RunGroups(pois, tree, all_groups, opt);
+  return RunGroups(pois, &tree, all_groups, opt);
 }
 
 /// ServerConfig for one of the paper's method configurations with Table-2

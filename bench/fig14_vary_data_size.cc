@@ -24,7 +24,7 @@ void Run() {
       // unbiased smaller sample of the same distribution.
       const std::vector<Point> pois(full_pois.begin(),
                                     full_pois.begin() + n);
-      const RTree tree = RTree::BulkLoad(pois);
+      const PackedRTree tree = PackedRTree::Build(pois);
       std::vector<std::string> frow{FormatDouble(frac, 2)};
       std::vector<std::string> prow{FormatDouble(frac, 2)};
       for (Method method : methods) {

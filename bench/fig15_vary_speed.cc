@@ -21,7 +21,7 @@ void Run() {
   const BenchEnv env = GetBenchEnv();
   Banner("Fig. 15 — MPN, vary user speed", env);
   const auto pois = MakePoiSet(env.n_pois);
-  const RTree tree = RTree::BulkLoad(pois);
+  const PackedRTree tree = PackedRTree::Build(pois);
   const Method methods[] = {Method::kCircle, Method::kTile, Method::kTileD};
 
   for (const auto& maker : {&MakeGeolifeLike, &MakeOldenburgLike}) {

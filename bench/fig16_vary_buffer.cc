@@ -16,7 +16,7 @@ void Run() {
   const BenchEnv env = GetBenchEnv();
   Banner("Fig. 16 — MPN, vary buffering parameter b", env);
   const auto pois = MakePoiSet(env.n_pois);
-  const RTree tree = RTree::BulkLoad(pois);
+  const PackedRTree tree = PackedRTree::Build(pois);
   const TrajectorySet set = MakeGeolifeLike(env, 0x16);
 
   // Reference: Tile-D without buffering.

@@ -11,7 +11,7 @@ void Run() {
   const BenchEnv env = GetBenchEnv();
   Banner("Fig. 17 — Sum-MPN, vary group size m", env);
   const auto pois = MakePoiSet(env.n_pois);
-  const RTree tree = RTree::BulkLoad(pois);
+  const PackedRTree tree = PackedRTree::Build(pois);
   const Method methods[] = {Method::kCircle, Method::kTile, Method::kTileD};
 
   for (const auto& maker : {&MakeGeolifeLike, &MakeOldenburgLike}) {

@@ -19,7 +19,7 @@ void Run() {
     for (double frac : {0.25, 0.5, 0.75, 1.0}) {
       const size_t n = static_cast<size_t>(frac * full_pois.size());
       const std::vector<Point> pois(full_pois.begin(), full_pois.begin() + n);
-      const RTree tree = RTree::BulkLoad(pois);
+      const PackedRTree tree = PackedRTree::Build(pois);
       std::vector<std::string> frow{FormatDouble(frac, 2)};
       std::vector<std::string> prow{FormatDouble(frac, 2)};
       for (Method method : methods) {

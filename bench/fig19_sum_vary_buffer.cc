@@ -10,7 +10,7 @@ void Run() {
   const BenchEnv env = GetBenchEnv();
   Banner("Fig. 19 — Sum-MPN, vary buffering parameter b", env);
   const auto pois = MakePoiSet(env.n_pois);
-  const RTree tree = RTree::BulkLoad(pois);
+  const PackedRTree tree = PackedRTree::Build(pois);
   const TrajectorySet set = MakeGeolifeLike(env, 0x19);
 
   const SimMetrics ref = RunConfig(

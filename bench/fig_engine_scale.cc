@@ -35,12 +35,7 @@
 //     KernelKind). The digests must be bit-identical — the kernels make
 //     the same decisions — and soa_speedup is the whole-engine win from
 //     batching the candidate scans.
-//  7. Index ablation: the same workload over the dynamic R-tree
-//     (insert-built and bulk-loaded) and the packed STR/Hilbert flat
-//     layouts (index/packed_rtree.h). Digests must be bit-identical;
-//     query_speedup (mixed range+circle probe throughput over the
-//     insert-built tree) is the CI-gated packed-layout win.
-//  8. Out-of-core spill: thousands of m=2 sessions (1M+ in full mode)
+//  7. Out-of-core spill: thousands of m=2 sessions (1M+ in full mode)
 //     under a fixed memory budget (engine/session_store.h). The digest
 //     must be bit-identical to the unbudgeted run across thread counts
 //     and cluster shards, the spill/rehydrate counters are exact at one
@@ -58,7 +53,6 @@
 #include "engine/cluster.h"
 #include "engine/engine.h"
 #include "index/packed_rtree.h"
-#include "index/spatial_index.h"
 #include "util/stats.h"
 #include "util/thread_pool.h"
 
@@ -87,7 +81,7 @@ void AppendAdvanceGapsMs(const Engine& engine, uint32_t id,
   }
 }
 
-RunResult RunEngineOnce(const std::vector<Point>& pois, SpatialIndex tree,
+RunResult RunEngineOnce(const std::vector<Point>& pois, const PackedRTree& tree,
                         const std::vector<std::vector<const Trajectory*>>&
                             groups,
                         size_t n_groups, size_t threads, bool parallel_verify,
@@ -96,7 +90,7 @@ RunResult RunEngineOnce(const std::vector<Point>& pois, SpatialIndex tree,
   opt.threads = threads;
   opt.parallel_verify = parallel_verify;
   opt.sim.server = server;
-  Engine engine(&pois, tree, opt);
+  Engine engine(&pois, &tree, opt);
   for (size_t g = 0; g < n_groups; ++g) engine.AdmitSession(groups[g]);
   Timer timer;
   engine.Run();
@@ -116,7 +110,7 @@ RunResult RunEngineOnce(const std::vector<Point>& pois, SpatialIndex tree,
   return r;
 }
 
-void RunScaleTable(const std::vector<Point>& pois, const RTree& tree,
+void RunScaleTable(const std::vector<Point>& pois, const PackedRTree& tree,
                    const std::vector<std::vector<const Trajectory*>>& groups,
                    const std::vector<size_t>& group_counts,
                    const std::vector<size_t>& thread_counts,
@@ -147,7 +141,7 @@ void RunScaleTable(const std::vector<Point>& pois, const RTree& tree,
   table.WriteCsv(CsvPath("fig_engine_scale.csv"));
 }
 
-void RunStragglerTable(const std::vector<Point>& pois, const RTree& tree,
+void RunStragglerTable(const std::vector<Point>& pois, const PackedRTree& tree,
                        const std::vector<std::vector<const Trajectory*>>&
                            groups,
                        size_t n_groups,
@@ -195,7 +189,7 @@ void RunStragglerTable(const std::vector<Point>& pois, const RTree& tree,
   table.WriteCsv(CsvPath("fig_engine_scale_straggler.csv"));
 }
 
-void RunChurnTable(const std::vector<Point>& pois, const RTree& tree,
+void RunChurnTable(const std::vector<Point>& pois, const PackedRTree& tree,
                    const std::vector<std::vector<const Trajectory*>>& groups,
                    size_t n_groups, size_t timestamps,
                    const std::vector<size_t>& thread_counts,
@@ -238,7 +232,7 @@ void RunChurnTable(const std::vector<Point>& pois, const RTree& tree,
   table.WriteCsv(CsvPath("fig_engine_scale_churn.csv"));
 }
 
-void RunClusterTable(const std::vector<Point>& pois, const RTree& tree,
+void RunClusterTable(const std::vector<Point>& pois, const PackedRTree& tree,
                      const std::vector<std::vector<const Trajectory*>>&
                          groups,
                      size_t n_groups,
@@ -275,7 +269,7 @@ void RunClusterTable(const std::vector<Point>& pois, const RTree& tree,
   table.WriteCsv(CsvPath("fig_engine_scale_cluster.csv"));
 }
 
-void RunRecoveryTable(const std::vector<Point>& pois, const RTree& tree,
+void RunRecoveryTable(const std::vector<Point>& pois, const PackedRTree& tree,
                       const std::vector<std::vector<const Trajectory*>>&
                           groups,
                       size_t n_groups, size_t timestamps,
@@ -339,7 +333,7 @@ void RunRecoveryTable(const std::vector<Point>& pois, const RTree& tree,
 // are bit-identical by construction, so the digests — which fold every
 // verify/candidate/index counter — must match; soa_speedup is the
 // wall-clock ratio scalar/soa.
-void RunKernelTable(const std::vector<Point>& pois, const RTree& tree,
+void RunKernelTable(const std::vector<Point>& pois, const PackedRTree& tree,
                     const std::vector<std::vector<const Trajectory*>>& groups,
                     const std::vector<size_t>& group_counts,
                     const ServerConfig& server) {
@@ -369,101 +363,7 @@ void RunKernelTable(const std::vector<Point>& pois, const RTree& tree,
   table.WriteCsv(CsvPath("fig_engine_scale_kernels.csv"));
 }
 
-/// Index ablation: the same workload over the dynamic R-tree (insert-built
-/// and bulk-loaded) and the packed flat layouts (STR / Hilbert). Every
-/// backend must produce the bit-identical digest; build_ms is the one-time
-/// index construction cost, queries/sec a mixed range+circle probe
-/// throughput on the built index, and query_speedup that throughput
-/// relative to the insert-built dynamic tree.
-void RunIndexTable(const std::vector<Point>& pois,
-                   const std::vector<std::vector<const Trajectory*>>& groups,
-                   size_t n_groups, const ServerConfig& server) {
-  Table table({"index", "build_ms", "queries/sec", "query_speedup",
-               "seconds", "rounds/sec", "deterministic"});
-
-  // Mixed probe workload: 128 range + 128 circle queries spanning ~5% of
-  // the world each, repeated enough to time reliably.
-  Rng rng(0xE7D1CE);
-  std::vector<Rect> rects;
-  std::vector<Point> centers;
-  const double side = 10000.0;
-  for (int i = 0; i < 128; ++i) {
-    const Point lo{rng.Uniform(0, 100000 - side),
-                   rng.Uniform(0, 100000 - side)};
-    rects.push_back(Rect(lo, {lo.x + side, lo.y + side}));
-    centers.push_back({rng.Uniform(0, 100000), rng.Uniform(0, 100000)});
-  }
-  const auto queries_per_sec = [&](SpatialIndex view) {
-    std::vector<uint32_t> out;
-    const size_t reps = 20;
-    Timer timer;
-    for (size_t rep = 0; rep < reps; ++rep) {
-      for (size_t q = 0; q < rects.size(); ++q) {
-        out.clear();
-        view.RangeQuery(rects[q], &out);
-        out.clear();
-        view.CircleRangeQuery(centers[q], side / 2.0, &out);
-      }
-    }
-    const double sec = timer.ElapsedSeconds();
-    const double n = static_cast<double>(2 * reps * rects.size());
-    return sec > 0.0 ? n / sec : 0.0;
-  };
-
-  RTree inserted;
-  Timer insert_timer;
-  for (size_t i = 0; i < pois.size(); ++i) {
-    inserted.Insert(pois[i], static_cast<uint32_t>(i));
-  }
-  const double insert_ms = insert_timer.ElapsedSeconds() * 1e3;
-
-  Timer bulk_timer;
-  const RTree bulk = RTree::BulkLoad(pois);
-  const double bulk_ms = bulk_timer.ElapsedSeconds() * 1e3;
-
-  Timer str_timer;
-  const PackedRTree packed_str =
-      PackedRTree::Build(pois, PackAlgorithm::kStr);
-  const double str_ms = str_timer.ElapsedSeconds() * 1e3;
-
-  Timer hilbert_timer;
-  const PackedRTree packed_hilbert =
-      PackedRTree::Build(pois, PackAlgorithm::kHilbert);
-  const double hilbert_ms = hilbert_timer.ElapsedSeconds() * 1e3;
-
-  struct IndexRow {
-    const char* name;
-    SpatialIndex view;
-    double build_ms;
-  };
-  const IndexRow rows[] = {
-      {"dynamic_insert", SpatialIndex(&inserted), insert_ms},
-      {"dynamic_bulk", SpatialIndex(&bulk), bulk_ms},
-      {"packed_str", SpatialIndex(&packed_str), str_ms},
-      {"packed_hilbert", SpatialIndex(&packed_hilbert), hilbert_ms},
-  };
-  double base_qps = 0.0;
-  uint64_t base_digest = 0;
-  for (const IndexRow& row : rows) {
-    const double qps = queries_per_sec(row.view);
-    const RunResult r =
-        RunEngineOnce(pois, row.view, groups, n_groups, 1, false, server);
-    if (row.view.dynamic_tree() == &inserted) {
-      base_qps = qps;
-      base_digest = r.digest;
-    }
-    table.AddRow({row.name, FormatDouble(row.build_ms, 2),
-                  FormatDouble(qps, 0),
-                  FormatDouble(base_qps > 0.0 ? qps / base_qps : 1.0, 2),
-                  FormatDouble(r.seconds, 3), FormatDouble(r.throughput, 0),
-                  r.digest == base_digest ? "yes" : "NO"});
-  }
-  table.Print("Engine scale — dynamic vs packed spatial index (Tile-D, "
-              "1 thread)");
-  table.WriteCsv(CsvPath("fig_engine_scale_index.csv"));
-}
-
-// --- out-of-core session spill (8) -----------------------------------------
+// --- out-of-core session spill (7) -----------------------------------------
 
 /// Current VmRSS of this process in bytes (0 if /proc is unreadable).
 size_t ReadVmRssBytes() {
@@ -515,7 +415,7 @@ struct SpillRun {
   size_t rss_peak = 0;
 };
 
-SpillRun RunSpillOnce(const std::vector<Point>& pois, const RTree& tree,
+SpillRun RunSpillOnce(const std::vector<Point>& pois, const PackedRTree& tree,
                       const std::vector<std::vector<const Trajectory*>>&
                           groups,
                       size_t n_sessions, size_t threads, size_t cap_bytes,
@@ -540,7 +440,7 @@ SpillRun RunSpillOnce(const std::vector<Point>& pois, const RTree& tree,
 }
 
 SpillRun RunSpillClusterOnce(const std::vector<Point>& pois,
-                             const RTree& tree,
+                             const PackedRTree& tree,
                              const std::vector<std::vector<const Trajectory*>>&
                                  groups,
                              size_t n_sessions, size_t shards,
@@ -571,7 +471,7 @@ SpillRun RunSpillClusterOnce(const std::vector<Point>& pois,
 /// must match the unbudgeted reference in every row. 2048 sessions in
 /// quick mode; full mode adds a 1M+-session row (the "millions of users"
 /// north star) checked via two-cap digest identity.
-void RunSpillTable(const std::vector<Point>& pois, const RTree& tree) {
+void RunSpillTable(const std::vector<Point>& pois, const PackedRTree& tree) {
   // Dedicated small workload: m=2 groups over a shared pool of 64 short
   // trajectories, so session count — not trajectory storage — dominates.
   const BenchEnv env = GetBenchEnv();
@@ -688,7 +588,7 @@ void Run() {
               ThreadPool::HardwareThreads());
 
   const auto pois = MakePoiSet(n_pois);
-  const RTree tree = RTree::BulkLoad(pois);
+  const PackedRTree tree = PackedRTree::Build(pois);
   Rng rng(0xE59153);
   RandomWalkGenerator::Options wopt;
   wopt.world = kWorld;
@@ -719,7 +619,6 @@ void Run() {
                    timestamps, {2, 4}, server);
   RunKernelTable(pois, tree, groups, {1, std::min<size_t>(16, max_groups)},
                  server);
-  RunIndexTable(pois, groups, std::min<size_t>(16, max_groups), server);
   RunSpillTable(pois, tree);
 
   // Per-user verification fan-out on one group: same results, candidate

@@ -10,7 +10,7 @@ namespace {
 
 struct GnnFixtureData {
   std::vector<Point> pois;
-  RTree tree;
+  PackedRTree tree;
   std::vector<std::vector<Point>> user_sets;
 };
 
@@ -19,7 +19,7 @@ const GnnFixtureData& Fixture(size_t n, size_t m) {
   auto& f = cache[{n, m}];
   if (f.pois.empty()) {
     f.pois = bench::MakePoiSet(n, 0xA11);
-    f.tree = RTree::BulkLoad(f.pois);
+    f.tree = PackedRTree::Build(f.pois);
     Rng rng(0xB22);
     for (int i = 0; i < 64; ++i) {
       std::vector<Point> users;
@@ -38,7 +38,7 @@ void BM_GnnTop1(benchmark::State& state, Objective obj) {
                           static_cast<size_t>(state.range(1)));
   size_t i = 0;
   for (auto _ : state) {
-    const auto r = FindGnn(f.tree, f.user_sets[i++ % f.user_sets.size()],
+    const auto r = FindGnn(&f.tree, f.user_sets[i++ % f.user_sets.size()],
                            obj, 1);
     benchmark::DoNotOptimize(r);
   }
@@ -49,7 +49,7 @@ void BM_GnnTopK(benchmark::State& state, Objective obj) {
   const size_t k = static_cast<size_t>(state.range(0));
   size_t i = 0;
   for (auto _ : state) {
-    const auto r = FindGnn(f.tree, f.user_sets[i++ % f.user_sets.size()],
+    const auto r = FindGnn(&f.tree, f.user_sets[i++ % f.user_sets.size()],
                            obj, k);
     benchmark::DoNotOptimize(r);
   }

@@ -12,7 +12,7 @@ namespace {
 
 struct MsrFixture {
   std::vector<Point> pois;
-  RTree tree;
+  PackedRTree tree;
   std::vector<std::vector<Point>> user_sets;
   std::vector<std::vector<MotionHint>> hint_sets;
 };
@@ -22,7 +22,7 @@ const MsrFixture& Fixture(size_t n) {
   auto& f = cache[n];
   if (f.pois.empty()) {
     f.pois = bench::MakePoiSet(n, 0xD0);
-    f.tree = RTree::BulkLoad(f.pois);
+    f.tree = PackedRTree::Build(f.pois);
     Rng rng(0xD1);
     for (int i = 0; i < 32; ++i) {
       std::vector<Point> users;
@@ -48,7 +48,7 @@ void BM_CircleMsr(benchmark::State& state) {
   size_t i = 0;
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        ComputeCircleMsr(f.tree, f.user_sets[i++ % f.user_sets.size()],
+        ComputeCircleMsr(&f.tree, f.user_sets[i++ % f.user_sets.size()],
                          Objective::kMax));
   }
 }
@@ -68,7 +68,7 @@ void RunTileMsr(benchmark::State& state, bool directed, bool buffered,
   for (auto _ : state) {
     const size_t k = i++ % f.user_sets.size();
     benchmark::DoNotOptimize(
-        ComputeTileMsr(f.tree, f.user_sets[k], obj, config, f.hint_sets[k]));
+        ComputeTileMsr(&f.tree, f.user_sets[k], obj, config, f.hint_sets[k]));
   }
 }
 
@@ -98,7 +98,7 @@ void BM_EncodeDecodeRegion(benchmark::State& state) {
   TileMsrConfig config;
   config.alpha = 30;
   const auto result =
-      ComputeTileMsr(f.tree, f.user_sets[0], Objective::kMax, config);
+      ComputeTileMsr(&f.tree, f.user_sets[0], Objective::kMax, config);
   TileRegion region = result.regions[0].is_circle()
                           ? TileRegion({0, 0}, 1.0)
                           : result.regions[0].tiles();

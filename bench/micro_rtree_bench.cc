@@ -1,16 +1,13 @@
-// Micro benchmarks for the spatial-index substrate: build strategies and
-// query primitives at (and past) the paper's data scale, for the dynamic
-// R-tree and both packed flat layouts (index/packed_rtree.h). The packed
-// query benches at the largest sweep point carry the >= 2x range/circle
-// throughput criterion over the insert-built dynamic tree
-// (scripts/check_baselines.py gates the engine-level ratio; these rows
-// localize the win to the index).
+// Micro benchmark for the spatial-index substrate: the STR bulk load of the
+// packed R-tree (index/packed_rtree.h) at and past the paper's data scale
+// (21,287 POIs).
 #include <benchmark/benchmark.h>
+
+#include <map>
+#include <vector>
 
 #include "bench_common.h"
 #include "index/packed_rtree.h"
-#include "index/rtree.h"
-#include "index/spatial_index.h"
 
 namespace mpn {
 namespace {
@@ -22,165 +19,15 @@ const std::vector<Point>& Pois(size_t n) {
   return p;
 }
 
-/// One built index per (kind, n), shared across query benches.
-SpatialIndex Index(IndexKind kind, size_t n) {
-  static std::map<std::pair<int, size_t>, PoiIndex> cache;
-  const auto key = std::make_pair(static_cast<int>(kind), n);
-  auto it = cache.find(key);
-  if (it == cache.end()) {
-    it = cache.emplace(key, PoiIndex::Build(Pois(n), kind)).first;
-  }
-  return it->second.view();
-}
-
-/// Insert-built dynamic tree (the packed layouts' comparison baseline).
-const RTree& InsertTree(size_t n) {
-  static std::map<size_t, RTree> cache;
-  auto& tree = cache[n];
-  if (tree.empty()) {
-    const auto& pts = Pois(n);
-    for (size_t i = 0; i < pts.size(); ++i) {
-      tree.Insert(pts[i], static_cast<uint32_t>(i));
-    }
-  }
-  return tree;
-}
-
-// ---- build-mode sweep ----
-
-void BM_InsertBuild(benchmark::State& state) {
-  const auto& pts = Pois(static_cast<size_t>(state.range(0)));
-  for (auto _ : state) {
-    RTree tree;
-    for (size_t i = 0; i < pts.size(); ++i) {
-      tree.Insert(pts[i], static_cast<uint32_t>(i));
-    }
-    benchmark::DoNotOptimize(tree);
-  }
-}
-
-void BM_BulkLoad(benchmark::State& state) {
-  const auto& pts = Pois(static_cast<size_t>(state.range(0)));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(RTree::BulkLoad(pts));
-  }
-}
-
 void BM_PackStr(benchmark::State& state) {
   const auto& pts = Pois(static_cast<size_t>(state.range(0)));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(PackedRTree::Build(pts, PackAlgorithm::kStr));
+    benchmark::DoNotOptimize(PackedRTree::Build(pts));
   }
 }
 
-void BM_PackHilbert(benchmark::State& state) {
-  const auto& pts = Pois(static_cast<size_t>(state.range(0)));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        PackedRTree::Build(pts, PackAlgorithm::kHilbert));
-  }
-}
-
-// ---- query-kind x index-kind sweep ----
-// range(0): index kind (-1 = insert-built dynamic); range(1): POI count;
-// range(2): query size (rect side / circle radius / k).
-
-std::vector<Rect> RangeQueries(double side, uint64_t seed = 0xE2) {
-  Rng rng(seed);
-  std::vector<Rect> queries;
-  for (int i = 0; i < 128; ++i) {
-    const Point lo{rng.Uniform(0, 100000 - side),
-                   rng.Uniform(0, 100000 - side)};
-    queries.push_back(Rect(lo, {lo.x + side, lo.y + side}));
-  }
-  return queries;
-}
-
-std::vector<Point> QueryPoints(uint64_t seed = 0xE1) {
-  Rng rng(seed);
-  std::vector<Point> queries;
-  for (int i = 0; i < 128; ++i) {
-    queries.push_back({rng.Uniform(0, 100000), rng.Uniform(0, 100000)});
-  }
-  return queries;
-}
-
-SpatialIndex IndexArg(const benchmark::State& state) {
-  const size_t n = static_cast<size_t>(state.range(1));
-  if (state.range(0) < 0) return SpatialIndex(&InsertTree(n));
-  return Index(static_cast<IndexKind>(state.range(0)), n);
-}
-
-void BM_RangeQuery(benchmark::State& state) {
-  const SpatialIndex index = IndexArg(state);
-  const auto queries = RangeQueries(static_cast<double>(state.range(2)));
-  size_t i = 0;
-  std::vector<uint32_t> out;
-  for (auto _ : state) {
-    out.clear();
-    index.RangeQuery(queries[i++ % queries.size()], &out);
-    benchmark::DoNotOptimize(out);
-  }
-}
-
-void BM_CircleQuery(benchmark::State& state) {
-  const SpatialIndex index = IndexArg(state);
-  const auto queries = QueryPoints();
-  const double radius = static_cast<double>(state.range(2));
-  size_t i = 0;
-  std::vector<uint32_t> out;
-  for (auto _ : state) {
-    out.clear();
-    index.CircleRangeQuery(queries[i++ % queries.size()], radius, &out);
-    benchmark::DoNotOptimize(out);
-  }
-}
-
-void BM_Knn(benchmark::State& state) {
-  const SpatialIndex index = IndexArg(state);
-  const auto queries = QueryPoints();
-  const size_t k = static_cast<size_t>(state.range(2));
-  size_t i = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(index.Knn(queries[i++ % queries.size()], k));
-  }
-}
-
-constexpr int kInsert = -1;  // insert-built dynamic tree (reference)
-constexpr int kDynamic = static_cast<int>(IndexKind::kDynamic);
-constexpr int kStr = static_cast<int>(IndexKind::kPackedStr);
-constexpr int kHilbert = static_cast<int>(IndexKind::kPackedHilbert);
-
-// Paper scale (21,287 POIs) and the large sweep point (100,000), on the
-// insert-built reference, the bulk-loaded dynamic tree and both packed
-// layouts.
-void QuerySweep(benchmark::internal::Benchmark* b,
-                std::initializer_list<int64_t> sizes) {
-  for (int kind : {kInsert, kDynamic, kStr, kHilbert}) {
-    for (int64_t n : {int64_t{21287}, int64_t{100000}}) {
-      for (int64_t size : sizes) b->Args({kind, n, size});
-    }
-  }
-}
-
-BENCHMARK(BM_InsertBuild)->Arg(5000)->Arg(21287)
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_BulkLoad)->Arg(5000)->Arg(21287)->Arg(100000)
-    ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_PackStr)->Arg(5000)->Arg(21287)->Arg(100000)
     ->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_PackHilbert)->Arg(5000)->Arg(21287)->Arg(100000)
-    ->Unit(benchmark::kMillisecond);
-
-BENCHMARK(BM_RangeQuery)->Apply([](benchmark::internal::Benchmark* b) {
-  QuerySweep(b, {1000, 10000});
-});
-BENCHMARK(BM_CircleQuery)->Apply([](benchmark::internal::Benchmark* b) {
-  QuerySweep(b, {500, 5000});
-});
-BENCHMARK(BM_Knn)->Apply([](benchmark::internal::Benchmark* b) {
-  QuerySweep(b, {10, 100});
-});
 
 }  // namespace
 }  // namespace mpn

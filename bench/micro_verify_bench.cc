@@ -17,7 +17,7 @@ namespace {
 
 struct VerifyFixture {
   std::vector<Point> pois;
-  RTree tree;
+  PackedRTree tree;
   std::vector<Point> users;
   Point po;
   uint32_t po_id = 0;
@@ -33,7 +33,7 @@ const VerifyFixture& Fixture(size_t tiles_per_user) {
   auto& f = cache[tiles_per_user];
   if (f.pois.empty()) {
     f.pois = bench::MakePoiSet(5000, 0xC0);
-    f.tree = RTree::BulkLoad(f.pois);
+    f.tree = PackedRTree::Build(f.pois);
     Rng rng(0xC1);
     for (int i = 0; i < 3; ++i) {
       f.users.push_back({rng.Uniform(40000, 60000),
@@ -42,7 +42,7 @@ const VerifyFixture& Fixture(size_t tiles_per_user) {
     TileMsrConfig config;
     config.alpha = static_cast<int>(tiles_per_user);
     const auto result =
-        ComputeTileMsr(f.tree, f.users, Objective::kMax, config);
+        ComputeTileMsr(&f.tree, f.users, Objective::kMax, config);
     f.po = result.po;
     f.po_id = result.po_id;
     for (const auto& r : result.regions) {
@@ -50,7 +50,7 @@ const VerifyFixture& Fixture(size_t tiles_per_user) {
                                         : r.tiles());
       if (f.regions.back().empty()) f.regions.back().Add(GridTile{0, 0, 0});
     }
-    const auto top = FindGnn(f.tree, f.users, Objective::kMax, 64);
+    const auto top = FindGnn(&f.tree, f.users, Objective::kMax, 64);
     for (size_t i = 1; i < top.size(); ++i) {
       f.candidates.push_back({top[i].id, top[i].p});
     }

@@ -47,7 +47,7 @@ int main() {
   popt.world = world;
   popt.clusters = 20;
   const std::vector<Point> pois = GeneratePois(2500, popt, &rng);
-  const RTree tree = RTree::BulkLoad(pois);
+  const PackedRTree tree = PackedRTree::Build(pois);
   RandomWalkGenerator::Options wopt;
   wopt.world = world;
   wopt.mean_speed = 40.0;

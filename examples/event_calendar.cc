@@ -28,7 +28,7 @@ int main() {
   popt.cluster_sigma_frac = 0.04;
   popt.background_frac = 0.35;
   const std::vector<Point> restaurants = GeneratePois(2500, popt, &rng);
-  const RTree tree = RTree::BulkLoad(restaurants);
+  const PackedRTree tree = PackedRTree::Build(restaurants);
 
   // Three friends moving through town (smooth correlated walks starting
   // in different neighborhoods).

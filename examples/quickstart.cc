@@ -7,7 +7,7 @@
 // Build & run:  ./examples/quickstart
 #include <cstdio>
 
-#include "index/rtree.h"
+#include "index/packed_rtree.h"
 #include "mpn/circle_msr.h"
 #include "mpn/compress.h"
 #include "mpn/tile_msr.h"
@@ -21,14 +21,14 @@ int main() {
       {120, 80}, {300, 340}, {540, 260}, {220, 500}, {760, 420},
       {420, 120}, {640, 640}, {90, 350},  {480, 480}, {700, 150},
   };
-  const RTree tree = RTree::BulkLoad(pois);
+  const PackedRTree tree = PackedRTree::Build(pois);
 
   // 2. A group of moving users registers a Meeting Point Notification query.
   const std::vector<Point> users = {{200, 200}, {380, 300}, {280, 420}};
 
   // 3a. Circular safe regions (Algorithm 1 / Theorem 1).
   const CircleMsrResult circles =
-      ComputeCircleMsr(tree, users, Objective::kMax);
+      ComputeCircleMsr(&tree, users, Objective::kMax);
   std::printf("optimal meeting point: poi #%u at %s  (max-dist %.1f)\n",
               circles.po_id, circles.po.ToString().c_str(), circles.po_agg);
   std::printf("circular safe regions: common radius rmax = %.2f\n",
@@ -38,7 +38,7 @@ int main() {
   TileMsrConfig config;
   config.alpha = 12;
   config.split_level = 2;
-  const MsrResult tiles = ComputeTileMsr(tree, users, Objective::kMax, config);
+  const MsrResult tiles = ComputeTileMsr(&tree, users, Objective::kMax, config);
   for (size_t i = 0; i < users.size(); ++i) {
     const SafeRegion& r = tiles.regions[i];
     if (r.is_circle()) {

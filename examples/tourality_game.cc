@@ -25,7 +25,7 @@ int main() {
   popt.clusters = 15;
   popt.background_frac = 0.5;
   const std::vector<Point> spots = GeneratePois(4000, popt, &rng);
-  const RTree tree = RTree::BulkLoad(spots);
+  const PackedRTree tree = PackedRTree::Build(spots);
 
   // Four players biking through the street network.
   const RoadNetwork streets =

@@ -65,7 +65,7 @@ uint64_t ReadAdmitRetireAt(const WireBuffer& frame) {
 /// restart from 0 while global ids do not), so the worker keeps the
 /// global->local map.
 int WorkerMain(IpcChannel* ch, IpcChannel* hb,
-               const std::vector<Point>* pois, SpatialIndex tree,
+               const std::vector<Point>* pois, const PackedRTree* tree,
                const EngineOptions& options) {
   try {
     Engine engine(pois, tree, options);
@@ -223,10 +223,11 @@ std::string ShardError(size_t shard, const std::string& detail) {
 
 }  // namespace
 
-ClusterEngine::ClusterEngine(const std::vector<Point>* pois, SpatialIndex tree,
+ClusterEngine::ClusterEngine(const std::vector<Point>* pois,
+                             const PackedRTree* tree,
                              const ClusterOptions& options)
     : pois_(pois), tree_(tree), options_(options) {
-  MPN_ASSERT(pois_ != nullptr && tree_.valid());
+  MPN_ASSERT(pois_ != nullptr && tree_ != nullptr);
   MPN_ASSERT_MSG(options_.workers >= 1, "cluster needs at least one worker");
   crash_plan_ = CrashPlan::FromEnv();
   fault_plan_ = FaultPlan::FromEnv(options_.workers);

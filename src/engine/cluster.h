@@ -170,7 +170,7 @@ class ClusterEngine {
   /// `pois` and `tree` must be fully built before Start() forks the
   /// workers and must outlive the cluster (workers inherit them
   /// copy-on-write).
-  ClusterEngine(const std::vector<Point>* pois, SpatialIndex tree,
+  ClusterEngine(const std::vector<Point>* pois, const PackedRTree* tree,
                 const ClusterOptions& options);
   ~ClusterEngine();
 
@@ -423,7 +423,7 @@ class ClusterEngine {
   void TeardownWorkers();
 
   const std::vector<Point>* pois_;
-  SpatialIndex tree_;
+  const PackedRTree* tree_;
   ClusterOptions options_;
   mutable std::mutex mu_;
   bool started_ = false;

@@ -57,10 +57,10 @@ inline void AddSessionResultToDigest(Fnv1a* fnv, const SimMetrics& m,
   fnv->Add(m.msr.candidates.retrievals);
   fnv->Add(m.msr.candidates.candidates_total);
   fnv->Add(m.msr.candidates.rejected_by_buffer);
-  // rtree_node_accesses is deliberately NOT digested: it depends on index
-  // structure (dynamic vs packed, fanout, build order), and the digest
-  // contract is bit-identity across index backends. It still travels over
-  // IPC and shows up in metrics tables.
+  // rtree_node_accesses is deliberately NOT digested: it measures the
+  // index's shape (fanout, build order) rather than a result, so a
+  // re-packed index keeps every digest. It still travels over IPC and
+  // shows up in metrics tables.
 }
 
 }  // namespace mpn

@@ -41,10 +41,10 @@ Table EngineRoundStats::ToTable() const {
   return table;
 }
 
-Engine::Engine(const std::vector<Point>* pois, SpatialIndex tree,
+Engine::Engine(const std::vector<Point>* pois, const PackedRTree* tree,
                const EngineOptions& options)
     : pois_(pois), tree_(tree), options_(options) {
-  MPN_ASSERT(pois_ != nullptr && tree_.valid());
+  MPN_ASSERT(pois_ != nullptr && tree_ != nullptr);
   const size_t threads =
       options_.threads == 0 ? ThreadPool::HardwareThreads() : options_.threads;
   table_ = std::make_unique<SessionTable>(options_.table_shards);

@@ -131,9 +131,7 @@ class Engine {
   };
 
   /// `pois` and `tree` are shared, read-only, and must outlive the engine.
-  /// `tree` accepts either index backend (index/spatial_index.h); session
-  /// results and digests are identical across backends.
-  Engine(const std::vector<Point>* pois, SpatialIndex tree,
+  Engine(const std::vector<Point>* pois, const PackedRTree* tree,
          const EngineOptions& options);
   ~Engine();
 
@@ -262,7 +260,7 @@ class Engine {
   void RebuildRoundStats();
 
   const std::vector<Point>* pois_;
-  SpatialIndex tree_;
+  const PackedRTree* tree_;
   EngineOptions options_;
   /// Per-session SimOptions with the parallel-verify executor wired in —
   /// computed once so mid-run rehydration rebuilds sessions with exactly

@@ -9,7 +9,7 @@
 namespace mpn {
 
 GroupSession::GroupSession(uint32_t id, const std::vector<Point>* pois,
-                           SpatialIndex tree,
+                           const PackedRTree* tree,
                            std::vector<const Trajectory*> group,
                            const SimOptions& options,
                            const SessionTuning& tuning, const Timer* run_timer)

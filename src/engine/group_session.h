@@ -130,8 +130,9 @@ class GroupSession {
   /// All referenced data must outlive the session. All trajectories must be
   /// at least as long as the simulated horizon. `run_timer` (optional) is
   /// the engine-wide clock advance completions are stamped against.
-  GroupSession(uint32_t id, const std::vector<Point>* pois, SpatialIndex tree,
-               std::vector<const Trajectory*> group, const SimOptions& options,
+  GroupSession(uint32_t id, const std::vector<Point>* pois,
+               const PackedRTree* tree, std::vector<const Trajectory*> group,
+               const SimOptions& options,
                const SessionTuning& tuning = SessionTuning(),
                const Timer* run_timer = nullptr);
 
@@ -317,7 +318,7 @@ class GroupSession {
 
   uint32_t id_;
   const std::vector<Point>* pois_;
-  SpatialIndex tree_;
+  const PackedRTree* tree_;
   std::vector<const Trajectory*> group_;
   SimOptions options_;
   SessionTuning tuning_;

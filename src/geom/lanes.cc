@@ -11,15 +11,6 @@ namespace mpn {
 // under autovectorization) and std::sqrt to sqrtsd/sqrtpd, so -O2/-O3 plus
 // -fno-math-errno (set in the top-level CMakeLists) vectorizes them.
 
-void RectMinDistLanes(const RectLanes& r, const Point& p, double* out) {
-  const double px = p.x, py = p.y;
-  for (size_t i = 0; i < r.n; ++i) {
-    const double dx = std::max(std::max(r.lo_x[i] - px, 0.0), px - r.hi_x[i]);
-    const double dy = std::max(std::max(r.lo_y[i] - py, 0.0), py - r.hi_y[i]);
-    out[i] = std::sqrt(dx * dx + dy * dy);
-  }
-}
-
 void RectMaxDistLanes(const RectLanes& r, const Point& p, double* out) {
   const double px = p.x, py = p.y;
   for (size_t i = 0; i < r.n; ++i) {
@@ -74,61 +65,6 @@ double SqrtLtThreshold(double y) {
   }
   // sqrt(t) and y are doubles, so sqrt(t) < y <=> sqrt(t) <= pred(y).
   return SqrtLeqThreshold(std::nextafter(y, 0.0));
-}
-
-void RectMinDist2Lanes(const RectLanes& r, const Point& p, double* out) {
-  const double px = p.x, py = p.y;
-  for (size_t i = 0; i < r.n; ++i) {
-    const double dx = std::max(std::max(r.lo_x[i] - px, 0.0), px - r.hi_x[i]);
-    const double dy = std::max(std::max(r.lo_y[i] - py, 0.0), py - r.hi_y[i]);
-    out[i] = dx * dx + dy * dy;
-  }
-}
-
-void RectIntersectsLanes(const RectLanes& r, const Rect& q, uint8_t* out) {
-  const double qlx = q.lo.x, qly = q.lo.y, qhx = q.hi.x, qhy = q.hi.y;
-  for (size_t i = 0; i < r.n; ++i) {
-    out[i] = static_cast<uint8_t>(r.lo_x[i] <= qhx && qlx <= r.hi_x[i] &&
-                                  r.lo_y[i] <= qhy && qly <= r.hi_y[i]);
-  }
-}
-
-void RectContainedLanes(const RectLanes& r, const Rect& q, uint8_t* out) {
-  const double qlx = q.lo.x, qly = q.lo.y, qhx = q.hi.x, qhy = q.hi.y;
-  for (size_t i = 0; i < r.n; ++i) {
-    out[i] = static_cast<uint8_t>(r.lo_x[i] >= qlx && r.hi_x[i] <= qhx &&
-                                  r.lo_y[i] >= qly && r.hi_y[i] <= qhy);
-  }
-}
-
-void PointDist2Lanes(const double* xs, const double* ys, size_t n,
-                     const Point& p, double* out) {
-  const double px = p.x, py = p.y;
-  for (size_t i = 0; i < n; ++i) {
-    const double dx = xs[i] - px;
-    const double dy = ys[i] - py;
-    out[i] = dx * dx + dy * dy;
-  }
-}
-
-void CircleMinDistLanes(const double* cx, const double* cy, const double* rr,
-                        size_t n, const Point& p, double* out) {
-  const double px = p.x, py = p.y;
-  for (size_t i = 0; i < n; ++i) {
-    const double dx = px - cx[i];
-    const double dy = py - cy[i];
-    out[i] = std::max(0.0, std::sqrt(dx * dx + dy * dy) - rr[i]);
-  }
-}
-
-void CircleMaxDistLanes(const double* cx, const double* cy, const double* rr,
-                        size_t n, const Point& p, double* out) {
-  const double px = p.x, py = p.y;
-  for (size_t i = 0; i < n; ++i) {
-    const double dx = px - cx[i];
-    const double dy = py - cy[i];
-    out[i] = std::sqrt(dx * dx + dy * dy) + rr[i];
-  }
 }
 
 }  // namespace mpn

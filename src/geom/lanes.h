@@ -1,7 +1,7 @@
 // Branch-light distance kernels over contiguous coordinate lanes (SoA).
 //
-// The scalar predicates in geom/rect.h, geom/circle.h and geom/vec2.h are
-// called per (tile, candidate) pair in the tile-MSR verification loop; in
+// The scalar rectangle distances in geom/rect.h are called per (tile,
+// candidate) pair in the tile-MSR verification loop; in
 // AoS form (vector<Rect>) each call strides through mixed coordinates and
 // the surrounding branches defeat autovectorization. These kernels take the
 // same formulas over structure-of-arrays lanes — one contiguous double
@@ -19,7 +19,6 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 
 #include "geom/rect.h"
 #include "geom/vec2.h"
@@ -36,9 +35,6 @@ struct RectLanes {
   const double* hi_y = nullptr;
   size_t n = 0;
 };
-
-/// out[i] = ||p, rect_i||_min (Rect::MinDist per lane).
-void RectMinDistLanes(const RectLanes& r, const Point& p, double* out);
 
 /// out[i] = ||p, rect_i||_max (Rect::MaxDist per lane).
 void RectMaxDistLanes(const RectLanes& r, const Point& p, double* out);
@@ -66,33 +62,5 @@ double SqrtLeqThreshold(double z);
 /// Strict variant: for every double t >= 0,
 ///     std::sqrt(t) < y   <=>   t <= SqrtLtThreshold(y).
 double SqrtLtThreshold(double y);
-
-/// out[i] = squared ||p, rect_i||_min (Rect::MinDist2 per lane — the exact
-/// IEEE square RectMinDistLanes feeds to sqrt).
-void RectMinDist2Lanes(const RectLanes& r, const Point& p, double* out);
-
-/// out[i] = 1 when rect_i intersects `q` (closed; Rect::Intersects per lane
-/// assuming non-empty lanes and non-empty q), else 0.
-void RectIntersectsLanes(const RectLanes& r, const Rect& q, uint8_t* out);
-
-/// out[i] = 1 when `q` entirely contains rect_i (q.ContainsRect(rect_i) per
-/// lane, assuming non-empty lanes), else 0. Pure coordinate comparisons —
-/// no rounding — so a set lane proves exact containment of every point of
-/// the rectangle (the packed index's bulk-emit fast path relies on this).
-void RectContainedLanes(const RectLanes& r, const Rect& q, uint8_t* out);
-
-/// out[i] = squared distance from p to (xs[i], ys[i]) (Dist2 per lane).
-void PointDist2Lanes(const double* xs, const double* ys, size_t n,
-                     const Point& p, double* out);
-
-/// out[i] = ||p, circle_i||_min = max(dist(p, c_i) - r_i, 0)
-/// (Circle::MinDist per lane; centers in cx/cy, radii in rr).
-void CircleMinDistLanes(const double* cx, const double* cy, const double* rr,
-                        size_t n, const Point& p, double* out);
-
-/// out[i] = ||p, circle_i||_max = dist(p, c_i) + r_i (Circle::MaxDist per
-/// lane).
-void CircleMaxDistLanes(const double* cx, const double* cy, const double* rr,
-                        size_t n, const Point& p, double* out);
 
 }  // namespace mpn

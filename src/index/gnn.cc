@@ -36,13 +36,13 @@ double AggMinDist(const Rect& mbr, const std::vector<Point>& users,
   return d;
 }
 
-GnnCursor::GnnCursor(SpatialIndex tree, std::vector<Point> users,
+GnnCursor::GnnCursor(const PackedRTree* tree, std::vector<Point> users,
                      Objective obj)
     : tree_(tree), users_(std::move(users)), obj_(obj) {
-  MPN_ASSERT(tree_.valid());
+  MPN_ASSERT(tree_ != nullptr);
   MPN_ASSERT(!users_.empty());
-  if (tree_.root() >= 0) {
-    heap_.push({0.0, false, tree_.root(), 0, Point{}});
+  if (tree_->root() >= 0) {
+    heap_.push({0.0, false, tree_->root(), 0, Point{}});
   }
 }
 
@@ -51,12 +51,12 @@ std::optional<GnnCursor::Item> GnnCursor::Next() {
     const Entry e = heap_.top();
     heap_.pop();
     if (e.is_point) return Item{e.id, e.p, e.key};
-    if (tree_.IsLeafNode(e.node)) {
-      tree_.ForEachLeafEntry(e.node, [&](const Point& p, uint32_t id) {
+    if (tree_->IsLeafNode(e.node)) {
+      tree_->ForEachLeafEntry(e.node, [&](const Point& p, uint32_t id) {
         heap_.push({AggDist(p, users_, obj_), true, -1, id, p});
       });
     } else {
-      tree_.ForEachChild(e.node, [&](int32_t child, const Rect& mbr) {
+      tree_->ForEachChild(e.node, [&](int32_t child, const Rect& mbr) {
         heap_.push({AggMinDist(mbr, users_, obj_), false, child, 0, Point{}});
       });
     }
@@ -64,7 +64,7 @@ std::optional<GnnCursor::Item> GnnCursor::Next() {
   return std::nullopt;
 }
 
-std::vector<GnnCursor::Item> FindGnn(SpatialIndex tree,
+std::vector<GnnCursor::Item> FindGnn(const PackedRTree* tree,
                                      const std::vector<Point>& users,
                                      Objective obj, size_t k) {
   GnnCursor cursor(tree, users, obj);

@@ -13,7 +13,7 @@
 #include <queue>
 #include <vector>
 
-#include "index/spatial_index.h"
+#include "index/packed_rtree.h"
 
 namespace mpn {
 
@@ -44,10 +44,8 @@ class GnnCursor {
     double agg = 0.0;
   };
 
-  /// The indexed tree must outlive the cursor (`tree` accepts `&rtree` or
-  /// `&packed` via SpatialIndex's converting constructors). `users` is
-  /// copied. The yield order (agg, id) is identical for every backend.
-  GnnCursor(SpatialIndex tree, std::vector<Point> users, Objective obj);
+  /// The indexed tree must outlive the cursor. `users` is copied.
+  GnnCursor(const PackedRTree* tree, std::vector<Point> users, Objective obj);
 
   /// Next best POI, or nullopt when exhausted.
   std::optional<Item> Next();
@@ -66,7 +64,7 @@ class GnnCursor {
     }
   };
 
-  SpatialIndex tree_;
+  const PackedRTree* tree_;
   std::vector<Point> users_;
   Objective obj_;
   std::priority_queue<Entry, std::vector<Entry>, std::greater<Entry>> heap_;
@@ -74,7 +72,7 @@ class GnnCursor {
 
 /// Top-k aggregate nearest neighbors, best first. Returns fewer than k when
 /// the dataset is smaller.
-std::vector<GnnCursor::Item> FindGnn(SpatialIndex tree,
+std::vector<GnnCursor::Item> FindGnn(const PackedRTree* tree,
                                      const std::vector<Point>& users,
                                      Objective obj, size_t k);
 

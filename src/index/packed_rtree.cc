@@ -2,380 +2,231 @@
 
 #include <algorithm>
 #include <cmath>
-#include <numeric>
-#include <queue>
+#include <vector>
 
 namespace mpn {
 
 namespace {
 
-// Queries keep per-child scratch (masks, squared distances) in fixed stack
-// buffers of this many lanes; Build enforces the bound.
-constexpr uint32_t kMaxFanout = 256;
+constexpr size_t kFanout = PackedRTree::kFanout;
 
-// Hilbert order of the quantization grid: 2^16 cells per axis keeps every
-// curve index in 32 bits and is far below double's 53-bit mantissa, so the
-// quantization itself is exact arithmetic.
-constexpr uint32_t kHilbertOrder = 16;
+// Sort record of an STR level: `key` caches the coordinate the current
+// sort orders by, `id` is the point id (leaves) or the node's index in the
+// level below. Comparisons fall back to the other coordinate (and, for
+// leaves, the id) only on equal keys, so they see exactly what comparing
+// bare indices would and std::sort moves the records as it would move
+// indices, while most comparisons stay on contiguous data.
+struct Entry {
+  double key;
+  uint32_t id;
+};
 
-// (x, y) -> distance along the Hilbert curve of the given order (grid side
-// 2^order). Standard top-bit-down walk: each step picks the quadrant and
-// rotates/reflects the frame so the curve enters and exits on matching
-// corners.
-uint64_t HilbertD(uint32_t x, uint32_t y, uint32_t order) {
-  uint64_t d = 0;
-  for (uint32_t s = 1u << (order - 1); s > 0; s >>= 1) {
-    const uint32_t rx = (x & s) != 0 ? 1 : 0;
-    const uint32_t ry = (y & s) != 0 ? 1 : 0;
-    d += static_cast<uint64_t>(s) * s * ((3 * rx) ^ ry);
-    if (ry == 0) {
-      if (rx == 1) {
-        x = s - 1 - x;
-        y = s - 1 - y;
+// One tiled level in creation order: node k covers ids[runs[k], runs[k +
+// 1]) — point ids for leaves, node indices of the level below above — and
+// has MBR mbrs[k].
+struct Level {
+  std::vector<uint32_t> ids;
+  std::vector<uint32_t> runs;
+  std::vector<Rect> mbrs;
+
+  size_t node_count() const { return runs.size() - 1; }
+};
+
+// The STR step shared by every level, over n entries whose positions are
+// at(id): sort by (x, y), cut into ceil(sqrt(ceil(n / kFanout))) slices of
+// ceil(n / slices) entries, sort each slice by (y, x) and cut it into nodes
+// of up to kFanout entries. `ids_break_ties` appends the id to both sort
+// keys. `expand(&mbr, id)` grows a node's MBR by one entry.
+template <typename At, typename Expand>
+Level Tile(size_t n, At at, bool ids_break_ties, Expand expand) {
+  std::vector<Entry> entries(n);
+  for (size_t i = 0; i < n; ++i) {
+    entries[i] = {at(static_cast<uint32_t>(i)).x, static_cast<uint32_t>(i)};
+  }
+  std::sort(entries.begin(), entries.end(),
+            [&](const Entry& a, const Entry& b) {
+              if (a.key != b.key) return a.key < b.key;
+              const double ay = at(a.id).y, by = at(b.id).y;
+              if (ay != by || !ids_break_ties) return ay < by;
+              return a.id < b.id;
+            });
+  const size_t groups = (n + kFanout - 1) / kFanout;
+  const size_t slices =
+      static_cast<size_t>(std::ceil(std::sqrt(static_cast<double>(groups))));
+  const size_t slice_size = (n + slices - 1) / slices;
+  Level level;
+  level.runs.reserve(groups + slices + 1);
+  level.mbrs.reserve(groups + slices);
+  for (size_t begin = 0; begin < n; begin += slice_size) {
+    const size_t end = std::min(begin + slice_size, n);
+    for (size_t i = begin; i < end; ++i) {
+      entries[i].key = at(entries[i].id).y;
+    }
+    std::sort(entries.begin() + begin, entries.begin() + end,
+              [&](const Entry& a, const Entry& b) {
+                if (a.key != b.key) return a.key < b.key;
+                const double ax = at(a.id).x, bx = at(b.id).x;
+                if (ax != bx || !ids_break_ties) return ax < bx;
+                return a.id < b.id;
+              });
+    for (size_t i = begin; i < end; i += kFanout) {
+      Rect mbr = Rect::Empty();
+      for (size_t j = i; j < std::min(i + kFanout, end); ++j) {
+        expand(&mbr, entries[j].id);
       }
-      std::swap(x, y);
+      level.runs.push_back(static_cast<uint32_t>(i));
+      level.mbrs.push_back(mbr);
     }
   }
-  return d;
+  level.runs.push_back(static_cast<uint32_t>(n));
+  level.ids.resize(n);
+  for (size_t i = 0; i < n; ++i) level.ids[i] = entries[i].id;
+  return level;
 }
 
-// STR leaf order: sort by x, cut into ceil(sqrt(#leaves)) vertical slices,
-// sort each slice by y — the exact slicing RTree::BulkLoad uses, with the
-// same (other axis, id) tie-breaks, so the two builders agree on the point
-// order they pack.
-std::vector<uint32_t> StrOrder(const std::vector<Point>& points, size_t cap) {
-  const size_t n = points.size();
-  std::vector<uint32_t> order(n);
-  std::iota(order.begin(), order.end(), 0);
-  std::sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
-    if (points[a].x != points[b].x) return points[a].x < points[b].x;
-    if (points[a].y != points[b].y) return points[a].y < points[b].y;
-    return a < b;
-  });
-  const size_t leaf_count = (n + cap - 1) / cap;
-  const size_t slices = static_cast<size_t>(
-      std::ceil(std::sqrt(static_cast<double>(leaf_count))));
-  const size_t slice_size = (n + slices - 1) / slices;
-  for (size_t s = 0; s < slices; ++s) {
-    const size_t begin = s * slice_size;
-    if (begin >= n) break;
-    const size_t end = std::min(begin + slice_size, n);
-    std::sort(order.begin() + begin, order.begin() + end,
-              [&](uint32_t a, uint32_t b) {
-                if (points[a].y != points[b].y) return points[a].y < points[b].y;
-                if (points[a].x != points[b].x) return points[a].x < points[b].x;
-                return a < b;
-              });
-  }
-  return order;
+// Leaf level: points tiled with full (other axis, id) tie-breaks, so the
+// order is unique.
+Level TileLeaves(const std::vector<Point>& points) {
+  return Tile(
+      points.size(), [&](uint32_t id) -> const Point& { return points[id]; },
+      /*ids_break_ties=*/true,
+      [&](Rect* mbr, uint32_t id) { mbr->ExpandToInclude(points[id]); });
 }
 
-// Hilbert leaf order: quantize each point onto the grid over the data
-// bounds, sort by curve index, ties by id.
-std::vector<uint32_t> HilbertOrder(const std::vector<Point>& points) {
-  const size_t n = points.size();
-  Rect bound = Rect::Empty();
-  for (const Point& p : points) bound.ExpandToInclude(p);
-  const double side = static_cast<double>((1u << kHilbertOrder) - 1);
-  const double wx = bound.hi.x - bound.lo.x;
-  const double wy = bound.hi.y - bound.lo.y;
-  const double sx = wx > 0.0 ? side / wx : 0.0;
-  const double sy = wy > 0.0 ? side / wy : 0.0;
-  std::vector<uint64_t> key(n);
-  for (size_t i = 0; i < n; ++i) {
-    const double fx = (points[i].x - bound.lo.x) * sx;
-    const double fy = (points[i].y - bound.lo.y) * sy;
-    // Rounding may push fx a hair past `side`; clamp before truncation.
-    const uint32_t gx = static_cast<uint32_t>(std::min(fx, side));
-    const uint32_t gy = static_cast<uint32_t>(std::min(fy, side));
-    key[i] = HilbertD(gx, gy, kHilbertOrder);
+// Upper level over the nodes of `below`, tiled by MBR centre. No id
+// tie-break (see the header comment).
+Level TileParents(const Level& below) {
+  std::vector<Point> centres(below.node_count());
+  for (size_t i = 0; i < centres.size(); ++i) {
+    centres[i] = below.mbrs[i].Center();
   }
-  std::vector<uint32_t> order(n);
-  std::iota(order.begin(), order.end(), 0);
-  std::sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
-    if (key[a] != key[b]) return key[a] < key[b];
-    return a < b;
-  });
-  return order;
+  return Tile(
+      centres.size(), [&](uint32_t id) -> const Point& { return centres[id]; },
+      /*ids_break_ties=*/false,
+      [&](Rect* mbr, uint32_t id) { mbr->ExpandToInclude(below.mbrs[id]); });
 }
 
 }  // namespace
 
-const char* PackAlgorithmName(PackAlgorithm algo) {
-  return algo == PackAlgorithm::kStr ? "str" : "hilbert";
-}
-
-void PackedRTree::PushNode(int32_t first, int32_t count, int32_t slot_begin,
-                           int32_t slot_count, const Rect& mbr) {
-  first_.push_back(first);
-  count_.push_back(count);
-  slot_begin_.push_back(slot_begin);
-  slot_count_.push_back(slot_count);
-  lo_x_.push_back(mbr.lo.x);
-  lo_y_.push_back(mbr.lo.y);
-  hi_x_.push_back(mbr.hi.x);
-  hi_y_.push_back(mbr.hi.y);
-}
-
-PackedRTree PackedRTree::Build(const std::vector<Point>& points,
-                               PackAlgorithm algo,
-                               PackedRTreeOptions options) {
-  MPN_ASSERT(options.fanout >= 2 && options.fanout <= kMaxFanout);
+PackedRTree PackedRTree::Build(const std::vector<Point>& points) {
   PackedRTree t;
-  t.options_ = options;
-  t.algo_ = algo;
-  const size_t n = points.size();
-  if (n == 0) return t;
-  const size_t cap = options.fanout;
+  if (points.empty()) return t;
 
-  const std::vector<uint32_t> order =
-      algo == PackAlgorithm::kStr ? StrOrder(points, cap)
-                                  : HilbertOrder(points);
-
-  t.px_.resize(n);
-  t.py_.resize(n);
-  t.ids_.resize(n);
-  for (size_t i = 0; i < n; ++i) {
-    t.px_[i] = points[order[i]].x;
-    t.py_[i] = points[order[i]].y;
-    t.ids_[i] = order[i];
+  // Bottom-up: tile each level over the one below until one node is left.
+  std::vector<Level> levels;
+  levels.push_back(TileLeaves(points));
+  // The payload takes the block the leaf sort just released before the
+  // upper levels' small temporaries can split it; allocated after them,
+  // repeated builds fragment the heap and raise the peak resident set.
+  t.points_.resize(points.size());
+  t.ids_.resize(points.size());
+  while (levels.back().node_count() > 1) {
+    levels.push_back(TileParents(levels.back()));
   }
 
-  // One reservation for all levels.
-  size_t total = 0;
-  for (size_t m = (n + cap - 1) / cap;; m = (m + cap - 1) / cap) {
-    total += m;
-    if (m == 1) break;
+  // Top-down: lay each level out in its parents' order, so every node's
+  // children (or points) form one contiguous run. `order` lists the
+  // current level's nodes by creation index in layout order.
+  std::vector<size_t> offset(levels.size() + 1, 0);
+  for (size_t l = 0; l < levels.size(); ++l) {
+    offset[l + 1] = offset[l] + levels[l].node_count();
   }
-  t.first_.reserve(total);
-  t.count_.reserve(total);
-  t.slot_begin_.reserve(total);
-  t.slot_count_.reserve(total);
-  t.lo_x_.reserve(total);
-  t.lo_y_.reserve(total);
-  t.hi_x_.reserve(total);
-  t.hi_y_.reserve(total);
-
-  // Leaves: consecutive runs of `cap` slots, all full except the last.
-  t.leaf_count_ = static_cast<int32_t>((n + cap - 1) / cap);
-  for (int32_t leaf = 0; leaf < t.leaf_count_; ++leaf) {
-    const size_t first = static_cast<size_t>(leaf) * cap;
-    const size_t cnt = std::min(cap, n - first);
-    Rect mbr = Rect::Empty();
-    for (size_t i = first; i < first + cnt; ++i) {
-      mbr.ExpandToInclude(Point{t.px_[i], t.py_[i]});
-    }
-    t.PushNode(static_cast<int32_t>(first), static_cast<int32_t>(cnt),
-               static_cast<int32_t>(first), static_cast<int32_t>(cnt), mbr);
-  }
-
-  // Upper levels: parent k of a level adopts the next `cap` consecutive
-  // children, keeping children and subtree slot ranges contiguous.
-  size_t level_begin = 0;
-  size_t level_end = static_cast<size_t>(t.leaf_count_);
-  t.height_ = 1;
-  while (level_end - level_begin > 1) {
-    for (size_t i = level_begin; i < level_end; i += cap) {
-      const size_t cnt = std::min(cap, level_end - i);
-      Rect mbr = Rect::Empty();
-      int32_t slots = 0;
-      for (size_t c = i; c < i + cnt; ++c) {
-        mbr.ExpandToInclude(t.NodeMbr(static_cast<int32_t>(c)));
-        slots += t.slot_count_[c];
+  t.nodes_.resize(offset.back());
+  t.leaf_count_ = static_cast<int32_t>(offset[1]);
+  std::vector<uint32_t> order = {0};
+  std::vector<uint32_t> next;
+  for (size_t l = levels.size(); l-- > 0;) {
+    const Level& level = levels[l];
+    const size_t child_base = l == 0 ? 0 : offset[l - 1];
+    size_t placed = 0;  // entries laid out so far on the level below
+    next.clear();
+    for (size_t pos = 0; pos < order.size(); ++pos) {
+      const uint32_t k = order[pos];
+      Node& node = t.nodes_[offset[l] + pos];
+      node.mbr = level.mbrs[k];
+      node.first = static_cast<int32_t>(child_base + placed);
+      node.count = static_cast<int32_t>(level.runs[k + 1] - level.runs[k]);
+      for (uint32_t j = level.runs[k]; j < level.runs[k + 1]; ++j, ++placed) {
+        const uint32_t id = level.ids[j];
+        if (l == 0) {
+          t.points_[placed] = points[id];
+          t.ids_[placed] = id;
+        } else {
+          next.push_back(id);
+        }
       }
-      t.PushNode(static_cast<int32_t>(i), static_cast<int32_t>(cnt),
-                 t.slot_begin_[i], slots, mbr);
     }
-    level_begin = level_end;
-    level_end = t.first_.size();
-    ++t.height_;
+    order.swap(next);
   }
-  t.root_ = static_cast<int32_t>(level_end) - 1;
+  t.root_ = static_cast<int32_t>(t.nodes_.size()) - 1;
   return t;
 }
 
-Rect PackedRTree::bounds() const {
-  return root_ < 0 ? Rect::Empty() : NodeMbr(root_);
-}
-
-void PackedRTree::EmitSubtree(int32_t node, std::vector<uint32_t>* out) const {
-  const uint32_t* begin = ids_.data() + slot_begin_[node];
-  out->insert(out->end(), begin, begin + slot_count_[node]);
-}
-
-void PackedRTree::RangeQuery(const Rect& r, std::vector<uint32_t>* out) const {
-  if (root_ < 0 || r.IsEmpty()) return;
-  internal::TraversalStackLease lease;
-  std::vector<int32_t>& stack = *lease;
-  stack.push_back(root_);
-  uint8_t inter[kMaxFanout];
-  uint8_t cont[kMaxFanout];
-  while (!stack.empty()) {
-    const int32_t idx = stack.back();
-    stack.pop_back();
-    ++internal::tls_rtree_node_accesses;
-    const int32_t first = first_[idx];
-    const int32_t cnt = count_[idx];
-    if (idx < leaf_count_) {
-      for (int32_t i = first; i < first + cnt; ++i) {
-        if (px_[i] >= r.lo.x && px_[i] <= r.hi.x && py_[i] >= r.lo.y &&
-            py_[i] <= r.hi.y) {
-          out->push_back(ids_[i]);
-        }
-      }
-    } else {
-      const RectLanes lanes = ChildMbrLanes(idx);
-      RectIntersectsLanes(lanes, r, inter);
-      RectContainedLanes(lanes, r, cont);
-      for (int32_t i = 0; i < cnt; ++i) {
-        // Fully contained child: append its whole contiguous slot range.
-        // Exact coordinate comparisons only, so the emitted set is exactly
-        // what descending would have produced.
-        if (cont[i] != 0) {
-          EmitSubtree(first + i, out);
-        } else if (inter[i] != 0) {
-          stack.push_back(first + i);
-        }
-      }
-    }
-  }
-}
-
-void PackedRTree::CircleRangeQuery(const Point& center, double radius,
-                                   std::vector<uint32_t>* out) const {
-  if (root_ < 0) return;
-  const double r2 = radius * radius;
-  internal::TraversalStackLease lease;
-  std::vector<int32_t>& stack = *lease;
-  stack.push_back(root_);
-  double d2[kMaxFanout];
-  while (!stack.empty()) {
-    const int32_t idx = stack.back();
-    stack.pop_back();
-    ++internal::tls_rtree_node_accesses;
-    const int32_t first = first_[idx];
-    const int32_t cnt = count_[idx];
-    if (idx < leaf_count_) {
-      // Same per-point predicate (and the same IEEE expression) as the
-      // dynamic tree's Dist2(p, center) <= r2, batched over the SoA lanes.
-      PointDist2Lanes(px_.data() + first, py_.data() + first,
-                      static_cast<size_t>(cnt), center, d2);
-      for (int32_t i = 0; i < cnt; ++i) {
-        if (d2[i] <= r2) out->push_back(ids_[first + i]);
-      }
-    } else {
-      // MinDist2 pruning, same bound as the dynamic traversal. No
-      // MaxDist2 bulk-emit here: its rounding could disagree with the
-      // per-point test at the circle boundary, breaking set identity.
-      RectMinDist2Lanes(ChildMbrLanes(idx), center, d2);
-      for (int32_t i = 0; i < cnt; ++i) {
-        if (d2[i] <= r2) stack.push_back(first + i);
-      }
-    }
-  }
-}
-
-std::vector<uint32_t> PackedRTree::Knn(const Point& q, size_t k) const {
-  std::vector<uint32_t> result;
-  if (root_ < 0 || k == 0) return result;
-  // Best-first search identical to RTree::Knn: the (key, node-before-point,
-  // id) heap order plus the argument below make the output independent of
-  // which tree shape produced the entries — every node with key <= the next
-  // popped point's key is expanded first, so point pops happen in global
-  // (distance, id) order.
-  struct Entry {
-    double key;
-    bool is_point;
-    int32_t node;
-    uint32_t id;
-    Point p;
-    bool operator>(const Entry& o) const {
-      if (key != o.key) return key > o.key;
-      if (is_point != o.is_point) return is_point && !o.is_point;
-      return id > o.id;
-    }
-  };
-  std::priority_queue<Entry, std::vector<Entry>, std::greater<Entry>> heap;
-  heap.push({0.0, false, root_, 0, Point{}});
-  while (!heap.empty() && result.size() < k) {
-    const Entry e = heap.top();
-    heap.pop();
-    if (e.is_point) {
-      result.push_back(e.id);
-    } else if (IsLeafNode(e.node)) {
-      ForEachLeafEntry(e.node, [&](const Point& p, uint32_t id) {
-        heap.push({Dist(q, p), true, -1, id, p});
-      });
-    } else {
-      ForEachChild(e.node, [&](int32_t child, const Rect& mbr) {
-        heap.push({mbr.MinDist(q), false, child, 0, Point{}});
-      });
-    }
-  }
-  return result;
-}
-
 void PackedRTree::CheckInvariants() const {
-  const size_t nodes = first_.size();
-  MPN_ASSERT(count_.size() == nodes && slot_begin_.size() == nodes &&
-             slot_count_.size() == nodes && lo_x_.size() == nodes &&
-             lo_y_.size() == nodes && hi_x_.size() == nodes &&
-             hi_y_.size() == nodes);
-  MPN_ASSERT(px_.size() == py_.size() && px_.size() == ids_.size());
-  const size_t n = px_.size();
+  const size_t n = points_.size();
+  MPN_ASSERT(ids_.size() == n);
   if (root_ < 0) {
-    MPN_ASSERT(n == 0 && nodes == 0 && leaf_count_ == 0 && height_ == 0);
+    MPN_ASSERT(n == 0 && nodes_.empty() && leaf_count_ == 0);
     return;
   }
-  MPN_ASSERT(root_ == static_cast<int32_t>(nodes) - 1);
-  const size_t cap = options_.fanout;
-  MPN_ASSERT(static_cast<size_t>(leaf_count_) == (n + cap - 1) / cap);
+  const int32_t node_count = static_cast<int32_t>(nodes_.size());
+  MPN_ASSERT(root_ == node_count - 1);
+  MPN_ASSERT(leaf_count_ >= 1 && leaf_count_ <= node_count);
 
-  for (int32_t idx = 0; idx < static_cast<int32_t>(nodes); ++idx) {
-    const int32_t first = first_[idx];
-    const int32_t cnt = count_[idx];
-    MPN_ASSERT(cnt >= 1 && static_cast<size_t>(cnt) <= cap);
+  // Entry runs tile their targets in id order: the leaves' slot runs cover
+  // [0, n) and the internal nodes' child runs cover [0, root) exactly once,
+  // so every slot has one leaf and every non-root node one parent.
+  int32_t next_slot = 0;
+  int32_t next_child = 0;
+  for (int32_t idx = 0; idx < node_count; ++idx) {
+    const Node& node = nodes_[idx];
+    MPN_ASSERT(node.count >= 1 && static_cast<size_t>(node.count) <= kFanout);
     Rect mbr = Rect::Empty();
-    if (idx < leaf_count_) {
-      // Leaves own consecutive full slot runs (last leaf may be short).
-      MPN_ASSERT(first == static_cast<int32_t>(static_cast<size_t>(idx) * cap));
-      MPN_ASSERT(idx == leaf_count_ - 1 || static_cast<size_t>(cnt) == cap);
-      MPN_ASSERT(slot_begin_[idx] == first && slot_count_[idx] == cnt);
-      for (int32_t i = first; i < first + cnt; ++i) {
-        mbr.ExpandToInclude(Point{px_[i], py_[i]});
+    if (IsLeafNode(idx)) {
+      MPN_ASSERT(node.first == next_slot);
+      next_slot += node.count;
+      MPN_ASSERT(static_cast<size_t>(next_slot) <= n);
+      for (int32_t i = node.first; i < node.first + node.count; ++i) {
+        mbr.ExpandToInclude(points_[i]);
       }
     } else {
-      // Children precede the parent, are contiguous, and tile the parent's
-      // slot span exactly.
-      MPN_ASSERT(first >= 0 && first + cnt <= idx + 1);
-      MPN_ASSERT(first + cnt - 1 < idx);
-      MPN_ASSERT(slot_begin_[idx] == slot_begin_[first]);
-      int32_t slots = 0;
-      for (int32_t c = first; c < first + cnt; ++c) {
-        MPN_ASSERT(c == first ||
-                   slot_begin_[c] == slot_begin_[c - 1] + slot_count_[c - 1]);
-        slots += slot_count_[c];
-        mbr.ExpandToInclude(NodeMbr(c));
+      // Children are contiguous and precede their parent.
+      MPN_ASSERT(node.first == next_child);
+      next_child += node.count;
+      MPN_ASSERT(next_child <= idx);
+      for (int32_t c = node.first; c < node.first + node.count; ++c) {
+        mbr.ExpandToInclude(nodes_[c].mbr);
       }
-      MPN_ASSERT(slots == slot_count_[idx]);
     }
-    // Stored MBRs are exact (not merely containing).
-    MPN_ASSERT(mbr.lo.x == lo_x_[idx] && mbr.lo.y == lo_y_[idx] &&
-               mbr.hi.x == hi_x_[idx] && mbr.hi.y == hi_y_[idx]);
+    // Stored MBRs are exact, not merely containing.
+    MPN_ASSERT(mbr.lo.x == node.mbr.lo.x && mbr.lo.y == node.mbr.lo.y &&
+               mbr.hi.x == node.mbr.hi.x && mbr.hi.y == node.mbr.hi.y);
   }
-  MPN_ASSERT(slot_begin_[root_] == 0 &&
-             static_cast<size_t>(slot_count_[root_]) == n);
+  MPN_ASSERT(static_cast<size_t>(next_slot) == n);
+  MPN_ASSERT(next_child == root_);
 
-  // Every input id appears exactly once, and the traversal sees size() points.
+  // Every leaf has the same depth. Parents have larger ids than their
+  // children, so a descending sweep sees each parent first.
+  std::vector<int> depth(nodes_.size(), 0);
+  int leaf_depth = -1;
+  for (int32_t idx = root_; idx >= 0; --idx) {
+    const Node& node = nodes_[idx];
+    if (IsLeafNode(idx)) {
+      MPN_ASSERT(leaf_depth < 0 || depth[idx] == leaf_depth);
+      leaf_depth = depth[idx];
+      continue;
+    }
+    for (int32_t c = node.first; c < node.first + node.count; ++c) {
+      depth[c] = depth[idx] + 1;
+    }
+  }
+
+  // Every input id appears exactly once.
   std::vector<uint8_t> seen(n, 0);
-  size_t counted = 0;
-  Traverse([](const Rect&) { return true; },
-           [&](const Point&, uint32_t id) {
-             MPN_ASSERT(id < n && seen[id] == 0);
-             seen[id] = 1;
-             ++counted;
-           });
-  MPN_ASSERT(counted == n);
+  for (uint32_t id : ids_) {
+    MPN_ASSERT(id < n && seen[id] == 0);
+    seen[id] = 1;
+  }
 }
 
 }  // namespace mpn

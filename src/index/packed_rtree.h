@@ -1,116 +1,117 @@
-// Static bulk-loaded R-tree in a packed flat-array layout.
+// Static STR bulk-loaded R-tree over points, in a packed flat layout.
 //
-// PackedRTree answers the same queries as the dynamic RTree (rtree.h) over
-// an immutable point set, but stores the tree as index-addressed flat
-// arrays instead of per-node heap vectors:
+// This is the index the paper assumes over the static POI set P (Section
+// 3.1). It serves two query shapes: the pruned Traverse behind the
+// Theorem-3/6 candidate retrieval (mpn/candidates.cc) and the best-first
+// cursor primitives behind the group-nearest-neighbor search (index/gnn.h).
 //
-//  * Nodes are level-contiguous: leaves occupy ids [0, leaf_count), each
-//    upper level directly follows its children, the root is the last node.
-//    A node is a leaf iff id < leaf_count — no is_leaf byte, no parent
-//    pointers, no per-node allocations.
-//  * A node's children (or point slots) are the contiguous index run
-//    [first, first + count), so the per-node MBRs live in four global SoA
-//    lanes (lo_x/lo_y/hi_x/hi_y) and a node's child MBRs form a
-//    geom/lanes.h RectLanes view by plain pointer offset — range and
-//    circle queries run the branch-light lane predicates instead of
-//    pointer-chasing an AoS node graph.
-//  * Leaf payloads are global SoA point arrays (px/py/ids) packed in the
-//    chosen space-filling order; every leaf is 100% full except the last.
-//  * Every subtree covers a contiguous slot range of the point arrays, so
-//    a range query that fully contains a child MBR appends the whole
-//    subtree's ids in one contiguous copy instead of descending.
+// Shape. Build is sort-tile-recursive at every level:
+//  * Leaves: the points are sorted by (x, y, id), cut into ceil(sqrt(L))
+//    vertical slices of equal point count (L = ceil(n / kFanout)), each
+//    slice is sorted by (y, x, id) and cut into leaves of kFanout points;
+//    a slice's last leaf may be short.
+//  * Upper levels: the level below is re-tiled the same way by node-MBR
+//    centre — sort by (cx, cy), slice, sort each slice by (cy, cx), cut
+//    runs of kFanout — until one node is left. These two sorts have no id
+//    tie-break, so nodes with equal centres keep whatever order std::sort
+//    leaves them in; the reference builder in the tests relies on that.
+// Tiling every level keeps sibling MBRs compact; grouping runs of
+// consecutive nodes instead costs the pruned traversals 1.4-1.65x the node
+// accesses (docs/ARCHITECTURE.md §1b).
 //
-// Two leaf orders are selectable (PackAlgorithm): STR sort-tile-recursive
-// slicing — the same ordering RTree::BulkLoad derives — and Hilbert-curve
-// ordering over a 2^16 x 2^16 grid. Upper levels pack each run of `fanout`
-// consecutive nodes under one parent (flatbush-style sequential grouping),
-// which is what keeps both the children and the subtree slot ranges
-// contiguous for either order.
+// Layout. Nodes live in one flat array, level by level: leaves occupy ids
+// [0, leaf_count), each upper level follows the one below it, and the root
+// is the last node. A node is a leaf iff its id < leaf_count. Each level is
+// laid out in its parents' order, so a node's entries — child nodes or
+// point slots — are the contiguous run [first, first + count), and points
+// are stored in leaf order. No per-node allocation, no parent pointers.
 //
-// Bit-identity contract: RangeQuery / CircleRangeQuery / Knn return exactly
-// the id sets (and, for Knn, the order) the dynamic tree returns over the
-// same points. The per-point predicates are the identical IEEE-754 scalar
-// expressions, the range fast path fires only on exact coordinate
-// comparisons, and CircleRangeQuery takes no containment fast path at all
-// (a rounded MaxDist2 bound could disagree with the per-point Dist2 at the
-// boundary). Output *order* of the range queries is layout-defined, as it
-// is for the dynamic tree; callers needing index-independent order sort
-// (mpn/candidates.cc does).
+// The shape and the child order are a pure function of the input points,
+// so every Traverse and every GNN search visits the same nodes in the same
+// order on every run; the node-access counters the benches report are
+// exact.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <deque>
 #include <vector>
 
-#include "geom/lanes.h"
 #include "geom/rect.h"
 #include "geom/vec2.h"
-#include "index/rtree.h"
 #include "util/macros.h"
 
 namespace mpn {
 
-/// Leaf ordering used by PackedRTree::Build.
-enum class PackAlgorithm {
-  kStr,      ///< sort-tile-recursive slicing (RTree::BulkLoad's order)
-  kHilbert,  ///< Hilbert-curve order over a quantized 2^16 grid
-};
+namespace internal {
+/// Node-access counter, kept thread-local so that concurrent read-only
+/// queries over a shared tree (the engine runs per-group recompute jobs on
+/// a thread pool) neither race nor bleed into each other's accounting: a
+/// before/after delta taken on one thread counts exactly the accesses of
+/// the work that ran between the two reads on that thread. The counter is
+/// shared by all trees a thread touches; delta-based accounting (the only
+/// consumer, see mpn/tile_msr.cc) is unaffected as long as one computation
+/// queries one tree, which holds everywhere in this codebase.
+inline thread_local uint64_t tls_rtree_node_accesses = 0;
 
-/// Human-readable packer name ("str" / "hilbert").
-const char* PackAlgorithmName(PackAlgorithm algo);
+/// Leases a cleared DFS stack from a per-thread pool. Traversals used to
+/// construct a std::vector per call, and the candidate loop issues one
+/// pruned traversal per tile per recompute — per-call construction was
+/// steady-state allocator churn in the hottest loop. The pool is a deque
+/// so a nested traversal (a predicate that itself queries an index) gets a
+/// distinct stack without invalidating outstanding references; the stacks
+/// keep their capacity across queries.
+class TraversalStackLease {
+ public:
+  TraversalStackLease() : stack_(Acquire()) { stack_.clear(); }
+  ~TraversalStackLease() { --Pool().depth; }
+  TraversalStackLease(const TraversalStackLease&) = delete;
+  TraversalStackLease& operator=(const TraversalStackLease&) = delete;
 
-/// Tuning knobs for the packed tree.
-struct PackedRTreeOptions {
-  /// Children per internal node / points per leaf (the last sibling of a
-  /// level may be short). Matches RTreeOptions::max_entries by default so
-  /// packed and dynamic trees compare at equal fanout. Must be in [2, 256]
-  /// (queries keep per-child scratch on the stack).
-  uint32_t fanout = 32;
+  std::vector<int32_t>& operator*() const { return stack_; }
+
+ private:
+  struct StackPool {
+    std::deque<std::vector<int32_t>> stacks;
+    size_t depth = 0;
+  };
+  static StackPool& Pool() {
+    static thread_local StackPool pool;
+    return pool;
+  }
+  static std::vector<int32_t>& Acquire() {
+    StackPool& pool = Pool();
+    if (pool.depth == pool.stacks.size()) pool.stacks.emplace_back();
+    return pool.stacks[pool.depth++];
+  }
+
+  std::vector<int32_t>& stack_;
 };
+}  // namespace internal
 
 /// Immutable packed R-tree over points; payloads are the 32-bit input
-/// indices, as in RTree. Copyable and cheaply movable (flat vectors).
+/// indices. Copyable and cheaply movable (flat vectors).
 class PackedRTree {
  public:
+  /// Points per leaf and children per internal node (at most).
+  static constexpr size_t kFanout = 32;
+
   /// Empty tree (size() == 0, root() < 0).
   PackedRTree() = default;
 
-  /// Bulk loads all points at once; ids are 0..points.size()-1. O(n log n)
-  /// — two sorts plus one linear packing pass per level.
-  static PackedRTree Build(const std::vector<Point>& points,
-                           PackAlgorithm algo = PackAlgorithm::kStr,
-                           PackedRTreeOptions options = {});
+  /// STR bulk load (see the file comment); ids are 0..points.size()-1.
+  static PackedRTree Build(const std::vector<Point>& points);
 
   /// Number of points stored.
-  size_t size() const { return px_.size(); }
+  size_t size() const { return points_.size(); }
 
   /// True when no points are stored.
-  bool empty() const { return px_.empty(); }
+  bool empty() const { return points_.empty(); }
 
-  /// MBR of the whole tree (empty rect when empty).
-  Rect bounds() const;
-
-  /// Tree height (leaf = 1); 0 when empty.
-  int Height() const { return height_; }
-
-  /// The leaf order this tree was packed with.
-  PackAlgorithm algorithm() const { return algo_; }
-
-  /// Collects ids of all points inside `r` (closed containment). Same id
-  /// set as RTree::RangeQuery; appends to `out` without clearing it, so
-  /// callers can reuse one vector across queries.
-  void RangeQuery(const Rect& r, std::vector<uint32_t>* out) const;
-
-  /// Collects ids of all points within `radius` of `center`.
-  void CircleRangeQuery(const Point& center, double radius,
-                        std::vector<uint32_t>* out) const;
-
-  /// k nearest neighbors of `q` by Euclidean distance, nearest first; ties
-  /// broken by id. Identical output to RTree::Knn.
-  std::vector<uint32_t> Knn(const Point& q, size_t k) const;
-
-  /// Guided traversal with the same contract as RTree::Traverse: descends
-  /// into a child iff `mbr_pred(child_mbr)`, calls `point_fn(point, id)`
-  /// for every entry of a reached leaf.
+  /// Guided depth-first traversal. Descends into a child iff
+  /// `mbr_pred(child_mbr)` is true; calls `point_fn(point, id)` for every
+  /// entry of a reached leaf. Children are pushed in order and popped last
+  /// first. Used to implement the paper's pruned candidate retrieval.
   template <typename MbrPred, typename PointFn>
   void Traverse(MbrPred&& mbr_pred, PointFn&& point_fn) const {
     if (root_ < 0) return;
@@ -121,22 +122,22 @@ class PackedRTree {
       const int32_t idx = stack.back();
       stack.pop_back();
       ++internal::tls_rtree_node_accesses;
-      const int32_t first = first_[idx];
-      const int32_t cnt = count_[idx];
+      const Node& node = nodes_[idx];
+      const int32_t end = node.first + node.count;
       if (idx < leaf_count_) {
-        for (int32_t i = first; i < first + cnt; ++i) {
-          point_fn(Point{px_[i], py_[i]}, ids_[i]);
+        for (int32_t i = node.first; i < end; ++i) {
+          point_fn(points_[i], ids_[i]);
         }
       } else {
-        for (int32_t i = first; i < first + cnt; ++i) {
-          if (mbr_pred(NodeMbr(i))) stack.push_back(i);
+        for (int32_t i = node.first; i < end; ++i) {
+          if (mbr_pred(nodes_[i].mbr)) stack.push_back(i);
         }
       }
     }
   }
 
-  // Low-level node access mirroring RTree's cursor interface (index/gnn.h
-  // runs its best-first search over either backend through these).
+  // Low-level node access for best-first searches (index/gnn.h). Node
+  // handles are int32 ids; -1 means "no node".
 
   /// Root node handle; -1 when empty.
   int32_t root() const { return root_; }
@@ -144,75 +145,56 @@ class PackedRTree {
   /// True when the handle refers to a leaf.
   bool IsLeafNode(int32_t node) const { return node < leaf_count_; }
 
-  /// Visits (child_handle, child_mbr) pairs of an internal node.
+  /// Visits (child_handle, child_mbr) pairs of an internal node, in order.
   template <typename Fn>
   void ForEachChild(int32_t node, Fn&& fn) const {
     ++internal::tls_rtree_node_accesses;
     MPN_DCHECK(!IsLeafNode(node));
-    const int32_t first = first_[node];
-    for (int32_t i = first; i < first + count_[node]; ++i) {
-      fn(i, NodeMbr(i));
+    const Node& n = nodes_[node];
+    for (int32_t i = n.first; i < n.first + n.count; ++i) {
+      fn(i, nodes_[i].mbr);
     }
   }
 
-  /// Visits (point, id) pairs of a leaf node.
+  /// Visits (point, id) pairs of a leaf node, in order.
   template <typename Fn>
   void ForEachLeafEntry(int32_t node, Fn&& fn) const {
     ++internal::tls_rtree_node_accesses;
     MPN_DCHECK(IsLeafNode(node));
-    const int32_t first = first_[node];
-    for (int32_t i = first; i < first + count_[node]; ++i) {
-      fn(Point{px_[i], py_[i]}, ids_[i]);
+    const Node& n = nodes_[node];
+    for (int32_t i = n.first; i < n.first + n.count; ++i) {
+      fn(points_[i], ids_[i]);
     }
   }
 
-  /// Child-MBR lanes of internal `node` — a zero-copy RectLanes view into
-  /// the global SoA arrays (children are contiguous by construction).
-  RectLanes ChildMbrLanes(int32_t node) const {
-    MPN_DCHECK(!IsLeafNode(node));
-    const int32_t first = first_[node];
-    return RectLanes{lo_x_.data() + first, lo_y_.data() + first,
-                     hi_x_.data() + first, hi_y_.data() + first,
-                     static_cast<size_t>(count_[node])};
-  }
-
-  /// Cumulative per-thread node-visit counter (shared with RTree; see
-  /// internal::tls_rtree_node_accesses).
+  /// Cumulative count of node visits across all queries issued by the
+  /// calling thread (profiling aid for the buffering experiments,
+  /// Fig. 16/19). Thread-local; see internal::tls_rtree_node_accesses.
   uint64_t node_accesses() const { return internal::tls_rtree_node_accesses; }
 
   /// Resets the calling thread's node-access counter.
   void ResetNodeAccesses() const { internal::tls_rtree_node_accesses = 0; }
 
-  /// Validates the packed layout (level contiguity, MBR exactness, full
-  /// leaves, contiguous subtree slot ranges). Aborts on violation.
+  /// Validates the layout: children are contiguous and precede their
+  /// parent, every node but the root has exactly one parent, MBRs are
+  /// exact, every leaf has the same depth, every id appears once, and each
+  /// node holds 1..kFanout entries. Aborts on violation; used by tests.
   void CheckInvariants() const;
 
  private:
-  Rect NodeMbr(int32_t idx) const {
-    return Rect({lo_x_[idx], lo_y_[idx]}, {hi_x_[idx], hi_y_[idx]});
-  }
-  void PushNode(int32_t first, int32_t count, int32_t slot_begin,
-                int32_t slot_count, const Rect& mbr);
-  // Appends all ids under `node` (one contiguous run of ids_).
-  void EmitSubtree(int32_t node, std::vector<uint32_t>* out) const;
+  struct Node {
+    Rect mbr;
+    // First child id (internal) or first point slot (leaf); the node's
+    // entries are [first, first + count).
+    int32_t first = 0;
+    int32_t count = 0;
+  };
 
-  PackedRTreeOptions options_;
-  PackAlgorithm algo_ = PackAlgorithm::kStr;
   int32_t root_ = -1;
   int32_t leaf_count_ = 0;
-  int height_ = 0;
-  // Per-node SoA, leaves first then each level above. `first_` is the first
-  // point slot (leaf) or first child node id (internal); either way the
-  // node's entries are [first, first + count).
-  std::vector<int32_t> first_;
-  std::vector<int32_t> count_;
-  // Contiguous point-slot span covered by the node's subtree.
-  std::vector<int32_t> slot_begin_;
-  std::vector<int32_t> slot_count_;
-  // Node MBR lanes.
-  std::vector<double> lo_x_, lo_y_, hi_x_, hi_y_;
-  // Point payload SoA in packed leaf order.
-  std::vector<double> px_, py_;
+  std::vector<Node> nodes_;
+  // Point payload in leaf order.
+  std::vector<Point> points_;
   std::vector<uint32_t> ids_;
 };
 

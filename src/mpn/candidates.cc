@@ -62,7 +62,7 @@ void RegionBounds::Fold(const std::vector<TileRegion>& regions,
   }
 }
 
-FreshCandidateSource::FreshCandidateSource(SpatialIndex tree,
+FreshCandidateSource::FreshCandidateSource(const PackedRTree* tree,
                                            const std::vector<Point>* users,
                                            Objective obj, uint32_t po_id,
                                            const Point& po, bool use_pruning)
@@ -147,7 +147,7 @@ void FreshCandidateSource::FillWideList(const std::vector<TileRegion>& regions,
     if (id != po_id_ && Passes(p, b)) wide_list_.push_back({id, p});
   };
   if (obj_ == Objective::kMax) {
-    tree_.Traverse(
+    tree_->Traverse(
         [&](const Rect& mbr) {
           for (size_t j = 0; j < m; ++j) {
             if (mbr.MinDist(users[j]) > b[j]) return false;
@@ -156,7 +156,7 @@ void FreshCandidateSource::FillWideList(const std::vector<TileRegion>& regions,
         },
         keep);
   } else {
-    tree_.Traverse(
+    tree_->Traverse(
         [&](const Rect& mbr) {
           return AggMinDist(mbr, users, Objective::kSum) <= b[0];
         },
@@ -172,13 +172,13 @@ bool FreshCandidateSource::GetCandidates(
   ++stats_.retrievals;
   MPN_DCHECK(regions.size() == users_->size());
   // Tight per-call delta on the calling thread (see node_accesses()).
-  const uint64_t accesses_before = tree_.node_accesses();
+  const uint64_t accesses_before = tree_->node_accesses();
 
   if (!use_pruning_) {  // ablation baseline: every non-result POI
-    tree_.Traverse([](const Rect&) { return true; },
-                   [&](const Point& p, uint32_t id) {
-                     if (id != po_id_) out->push_back({id, p});
-                   });
+    tree_->Traverse([](const Rect&) { return true; },
+                    [&](const Point& p, uint32_t id) {
+                      if (id != po_id_) out->push_back({id, p});
+                    });
     SortCandidatesById(out);
   } else {
     region_bounds_.Fold(regions, *users_, &po_);
@@ -191,12 +191,13 @@ bool FreshCandidateSource::GetCandidates(
     }
   }
   stats_.candidates_total += out->size();
-  node_accesses_ += tree_.node_accesses() - accesses_before;
+  node_accesses_ += tree_->node_accesses() - accesses_before;
   return true;
 }
 
 BufferedCandidateSource::BufferedCandidateSource(
-    SpatialIndex tree, const std::vector<Point>& users, Objective obj, int b)
+    const PackedRTree* tree, const std::vector<Point>& users, Objective obj,
+    int b)
     : users_(users), obj_(obj) {
   MPN_ASSERT(b >= 1);
   buffer_ = FindGnn(tree, users_, obj, static_cast<size_t>(b) + 1);

@@ -100,9 +100,9 @@ class CandidateSource {
 
 /// Theorem 3 / Theorem 6 pruned retrieval. Each call returns exactly the
 /// POIs other than po that pass the per-point test for that call's regions
-/// and tile, sorted by id: the raw traversal order depends on the index
-/// layout (index/spatial_index.h), and downstream early-exit scans feed
-/// their counters into the engine digest, so the order must not.
+/// and tile, sorted by id: downstream early-exit scans feed their counters
+/// into the engine digest, so the order is part of the result, and id
+/// order keeps it independent of the index's leaf layout.
 ///
 /// Reuse across sub-tiles. On a miss the source walks the tree once for the
 /// call's tile widened by a margin W, keeps the POIs that pass the test
@@ -127,8 +127,9 @@ class FreshCandidateSource : public CandidateSource {
   /// `tree`, `users` must outlive the source. `po_id`/`po` identify the
   /// current optimum. With `use_pruning = false` every call is a full scan
   /// of the index (ablation baseline for the Theorem-3/6 pruning).
-  FreshCandidateSource(SpatialIndex tree, const std::vector<Point>* users,
-                       Objective obj, uint32_t po_id, const Point& po,
+  FreshCandidateSource(const PackedRTree* tree,
+                       const std::vector<Point>* users, Objective obj,
+                       uint32_t po_id, const Point& po,
                        bool use_pruning = true);
 
   bool GetCandidates(const std::vector<TileRegion>& regions, size_t user_i,
@@ -152,7 +153,7 @@ class FreshCandidateSource : public CandidateSource {
   void FillWideList(const std::vector<TileRegion>& regions, size_t user_i,
                     const Rect& s);
 
-  SpatialIndex tree_;
+  const PackedRTree* tree_;
   const std::vector<Point>* users_;
   Objective obj_;
   uint32_t po_id_;
@@ -176,9 +177,10 @@ class BufferedCandidateSource : public CandidateSource {
  public:
   /// Fetches the best b+1 GNNs from the tree (one-time index access) and
   /// precomputes the distance thresholds beta_1..beta_b. Buffer order is
-  /// the GNN (agg, id) order, identical for every index backend.
-  BufferedCandidateSource(SpatialIndex tree, const std::vector<Point>& users,
-                          Objective obj, int b);
+  /// the GNN (agg, id) order.
+  BufferedCandidateSource(const PackedRTree* tree,
+                          const std::vector<Point>& users, Objective obj,
+                          int b);
 
   bool GetCandidates(const std::vector<TileRegion>& regions, size_t user_i,
                      const Rect& s, std::vector<Candidate>* out) override;

@@ -19,11 +19,11 @@ double MaxCircleRadius(double best_agg, double second_agg, size_t m,
                                 : gap / (2.0 * static_cast<double>(m));
 }
 
-CircleMsrResult ComputeCircleMsr(SpatialIndex tree,
+CircleMsrResult ComputeCircleMsr(const PackedRTree* tree,
                                  const std::vector<Point>& users,
                                  Objective obj) {
   MPN_ASSERT(!users.empty());
-  MPN_ASSERT(!tree.empty());
+  MPN_ASSERT(!tree->empty());
   const auto top2 = FindGnn(tree, users, obj, 2);
   CircleMsrResult out;
   out.po_id = top2[0].id;

@@ -32,8 +32,8 @@ double MaxCircleRadius(double best_agg, double second_agg, size_t m,
                        Objective obj);
 
 /// Algorithm 1 (Circle-MSR): finds the top-2 GNNs on the index and derives
-/// the circular safe regions. `tree` accepts either backend.
-CircleMsrResult ComputeCircleMsr(SpatialIndex tree,
+/// the circular safe regions.
+CircleMsrResult ComputeCircleMsr(const PackedRTree* tree,
                                  const std::vector<Point>& users,
                                  Objective obj);
 

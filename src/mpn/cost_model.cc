@@ -24,7 +24,7 @@ double PacketsPerUpdate(size_t m, size_t region_values,
 }
 
 CircleCostEstimate EstimateCircleCost(
-    SpatialIndex tree, const std::vector<std::vector<Point>>& configs,
+    const PackedRTree* tree, const std::vector<std::vector<Point>>& configs,
     Objective obj, double speed, const PacketModel& model) {
   MPN_ASSERT(!configs.empty());
   MPN_ASSERT(speed > 0.0);

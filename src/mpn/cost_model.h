@@ -37,7 +37,7 @@ struct CircleCostEstimate {
 /// group configurations (user location vectors drawn from the workload) —
 /// and the per-timestamp user speed `v`.
 CircleCostEstimate EstimateCircleCost(
-    SpatialIndex tree, const std::vector<std::vector<Point>>& configs,
+    const PackedRTree* tree, const std::vector<std::vector<Point>>& configs,
     Objective obj, double speed, const PacketModel& model = PacketModel());
 
 /// Protocol packets per update for a group of size m when every safe region

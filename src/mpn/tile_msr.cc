@@ -157,11 +157,12 @@ bool DivideVerify(std::vector<TileRegion>* regions, size_t user_i,
                           stats, fanout, kernel, scratch);
 }
 
-MsrResult ComputeTileMsr(SpatialIndex tree, const std::vector<Point>& users,
+MsrResult ComputeTileMsr(const PackedRTree* tree,
+                         const std::vector<Point>& users,
                          Objective obj, const TileMsrConfig& config,
                          const std::vector<MotionHint>& hints) {
   MPN_ASSERT(!users.empty());
-  MPN_ASSERT(!tree.empty());
+  MPN_ASSERT(!tree->empty());
   MPN_ASSERT(hints.empty() || hints.size() == users.size());
   const size_t m = users.size();
 
@@ -178,7 +179,7 @@ MsrResult ComputeTileMsr(SpatialIndex tree, const std::vector<Point>& users,
   // source accumulates its own traversal deltas (see
   // CandidateSource::node_accesses) — so the total is a per-recompute sum
   // that no fan-out worker can skew, whatever the thread count.
-  const uint64_t setup_before = tree.node_accesses();
+  const uint64_t setup_before = tree->node_accesses();
   std::unique_ptr<CandidateSource> source;
   double rmax = 0.0;
   if (config.buffered) {
@@ -198,7 +199,7 @@ MsrResult ComputeTileMsr(SpatialIndex tree, const std::vector<Point>& users,
     source = std::make_unique<FreshCandidateSource>(
         tree, &users, obj, out.po_id, out.po, config.index_pruning);
   }
-  const uint64_t setup_accesses = tree.node_accesses() - setup_before;
+  const uint64_t setup_accesses = tree->node_accesses() - setup_before;
 
   // Degenerate radii: fall back to circles (radius-0 regions force an update
   // on any movement; unbounded regions never trigger one).

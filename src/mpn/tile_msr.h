@@ -150,10 +150,9 @@ bool DivideVerify(std::vector<TileRegion>* regions, size_t user_i,
 
 /// Algorithm 3 (Tile-MSR). `hints` may be empty (undirected behaviour) or
 /// one entry per user. Falls back to circular regions when the tile side
-/// would degenerate (rmax ~ 0 or unbounded). `tree` accepts either index
-/// backend (index/spatial_index.h); the result and every digested counter
-/// are identical across backends.
-MsrResult ComputeTileMsr(SpatialIndex tree, const std::vector<Point>& users,
+/// would degenerate (rmax ~ 0 or unbounded).
+MsrResult ComputeTileMsr(const PackedRTree* tree,
+                         const std::vector<Point>& users,
                          Objective obj, const TileMsrConfig& config,
                          const std::vector<MotionHint>& hints = {});
 

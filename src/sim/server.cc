@@ -34,11 +34,11 @@ const char* MethodName(Method method) {
   return "?";
 }
 
-MpnServer::MpnServer(const std::vector<Point>* pois, SpatialIndex tree,
+MpnServer::MpnServer(const std::vector<Point>* pois, const PackedRTree* tree,
                      const ServerConfig& config)
     : pois_(pois), tree_(tree), config_(config) {
-  MPN_ASSERT(pois_ != nullptr && tree_.valid());
-  MPN_ASSERT(pois_->size() == tree_.size());
+  MPN_ASSERT(pois_ != nullptr && tree_ != nullptr);
+  MPN_ASSERT(pois_->size() == tree_->size());
 }
 
 MsrResult MpnServer::Recompute(const std::vector<Point>& locations,

@@ -39,10 +39,8 @@ struct ServerConfig {
 /// The application server: owns nothing, computes safe regions on demand.
 class MpnServer {
  public:
-  /// `pois`/`tree` must outlive the server. `tree` accepts either index
-  /// backend (index/spatial_index.h); results and digested counters are
-  /// identical across backends.
-  MpnServer(const std::vector<Point>* pois, SpatialIndex tree,
+  /// `pois`/`tree` must outlive the server.
+  MpnServer(const std::vector<Point>* pois, const PackedRTree* tree,
             const ServerConfig& config);
 
   /// Recomputes the meeting point and all safe regions from the probed user
@@ -87,7 +85,7 @@ class MpnServer {
 
  private:
   const std::vector<Point>* pois_;
-  SpatialIndex tree_;
+  const PackedRTree* tree_;
   ServerConfig config_;
   double compute_seconds_ = 0.0;
   size_t recompute_count_ = 0;

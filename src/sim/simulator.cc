@@ -25,7 +25,7 @@ void SimMetrics::Merge(const SimMetrics& other) {
   msr.rtree_node_accesses += other.msr.rtree_node_accesses;
 }
 
-Simulator::Simulator(const std::vector<Point>* pois, SpatialIndex tree,
+Simulator::Simulator(const std::vector<Point>* pois, const PackedRTree* tree,
                      std::vector<const Trajectory*> group,
                      const SimOptions& options)
     : pois_(pois), tree_(tree), group_(std::move(group)), options_(options) {}
@@ -40,7 +40,7 @@ SimMetrics Simulator::Run() {
   return engine.session_metrics(0);
 }
 
-SimMetrics RunGroups(const std::vector<Point>& pois, SpatialIndex tree,
+SimMetrics RunGroups(const std::vector<Point>& pois, const PackedRTree* tree,
                      const std::vector<std::vector<const Trajectory*>>& groups,
                      const SimOptions& options) {
   EngineOptions opt;

@@ -67,7 +67,7 @@ class Simulator {
  public:
   /// All referenced data must outlive the simulator. All trajectories must
   /// be at least as long as the simulated horizon.
-  Simulator(const std::vector<Point>* pois, SpatialIndex tree,
+  Simulator(const std::vector<Point>* pois, const PackedRTree* tree,
             std::vector<const Trajectory*> group, const SimOptions& options);
 
   /// Runs to completion and returns the metrics.
@@ -75,14 +75,14 @@ class Simulator {
 
  private:
   const std::vector<Point>* pois_;
-  SpatialIndex tree_;
+  const PackedRTree* tree_;
   std::vector<const Trajectory*> group_;
   SimOptions options_;
 };
 
 /// Convenience: runs every group and returns the group-averaged metrics
 /// (the paper reports averages over 10 groups).
-SimMetrics RunGroups(const std::vector<Point>& pois, SpatialIndex tree,
+SimMetrics RunGroups(const std::vector<Point>& pois, const PackedRTree* tree,
                      const std::vector<std::vector<const Trajectory*>>& groups,
                      const SimOptions& options);
 

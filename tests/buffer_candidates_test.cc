@@ -45,7 +45,7 @@ TEST_P(PruningSoundnessTest, PrunedPointsCanNeverWin) {
   for (int trial = 0; trial < 25; ++trial) {
     const size_t m = 1 + trial % 3;
     const Scenario s = MakeScenario(200, m, 6200 + trial, 600.0);
-    const auto circle = ComputeCircleMsr(s.tree, s.users, obj);
+    const auto circle = ComputeCircleMsr(&s.tree, s.users, obj);
     if (circle.rmax <= 1e-9 || circle.rmax > 1e12) continue;
     const double delta = std::sqrt(2.0) * circle.rmax;
     auto regions = InitialRegions(s.users, delta);
@@ -92,9 +92,9 @@ TEST(PruningTest, PrunesFarPoints) {
     pois.push_back({rng.Uniform(0, 100), rng.Uniform(0, 100)});
   }
   pois.push_back({100000, 100000});  // id 50: remote
-  RTree tree = RTree::BulkLoad(pois);
+  const PackedRTree tree = PackedRTree::Build(pois);
   const std::vector<Point> users = {{40, 40}, {60, 60}};
-  const auto circle = ComputeCircleMsr(tree, users, Objective::kMax);
+  const auto circle = ComputeCircleMsr(&tree, users, Objective::kMax);
   const double delta = std::sqrt(2.0) * circle.rmax;
   auto regions = InitialRegions(users, delta);
   FreshCandidateSource source(&tree, &users, Objective::kMax, circle.po_id,
@@ -157,7 +157,7 @@ class RecordingSource : public CandidateSource {
  public:
   RecordingSource(const std::vector<Point>* pois,
                   const std::vector<Point>* users, Objective obj,
-                  uint32_t po_id, SpatialIndex tree)
+                  uint32_t po_id, const PackedRTree* tree)
       : pois_(pois),
         users_(users),
         obj_(obj),
@@ -233,8 +233,8 @@ TEST_P(ReuseExactnessTest, EveryListMatchesBruteForce) {
       users.push_back(
           {offset + rng.Uniform(250, 750), offset + rng.Uniform(250, 750)});
     }
-    const RTree tree = RTree::BulkLoad(pois);
-    const auto circle = ComputeCircleMsr(tree, users, obj);
+    const PackedRTree tree = PackedRTree::Build(pois);
+    const auto circle = ComputeCircleMsr(&tree, users, obj);
     if (circle.rmax <= 1e-9 || circle.rmax > 1e12) continue;
     std::vector<TileRegion> regions =
         InitialRegions(users, std::sqrt(2.0) * circle.rmax);
@@ -340,7 +340,7 @@ TEST_P(ReuseExactnessTest, SubTileOutsideParentKeepsPoiBeyondParentBound) {
             pois.push_back(
                 u + Point{rng.Uniform(-600, 600), rng.Uniform(-600, 600)});
           }
-          const RTree tree = RTree::BulkLoad(pois);
+          const PackedRTree tree = PackedRTree::Build(pois);
           RecordingSource source(&pois, &users, obj, 0, &tree);
           const auto verifier = MakeVerifier(obj, po, 1);
           MsrStats stats;
@@ -394,7 +394,7 @@ TEST_P(ReuseExactnessTest, NeverServesAnotherUsersList) {
     d = (AggDist(po, users, Objective::kSum) + 4.5 * delta) / 2.0;
   }
   const std::vector<Point> pois = {po, {105, 100}, users[0] - Point{d, 0}};
-  const RTree tree = RTree::BulkLoad(pois);
+  const PackedRTree tree = PackedRTree::Build(pois);
   RecordingSource source(&pois, &users, obj, 0, &tree);
   RejectingVerifier verifier;
   MsrStats stats;
@@ -414,8 +414,8 @@ INSTANTIATE_TEST_SUITE_P(Objectives, ReuseExactnessTest,
 TEST(BufferTest, BetasAreSortedAndMatchDefinition) {
   const Scenario s = MakeScenario(500, 3, 404);
   const int b = 50;
-  BufferedCandidateSource source(s.tree, s.users, Objective::kMax, b);
-  const auto top = FindGnn(s.tree, s.users, Objective::kMax, b + 1);
+  BufferedCandidateSource source(&s.tree, s.users, Objective::kMax, b);
+  const auto top = FindGnn(&s.tree, s.users, Objective::kMax, b + 1);
   double prev = -1.0;
   for (int z = 1; z <= b; ++z) {
     const double beta = source.Beta(z);
@@ -426,21 +426,21 @@ TEST(BufferTest, BetasAreSortedAndMatchDefinition) {
     }
   }
   // beta_1 equals the Theorem-1 circle radius.
-  const auto circle = ComputeCircleMsr(s.tree, s.users, Objective::kMax);
+  const auto circle = ComputeCircleMsr(&s.tree, s.users, Objective::kMax);
   EXPECT_NEAR(source.Beta(1), circle.rmax, 1e-9);
 }
 
 TEST(BufferTest, SumBetasDivideByTwoM) {
   const Scenario s = MakeScenario(500, 4, 405);
-  BufferedCandidateSource source(s.tree, s.users, Objective::kSum, 10);
-  const auto top = FindGnn(s.tree, s.users, Objective::kSum, 11);
+  BufferedCandidateSource source(&s.tree, s.users, Objective::kSum, 10);
+  const auto top = FindGnn(&s.tree, s.users, Objective::kSum, 11);
   EXPECT_NEAR(source.Beta(1), (top[1].agg - top[0].agg) / (2.0 * 4), 1e-9);
 }
 
 TEST(BufferTest, SlotSelectionBoundsCandidates) {
   const Scenario s = MakeScenario(800, 3, 2929);
   const int b = 30;
-  BufferedCandidateSource source(s.tree, s.users, Objective::kMax, b);
+  BufferedCandidateSource source(&s.tree, s.users, Objective::kMax, b);
   const double delta = 2.0 * source.Beta(1) / std::sqrt(2.0);
   if (delta <= 0) GTEST_SKIP() << "degenerate scenario";
   auto regions = InitialRegions(s.users, delta);
@@ -462,7 +462,7 @@ TEST(BufferTest, SlotSelectionBoundsCandidates) {
 TEST(BufferTest, RejectsTilesBeyondBetaB) {
   const Scenario s = MakeScenario(300, 2, 11011);
   const int b = 5;
-  BufferedCandidateSource source(s.tree, s.users, Objective::kMax, b);
+  BufferedCandidateSource source(&s.tree, s.users, Objective::kMax, b);
   const double beta_b = source.Beta(b);
   if (!std::isfinite(beta_b)) GTEST_SKIP() << "tiny dataset";
   const double delta = std::max(1e-6, 2.0 * source.Beta(1) / std::sqrt(2.0));
@@ -479,7 +479,7 @@ TEST(BufferTest, RejectsTilesBeyondBetaB) {
 TEST(BufferTest, SmallDatasetInfiniteBetaAcceptsEverything) {
   // Fewer POIs than b+1: trailing betas are infinite, nothing is rejected.
   const Scenario s = MakeScenario(5, 2, 3141);
-  BufferedCandidateSource source(s.tree, s.users, Objective::kMax, 100);
+  BufferedCandidateSource source(&s.tree, s.users, Objective::kMax, 100);
   auto regions = InitialRegions(s.users, 10.0);
   std::vector<Candidate> cands;
   EXPECT_TRUE(source.GetCandidates(

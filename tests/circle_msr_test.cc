@@ -29,8 +29,8 @@ TEST(CircleRadiusTest, SumFormulaDividesByGroupSize) {
 TEST(CircleMsrTest, TwoPoiHandComputedExample) {
   // One user at the origin; POIs at distance 2 and 8: rmax = (8-2)/2 = 3.
   const std::vector<Point> pois = {{2, 0}, {-8, 0}};
-  RTree tree = RTree::BulkLoad(pois);
-  const auto result = ComputeCircleMsr(tree, {{0, 0}}, Objective::kMax);
+  const PackedRTree tree = PackedRTree::Build(pois);
+  const auto result = ComputeCircleMsr(&tree, {{0, 0}}, Objective::kMax);
   EXPECT_EQ(result.po_id, 0u);
   EXPECT_DOUBLE_EQ(result.rmax, 3.0);
   ASSERT_EQ(result.regions.size(), 1u);
@@ -40,8 +40,8 @@ TEST(CircleMsrTest, TwoPoiHandComputedExample) {
 
 TEST(CircleMsrTest, SinglePoiGivesUnboundedRegion) {
   const std::vector<Point> pois = {{5, 5}};
-  RTree tree = RTree::BulkLoad(pois);
-  const auto result = ComputeCircleMsr(tree, {{0, 0}, {9, 3}},
+  const PackedRTree tree = PackedRTree::Build(pois);
+  const auto result = ComputeCircleMsr(&tree, {{0, 0}, {9, 3}},
                                        Objective::kMax);
   EXPECT_EQ(result.po_id, 0u);
   EXPECT_GT(result.rmax, 1e12);  // the result can never change
@@ -56,7 +56,7 @@ TEST_P(CircleSoundnessTest, RegionsKeepOptimumInvariant) {
   for (int trial = 0; trial < 30; ++trial) {
     const Scenario s =
         MakeScenario(120, m, 5000 + trial * 17 + m, /*extent=*/500.0);
-    const auto result = ComputeCircleMsr(s.tree, s.users, obj);
+    const auto result = ComputeCircleMsr(&s.tree, s.users, obj);
     ASSERT_EQ(result.regions.size(), m);
     // Every user sits at her circle's center.
     for (size_t i = 0; i < m; ++i) {
@@ -91,8 +91,8 @@ TEST(CircleMsrTest, RadiusIsTightInWorstCase) {
   // flips the optimum, while moving exactly rmax keeps po optimal (tie).
   const double d1 = 10.0, d2 = 16.0;
   const std::vector<Point> pois = {{d1, 0}, {-d2, 0}};
-  RTree tree = RTree::BulkLoad(pois);
-  const auto result = ComputeCircleMsr(tree, {{0, 0}}, Objective::kMax);
+  const PackedRTree tree = PackedRTree::Build(pois);
+  const auto result = ComputeCircleMsr(&tree, {{0, 0}}, Objective::kMax);
   ASSERT_EQ(result.po_id, 0u);
   ASSERT_DOUBLE_EQ(result.rmax, (d2 - d1) / 2.0);
   const Point at_boundary{-result.rmax, 0};
@@ -107,10 +107,10 @@ TEST(CircleMsrTest, SumRadiusIsTightInWorstCase) {
   // Theorem 5 analogue for two users moving jointly toward the runner-up:
   // each user contributes 2r of sum-distance swing, so r = (s2 - s1)/(2m).
   const std::vector<Point> pois = {{0, 0}, {10, 0}};
-  RTree tree = RTree::BulkLoad(pois);
+  const PackedRTree tree = PackedRTree::Build(pois);
   const std::vector<Point> users = {{4, 0}, {3, 0}};
   // s1 = 4+3 = 7 (po = p0); s2 = 6+7 = 13; rmax = 6/(2*2) = 1.5.
-  const auto result = ComputeCircleMsr(tree, users, Objective::kSum);
+  const auto result = ComputeCircleMsr(&tree, users, Objective::kSum);
   ASSERT_EQ(result.po_id, 0u);
   ASSERT_DOUBLE_EQ(result.rmax, 1.5);
   // Move both users rmax*1.05 toward p1 (east): p1's sum drops below po's.
@@ -128,8 +128,8 @@ TEST(CircleMsrTest, SumRadiusIsTightInWorstCase) {
 
 TEST(CircleMsrTest, DeterministicAcrossCalls) {
   const Scenario s = MakeScenario(200, 3, 777);
-  const auto a = ComputeCircleMsr(s.tree, s.users, Objective::kMax);
-  const auto b = ComputeCircleMsr(s.tree, s.users, Objective::kMax);
+  const auto a = ComputeCircleMsr(&s.tree, s.users, Objective::kMax);
+  const auto b = ComputeCircleMsr(&s.tree, s.users, Objective::kMax);
   EXPECT_EQ(a.po_id, b.po_id);
   EXPECT_DOUBLE_EQ(a.rmax, b.rmax);
 }

@@ -120,7 +120,7 @@ TEST(CompressTest, BeatsRawEncodingOnRealRegions) {
     TileMsrConfig config;
     config.alpha = 30;
     const auto result =
-        ComputeTileMsr(s.tree, s.users, Objective::kMax, config);
+        ComputeTileMsr(&s.tree, s.users, Objective::kMax, config);
     for (const auto& r : result.regions) {
       if (r.is_circle()) continue;
       compressed += EncodeTileRegion(r.tiles()).ValueCount();

@@ -28,7 +28,7 @@ TEST(PacketsPerUpdateTest, AgreesWithSimulatedAccounting) {
   PoiOptions popt;
   popt.world = Rect({0, 0}, {20000, 20000});
   const auto pois = GeneratePois(400, popt, &rng);
-  const RTree tree = RTree::BulkLoad(pois);
+  const PackedRTree tree = PackedRTree::Build(pois);
   RandomWalkGenerator::Options wopt;
   wopt.world = popt.world;
   wopt.mean_speed = 30.0;
@@ -52,7 +52,7 @@ TEST(CostModelTest, FrequencyEstimateWithinConstantFactor) {
   popt.world = Rect({0, 0}, {50000, 50000});
   popt.clusters = 15;
   const auto pois = GeneratePois(3000, popt, &rng);
-  const RTree tree = RTree::BulkLoad(pois);
+  const PackedRTree tree = PackedRTree::Build(pois);
 
   RandomWalkGenerator::Options wopt;
   wopt.world = popt.world;
@@ -80,7 +80,7 @@ TEST(CostModelTest, FrequencyEstimateWithinConstantFactor) {
   ASSERT_GT(truth, 0.0);
 
   const CircleCostEstimate est =
-      EstimateCircleCost(tree, configs, Objective::kMax, wopt.mean_speed);
+      EstimateCircleCost(&tree, configs, Objective::kMax, wopt.mean_speed);
   EXPECT_GT(est.update_frequency, 0.0);
   // Order-of-magnitude agreement (movement is not perfectly straight and
   // escape directions are not adversarial, so a ~3x band is expected).
@@ -101,14 +101,14 @@ TEST(CostModelTest, FrequencyDecreasesWithLargerRegions) {
   PoiOptions popt;
   popt.world = Rect({0, 0}, {30000, 30000});
   const auto pois = GeneratePois(1000, popt, &rng);
-  const RTree tree = RTree::BulkLoad(pois);
+  const PackedRTree tree = PackedRTree::Build(pois);
   std::vector<std::vector<Point>> configs;
   for (int i = 0; i < 50; ++i) {
     configs.push_back({{rng.Uniform(5000, 25000), rng.Uniform(5000, 25000)},
                        {rng.Uniform(5000, 25000), rng.Uniform(5000, 25000)}});
   }
-  const auto slow = EstimateCircleCost(tree, configs, Objective::kMax, 5.0);
-  const auto fast = EstimateCircleCost(tree, configs, Objective::kMax, 10.0);
+  const auto slow = EstimateCircleCost(&tree, configs, Objective::kMax, 5.0);
+  const auto fast = EstimateCircleCost(&tree, configs, Objective::kMax, 10.0);
   EXPECT_GT(fast.update_frequency, slow.update_frequency);
   EXPECT_LT(fast.update_frequency, 2.0 * slow.update_frequency + 1e-9);
   EXPECT_DOUBLE_EQ(slow.mean_rmax, fast.mean_rmax);

@@ -1,8 +1,9 @@
 // Shared infrastructure for the seeded lifecycle replays: a deterministic
 // world + plan generator and replay drivers over Engine / ClusterEngine.
-// Used by engine_fuzz_test.cc (scheduling-invariance fuzzing) and
-// kernel_differential_test.cc (scalar vs SoA verification kernels); both
-// assert digest bit-identity over the same seed-derived plans.
+// Used by engine_fuzz_test.cc (scheduling-invariance fuzzing),
+// kernel_differential_test.cc (scalar vs SoA verification kernels and the
+// lane ISAs) and session_store_test.cc (budgeted vs unbudgeted engines);
+// all of them assert digest bit-identity over the same seed-derived plans.
 #pragma once
 
 #include <cstdio>
@@ -16,7 +17,6 @@
 #include "engine/cluster.h"
 #include "engine/engine.h"
 #include "index/packed_rtree.h"
-#include "index/spatial_index.h"
 #include "traj/generators.h"
 #include "util/rng.h"
 
@@ -27,22 +27,9 @@ inline const Rect kWorld({0, 0}, {20000, 20000});
 
 struct World {
   std::vector<Point> pois;
-  RTree tree;
-  PackedRTree packed_str;
-  PackedRTree packed_hilbert;
+  PackedRTree tree;
   std::vector<Trajectory> trajs;
   size_t group_size = 0;
-
-  /// The same POI set behind the requested index backend; digests must not
-  /// care which one the replay runs on (index_differential_test.cc).
-  SpatialIndex Index(IndexKind kind) const {
-    switch (kind) {
-      case IndexKind::kPackedStr: return SpatialIndex(&packed_str);
-      case IndexKind::kPackedHilbert: return SpatialIndex(&packed_hilbert);
-      case IndexKind::kDynamic: break;
-    }
-    return SpatialIndex(&tree);
-  }
 };
 
 /// One planned session: which trajectories, which tuning, which admission
@@ -95,9 +82,7 @@ inline World MakeFuzzWorld(Rng* rng, size_t n_groups, size_t group_size,
   popt.clusters = static_cast<size_t>(rng->UniformInt(4, 16));
   w.pois = GeneratePois(static_cast<size_t>(rng->UniformInt(120, 280)), popt,
                         rng);
-  w.tree = RTree::BulkLoad(w.pois);
-  w.packed_str = PackedRTree::Build(w.pois, PackAlgorithm::kStr);
-  w.packed_hilbert = PackedRTree::Build(w.pois, PackAlgorithm::kHilbert);
+  w.tree = PackedRTree::Build(w.pois);
   RandomWalkGenerator::Options wopt;
   wopt.world = kWorld;
   wopt.mean_speed = rng->Uniform(30.0, 90.0);
@@ -226,9 +211,8 @@ uint64_t Replay(EngineLike* engine, const World& w, const FuzzPlan& plan) {
 inline uint64_t RunEnginePlan(const World& w, const FuzzPlan& plan,
                               size_t threads,
                               KernelKind kernel = KernelKind::kSoA,
-                              bool parallel_verify = false,
-                              IndexKind index = IndexKind::kDynamic) {
-  Engine engine(&w.pois, w.Index(index),
+                              bool parallel_verify = false) {
+  Engine engine(&w.pois, &w.tree,
                 MakeEngineOptions(threads, kernel, parallel_verify));
   return Replay(&engine, w, plan);
 }
@@ -236,8 +220,7 @@ inline uint64_t RunEnginePlan(const World& w, const FuzzPlan& plan,
 inline uint64_t RunClusterPlan(const World& w, const FuzzPlan& plan,
                                size_t workers, size_t threads,
                                KernelKind kernel = KernelKind::kSoA,
-                               bool with_crashes = true,
-                               IndexKind index = IndexKind::kDynamic) {
+                               bool with_crashes = true) {
   ClusterOptions opt;
   opt.workers = workers;
   opt.engine = MakeEngineOptions(threads, kernel);
@@ -252,7 +235,7 @@ inline uint64_t RunClusterPlan(const World& w, const FuzzPlan& plan,
   opt.transport.heartbeat_interval_ms = 100;
   opt.transport.heartbeat_timeout_ms = 500;
   opt.transport.heartbeat_miss_budget = 3;
-  ClusterEngine cluster(&w.pois, w.Index(index), opt);
+  ClusterEngine cluster(&w.pois, &w.tree, opt);
   if (with_crashes) {
     for (const PlannedCrash& crash : plan.crashes) {
       cluster.KillWorkerAt(crash.shard_slot % workers, crash.timestamp);

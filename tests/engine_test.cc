@@ -189,7 +189,7 @@ const Rect kWorld({0, 0}, {20000, 20000});
 
 struct World {
   std::vector<Point> pois;
-  RTree tree;
+  PackedRTree tree;
   std::vector<Trajectory> trajs;
 };
 
@@ -201,7 +201,7 @@ World MakeWorld(size_t n_pois, size_t n_groups, size_t timestamps,
   popt.world = kWorld;
   popt.clusters = 12;
   w.pois = GeneratePois(n_pois, popt, &rng);
-  w.tree = RTree::BulkLoad(w.pois);
+  w.tree = PackedRTree::Build(w.pois);
   RandomWalkGenerator::Options wopt;
   wopt.world = kWorld;
   wopt.mean_speed = 60.0;

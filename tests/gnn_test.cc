@@ -54,8 +54,8 @@ TEST(GnnTest, KnownConfiguration) {
   // p1 minimizes the sum (1.5 + 9.5 = 11).
   const std::vector<Point> users = {{1.5, 0}, {-9.5, 0}};
   const std::vector<Point> pois = {{0, 0}, {6, 0}};
-  RTree tree = RTree::BulkLoad(pois);
-  const auto sum = FindGnn(tree, users, Objective::kSum, 1);
+  const PackedRTree tree = PackedRTree::Build(pois);
+  const auto sum = FindGnn(&tree, users, Objective::kSum, 1);
   ASSERT_EQ(sum.size(), 1u);
   EXPECT_EQ(sum[0].id, 0u);
   EXPECT_DOUBLE_EQ(sum[0].agg, 1.5 + 9.5);
@@ -68,7 +68,7 @@ class GnnParamTest
 TEST_P(GnnParamTest, MatchesBruteForce) {
   const auto [n, m, obj] = GetParam();
   const auto pois = RandomPoints(n, 11 * n + m);
-  RTree tree = RTree::BulkLoad(pois);
+  const PackedRTree tree = PackedRTree::Build(pois);
   Rng rng(n * 7 + m);
   for (int trial = 0; trial < 10; ++trial) {
     std::vector<Point> users;
@@ -76,7 +76,7 @@ TEST_P(GnnParamTest, MatchesBruteForce) {
       users.push_back({rng.Uniform(-200, 1200), rng.Uniform(-200, 1200)});
     }
     const size_t k = 1 + static_cast<size_t>(rng.UniformInt(0, 20));
-    const auto got = FindGnn(tree, users, obj, k);
+    const auto got = FindGnn(&tree, users, obj, k);
     const auto want = FindGnnBruteForce(pois, users, obj, k);
     ASSERT_EQ(got.size(), want.size());
     for (size_t i = 0; i < got.size(); ++i) {
@@ -105,7 +105,7 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(GnnTest, CursorStreamsInNonDecreasingOrder) {
   const auto pois = RandomPoints(500, 321);
-  RTree tree = RTree::BulkLoad(pois);
+  const PackedRTree tree = PackedRTree::Build(pois);
   const std::vector<Point> users = {{100, 100}, {900, 200}, {400, 800}};
   for (Objective obj : {Objective::kMax, Objective::kSum}) {
     GnnCursor cursor(&tree, users, obj);
@@ -122,7 +122,7 @@ TEST(GnnTest, CursorStreamsInNonDecreasingOrder) {
 
 TEST(GnnTest, CursorExhaustsAndReturnsNullopt) {
   const auto pois = RandomPoints(10, 5);
-  RTree tree = RTree::BulkLoad(pois);
+  const PackedRTree tree = PackedRTree::Build(pois);
   GnnCursor cursor(&tree, {{0, 0}}, Objective::kMax);
   for (int i = 0; i < 10; ++i) EXPECT_TRUE(cursor.Next().has_value());
   EXPECT_FALSE(cursor.Next().has_value());
@@ -131,13 +131,16 @@ TEST(GnnTest, CursorExhaustsAndReturnsNullopt) {
 
 TEST(GnnTest, SingleUserEqualsKnn) {
   const auto pois = RandomPoints(800, 2718);
-  RTree tree = RTree::BulkLoad(pois);
+  const PackedRTree tree = PackedRTree::Build(pois);
   const Point q{333, 444};
-  const auto knn = tree.Knn(q, 15);
-  const auto gnn = FindGnn(tree, {q}, Objective::kMax, 15);
+  // With one user both objectives reduce to the distance to q, so the
+  // cursor is a k-NN search and must match the exhaustive (dist, id) order.
+  const auto knn = FindGnnBruteForce(pois, {q}, Objective::kMax, 15);
+  const auto gnn = FindGnn(&tree, {q}, Objective::kMax, 15);
   ASSERT_EQ(knn.size(), gnn.size());
   for (size_t i = 0; i < knn.size(); ++i) {
-    EXPECT_NEAR(Dist(q, pois[knn[i]]), gnn[i].agg, 1e-12);
+    EXPECT_EQ(gnn[i].id, knn[i].id) << "rank " << i;
+    EXPECT_EQ(gnn[i].agg, knn[i].agg) << "rank " << i;
   }
 }
 

@@ -16,7 +16,7 @@ namespace {
 
 struct SharedWorld {
   std::vector<Point> pois;
-  RTree tree;
+  PackedRTree tree;
   std::vector<Trajectory> trajs;
 
   static const SharedWorld& Get() {
@@ -27,7 +27,7 @@ struct SharedWorld {
       popt.world = Rect({0, 0}, {30000, 30000});
       popt.clusters = 15;
       w->pois = GeneratePois(1500, popt, &rng);
-      w->tree = RTree::BulkLoad(w->pois);
+      w->tree = PackedRTree::Build(w->pois);
       RandomWalkGenerator::Options wopt;
       wopt.world = popt.world;
       wopt.mean_speed = 10.0;
@@ -144,7 +144,7 @@ TEST(KnobRelationTest, SplitLevelRecoversTiles) {
     TileMsrConfig config;
     config.alpha = 10;
     config.split_level = level;
-    const auto r = ComputeTileMsr(w.tree, users, Objective::kMax, config);
+    const auto r = ComputeTileMsr(&w.tree, users, Objective::kMax, config);
     EXPECT_GE(r.stats.tiles_added + 2, prev_added) << "L=" << level;
     prev_added = r.stats.tiles_added;
   }

@@ -5,7 +5,7 @@
 #include <vector>
 
 #include "index/gnn.h"
-#include "index/rtree.h"
+#include "index/packed_rtree.h"
 #include "mpn/safe_region.h"
 #include "util/macros.h"
 #include "util/rng.h"
@@ -17,7 +17,7 @@ namespace testutil {
 struct Scenario {
   std::vector<Point> pois;
   std::vector<Point> users;
-  RTree tree;
+  PackedRTree tree;
 };
 
 /// Uniform POIs in [0,extent]^2, users in the middle half of the world.
@@ -33,7 +33,7 @@ inline Scenario MakeScenario(size_t n_pois, size_t m_users, uint64_t seed,
     s.users.push_back({rng.Uniform(extent * 0.25, extent * 0.75),
                        rng.Uniform(extent * 0.25, extent * 0.75)});
   }
-  s.tree = RTree::BulkLoad(s.pois);
+  s.tree = PackedRTree::Build(s.pois);
   return s;
 }
 

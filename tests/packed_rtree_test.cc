@@ -1,16 +1,24 @@
-// Packed R-tree tests: structural invariants of the flat layout, query
-// correctness against brute force, and — the load-bearing property — id-set
-// identity with the dynamic RTree for both packing algorithms under fuzzed
-// point sets and queries (the engine-level digest enforcement lives in
-// index_differential_test.cc).
+// Packed R-tree tests. The algorithm suite checks the empty tree, the
+// layout invariants around the fanout, and range and circle retrieval
+// against brute force. The topology suite checks that PackedRTree::Build
+// builds the same tree as the reference STR tree (reference_rtree.h). Both
+// trees must have the same height and the same nodes per level, and every
+// pruned Traverse and every GNN search must return the same ids in the
+// same order after the same number of node accesses; the Traverse results
+// must also match brute force. This is what keeps the reproduced
+// node-access counters (fig16/fig19) and every result digest fixed. Query
+// semantics across sizes are covered in rtree_test.cc.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <queue>
+#include <string>
 #include <vector>
 
+#include "index/gnn.h"
 #include "index/packed_rtree.h"
-#include "index/rtree.h"
-#include "index/spatial_index.h"
+#include "reference_rtree.h"
 #include "util/rng.h"
 
 namespace mpn {
@@ -27,23 +35,55 @@ std::vector<Point> RandomPoints(size_t n, uint64_t seed,
   return pts;
 }
 
-std::vector<uint32_t> BruteRange(const std::vector<Point>& pts,
-                                 const Rect& r) {
-  std::vector<uint32_t> out;
-  for (size_t i = 0; i < pts.size(); ++i) {
-    if (r.Contains(pts[i])) out.push_back(static_cast<uint32_t>(i));
+/// Points clustered around 12 centres, rounded to the integer grid and
+/// partly duplicated, so many points share an x, a y or both.
+std::vector<Point> ClusteredPointsWithDuplicates(size_t n, uint64_t seed) {
+  Rng rng(seed);
+  std::vector<Point> centres;
+  for (int c = 0; c < 12; ++c) {
+    centres.push_back({rng.Uniform(100, 900), rng.Uniform(100, 900)});
   }
-  return out;
-}
-
-std::vector<uint32_t> BruteCircle(const std::vector<Point>& pts,
-                                  const Point& c, double radius) {
-  std::vector<uint32_t> out;
-  for (size_t i = 0; i < pts.size(); ++i) {
-    if (Dist2(c, pts[i]) <= radius * radius) {
-      out.push_back(static_cast<uint32_t>(i));
+  std::vector<Point> pts;
+  pts.reserve(n);
+  for (size_t i = 0; i < n; ++i) {
+    const Point& c = centres[static_cast<size_t>(rng.UniformInt(0, 11))];
+    const double dx = rng.Uniform(-1, 1) * rng.Uniform(0, 60);
+    const double dy = rng.Uniform(-1, 1) * rng.Uniform(0, 60);
+    pts.push_back({std::round(c.x + dx), std::round(c.y + dy)});
+    if (rng.Bernoulli(0.2) && i + 1 < n) {
+      pts.push_back(pts.back());  // exact duplicate
+      ++i;
     }
   }
+  return pts;
+}
+
+/// A few locations, each repeated many times: whole leaves collapse onto
+/// one point, so many node centres tie exactly and the order the upper
+/// levels' sorts leave equal keys in decides the shape.
+std::vector<Point> StackedPoints(size_t n, uint64_t seed) {
+  Rng rng(seed);
+  std::vector<Point> sites;
+  for (int s = 0; s < 8; ++s) {
+    sites.push_back({std::round(rng.Uniform(0, 1000)),
+                     std::round(rng.Uniform(0, 1000))});
+  }
+  std::vector<Point> pts;
+  pts.reserve(n);
+  for (size_t i = 0; i < n; ++i) {
+    pts.push_back(sites[static_cast<size_t>(rng.UniformInt(0, 7))]);
+  }
+  return pts;
+}
+
+/// Ids of the points whose pruned Traverse passes `inside`, in emit order.
+template <typename MbrPred, typename PointPred>
+std::vector<uint32_t> Retrieve(const PackedRTree& tree, MbrPred&& descend,
+                               PointPred&& inside) {
+  std::vector<uint32_t> out;
+  tree.Traverse(descend, [&](const Point& p, uint32_t id) {
+    if (inside(p)) out.push_back(id);
+  });
   return out;
 }
 
@@ -52,156 +92,354 @@ std::vector<uint32_t> Sorted(std::vector<uint32_t> v) {
   return v;
 }
 
+/// Nodes per level, root level first (size() is the height).
+template <typename Tree>
+std::vector<size_t> LevelSizes(const Tree& tree) {
+  std::vector<size_t> sizes;
+  if (tree.root() < 0) return sizes;
+  std::vector<int32_t> level = {tree.root()};
+  while (!level.empty()) {
+    sizes.push_back(level.size());
+    std::vector<int32_t> next;
+    for (int32_t node : level) {
+      if (tree.IsLeafNode(node)) continue;
+      tree.ForEachChild(node, [&](int32_t child, const Rect&) {
+        next.push_back(child);
+      });
+    }
+    level = std::move(next);
+  }
+  return sizes;
+}
+
+/// Everything one Traverse call observed, in call order.
+struct TraverseLog {
+  std::vector<Rect> mbrs;      // arguments of the pruning predicate
+  std::vector<uint32_t> ids;   // point_fn calls
+  std::vector<uint32_t> kept;  // ids passing the per-point test, sorted
+  uint64_t node_accesses = 0;
+};
+
+bool SameRects(const std::vector<Rect>& a, const std::vector<Rect>& b) {
+  if (a.size() != b.size()) return false;
+  for (size_t i = 0; i < a.size(); ++i) {
+    if (a[i].lo != b[i].lo || a[i].hi != b[i].hi) return false;
+  }
+  return true;
+}
+
+/// A seeded predicate pair of the Theorem-3 (MAX: per-user distance
+/// bounds) or Theorem-6 (SUM: one aggregate bound) kind.
+struct PrunedQuery {
+  Objective obj = Objective::kMax;
+  std::vector<Point> users;
+  std::vector<double> bounds;  // m bounds (MAX) or one (SUM)
+
+  bool Descend(const Rect& mbr) const {
+    if (obj == Objective::kSum) {
+      return AggMinDist(mbr, users, Objective::kSum) <= bounds[0];
+    }
+    for (size_t j = 0; j < users.size(); ++j) {
+      if (mbr.MinDist(users[j]) > bounds[j]) return false;
+    }
+    return true;
+  }
+
+  bool Passes(const Point& p) const {
+    if (obj == Objective::kSum) {
+      return AggDist(p, users, Objective::kSum) <= bounds[0];
+    }
+    for (size_t j = 0; j < users.size(); ++j) {
+      if (Dist(p, users[j]) > bounds[j]) return false;
+    }
+    return true;
+  }
+};
+
+PrunedQuery MakePrunedQuery(Rng* rng, const std::vector<Point>& pts,
+                            Objective obj) {
+  PrunedQuery q;
+  q.obj = obj;
+  const size_t m = static_cast<size_t>(rng->UniformInt(1, 4));
+  for (size_t j = 0; j < m; ++j) {
+    q.users.push_back({rng->Uniform(0, 1000), rng->Uniform(0, 1000)});
+  }
+  // Bounds around a random POI standing in for the optimum po, widened by
+  // a random region size as ||po,R||_top + r_up_j (MAX) or
+  // ||po,U||_sum + 2 * sum_j r_up_j (SUM) would.
+  const Point& po = pts[static_cast<size_t>(
+      rng->UniformInt(0, static_cast<int64_t>(pts.size()) - 1))];
+  const double slack = rng->Uniform(0, 120);
+  if (obj == Objective::kSum) {
+    q.bounds.push_back(AggDist(po, q.users, Objective::kSum) +
+                       2.0 * static_cast<double>(m) * slack);
+  } else {
+    const double top = AggDist(po, q.users, Objective::kMax);
+    for (size_t j = 0; j < m; ++j) {
+      q.bounds.push_back(top + slack * rng->Uniform(0.5, 1.5));
+    }
+  }
+  return q;
+}
+
+template <typename Tree>
+TraverseLog RunTraverse(const Tree& tree, const PrunedQuery& q) {
+  TraverseLog log;
+  const uint64_t before = internal::tls_rtree_node_accesses;
+  tree.Traverse(
+      [&](const Rect& mbr) {
+        log.mbrs.push_back(mbr);
+        return q.Descend(mbr);
+      },
+      [&](const Point& p, uint32_t id) {
+        log.ids.push_back(id);
+        if (q.Passes(p)) log.kept.push_back(id);
+      });
+  log.node_accesses = internal::tls_rtree_node_accesses - before;
+  std::sort(log.kept.begin(), log.kept.end());
+  return log;
+}
+
+/// GnnCursor's best-first search over any tree with the cursor
+/// primitives: same heap order (key, nodes before points, id), same keys.
+template <typename Tree>
+std::vector<GnnCursor::Item> GnnOver(const Tree& tree,
+                                     const std::vector<Point>& users,
+                                     Objective obj, size_t k) {
+  struct Entry {
+    double key;
+    bool is_point;
+    int32_t node;
+    uint32_t id;
+    Point p;
+    bool operator>(const Entry& o) const {
+      if (key != o.key) return key > o.key;
+      if (is_point != o.is_point) return is_point && !o.is_point;
+      return id > o.id;
+    }
+  };
+  std::priority_queue<Entry, std::vector<Entry>, std::greater<Entry>> heap;
+  if (tree.root() >= 0) heap.push({0.0, false, tree.root(), 0, Point{}});
+  std::vector<GnnCursor::Item> out;
+  while (!heap.empty() && out.size() < k) {
+    const Entry e = heap.top();
+    heap.pop();
+    if (e.is_point) {
+      out.push_back({e.id, e.p, e.key});
+    } else if (tree.IsLeafNode(e.node)) {
+      tree.ForEachLeafEntry(e.node, [&](const Point& p, uint32_t id) {
+        heap.push({AggDist(p, users, obj), true, -1, id, p});
+      });
+    } else {
+      tree.ForEachChild(e.node, [&](int32_t child, const Rect& mbr) {
+        heap.push({AggMinDist(mbr, users, obj), false, child, 0, Point{}});
+      });
+    }
+  }
+  return out;
+}
+
+void ExpectSameItems(const std::vector<GnnCursor::Item>& a,
+                     const std::vector<GnnCursor::Item>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i].id, b[i].id) << "rank " << i;
+    EXPECT_EQ(a[i].agg, b[i].agg) << "rank " << i;
+  }
+}
+
+// The packing algorithm. PackedRTree::Build has one, STR; the suite keeps
+// its parameter so the instance names (`Algos/.../str`) and their printed
+// parameters stay stable.
+enum class PackAlgorithm { kStr };
+
 class PackedRTreeAlgoTest : public testing::TestWithParam<PackAlgorithm> {};
 
 TEST_P(PackedRTreeAlgoTest, EmptyTree) {
-  const PackedRTree tree = PackedRTree::Build({}, GetParam());
+  const PackedRTree tree = PackedRTree::Build({});
   EXPECT_TRUE(tree.empty());
-  EXPECT_EQ(tree.Height(), 0);
-  EXPECT_TRUE(tree.bounds().IsEmpty());
-  std::vector<uint32_t> out;
-  tree.RangeQuery(Rect({0, 0}, {10, 10}), &out);
-  EXPECT_TRUE(out.empty());
-  tree.CircleRangeQuery({5, 5}, 100.0, &out);
-  EXPECT_TRUE(out.empty());
-  EXPECT_TRUE(tree.Knn({5, 5}, 3).empty());
+  EXPECT_EQ(tree.size(), 0u);
+  EXPECT_LT(tree.root(), 0);
+  EXPECT_TRUE(LevelSizes(tree).empty());
+  // A traversal of the empty tree calls neither callback and reads no node.
+  const uint64_t before = internal::tls_rtree_node_accesses;
+  size_t calls = 0;
+  tree.Traverse(
+      [&](const Rect&) {
+        ++calls;
+        return true;
+      },
+      [&](const Point&, uint32_t) { ++calls; });
+  EXPECT_EQ(calls, 0u);
+  EXPECT_EQ(internal::tls_rtree_node_accesses, before);
+  EXPECT_TRUE(FindGnn(&tree, {{5, 5}}, Objective::kSum, 3).empty());
   tree.CheckInvariants();
 }
 
 TEST_P(PackedRTreeAlgoTest, InvariantsAcrossSizesAndFanouts) {
+  // The fanout is the constant kFanout; the sizes straddle it, so single,
+  // full, short and split leaves all occur.
+  constexpr size_t kFanout = PackedRTree::kFanout;
   for (size_t n : {1u, 2u, 31u, 32u, 33u, 100u, 1000u}) {
     const std::vector<Point> pts = RandomPoints(n, 0xBEEF00 + n);
-    for (uint32_t fanout : {2u, 8u, 32u}) {
-      PackedRTreeOptions opt;
-      opt.fanout = fanout;
-      const PackedRTree tree = PackedRTree::Build(pts, GetParam(), opt);
-      EXPECT_EQ(tree.size(), n);
-      tree.CheckInvariants();
+    const PackedRTree tree = PackedRTree::Build(pts);
+    EXPECT_EQ(tree.size(), n);
+    tree.CheckInvariants();
+    // One root; each level holds at most kFanout times the nodes of the
+    // level above it, and the leaves hold at least ceil(n / kFanout).
+    const std::vector<size_t> levels = LevelSizes(tree);
+    ASSERT_FALSE(levels.empty()) << "n=" << n;
+    EXPECT_EQ(levels.front(), 1u) << "n=" << n;
+    for (size_t i = 1; i < levels.size(); ++i) {
+      EXPECT_LE(levels[i], levels[i - 1] * kFanout) << "n=" << n;
+      EXPECT_GT(levels[i], levels[i - 1]) << "n=" << n;
     }
+    EXPECT_GE(levels.back(), (n + kFanout - 1) / kFanout) << "n=" << n;
+    EXPECT_EQ(levels.size() == 1, n <= kFanout) << "n=" << n;
+    // An accept-all traversal emits every id exactly once.
+    const std::vector<uint32_t> all = Sorted(Retrieve(
+        tree, [](const Rect&) { return true; },
+        [](const Point&) { return true; }));
+    ASSERT_EQ(all.size(), n);
+    for (size_t i = 0; i < n; ++i) EXPECT_EQ(all[i], i);
   }
 }
 
 TEST_P(PackedRTreeAlgoTest, QueriesMatchBruteForce) {
   const size_t n = 500;
   const std::vector<Point> pts = RandomPoints(n, 0xFACE01);
-  const PackedRTree tree = PackedRTree::Build(pts, GetParam());
+  const PackedRTree tree = PackedRTree::Build(pts);
   Rng rng(0xFACE02);
-  std::vector<uint32_t> out;
   for (int q = 0; q < 200; ++q) {
     const Point a{rng.Uniform(0, 1000), rng.Uniform(0, 1000)};
     const double w = rng.Uniform(0, 300), h = rng.Uniform(0, 300);
     const Rect r({a.x, a.y}, {a.x + w, a.y + h});
-    out.clear();
-    tree.RangeQuery(r, &out);
-    EXPECT_EQ(Sorted(out), BruteRange(pts, r));
+    std::vector<uint32_t> brute;
+    for (size_t i = 0; i < n; ++i) {
+      if (r.Contains(pts[i])) brute.push_back(static_cast<uint32_t>(i));
+    }
+    EXPECT_EQ(Sorted(Retrieve(
+                  tree, [&](const Rect& mbr) { return mbr.Intersects(r); },
+                  [&](const Point& p) { return r.Contains(p); })),
+              brute);
 
     const double radius = rng.Uniform(0, 250);
-    out.clear();
-    tree.CircleRangeQuery(a, radius, &out);
-    EXPECT_EQ(Sorted(out), BruteCircle(pts, a, radius));
-  }
-}
-
-TEST_P(PackedRTreeAlgoTest, FuzzedIdSetsIdenticalToDynamicTree) {
-  Rng rng(0xD1FF10);
-  for (int round = 0; round < 20; ++round) {
-    const size_t n = static_cast<size_t>(rng.UniformInt(1, 800));
-    std::vector<Point> pts = RandomPoints(n, rng.Next());
-    if (rng.Bernoulli(0.3)) {
-      // Duplicate coordinates stress the (coordinate, id) tie-breaks.
-      for (size_t i = 0; i + 1 < pts.size(); i += 2) pts[i + 1] = pts[i];
+    const double r2 = radius * radius;
+    brute.clear();
+    for (size_t i = 0; i < n; ++i) {
+      if (Dist2(a, pts[i]) <= r2) brute.push_back(static_cast<uint32_t>(i));
     }
-    const RTree dynamic = RTree::BulkLoad(pts);
-    const PackedRTree packed = PackedRTree::Build(pts, GetParam());
-    packed.CheckInvariants();
-    std::vector<uint32_t> a, b;
-    for (int q = 0; q < 30; ++q) {
-      const Point c{rng.Uniform(-50, 1050), rng.Uniform(-50, 1050)};
-      const double w = rng.Uniform(0, 400), h = rng.Uniform(0, 400);
-      const Rect r({c.x, c.y}, {c.x + w, c.y + h});
-      a.clear();
-      b.clear();
-      dynamic.RangeQuery(r, &a);
-      packed.RangeQuery(r, &b);
-      EXPECT_EQ(Sorted(a), Sorted(b));
-
-      const double radius = rng.Uniform(0, 300);
-      a.clear();
-      b.clear();
-      dynamic.CircleRangeQuery(c, radius, &a);
-      packed.CircleRangeQuery(c, radius, &b);
-      EXPECT_EQ(Sorted(a), Sorted(b));
-
-      // Knn must agree element-for-element (order included): both heaps
-      // pop points in global (distance, id) order whatever the tree shape.
-      const size_t k = static_cast<size_t>(rng.UniformInt(1, 12));
-      EXPECT_EQ(dynamic.Knn(c, k), packed.Knn(c, k));
-    }
+    EXPECT_EQ(Sorted(Retrieve(
+                  tree, [&](const Rect& mbr) { return mbr.MinDist2(a) <= r2; },
+                  [&](const Point& p) { return Dist2(a, p) <= r2; })),
+              brute);
   }
-}
-
-TEST_P(PackedRTreeAlgoTest, LeavesAreFullAndQueriesAppend) {
-  const std::vector<Point> pts = RandomPoints(320, 0xABCD01);
-  const PackedRTree tree = PackedRTree::Build(pts, GetParam());
-  // 320 points at fanout 32 = exactly 10 full leaves, height 2.
-  EXPECT_EQ(tree.Height(), 2);
-  std::vector<uint32_t> out = {9999};
-  tree.RangeQuery(Rect({0, 0}, {1000, 1000}), &out);
-  ASSERT_EQ(out.size(), 321u);  // appended, not cleared
-  EXPECT_EQ(out[0], 9999u);
-}
-
-TEST_P(PackedRTreeAlgoTest, SpatialIndexFacadeDispatches) {
-  const std::vector<Point> pts = RandomPoints(200, 0x5EED01);
-  const RTree dynamic = RTree::BulkLoad(pts);
-  const PackedRTree packed = PackedRTree::Build(pts, GetParam());
-  const SpatialIndex dyn_view(&dynamic);
-  const SpatialIndex packed_view(&packed);
-  EXPECT_TRUE(dyn_view.valid());
-  EXPECT_TRUE(packed_view.valid());
-  EXPECT_EQ(dyn_view.size(), packed_view.size());
-  const Rect r({100, 100}, {600, 600});
-  std::vector<uint32_t> a, b;
-  dyn_view.RangeQuery(r, &a);
-  packed_view.RangeQuery(r, &b);
-  EXPECT_EQ(Sorted(a), Sorted(b));
-  // Traverse sees every point exactly once through the facade.
-  size_t seen = 0;
-  packed_view.Traverse([](const Rect&) { return true; },
-                       [&](const Point&, uint32_t) { ++seen; });
-  EXPECT_EQ(seen, pts.size());
 }
 
 INSTANTIATE_TEST_SUITE_P(Algos, PackedRTreeAlgoTest,
-                         testing::Values(PackAlgorithm::kStr,
-                                         PackAlgorithm::kHilbert),
-                         [](const testing::TestParamInfo<PackAlgorithm>& i) {
-                           return std::string(PackAlgorithmName(i.param));
+                         testing::Values(PackAlgorithm::kStr),
+                         [](const testing::TestParamInfo<PackAlgorithm>&) {
+                           return std::string("str");
                          });
 
-TEST(PoiIndexTest, BuildsEveryKind) {
-  const std::vector<Point> pts = RandomPoints(150, 0x90D501);
-  for (IndexKind kind : {IndexKind::kDynamic, IndexKind::kPackedStr,
-                         IndexKind::kPackedHilbert}) {
-    const PoiIndex index = PoiIndex::Build(pts, kind);
-    EXPECT_EQ(index.kind(), kind);
-    const SpatialIndex view = index;  // implicit conversion
-    EXPECT_TRUE(view.valid());
-    EXPECT_EQ(view.size(), pts.size());
-    std::vector<uint32_t> out;
-    view.RangeQuery(Rect({0, 0}, {1000, 1000}), &out);
-    EXPECT_EQ(out.size(), pts.size());
+std::vector<Point> MakeInput(const std::string& name) {
+  if (name == "n1") return RandomPoints(1, 0x701);
+  if (name == "n17") return RandomPoints(17, 0x702);
+  if (name == "n1000") return RandomPoints(1000, 0x703);
+  if (name == "n40000") return RandomPoints(40000, 0x704);
+  if (name == "stacked") return StackedPoints(5000, 0x706);
+  return ClusteredPointsWithDuplicates(6000, 0x705);
+}
+
+class PackedRTreeTopologyTest : public testing::TestWithParam<std::string> {
+ protected:
+  void SetUp() override {
+    points_ = MakeInput(GetParam());
+    packed_ = PackedRTree::Build(points_);
+    reference_ = reference::RTree::BulkLoad(points_);
+  }
+
+  std::vector<Point> points_;
+  PackedRTree packed_;
+  reference::RTree reference_;
+};
+
+TEST_P(PackedRTreeTopologyTest, SameHeightAndNodesPerLevel) {
+  packed_.CheckInvariants();
+  const std::vector<size_t> packed = LevelSizes(packed_);
+  EXPECT_EQ(packed, LevelSizes(reference_));
+  if (GetParam() == "n40000") {
+    EXPECT_EQ(packed.size(), 4u);  // 40,000 points need four levels
   }
 }
 
-TEST(PoiIndexTest, KindNamesAreStable) {
-  // Config files and bench tables key on these strings.
-  EXPECT_STREQ(IndexKindName(IndexKind::kDynamic), "dynamic");
-  EXPECT_STREQ(IndexKindName(IndexKind::kPackedStr), "packed_str");
-  EXPECT_STREQ(IndexKindName(IndexKind::kPackedHilbert), "packed_hilbert");
-  EXPECT_STREQ(PackAlgorithmName(PackAlgorithm::kStr), "str");
-  EXPECT_STREQ(PackAlgorithmName(PackAlgorithm::kHilbert), "hilbert");
+TEST_P(PackedRTreeTopologyTest, PrunedTraverseMatchesReferenceAndBruteForce) {
+  const std::vector<Point>& pts = points_;
+  Rng rng(0x7A5E + pts.size());
+  for (int round = 0; round < 40; ++round) {
+    const Objective obj = round % 2 == 0 ? Objective::kMax : Objective::kSum;
+    const PrunedQuery q = MakePrunedQuery(&rng, pts, obj);
+    const TraverseLog got = RunTraverse(packed_, q);
+    const TraverseLog want = RunTraverse(reference_, q);
+    // Same nodes in the same order: the predicate sees the same MBRs and
+    // the leaves emit the same ids, after the same number of accesses.
+    EXPECT_TRUE(SameRects(got.mbrs, want.mbrs)) << "round " << round;
+    EXPECT_EQ(got.ids, want.ids) << "round " << round;
+    EXPECT_EQ(got.node_accesses, want.node_accesses) << "round " << round;
+
+    std::vector<uint32_t> brute;
+    for (size_t i = 0; i < pts.size(); ++i) {
+      if (q.Passes(pts[i])) brute.push_back(static_cast<uint32_t>(i));
+    }
+    EXPECT_EQ(got.kept, brute) << "round " << round;
+  }
 }
+
+TEST_P(PackedRTreeTopologyTest, GnnMatchesReference) {
+  const std::vector<Point>& pts = points_;
+  Rng rng(0x6C0 + pts.size());
+  for (size_t m = 1; m <= 4; ++m) {
+    for (Objective obj : {Objective::kMax, Objective::kSum}) {
+      for (int trial = 0; trial < 5; ++trial) {
+        std::vector<Point> users;
+        for (size_t j = 0; j < m; ++j) {
+          users.push_back({rng.Uniform(-100, 1100), rng.Uniform(-100, 1100)});
+        }
+        const size_t k = static_cast<size_t>(rng.UniformInt(1, 20));
+
+        uint64_t before = internal::tls_rtree_node_accesses;
+        const auto served = FindGnn(&packed_, users, obj, k);
+        const uint64_t served_nodes =
+            internal::tls_rtree_node_accesses - before;
+
+        before = internal::tls_rtree_node_accesses;
+        const auto packed = GnnOver(packed_, users, obj, k);
+        const uint64_t packed_nodes =
+            internal::tls_rtree_node_accesses - before;
+
+        before = internal::tls_rtree_node_accesses;
+        const auto reference = GnnOver(reference_, users, obj, k);
+        const uint64_t reference_nodes =
+            internal::tls_rtree_node_accesses - before;
+
+        // The copy above is GnnCursor's search ...
+        ExpectSameItems(served, packed);
+        EXPECT_EQ(served_nodes, packed_nodes);
+        // ... and it runs identically on both trees.
+        ExpectSameItems(packed, reference);
+        EXPECT_EQ(packed_nodes, reference_nodes)
+            << ObjectiveName(obj) << " m=" << m << " k=" << k;
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Inputs, PackedRTreeTopologyTest,
+                         testing::Values("n1", "n17", "n1000", "n40000",
+                                         "clustered_dups", "stacked"),
+                         [](const testing::TestParamInfo<std::string>& i) {
+                           return i.param;
+                         });
 
 }  // namespace
 }  // namespace mpn

@@ -359,7 +359,7 @@ BudgetRun RunWithBudget(const fuzz::World& w, const fuzz::FuzzPlan& plan,
                         size_t threads, size_t bytes_cap) {
   EngineOptions opt = fuzz::MakeEngineOptions(threads);
   opt.budget.bytes_cap = bytes_cap;
-  Engine engine(&w.pois, w.Index(IndexKind::kDynamic), opt);
+  Engine engine(&w.pois, &w.tree, opt);
   BudgetRun run;
   run.digest = fuzz::Replay(&engine, w, plan);
   run.mem = engine.memory_stats();
@@ -447,12 +447,12 @@ TEST(SessionStoreTest, PerSessionAccessorsMatchUnbudgetedRun) {
   for (fuzz::PlannedSession& s : plan.sessions) s.wave = 0;
 
   EngineOptions base_opt = fuzz::MakeEngineOptions(1);
-  Engine base(&w.pois, w.Index(IndexKind::kDynamic), base_opt);
+  Engine base(&w.pois, &w.tree, base_opt);
   fuzz::Replay(&base, w, plan);
 
   EngineOptions opt = fuzz::MakeEngineOptions(1);
   opt.budget.bytes_cap = 1;
-  Engine budgeted(&w.pois, w.Index(IndexKind::kDynamic), opt);
+  Engine budgeted(&w.pois, &w.tree, opt);
   fuzz::Replay(&budgeted, w, plan);
 
   for (uint32_t id = 0; id < plan.sessions.size(); ++id) {
@@ -508,7 +508,7 @@ TEST(SessionStoreTest, ClusterShardsSpillUnderPerShardBudget) {
   opt.workers = 2;
   opt.engine = fuzz::MakeEngineOptions(1);
   opt.engine.budget.bytes_cap = 1;  // per-shard cap
-  ClusterEngine cluster(&w.pois, w.Index(IndexKind::kDynamic), opt);
+  ClusterEngine cluster(&w.pois, &w.tree, opt);
   const uint64_t digest = fuzz::Replay(&cluster, w, plan);
   EXPECT_EQ(digest, base.digest);
 

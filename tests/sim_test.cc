@@ -16,7 +16,7 @@ const Rect kWorld({0, 0}, {20000, 20000});
 
 struct World {
   std::vector<Point> pois;
-  RTree tree;
+  PackedRTree tree;
   std::vector<Trajectory> trajs;
 };
 
@@ -28,7 +28,7 @@ World MakeWorld(size_t n_pois, size_t n_trajs, size_t timestamps,
   popt.world = kWorld;
   popt.clusters = 12;
   w.pois = GeneratePois(n_pois, popt, &rng);
-  w.tree = RTree::BulkLoad(w.pois);
+  w.tree = PackedRTree::Build(w.pois);
   RandomWalkGenerator::Options wopt;
   wopt.world = kWorld;
   wopt.mean_speed = 60.0;
@@ -162,11 +162,11 @@ TEST(SimulationTest, TileRegionsReduceUpdatesVsCircle) {
   const auto groups = MakeGroups(w.trajs, 3, 3);
   SimOptions circle_opt;
   circle_opt.server.method = Method::kCircle;
-  const SimMetrics circle = RunGroups(w.pois, w.tree, groups, circle_opt);
+  const SimMetrics circle = RunGroups(w.pois, &w.tree, groups, circle_opt);
   SimOptions tile_opt;
   tile_opt.server.method = Method::kTileD;
   tile_opt.server.alpha = 20;
-  const SimMetrics tile = RunGroups(w.pois, w.tree, groups, tile_opt);
+  const SimMetrics tile = RunGroups(w.pois, &w.tree, groups, tile_opt);
   EXPECT_LT(tile.updates, circle.updates);
   EXPECT_LT(tile.comm.TotalPackets(), circle.comm.TotalPackets());
 }

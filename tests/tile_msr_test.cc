@@ -55,7 +55,7 @@ TEST_P(TileSoundnessTest, RegionsKeepOptimumInvariant) {
     const size_t m = 1 + trial % 4;
     const Scenario s = MakeScenario(150, m, 8800 + trial * 31, 800.0);
     const auto hints = RandomHints(m, &rng);
-    const auto result = ComputeTileMsr(s.tree, s.users, tc.obj, config, hints);
+    const auto result = ComputeTileMsr(&s.tree, s.users, tc.obj, config, hints);
     ASSERT_EQ(result.regions.size(), m);
     for (size_t i = 0; i < m; ++i) {
       EXPECT_TRUE(result.regions[i].Contains(s.users[i]))
@@ -101,7 +101,7 @@ TEST(GtVsItTest, GtAcceptanceImpliesItAcceptance) {
     config.alpha = 4;
     config.split_level = 1;
     const auto result =
-        ComputeTileMsr(s.tree, s.users, Objective::kMax, config);
+        ComputeTileMsr(&s.tree, s.users, Objective::kMax, config);
     // Reconstruct TileRegions (skip degenerate circle fallbacks).
     std::vector<TileRegion> regions;
     bool tiles_ok = true;
@@ -142,12 +142,12 @@ TEST(GtVsItTest, GtAcceptanceImpliesItAcceptance) {
 TEST(DivideVerifyTest, SplitsRecoverPartialTiles) {
   // po between two users; a competing point close to one side.
   const std::vector<Point> pois = {{0.0, 0.0}, {3.0, 0.4}};
-  RTree tree = RTree::BulkLoad(pois);
+  const PackedRTree tree = PackedRTree::Build(pois);
   const std::vector<Point> users = {{-2, 0}, {2, 0}};
   TileMsrConfig config;
   config.alpha = 8;
   config.split_level = 2;
-  const auto result = ComputeTileMsr(tree, users, Objective::kMax, config);
+  const auto result = ComputeTileMsr(&tree, users, Objective::kMax, config);
   ASSERT_FALSE(result.regions.empty());
   // With L=2 splits enabled the engine usually admits sub-level tiles; the
   // stats must reflect divide calls beyond level-0 tests.
@@ -159,7 +159,7 @@ TEST(DivideVerifyTest, RespectsSplitLevelZero) {
   TileMsrConfig c0;
   c0.alpha = 6;
   c0.split_level = 0;
-  const auto r0 = ComputeTileMsr(s.tree, s.users, Objective::kMax, c0);
+  const auto r0 = ComputeTileMsr(&s.tree, s.users, Objective::kMax, c0);
   for (const auto& region : r0.regions) {
     if (region.is_circle()) continue;
     for (const GridTile& t : region.tiles().tiles()) {
@@ -173,8 +173,8 @@ TEST(TileMsrTest, TileRegionsContainInscribedSquareOfCircle) {
   // tile regions are never smaller than that square.
   const Scenario s = MakeScenario(200, 3, 11);
   TileMsrConfig config;
-  const auto tiles = ComputeTileMsr(s.tree, s.users, Objective::kMax, config);
-  const auto circles = ComputeCircleMsr(s.tree, s.users, Objective::kMax);
+  const auto tiles = ComputeTileMsr(&s.tree, s.users, Objective::kMax, config);
+  const auto circles = ComputeCircleMsr(&s.tree, s.users, Objective::kMax);
   for (size_t i = 0; i < s.users.size(); ++i) {
     if (tiles.regions[i].is_circle()) continue;
     const Rect inscribed = Circle(s.users[i], circles.rmax).InscribedSquare();
@@ -192,8 +192,8 @@ TEST(TileMsrTest, GrowsBeyondCircleRegions) {
     const Scenario s = MakeScenario(150, 3, 500 + trial);
     TileMsrConfig config;
     config.alpha = 30;
-    const auto t = ComputeTileMsr(s.tree, s.users, Objective::kMax, config);
-    const auto c = ComputeCircleMsr(s.tree, s.users, Objective::kMax);
+    const auto t = ComputeTileMsr(&s.tree, s.users, Objective::kMax, config);
+    const auto c = ComputeCircleMsr(&s.tree, s.users, Objective::kMax);
     if (c.rmax > 1e12) continue;
     for (const auto& r : t.regions) {
       if (r.is_circle()) continue;
@@ -211,8 +211,8 @@ TEST(TileMsrTest, BufferedRegionsAreSubsetsInSpirit) {
   TileMsrConfig config;
   config.buffered = true;
   config.buffer_b = 25;
-  const auto result = ComputeTileMsr(s.tree, s.users, Objective::kMax, config);
-  BufferedCandidateSource source(s.tree, s.users, Objective::kMax,
+  const auto result = ComputeTileMsr(&s.tree, s.users, Objective::kMax, config);
+  BufferedCandidateSource source(&s.tree, s.users, Objective::kMax,
                                  config.buffer_b);
   const double beta_b = source.Beta(config.buffer_b);
   for (size_t i = 0; i < s.users.size(); ++i) {
@@ -226,9 +226,9 @@ TEST(TileMsrTest, BufferedRegionsAreSubsetsInSpirit) {
 TEST(TileMsrTest, DegenerateTiedOptimaFallBackToCircles) {
   // Two POIs equidistant from the single user: rmax = 0, no tile fits.
   const std::vector<Point> pois = {{1, 0}, {-1, 0}};
-  RTree tree = RTree::BulkLoad(pois);
+  const PackedRTree tree = PackedRTree::Build(pois);
   const auto result =
-      ComputeTileMsr(tree, {{0, 0}}, Objective::kMax, TileMsrConfig{});
+      ComputeTileMsr(&tree, {{0, 0}}, Objective::kMax, TileMsrConfig{});
   ASSERT_EQ(result.regions.size(), 1u);
   EXPECT_TRUE(result.regions[0].is_circle());
   EXPECT_DOUBLE_EQ(result.regions[0].circle().radius, 0.0);
@@ -236,9 +236,9 @@ TEST(TileMsrTest, DegenerateTiedOptimaFallBackToCircles) {
 
 TEST(TileMsrTest, SinglePoiFallsBackToUnboundedCircle) {
   const std::vector<Point> pois = {{4, 4}};
-  RTree tree = RTree::BulkLoad(pois);
+  const PackedRTree tree = PackedRTree::Build(pois);
   const auto result =
-      ComputeTileMsr(tree, {{0, 0}, {5, 5}}, Objective::kMax, TileMsrConfig{});
+      ComputeTileMsr(&tree, {{0, 0}, {5, 5}}, Objective::kMax, TileMsrConfig{});
   for (const auto& r : result.regions) {
     EXPECT_TRUE(r.is_circle());
     EXPECT_GT(r.circle().radius, 1e12);
@@ -252,7 +252,7 @@ TEST(TileMsrTest, AlphaBoundsTileCount) {
     config.alpha = alpha;
     config.split_level = 0;  // one insert per round at most
     const auto result =
-        ComputeTileMsr(s.tree, s.users, Objective::kMax, config);
+        ComputeTileMsr(&s.tree, s.users, Objective::kMax, config);
     for (const auto& r : result.regions) {
       if (r.is_circle()) continue;
       // initial tile + at most alpha successful rounds
@@ -272,7 +272,7 @@ TEST(TileMsrTest, DirectedOrderingBiasesGrowthTowardHeading) {
   hints[0].heading = 0.0;  // east
   hints[0].theta = 0.6;
   const auto result =
-      ComputeTileMsr(s.tree, s.users, Objective::kMax, config, hints);
+      ComputeTileMsr(&s.tree, s.users, Objective::kMax, config, hints);
   if (!result.regions[0].is_circle()) {
     const Rect b = result.regions[0].tiles().Bounds();
     const double east = b.hi.x - s.users[0].x;
@@ -284,7 +284,7 @@ TEST(TileMsrTest, DirectedOrderingBiasesGrowthTowardHeading) {
 TEST(TileMsrTest, StatsArePopulated) {
   const Scenario s = MakeScenario(150, 3, 321);
   TileMsrConfig config;
-  const auto result = ComputeTileMsr(s.tree, s.users, Objective::kMax, config);
+  const auto result = ComputeTileMsr(&s.tree, s.users, Objective::kMax, config);
   EXPECT_GT(result.stats.divide_calls, 0u);
   EXPECT_GT(result.stats.tiles_added, 0u);
   EXPECT_GT(result.stats.candidates.retrievals, 0u);
@@ -295,8 +295,8 @@ TEST(TileMsrTest, DeterministicAcrossCalls) {
   const Scenario s = MakeScenario(200, 3, 8);
   TileMsrConfig config;
   config.directed = false;
-  const auto a = ComputeTileMsr(s.tree, s.users, Objective::kMax, config);
-  const auto b = ComputeTileMsr(s.tree, s.users, Objective::kMax, config);
+  const auto a = ComputeTileMsr(&s.tree, s.users, Objective::kMax, config);
+  const auto b = ComputeTileMsr(&s.tree, s.users, Objective::kMax, config);
   EXPECT_EQ(a.po_id, b.po_id);
   ASSERT_EQ(a.regions.size(), b.regions.size());
   for (size_t i = 0; i < a.regions.size(); ++i) {
@@ -348,7 +348,7 @@ Scenario RingWorld(const Point& center) {
     s.pois.push_back(center + UnitFromAngle(k * 3.14159265358979 / 24) * 20.0);
   }
   s.users = {center + Point{-0.5, 0.1}, center + Point{0.5, -0.1}};
-  s.tree = RTree::BulkLoad(s.pois);
+  s.tree = PackedRTree::Build(s.pois);
   return s;
 }
 
@@ -366,10 +366,10 @@ TEST(MsrScratchTest, ReusedScratchMatchesFreshScratch) {
                          const std::string& what) {
     config.scratch = &shared;
     const MsrResult reused =
-        ComputeTileMsr(s.tree, s.users, obj, config, hints);
+        ComputeTileMsr(&s.tree, s.users, obj, config, hints);
     config.scratch = nullptr;
     const MsrResult fresh =
-        ComputeTileMsr(s.tree, s.users, obj, config, hints);
+        ComputeTileMsr(&s.tree, s.users, obj, config, hints);
     ExpectSameResult(reused, fresh, what);
     return fresh;
   };
