@@ -109,10 +109,9 @@ uint32_t Engine::AdmitSession(std::vector<const Trajectory*> group,
   auto record = std::make_unique<SessionRecord>(id, std::move(group), tuning,
                                                 std::move(session));
   SessionRecord* r = table_->Insert(std::move(record));
+  // Schedules and charges the new session (a zero-horizon one finalizes
+  // and compacts inside Admit instead); then evict whatever no longer fits.
   scheduler_->Admit(r);
-  // Charge the new session (a zero-horizon one already finalized and
-  // compacted inside Admit) and evict whatever no longer fits.
-  store_->OnAdmit(r);
   store_->Rebalance();
   return id;
 }

@@ -24,9 +24,10 @@ void Scheduler::Start() {
 }
 
 void Scheduler::Admit(SessionRecord* r) {
-  if (!started()) return;  // Start() schedules pre-start admissions
   std::lock_guard<std::mutex> lock(r->mu);
-  ScheduleNextLocked(r);
+  ScheduleNextLocked(r);  // no-op before Start, which schedules it then
+  // Charge the session before its first event, posted above, can run.
+  if (store_ != nullptr) store_->AccountLocked(r);
 }
 
 void Scheduler::WaitIdle(bool ignore_holds) {
@@ -176,11 +177,14 @@ void Scheduler::RunEvent(SessionRecord* r) {
     r->event_running = false;
     if (post_job) r->job_running = true;
     ScheduleNextLocked(r);
+    // Re-account the (grown) session while the next event, posted above,
+    // still waits for r->mu: after a violation that event is a buffer
+    // tick, which advances the very clients the estimate reads.
+    if (store_ != nullptr) store_->AccountLocked(r);
   }
   if (post_job) PostJob(r, std::move(snap));
-  // Re-account the (grown) session and spill whatever the budget no
-  // longer covers. After the flags settle, outside every lock.
-  if (store_ != nullptr) store_->OnEventDone(r);
+  // Spill whatever the budget no longer covers, outside every lock.
+  if (store_ != nullptr) store_->Rebalance();
   SubOutstanding();
 }
 

@@ -60,9 +60,10 @@ class Scheduler {
   /// synchronization). SIZE_MAX (the default) disables the hook.
   void set_crash_at_timestamp(size_t t) { crash_at_timestamp_ = t; }
 
-  /// Wires the engine's session store: RunEvent rehydrates spilled
-  /// sessions through it and re-accounts/rebalances after every event,
-  /// and finalization compacts through it. Must be set before Start.
+  /// Wires the engine's session store: Admit charges new sessions to it,
+  /// RunEvent rehydrates spilled sessions through it and re-accounts/
+  /// rebalances after every event, and finalization compacts through it.
+  /// Must be set before the first Admit or Start.
   void set_store(SessionStore* store) { store_ = store; }
 
   /// Switches the ready ordering from time-major (t, id) to id-major
@@ -86,8 +87,10 @@ class Scheduler {
   }
 
   /// Schedules a freshly admitted session's first event (no-op before
-  /// Start — Start picks it up). Finalizes already-done (zero-horizon)
-  /// sessions immediately.
+  /// Start — Start picks it up) and charges the session to the store under
+  /// the same lock, before that event can run. Finalizes already-done
+  /// (zero-horizon) sessions immediately. The caller rebalances the store
+  /// afterwards.
   void Admit(SessionRecord* record);
 
   /// Blocks until no events or jobs are queued/running and no holds are

@@ -58,33 +58,16 @@ void SessionStore::EraseActiveLocked(SessionRecord* r) {
   r->store_key = kNoKey;
 }
 
-void SessionStore::OnAdmit(SessionRecord* r) {
-  std::lock_guard<std::mutex> rl(r->mu);
-  // A zero-horizon session may already have finalized (and compacted)
-  // inside Scheduler::Admit — compaction did the accounting then.
+void SessionStore::AccountLocked(SessionRecord* r) {
   if (r->finalized || r->spilled || r->session == nullptr) return;
   const size_t est = r->session->StateBytesEstimate();
   const size_t next_t = r->session->next_timestamp();
   std::lock_guard<std::mutex> sl(mu_);
   SetAccountedLocked(r, est);
-  if (enabled()) InsertActiveLocked(r, next_t);
-}
-
-void SessionStore::OnEventDone(SessionRecord* r) {
-  {
-    std::lock_guard<std::mutex> rl(r->mu);
-    if (!r->finalized && !r->spilled && r->session != nullptr) {
-      const size_t est = r->session->StateBytesEstimate();
-      const size_t next_t = r->session->next_timestamp();
-      std::lock_guard<std::mutex> sl(mu_);
-      SetAccountedLocked(r, est);
-      if (enabled()) {
-        EraseActiveLocked(r);
-        if (!r->accessor_pinned) InsertActiveLocked(r, next_t);
-      }
-    }
+  if (enabled()) {
+    EraseActiveLocked(r);
+    if (!r->accessor_pinned) InsertActiveLocked(r, next_t);
   }
-  Rebalance();
 }
 
 void SessionStore::CompactFinalizedLocked(SessionRecord* r) {
@@ -201,7 +184,7 @@ void SessionStore::Rebalance() {
         active_.erase(it);
       } else {
         // Everything resident is pinned or mid-event: the cap is
-        // best-effort until those sessions come back through OnEventDone.
+        // best-effort until those sessions' events re-account them.
         return;
       }
     }
@@ -230,7 +213,8 @@ void SessionStore::SpillIfEligibleLocked(SessionRecord* r) {
     EncodeLiveSession(state, &buf);
     r->session.reset();
   } else {
-    // Popped but no longer eligible; it re-registers via OnEventDone.
+    // Popped but no longer eligible; it re-registers via AccountLocked
+    // after its next event.
     return;
   }
   r->spilled = true;

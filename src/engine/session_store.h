@@ -70,15 +70,14 @@ class SessionStore {
   /// compaction runs regardless.
   bool enabled() const { return budget_.bytes_cap > 0; }
 
-  /// Registers a freshly admitted record: charges its resident estimate
-  /// and makes it a spill candidate. Locks record->mu itself. The caller
-  /// follows up with Rebalance() once outside all locks.
-  void OnAdmit(SessionRecord* r);
-
-  /// Re-accounts a record after one of its events ran (state grew, clock
-  /// advanced, possibly finalized) and rebalances against the budget.
-  /// Locks record->mu itself; call with no locks held.
-  void OnEventDone(SessionRecord* r);
+  /// Charges a resident live record's current estimate and re-keys it as
+  /// a spill candidate: on admission, and after each of its events (state
+  /// grew, clock advanced). No-op for finalized or spilled records —
+  /// compaction and spilling did their accounting. Caller holds r->mu in
+  /// the same critical section that posted the record's next event, so
+  /// that event cannot run while the session is read. The caller follows
+  /// up with Rebalance() once outside all locks.
+  void AccountLocked(SessionRecord* r);
 
   /// Destroys a finalized record's GroupSession, keeping only its
   /// SessionFinalResult. Caller holds r->mu (the scheduler's finalize
@@ -120,7 +119,7 @@ class SessionStore {
 
   /// Spills `r` if it is still eligible (r->mu held; it was popped from
   /// the candidate structures already). Ineligible records are left
-  /// resident — they re-register via OnEventDone.
+  /// resident — they re-register via AccountLocked after their next event.
   void SpillIfEligibleLocked(SessionRecord* r);
 
   /// Spill-file extent management (store mutex held for alloc/free; the

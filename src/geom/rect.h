@@ -112,10 +112,13 @@ struct Rect {
   }
 
   /// ||p, R||_max: distance from p to the farthest point of the rectangle.
-  double MaxDist(const Point& p) const {
+  double MaxDist(const Point& p) const { return std::sqrt(MaxDist2(p)); }
+
+  /// Squared ||p, R||_max.
+  double MaxDist2(const Point& p) const {
     const double dx = std::max(p.x - lo.x, hi.x - p.x);
     const double dy = std::max(p.y - lo.y, hi.y - p.y);
-    return std::sqrt(dx * dx + dy * dy);
+    return dx * dx + dy * dy;
   }
 
   /// Corner by index (0: lo-lo, 1: hi-lo, 2: hi-hi, 3: lo-hi).

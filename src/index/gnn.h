@@ -3,14 +3,15 @@
 // Implements the MAX-GNN and SUM-GNN queries of Papadias et al. (ICDE 2004),
 // which the paper uses as FindMaxGNN / FindSumGNN in Algorithm 1 and in the
 // buffering optimization (Section 5.4 needs the best b+1 group nearest
-// neighbors). The search is an incremental best-first traversal whose
-// priority key for an index node is the aggregate of per-user MINDIST lower
-// bounds, so results stream out in exact aggregate-distance order.
+// neighbors). FindGnn is a best-first traversal whose priority key for an
+// index node is the aggregate of per-user MINDIST lower bounds, bounded by
+// the k-th result: it never queues an entry that could only pop after the
+// k-th result (docs/ARCHITECTURE.md §1), so it reads exactly the nodes an
+// unbounded best-first search reads before its k-th pop.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <optional>
-#include <queue>
 #include <vector>
 
 #include "index/packed_rtree.h"
@@ -33,52 +34,33 @@ double AggDist(const Point& p, const std::vector<Point>& users, Objective obj);
 double AggMinDist(const Rect& mbr, const std::vector<Point>& users,
                   Objective obj);
 
-/// Incremental best-first GNN cursor: Next() yields POIs in non-decreasing
-/// aggregate distance order, ties broken by id (deterministic).
-class GnnCursor {
- public:
-  /// A result point with its aggregate distance.
-  struct Item {
-    uint32_t id = 0;
-    Point p;
-    double agg = 0.0;
-  };
+/// Upper bound of the aggregate distance for any point inside `mbr`:
+/// AggDist(p) <= AggMaxDist(mbr) holds exactly in floating point for every
+/// p in mbr (each per-axis term of Rect::MaxDist dominates |p - u| under
+/// correct rounding, and max, + and sqrt are monotone).
+double AggMaxDist(const Rect& mbr, const std::vector<Point>& users,
+                  Objective obj);
 
-  /// The indexed tree must outlive the cursor. `users` is copied.
-  GnnCursor(const PackedRTree* tree, std::vector<Point> users, Objective obj);
-
-  /// Next best POI, or nullopt when exhausted.
-  std::optional<Item> Next();
-
- private:
-  struct Entry {
-    double key;
-    bool is_point;
-    int32_t node;
-    uint32_t id;
-    Point p;
-    bool operator>(const Entry& o) const {
-      if (key != o.key) return key > o.key;
-      if (is_point != o.is_point) return is_point && !o.is_point;
-      return id > o.id;
-    }
-  };
-
-  const PackedRTree* tree_;
-  std::vector<Point> users_;
-  Objective obj_;
-  std::priority_queue<Entry, std::vector<Entry>, std::greater<Entry>> heap_;
+/// A result point with its aggregate distance.
+struct GnnItem {
+  uint32_t id = 0;
+  Point p;
+  double agg = 0.0;
 };
 
-/// Top-k aggregate nearest neighbors, best first. Returns fewer than k when
-/// the dataset is smaller.
-std::vector<GnnCursor::Item> FindGnn(const PackedRTree* tree,
-                                     const std::vector<Point>& users,
-                                     Objective obj, size_t k);
+/// Top-k aggregate nearest neighbors: the k smallest (agg, id) pairs, best
+/// first. Returns fewer than k when the dataset is smaller. Reads exactly
+/// the nodes whose key is at most the k-th result's (all nodes when the
+/// dataset is smaller than k), so the node-access counter is a function of
+/// the tree, the users and k. Allocates only the result vector; the search
+/// heap lives in per-thread storage.
+std::vector<GnnItem> FindGnn(const PackedRTree* tree,
+                             const std::vector<Point>& users, Objective obj,
+                             size_t k);
 
 /// Brute-force reference (O(n*m)); used for validation and tiny inputs.
-std::vector<GnnCursor::Item> FindGnnBruteForce(
-    const std::vector<Point>& pois, const std::vector<Point>& users,
-    Objective obj, size_t k);
+std::vector<GnnItem> FindGnnBruteForce(const std::vector<Point>& pois,
+                                       const std::vector<Point>& users,
+                                       Objective obj, size_t k);
 
 }  // namespace mpn

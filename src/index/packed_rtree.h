@@ -2,8 +2,9 @@
 //
 // This is the index the paper assumes over the static POI set P (Section
 // 3.1). It serves two query shapes: the pruned Traverse behind the
-// Theorem-3/6 candidate retrieval (mpn/candidates.cc) and the best-first
-// cursor primitives behind the group-nearest-neighbor search (index/gnn.h).
+// Theorem-3/6 candidate retrieval (mpn/candidates.cc) and the node-access
+// primitives behind the bounded best-first group-nearest-neighbor search
+// (index/gnn.h).
 //
 // Shape. Build is sort-tile-recursive at every level:
 //  * Leaves: the points are sorted by (x, y, id), cut into ceil(sqrt(L))
@@ -137,7 +138,8 @@ class PackedRTree {
   }
 
   // Low-level node access for best-first searches (index/gnn.h). Node
-  // handles are int32 ids; -1 means "no node".
+  // handles are int32 ids; -1 means "no node". Point slots are positions
+  // in the leaf-order payload, [0, size()).
 
   /// Root node handle; -1 when empty.
   int32_t root() const { return root_; }
@@ -145,27 +147,32 @@ class PackedRTree {
   /// True when the handle refers to a leaf.
   bool IsLeafNode(int32_t node) const { return node < leaf_count_; }
 
-  /// Visits (child_handle, child_mbr) pairs of an internal node, in order.
+  /// Visits (child_handle, child_mbr, child_entry_count) of an internal
+  /// node, in order. A leaf child's entry count is its number of points.
   template <typename Fn>
   void ForEachChild(int32_t node, Fn&& fn) const {
     ++internal::tls_rtree_node_accesses;
     MPN_DCHECK(!IsLeafNode(node));
     const Node& n = nodes_[node];
     for (int32_t i = n.first; i < n.first + n.count; ++i) {
-      fn(i, nodes_[i].mbr);
+      fn(i, nodes_[i].mbr, nodes_[i].count);
     }
   }
 
-  /// Visits (point, id) pairs of a leaf node, in order.
+  /// Visits (point, id, slot) of a leaf node, in order.
   template <typename Fn>
   void ForEachLeafEntry(int32_t node, Fn&& fn) const {
     ++internal::tls_rtree_node_accesses;
     MPN_DCHECK(IsLeafNode(node));
     const Node& n = nodes_[node];
     for (int32_t i = n.first; i < n.first + n.count; ++i) {
-      fn(points_[i], ids_[i]);
+      fn(points_[i], ids_[i], i);
     }
   }
+
+  /// The point stored in `slot`. Not a node access: the search reading it
+  /// has already counted the slot's leaf.
+  const Point& PointAt(int32_t slot) const { return points_[slot]; }
 
   /// Cumulative count of node visits across all queries issued by the
   /// calling thread (profiling aid for the buffering experiments,

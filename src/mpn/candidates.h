@@ -186,7 +186,7 @@ class BufferedCandidateSource : public CandidateSource {
                      const Rect& s, std::vector<Candidate>* out) override;
 
   /// The optimum (first buffered GNN).
-  const GnnCursor::Item& best() const { return buffer_.front(); }
+  const GnnItem& best() const { return buffer_.front(); }
 
   /// Distance threshold of slot z (1-based); +inf past the dataset end.
   double Beta(int z) const;
@@ -197,8 +197,8 @@ class BufferedCandidateSource : public CandidateSource {
  private:
   std::vector<Point> users_;
   Objective obj_;
-  std::vector<GnnCursor::Item> buffer_;  // best b+1 GNNs (or fewer)
-  std::vector<double> betas_;            // betas_[z-1] = beta_z, z = 1..b
+  std::vector<GnnItem> buffer_;  // best b+1 GNNs (or fewer)
+  std::vector<double> betas_;    // betas_[z-1] = beta_z, z = 1..b
   RegionBounds region_bounds_;
 };
 

@@ -1,7 +1,8 @@
 // Group nearest neighbor (MAX/SUM-GNN) tests: aggregate distance math,
-// best-first search vs brute force, incremental cursor ordering.
+// bounded best-first search vs brute force, full-depth ordering.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "index/gnn.h"
@@ -44,6 +45,50 @@ TEST(AggDistTest, MbrLowerBoundIsValid) {
         const Point p{rng.Uniform(mbr.lo.x, mbr.hi.x),
                       rng.Uniform(mbr.lo.y, mbr.hi.y)};
         EXPECT_LE(lb, AggDist(p, users, obj) + 1e-9);
+      }
+    }
+  }
+}
+
+TEST(AggDistTest, MbrUpperBoundAndOneRootAreExact) {
+  // FindGnn prunes with a leaf's AggMaxDist and compares keys bit for bit,
+  // so the bounds must hold with no tolerance, on the MBR's corners and
+  // edges too, and a MAX aggregate's one root must equal the per-user fold.
+  Rng rng(4);
+  for (int trial = 0; trial < 100; ++trial) {
+    std::vector<Point> users;
+    const int m = static_cast<int>(rng.UniformInt(1, 6));
+    for (int i = 0; i < m; ++i) {
+      users.push_back({rng.Uniform(-100, 100), rng.Uniform(-100, 100)});
+    }
+    const Point lo{rng.Uniform(-100, 100), rng.Uniform(-100, 100)};
+    const Rect mbr(lo, {lo.x + rng.Uniform(0, 50), lo.y + rng.Uniform(0, 50)});
+    for (Objective obj : {Objective::kMax, Objective::kSum}) {
+      const double lb = AggMinDist(mbr, users, obj);
+      const double ub = AggMaxDist(mbr, users, obj);
+      for (int s = 0; s < 40; ++s) {
+        // The corners, then uniform samples, some moved onto an edge.
+        Point p = mbr.Corner(s);
+        if (s >= 4) {
+          p.x = std::min(rng.Uniform(mbr.lo.x, mbr.hi.x), mbr.hi.x);
+          p.y = std::min(rng.Uniform(mbr.lo.y, mbr.hi.y), mbr.hi.y);
+          if (s % 4 == 1) p.x = mbr.lo.x;
+          if (s % 4 == 2) p.y = mbr.hi.y;
+        }
+        const double agg = AggDist(p, users, obj);
+        EXPECT_LE(lb, agg);
+        EXPECT_LE(agg, ub);
+      }
+      double max_dist = 0.0, max_min = 0.0, max_max = 0.0;
+      for (const Point& u : users) {
+        max_dist = std::max(max_dist, Dist(mbr.lo, u));
+        max_min = std::max(max_min, mbr.MinDist(u));
+        max_max = std::max(max_max, mbr.MaxDist(u));
+      }
+      if (obj == Objective::kMax) {
+        EXPECT_EQ(AggDist(mbr.lo, users, obj), max_dist);
+        EXPECT_EQ(lb, max_min);
+        EXPECT_EQ(ub, max_max);
       }
     }
   }
@@ -108,25 +153,40 @@ TEST(GnnTest, CursorStreamsInNonDecreasingOrder) {
   const PackedRTree tree = PackedRTree::Build(pois);
   const std::vector<Point> users = {{100, 100}, {900, 200}, {400, 800}};
   for (Objective obj : {Objective::kMax, Objective::kSum}) {
-    GnnCursor cursor(&tree, users, obj);
-    double prev = -1.0;
-    size_t count = 0;
-    while (auto item = cursor.Next()) {
-      EXPECT_GE(item->agg, prev - 1e-12);
-      prev = item->agg;
-      ++count;
+    // k = n: the whole dataset, in (agg, id) order.
+    const auto all = FindGnn(&tree, users, obj, pois.size());
+    ASSERT_EQ(all.size(), pois.size());
+    std::vector<bool> seen(pois.size(), false);
+    for (size_t i = 0; i < all.size(); ++i) {
+      if (i > 0) {
+        const GnnItem& prev = all[i - 1];
+        EXPECT_TRUE(prev.agg < all[i].agg ||
+                    (prev.agg == all[i].agg && prev.id < all[i].id))
+            << "rank " << i;
+      }
+      ASSERT_LT(all[i].id, pois.size());
+      EXPECT_FALSE(seen[all[i].id]) << "id " << all[i].id;  // once each
+      seen[all[i].id] = true;
+      EXPECT_EQ(all[i].p, pois[all[i].id]);
+      EXPECT_EQ(all[i].agg, AggDist(pois[all[i].id], users, obj));
     }
-    EXPECT_EQ(count, pois.size());  // exhausts the whole dataset exactly once
   }
 }
 
 TEST(GnnTest, CursorExhaustsAndReturnsNullopt) {
   const auto pois = RandomPoints(10, 5);
   const PackedRTree tree = PackedRTree::Build(pois);
-  GnnCursor cursor(&tree, {{0, 0}}, Objective::kMax);
-  for (int i = 0; i < 10; ++i) EXPECT_TRUE(cursor.Next().has_value());
-  EXPECT_FALSE(cursor.Next().has_value());
-  EXPECT_FALSE(cursor.Next().has_value());
+  // k = n + 1: the search runs out of points and returns all n, exactly as
+  // the brute force ranks them.
+  const auto got = FindGnn(&tree, {{0, 0}}, Objective::kMax, 11);
+  const auto want = FindGnnBruteForce(pois, {{0, 0}}, Objective::kMax, 11);
+  ASSERT_EQ(got.size(), 10u);
+  ASSERT_EQ(want.size(), 10u);
+  for (size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].id, want[i].id) << "rank " << i;
+    EXPECT_EQ(got[i].agg, want[i].agg) << "rank " << i;
+  }
+  EXPECT_TRUE(FindGnn(&tree, {{0, 0}}, Objective::kMax, 0).empty());
 }
 
 TEST(GnnTest, SingleUserEqualsKnn) {
@@ -134,7 +194,7 @@ TEST(GnnTest, SingleUserEqualsKnn) {
   const PackedRTree tree = PackedRTree::Build(pois);
   const Point q{333, 444};
   // With one user both objectives reduce to the distance to q, so the
-  // cursor is a k-NN search and must match the exhaustive (dist, id) order.
+  // search is a k-NN search and must match the exhaustive (dist, id) order.
   const auto knn = FindGnnBruteForce(pois, {q}, Objective::kMax, 15);
   const auto gnn = FindGnn(&tree, {q}, Objective::kMax, 15);
   ASSERT_EQ(knn.size(), gnn.size());

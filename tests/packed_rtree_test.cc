@@ -2,12 +2,13 @@
 // layout invariants around the fanout, and range and circle retrieval
 // against brute force. The topology suite checks that PackedRTree::Build
 // builds the same tree as the reference STR tree (reference_rtree.h). Both
-// trees must have the same height and the same nodes per level, and every
-// pruned Traverse and every GNN search must return the same ids in the
-// same order after the same number of node accesses; the Traverse results
-// must also match brute force. This is what keeps the reproduced
-// node-access counters (fig16/fig19) and every result digest fixed. Query
-// semantics across sizes are covered in rtree_test.cc.
+// trees must have the same height and the same nodes per level, every
+// pruned Traverse must return the same ids in the same order after the
+// same number of node accesses, and FindGnn must return what the unbounded
+// best-first search it replaced returns on the reference tree, after the
+// same node accesses; both must also match brute force. This is what keeps
+// the reproduced node-access counters (fig16/fig19) and every result
+// digest fixed. Query semantics across sizes are covered in rtree_test.cc.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -103,7 +104,7 @@ std::vector<size_t> LevelSizes(const Tree& tree) {
     std::vector<int32_t> next;
     for (int32_t node : level) {
       if (tree.IsLeafNode(node)) continue;
-      tree.ForEachChild(node, [&](int32_t child, const Rect&) {
+      tree.ForEachChild(node, [&](int32_t child, const Rect&, auto...) {
         next.push_back(child);
       });
     }
@@ -200,12 +201,34 @@ TraverseLog RunTraverse(const Tree& tree, const PrunedQuery& q) {
   return log;
 }
 
-/// GnnCursor's best-first search over any tree with the cursor
-/// primitives: same heap order (key, nodes before points, id), same keys.
-template <typename Tree>
-std::vector<GnnCursor::Item> GnnOver(const Tree& tree,
-                                     const std::vector<Point>& users,
-                                     Objective obj, size_t k) {
+/// The aggregate distances as the unbounded search computed them: one
+/// square root per user, for MAX as well.
+double PerUserAggDist(const Point& p, const std::vector<Point>& users,
+                      Objective obj) {
+  double d = 0.0;
+  for (const Point& u : users) {
+    const double du = Dist(p, u);
+    d = obj == Objective::kMax ? std::max(d, du) : d + du;
+  }
+  return d;
+}
+
+double PerUserAggMinDist(const Rect& mbr, const std::vector<Point>& users,
+                         Objective obj) {
+  double d = 0.0;
+  for (const Point& u : users) {
+    const double du = mbr.MinDist(u);
+    d = obj == Objective::kMax ? std::max(d, du) : d + du;
+  }
+  return d;
+}
+
+/// The unbounded best-first GNN search FindGnn replaced, over the
+/// reference tree: every child and every leaf entry is queued, and the
+/// heap pops by (key, nodes before points, id) until the k-th point.
+std::vector<GnnItem> GnnOver(const reference::RTree& tree,
+                             const std::vector<Point>& users, Objective obj,
+                             size_t k) {
   struct Entry {
     double key;
     bool is_point;
@@ -220,7 +243,7 @@ std::vector<GnnCursor::Item> GnnOver(const Tree& tree,
   };
   std::priority_queue<Entry, std::vector<Entry>, std::greater<Entry>> heap;
   if (tree.root() >= 0) heap.push({0.0, false, tree.root(), 0, Point{}});
-  std::vector<GnnCursor::Item> out;
+  std::vector<GnnItem> out;
   while (!heap.empty() && out.size() < k) {
     const Entry e = heap.top();
     heap.pop();
@@ -228,23 +251,25 @@ std::vector<GnnCursor::Item> GnnOver(const Tree& tree,
       out.push_back({e.id, e.p, e.key});
     } else if (tree.IsLeafNode(e.node)) {
       tree.ForEachLeafEntry(e.node, [&](const Point& p, uint32_t id) {
-        heap.push({AggDist(p, users, obj), true, -1, id, p});
+        heap.push({PerUserAggDist(p, users, obj), true, -1, id, p});
       });
     } else {
       tree.ForEachChild(e.node, [&](int32_t child, const Rect& mbr) {
-        heap.push({AggMinDist(mbr, users, obj), false, child, 0, Point{}});
+        const double key = PerUserAggMinDist(mbr, users, obj);
+        heap.push({key, false, child, 0, Point{}});
       });
     }
   }
   return out;
 }
 
-void ExpectSameItems(const std::vector<GnnCursor::Item>& a,
-                     const std::vector<GnnCursor::Item>& b) {
+void ExpectSameItems(const std::vector<GnnItem>& a,
+                     const std::vector<GnnItem>& b) {
   ASSERT_EQ(a.size(), b.size());
   for (size_t i = 0; i < a.size(); ++i) {
     EXPECT_EQ(a[i].id, b[i].id) << "rank " << i;
     EXPECT_EQ(a[i].agg, b[i].agg) << "rank " << i;
+    EXPECT_EQ(a[i].p, b[i].p) << "rank " << i;
   }
 }
 
@@ -400,35 +425,35 @@ TEST_P(PackedRTreeTopologyTest, GnnMatchesReference) {
   Rng rng(0x6C0 + pts.size());
   for (size_t m = 1; m <= 4; ++m) {
     for (Objective obj : {Objective::kMax, Objective::kSum}) {
+      SCOPED_TRACE(ObjectiveName(obj));
       for (int trial = 0; trial < 5; ++trial) {
         std::vector<Point> users;
         for (size_t j = 0; j < m; ++j) {
           users.push_back({rng.Uniform(-100, 1100), rng.Uniform(-100, 1100)});
         }
-        const size_t k = static_cast<size_t>(rng.UniformInt(1, 20));
+        // A drawn depth up to 20, then the Tile-D-b buffer depths b + 1 of
+        // fig16/fig19. Past kFanout only the k-best bound prunes.
+        const size_t drawn = static_cast<size_t>(rng.UniformInt(1, 20));
+        const std::vector<size_t> depths = {drawn, 6, 11, 26, 51, 101, 201};
+        for (size_t k : depths) {
+          SCOPED_TRACE(testing::Message() << "m=" << m << " k=" << k);
+          uint64_t before = internal::tls_rtree_node_accesses;
+          const auto served = FindGnn(&packed_, users, obj, k);
+          const uint64_t served_nodes =
+              internal::tls_rtree_node_accesses - before;
 
-        uint64_t before = internal::tls_rtree_node_accesses;
-        const auto served = FindGnn(&packed_, users, obj, k);
-        const uint64_t served_nodes =
-            internal::tls_rtree_node_accesses - before;
+          before = internal::tls_rtree_node_accesses;
+          const auto reference = GnnOver(reference_, users, obj, k);
+          const uint64_t reference_nodes =
+              internal::tls_rtree_node_accesses - before;
 
-        before = internal::tls_rtree_node_accesses;
-        const auto packed = GnnOver(packed_, users, obj, k);
-        const uint64_t packed_nodes =
-            internal::tls_rtree_node_accesses - before;
-
-        before = internal::tls_rtree_node_accesses;
-        const auto reference = GnnOver(reference_, users, obj, k);
-        const uint64_t reference_nodes =
-            internal::tls_rtree_node_accesses - before;
-
-        // The copy above is GnnCursor's search ...
-        ExpectSameItems(served, packed);
-        EXPECT_EQ(served_nodes, packed_nodes);
-        // ... and it runs identically on both trees.
-        ExpectSameItems(packed, reference);
-        EXPECT_EQ(packed_nodes, reference_nodes)
-            << ObjectiveName(obj) << " m=" << m << " k=" << k;
+          // The bounded search returns what the unbounded one does, after
+          // the same node accesses ...
+          ExpectSameItems(served, reference);
+          EXPECT_EQ(served_nodes, reference_nodes);
+          // ... and that is the k smallest (agg, id) of the whole input.
+          ExpectSameItems(served, FindGnnBruteForce(pts, users, obj, k));
+        }
       }
     }
   }

@@ -1,6 +1,7 @@
 // Test-only reference for the packed R-tree's shape: a pointer-based
 // R-tree with per-node heap vectors, STR bulk-loaded level by level as
-// below, with the same traversal and cursor primitives as PackedRTree.
+// below, with PackedRTree's traversal and node-access primitives (minus
+// the child entry counts and point slots PackedRTree's callbacks add).
 // PackedRTree::Build must reproduce this tree — height, nodes per level,
 // child order — so that every traversal visits the same nodes in the same
 // order (packed_rtree_test.cc); the benches' node-access counters and the
