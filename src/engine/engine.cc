@@ -2,6 +2,7 @@
 
 #include <cstdlib>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "engine/digest.h"
@@ -151,6 +152,8 @@ void Engine::Wait() {
     throw std::logic_error("Engine::Wait before Run/Start");
   }
   scheduler_->WaitIdle();
+  const std::string error = scheduler_->error();
+  if (!error.empty()) throw std::runtime_error(error);
   RebuildRoundStats();
 }
 

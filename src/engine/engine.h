@@ -171,6 +171,12 @@ class Engine {
   /// after Wait() returns and drained by another Wait(), so a worker built
   /// on the engine is a long-lived server rather than a one-shot drain.
   /// Results (digest, metrics, stats) are valid after every Wait().
+  ///
+  /// If a session event or recomputation threw (a spill file that cannot
+  /// be created or written, a spilled snapshot that does not decode), the
+  /// other sessions still drain, and then this throws std::runtime_error
+  /// naming the first failing session — and so does every later Wait().
+  /// The destructor never throws.
   void Wait();
 
   /// Wait() + permanently stop serving: AdmitSession afterwards is a hard

@@ -104,23 +104,57 @@ std::string WireReader::GetString() {
   return s;
 }
 
-uint32_t Crc32(const uint8_t* data, size_t n) {
-  // Table-driven reflected CRC32 (IEEE 802.3). The table is built once;
-  // function-local static init is thread-safe.
-  static const auto* table = [] {
-    auto* t = new uint32_t[256];
+namespace {
+
+/// Slice-by-8 tables for the reflected IEEE 802.3 polynomial: t[0] is the
+/// classic byte-at-a-time table, and t[k][b] is t[k-1][b] advanced by one
+/// more zero byte, so eight lookups fold eight input bytes at once.
+struct Crc32Tables {
+  uint32_t t[8][256];
+  Crc32Tables() {
     for (uint32_t i = 0; i < 256; ++i) {
       uint32_t c = i;
       for (int bit = 0; bit < 8; ++bit) {
         c = (c & 1u) ? (0xEDB88320u ^ (c >> 1)) : (c >> 1);
       }
-      t[i] = c;
+      t[0][i] = c;
     }
-    return t;
-  }();
+    for (int k = 1; k < 8; ++k) {
+      for (uint32_t i = 0; i < 256; ++i) {
+        t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xFFu];
+      }
+    }
+  }
+};
+
+/// Little-endian word load. The checksum, like the wire format, must not
+/// depend on the host's byte order; memcpy keeps the load free of
+/// alignment and aliasing assumptions.
+uint32_t LoadLe32(const uint8_t* p) {
+  uint32_t v = 0;
+  std::memcpy(&v, p, sizeof(v));
+#if defined(__BYTE_ORDER__) && __BYTE_ORDER__ == __ORDER_BIG_ENDIAN__
+  v = __builtin_bswap32(v);
+#endif
+  return v;
+}
+
+}  // namespace
+
+uint32_t Crc32(const uint8_t* data, size_t n) {
+  // Function-local static init is thread-safe.
+  static const Crc32Tables tables;
+  const auto& t = tables.t;
   uint32_t crc = 0xFFFFFFFFu;
-  for (size_t i = 0; i < n; ++i) {
-    crc = table[(crc ^ data[i]) & 0xFFu] ^ (crc >> 8);
+  for (; n >= 8; data += 8, n -= 8) {
+    const uint32_t lo = crc ^ LoadLe32(data);
+    const uint32_t hi = LoadLe32(data + 4);
+    crc = t[7][lo & 0xFFu] ^ t[6][(lo >> 8) & 0xFFu] ^
+          t[5][(lo >> 16) & 0xFFu] ^ t[4][lo >> 24] ^ t[3][hi & 0xFFu] ^
+          t[2][(hi >> 8) & 0xFFu] ^ t[1][(hi >> 16) & 0xFFu] ^ t[0][hi >> 24];
+  }
+  for (; n > 0; ++data, --n) {
+    crc = t[0][(crc ^ *data) & 0xFFu] ^ (crc >> 8);
   }
   return crc ^ 0xFFFFFFFFu;
 }

@@ -1,7 +1,9 @@
 #include "engine/scheduler.h"
 
 #include <cstdlib>
+#include <exception>
 #include <memory>
+#include <string>
 #include <utility>
 
 #include "engine/session_store.h"
@@ -64,10 +66,41 @@ void Scheduler::SubOutstanding() {
   if (--outstanding_ == 0 && holds_ == 0) idle_cv_.notify_all();
 }
 
+void Scheduler::RecordError(const SessionRecord* r) {
+  std::string what = "unknown exception";
+  try {
+    throw;
+  } catch (const std::exception& e) {
+    what = e.what();
+  } catch (...) {
+  }
+  std::lock_guard<std::mutex> lock(idle_mu_);
+  if (error_.empty()) {
+    error_ = "mpn engine: session " + std::to_string(r->id) + ": " + what;
+  }
+}
+
+std::string Scheduler::error() const {
+  std::lock_guard<std::mutex> lock(idle_mu_);
+  return error_;
+}
+
+template <void (Scheduler::*Step)(SessionRecord*)>
+void Scheduler::StepTask(void* self, void* record) noexcept {
+  auto* scheduler = static_cast<Scheduler*>(self);
+  auto* r = static_cast<SessionRecord*>(record);
+  try {
+    (scheduler->*Step)(r);
+  } catch (...) {
+    scheduler->RecordError(r);
+  }
+  scheduler->SubOutstanding();
+}
+
 void Scheduler::ScheduleEventLocked(SessionRecord* r, uint64_t priority) {
   r->event_queued = true;
   AddOutstanding();
-  pool_->Post([this, r]() { RunEvent(r); }, priority);
+  pool_->Post(&StepTask<&Scheduler::RunEvent>, this, r, priority);
 }
 
 void Scheduler::ScheduleNextLocked(SessionRecord* r) {
@@ -84,13 +117,13 @@ void Scheduler::ScheduleNextLocked(SessionRecord* r) {
   if (r->result_ready) {
     // Install + replay, at the violating timestamp's priority: a lagging
     // session's catch-up beats other sessions' future ticks.
-    ScheduleEventLocked(r, EventPriority(r->outcome.t, r->id));
+    ScheduleEventLocked(r, EventPriority(r->job->outcome.t, r->id));
     return;
   }
   if (r->job_running) {
     // Recompute in flight: keep draining location updates into the
-    // mailbox while it has room; otherwise the job's completion callback
-    // re-arms the session.
+    // mailbox while it has room; otherwise the job re-arms the session
+    // when it finishes.
     if (s->CanBuffer()) {
       ScheduleEventLocked(r, EventPriority(s->next_timestamp(), r->id));
     }
@@ -125,9 +158,8 @@ void Scheduler::FinalizeLocked(SessionRecord* r) {
 
 void Scheduler::RunEvent(SessionRecord* r) {
   events_processed_.fetch_add(1, std::memory_order_relaxed);
-  bool do_install = false;
+  std::unique_ptr<JobSlot> finished;  // set when this event installs
   bool awaiting = false;
-  GroupSession::RecomputeOutcome outcome;
   {
     std::lock_guard<std::mutex> lock(r->mu);
     // The event may belong to a spilled session — bring it back first.
@@ -135,8 +167,7 @@ void Scheduler::RunEvent(SessionRecord* r) {
     r->event_queued = false;
     r->event_running = true;
     if (r->result_ready) {
-      do_install = true;
-      outcome = std::move(r->outcome);
+      finished = std::move(r->job);
       r->result_ready = false;
     } else {
       awaiting = r->job_running;
@@ -153,8 +184,8 @@ void Scheduler::RunEvent(SessionRecord* r) {
 
   bool post_job = false;
   GroupSession::Snapshot snap;
-  if (do_install) {
-    s->InstallResult(std::move(outcome));
+  if (finished != nullptr) {
+    s->InstallResult(std::move(finished->outcome));
     for (;;) {
       const GroupSession::Replay rr = s->ReplayOne(&snap);
       if (rr == GroupSession::Replay::kViolation) {
@@ -172,46 +203,40 @@ void Scheduler::RunEvent(SessionRecord* r) {
     post_job = s->AdvanceAndCheck(&snap);
   }
 
+  const size_t job_t = snap.t;
   {
     std::lock_guard<std::mutex> lock(r->mu);
     r->event_running = false;
-    if (post_job) r->job_running = true;
+    if (post_job) {
+      // A violation during replay reuses the slot the install emptied.
+      r->job = finished != nullptr ? std::move(finished)
+                                   : std::make_unique<JobSlot>();
+      r->job->snap = std::move(snap);
+      r->job_running = true;
+    }
     ScheduleNextLocked(r);
     // Re-account the (grown) session while the next event, posted above,
     // still waits for r->mu: after a violation that event is a buffer
     // tick, which advances the very clients the estimate reads.
     if (store_ != nullptr) store_->AccountLocked(r);
   }
-  if (post_job) PostJob(r, std::move(snap));
+  if (post_job) {
+    AddOutstanding();
+    pool_->Post(&StepTask<&Scheduler::RunJob>, this, r,
+                EventPriority(job_t, r->id));
+  }
   // Spill whatever the budget no longer covers, outside every lock.
   if (store_ != nullptr) store_->Rebalance();
-  SubOutstanding();
 }
 
-void Scheduler::PostJob(SessionRecord* r, GroupSession::Snapshot snap) {
-  AddOutstanding();
-  const uint64_t priority = EventPriority(snap.t, r->id);
-  // shared_ptr because std::function requires copyable callables.
-  auto shared = std::make_shared<GroupSession::Snapshot>(std::move(snap));
-  pool_->Post(
-      [r, shared]() {
-        GroupSession::RecomputeOutcome outcome =
-            r->session->Recompute(*shared);
-        std::lock_guard<std::mutex> lock(r->mu);
-        r->outcome = std::move(outcome);
-      },
-      priority,
-      /*on_complete=*/[this, r]() { OnJobDone(r); });
-}
-
-void Scheduler::OnJobDone(SessionRecord* r) {
-  {
-    std::lock_guard<std::mutex> lock(r->mu);
-    r->job_running = false;
-    r->result_ready = true;
-    ScheduleNextLocked(r);
-  }
-  SubOutstanding();
+void Scheduler::RunJob(SessionRecord* r) {
+  // The slot is the job's alone until result_ready is published below.
+  JobSlot* slot = r->job.get();
+  slot->outcome = r->session->Recompute(slot->snap);
+  std::lock_guard<std::mutex> lock(r->mu);
+  r->job_running = false;
+  r->result_ready = true;
+  ScheduleNextLocked(r);
 }
 
 }  // namespace mpn

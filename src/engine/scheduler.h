@@ -9,14 +9,23 @@
 //
 // Per session, exactly one *event* (tick / buffer tick / install+replay)
 // executes at a time; re-arming is a chain — each event schedules the
-// session's next step as it completes. A safe-region violation posts the
-// expensive recomputation as an async pool job and the session leaves the
-// ready queue; while the job runs, location updates keep landing through
-// buffer-tick events into the session's bounded mailbox. The job's
-// completion callback re-arms the session: the next event installs the
+// session's next step as it completes. A safe-region violation moves the
+// violating snapshot into the record's job slot (session_table.h) and posts
+// the expensive recomputation as an async pool job; the session leaves the
+// ready queue. While the job runs, location updates keep landing through
+// buffer-tick events into the session's bounded mailbox. The job ends by
+// re-arming the session: the next event moves the slot out, installs the
 // fresh regions and replays the mailbox. The recomputation job is the only
 // session work that may run concurrently with a session event (it touches
-// only server state — see group_session.h).
+// only server state — see group_session.h). Both post as plain (function,
+// scheduler, record) pool entries — nothing is allocated per event.
+//
+// Failures: an exception from an event or a job (a spill file that cannot
+// be written, a snapshot that does not decode) is caught in the task, the
+// first one is kept with its session id, and Engine::Wait rethrows it. The
+// outstanding count is released either way, so WaitIdle still drains. A
+// session whose own step threw stops where it was; every other session
+// runs on.
 //
 // Determinism: the scheduler fixes *which* logical step a session runs
 // next, never the wall-clock interleaving across sessions — and a
@@ -31,6 +40,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <mutex>
+#include <string>
 #include <vector>
 
 #include "engine/session_table.h"
@@ -98,6 +108,10 @@ class Scheduler {
   /// (engine destruction path).
   void WaitIdle(bool ignore_holds = false);
 
+  /// The first exception an event or job threw, as "mpn engine: session
+  /// <id>: <what>"; empty while none has.
+  std::string error() const;
+
   /// A hold keeps WaitIdle from returning while mid-run admissions are
   /// still coming (otherwise the engine could drain and stop between two
   /// AdmitSession calls).
@@ -131,9 +145,17 @@ class Scheduler {
     return (static_cast<uint64_t>(t) << 32) | id;
   }
 
+  /// Pool entry point of a session step (self = this, record = the
+  /// session): runs the step, records what it threw, and releases the
+  /// step's outstanding count either way.
+  template <void (Scheduler::*Step)(SessionRecord*)>
+  static void StepTask(void* self, void* record) noexcept;
   void RunEvent(SessionRecord* r);
-  void PostJob(SessionRecord* r, GroupSession::Snapshot snap);
-  void OnJobDone(SessionRecord* r);
+  /// Recomputes into r->job and re-arms the session.
+  void RunJob(SessionRecord* r);
+  /// Called from a catch block: keeps the exception being handled as the
+  /// error unless an earlier one is kept.
+  void RecordError(const SessionRecord* r);
   /// Decides and schedules the session's next step. Caller holds r->mu.
   void ScheduleNextLocked(SessionRecord* r);
   void ScheduleEventLocked(SessionRecord* r, uint64_t priority);
@@ -150,10 +172,11 @@ class Scheduler {
   std::atomic<uint64_t> events_processed_{0};
   size_t crash_at_timestamp_ = static_cast<size_t>(-1);
 
-  std::mutex idle_mu_;
+  mutable std::mutex idle_mu_;
   std::condition_variable idle_cv_;
   size_t outstanding_ = 0;  ///< queued/running events + jobs (idle_mu_)
   size_t holds_ = 0;        ///< outstanding admission holds (idle_mu_)
+  std::string error_;       ///< first event/job failure (idle_mu_)
 
   mutable std::mutex stats_mu_;
   std::vector<Slot> slots_;

@@ -27,12 +27,6 @@ SessionStore::~SessionStore() {
   if (fd_ >= 0) close(fd_);
 }
 
-uint64_t SessionStore::LocalityKey(uint32_t id, size_t next_t) {
-  const uint64_t clamped =
-      next_t < 0xffffffffu ? static_cast<uint64_t>(next_t) : 0xffffffffu;
-  return (static_cast<uint64_t>(id) << 32) | clamped;
-}
-
 size_t SessionStore::FinalBytesEstimate(const SessionFinalResult& fr) {
   return 128 + fr.advance_seconds.size() * sizeof(double);
 }
@@ -46,27 +40,28 @@ void SessionStore::SetAccountedLocked(SessionRecord* r, size_t bytes) {
   }
 }
 
-void SessionStore::InsertActiveLocked(SessionRecord* r, size_t next_t) {
-  const uint64_t key = LocalityKey(r->id, next_t);
-  active_[key] = r;
-  r->store_key = key;
+void SessionStore::InsertActiveLocked(SessionRecord* r) {
+  if (r->store_indexed) return;
+  active_.emplace(r->id, r);
+  r->store_indexed = true;
 }
 
 void SessionStore::EraseActiveLocked(SessionRecord* r) {
-  if (r->store_key == kNoKey) return;
-  active_.erase(r->store_key);
-  r->store_key = kNoKey;
+  if (!r->store_indexed) return;
+  active_.erase(r->id);
+  r->store_indexed = false;
 }
 
 void SessionStore::AccountLocked(SessionRecord* r) {
   if (r->finalized || r->spilled || r->session == nullptr) return;
   const size_t est = r->session->StateBytesEstimate();
-  const size_t next_t = r->session->next_timestamp();
   std::lock_guard<std::mutex> sl(mu_);
   SetAccountedLocked(r, est);
-  if (enabled()) {
+  if (!enabled()) return;
+  if (r->accessor_pinned) {
     EraseActiveLocked(r);
-    if (!r->accessor_pinned) InsertActiveLocked(r, next_t);
+  } else {
+    InsertActiveLocked(r);
   }
 }
 
@@ -115,7 +110,7 @@ void SessionStore::EnsureResidentLocked(SessionRecord* r, bool pin) {
   SetAccountedLocked(r, est);
   if (!r->accessor_pinned) {
     if (live) {
-      InsertActiveLocked(r, r->session->next_timestamp());
+      InsertActiveLocked(r);
     } else {
       finals_.push_back(r);
     }
@@ -180,7 +175,7 @@ void SessionStore::Rebalance() {
       } else if (!active_.empty()) {
         auto it = std::prev(active_.end());
         victim = it->second;
-        victim->store_key = kNoKey;
+        victim->store_indexed = false;
         active_.erase(it);
       } else {
         // Everything resident is pinned or mid-event: the cap is
@@ -199,9 +194,10 @@ void SessionStore::Rebalance() {
 void SessionStore::SpillIfEligibleLocked(SessionRecord* r) {
   if (r->spilled || r->accessor_pinned) return;
   WireBuffer buf;
-  if (r->final_result != nullptr) {
+  const bool final = r->final_result != nullptr;
+  size_t next_t = 0;
+  if (final) {
     EncodeFinalSession(*r->final_result, &buf);
-    r->final_result.reset();
   } else if (r->session != nullptr && !r->event_running && !r->job_running &&
              !r->result_ready && !r->finalized && !r->session->done() &&
              r->session->MailboxEmpty()) {
@@ -209,15 +205,13 @@ void SessionStore::SpillIfEligibleLocked(SessionRecord* r) {
     // session. Under the flags above the mailbox is provably empty and no
     // recomputation is in flight, so ExportState is a clean boundary.
     const GroupSession::State state = r->session->ExportState();
-    r->cached_next_t = state.next_t;
+    next_t = state.next_t;
     EncodeLiveSession(state, &buf);
-    r->session.reset();
   } else {
     // Popped but no longer eligible; it re-registers via AccountLocked
     // after its next event.
     return;
   }
-  r->spilled = true;
   size_t offset = 0;
   size_t capacity = 0;
   {
@@ -225,8 +219,23 @@ void SessionStore::SpillIfEligibleLocked(SessionRecord* r) {
     EnsureFileLocked();
     offset = AllocExtentLocked(buf.size(), &capacity);
   }
-  // The extent is exclusively ours: positioned write needs no lock.
-  WriteExtent(offset, buf.data());
+  // The extent is exclusively ours: positioned write needs no lock. The
+  // in-memory state goes only once the bytes are written, so a spill that
+  // throws leaves the record resident and intact.
+  try {
+    WriteExtent(offset, buf.data());
+  } catch (...) {
+    std::lock_guard<std::mutex> sl(mu_);
+    FreeExtentLocked(offset, capacity);
+    throw;
+  }
+  if (final) {
+    r->final_result.reset();
+  } else {
+    r->cached_next_t = next_t;
+    r->session.reset();
+  }
+  r->spilled = true;
   r->spill_offset = offset;
   r->spill_length = buf.size();
   r->spill_capacity = capacity;

@@ -25,10 +25,12 @@
 //     identity at event boundaries, so digests are identical to an
 //     unbudgeted run for any cap.
 //
-// Victim selection: live candidates are kept in a map ordered by the
-// scheduler's locality priority (id-major), so the evicted session is the
-// one the depth-first scheduler will reach *last*; compacted finals are
-// spilled first (FIFO) since nothing reads them before the drain.
+// Victim selection: live candidates are kept in an index ordered by
+// session id — the scheduler's id-major order — so the evicted session is
+// the one the depth-first scheduler will reach *last*; compacted finals are
+// spilled first (FIFO) since nothing reads them before the drain. A record
+// enters the index when it becomes a resident live candidate and leaves it
+// when it is spilled, compacted or pinned; its events do not touch it.
 //
 // Locking: the store mutex is a strict leaf — it is acquired with record
 // mutexes (and the scheduler's stats mutex) held, and no record mutex is
@@ -70,13 +72,13 @@ class SessionStore {
   /// compaction runs regardless.
   bool enabled() const { return budget_.bytes_cap > 0; }
 
-  /// Charges a resident live record's current estimate and re-keys it as
-  /// a spill candidate: on admission, and after each of its events (state
-  /// grew, clock advanced). No-op for finalized or spilled records —
-  /// compaction and spilling did their accounting. Caller holds r->mu in
-  /// the same critical section that posted the record's next event, so
-  /// that event cannot run while the session is read. The caller follows
-  /// up with Rebalance() once outside all locks.
+  /// Charges a resident live record's current estimate and enters it in
+  /// the spill-candidate index if it is not there yet: on admission, and
+  /// after each of its events (state grew). No-op for finalized or spilled
+  /// records — compaction and spilling did their accounting. Caller holds
+  /// r->mu in the same critical section that posted the record's next
+  /// event, so that event cannot run while the session is read. The caller
+  /// follows up with Rebalance() once outside all locks.
   void AccountLocked(SessionRecord* r);
 
   /// Destroys a finalized record's GroupSession, keeping only its
@@ -98,23 +100,21 @@ class SessionStore {
                   const std::function<void(const SessionFinalResult&)>& fn);
 
   /// Spills cold sessions until the resident estimate fits the cap.
-  /// Call with no record mutex held.
+  /// Call with no record mutex held. Throws std::runtime_error when the
+  /// spill file cannot be created or written; the victim then stays
+  /// resident and intact.
   void Rebalance();
 
   MemoryStats stats() const;
 
  private:
-  /// Sentinel: record not in active_. (Real keys collide with this only
-  /// for id 0xffffffff at a clamped timestamp — ids are dense from 0 and
-  /// a run with 4 billion sessions is out of scope by construction.)
-  static constexpr uint64_t kNoKey = ~uint64_t{0};
-
-  static uint64_t LocalityKey(uint32_t id, size_t next_t);
   static size_t FinalBytesEstimate(const SessionFinalResult& fr);
 
   /// Updates the record's charged bytes to `bytes` (store mutex held).
   void SetAccountedLocked(SessionRecord* r, size_t bytes);
-  void InsertActiveLocked(SessionRecord* r, size_t next_t);
+  /// Enter / leave active_ (store mutex held); each is a no-op when the
+  /// record is already in / out.
+  void InsertActiveLocked(SessionRecord* r);
   void EraseActiveLocked(SessionRecord* r);
 
   /// Spills `r` if it is still eligible (r->mu held; it was popped from
@@ -139,8 +139,8 @@ class SessionStore {
   size_t file_end_ = 0;        ///< allocation watermark
   /// Power-of-two size classes (>= 256 B) -> free extent offsets.
   std::map<size_t, std::vector<size_t>> free_lists_;
-  /// Resident live sessions by locality key; victim = largest key.
-  std::map<uint64_t, SessionRecord*> active_;
+  /// Resident live sessions by id; victim = largest id.
+  std::map<uint32_t, SessionRecord*> active_;
   /// Resident compacted finals, spill-first in FIFO order.
   std::deque<SessionRecord*> finals_;
   MemoryStats stats_;

@@ -28,6 +28,15 @@
 
 namespace mpn {
 
+/// A recomputation in flight: the violating timestamp's snapshot and, once
+/// the job has run, its outcome. It exists only from the violation to the
+/// install — the violating event puts it on the record when it posts the
+/// job, the job fills `outcome`, and the install event moves it out.
+struct JobSlot {
+  GroupSession::Snapshot snap;
+  GroupSession::RecomputeOutcome outcome;
+};
+
 /// One session plus its scheduling state.
 ///
 /// With the session store (engine/session_store.h) the record outlives its
@@ -54,9 +63,12 @@ struct SessionRecord {
   bool event_queued = false;   ///< a session event sits in the ready queue
   bool event_running = false;  ///< a session event is executing
   bool job_running = false;    ///< an async recomputation is in flight
-  bool result_ready = false;   ///< `outcome` holds a finished recomputation
+  bool result_ready = false;   ///< `job->outcome` holds its finished result
   bool finalized = false;      ///< Finish() ran; stats folded
-  GroupSession::RecomputeOutcome outcome;  ///< valid while result_ready
+  /// Set while job_running or result_ready, null otherwise. The job reads
+  /// `job->snap` and writes `job->outcome` without `mu`: nothing else
+  /// touches the slot until the job publishes result_ready under `mu`.
+  std::unique_ptr<JobSlot> job;
 
   // --- session-store state (guarded by mu like the flags) ---------------
   /// Distilled result of a finalized session (session itself destroyed).
@@ -65,6 +77,9 @@ struct SessionRecord {
   /// A legacy by-reference accessor handed out pointers into this record's
   /// state: it must stay resident for the rest of the run.
   bool accessor_pinned = false;
+  /// The record sits in the store's spill-candidate index (guarded by the
+  /// *store* mutex, not `mu` — it is bookkeeping for the store).
+  bool store_indexed = false;
   /// next_timestamp() at spill time — lets the scheduler arm a spilled
   /// session's next event without rehydrating it first.
   size_t cached_next_t = 0;
@@ -74,9 +89,6 @@ struct SessionRecord {
   size_t spill_length = 0;      ///< encoded snapshot bytes
   size_t spill_capacity = 0;    ///< size-class capacity of the extent
   size_t accounted_bytes = 0;   ///< resident estimate charged to the budget
-  /// Key in the store's spill-candidate map (guarded by the *store* mutex,
-  /// not `mu` — it is bookkeeping for the store's victim index).
-  uint64_t store_key = ~uint64_t{0};
 };
 
 /// Fixed-shard concurrent map id -> SessionRecord.

@@ -39,31 +39,26 @@ ThreadPool::~ThreadPool() {
   for (std::thread& w : workers_) w.join();
 }
 
-void ThreadPool::Post(std::function<void()> fn, uint64_t priority,
-                      std::function<void()> on_complete) {
+void ThreadPool::Post(TaskFn fn, void* a, void* b, uint64_t priority) {
   {
     std::lock_guard<std::mutex> lock(mu_);
     MPN_ASSERT_MSG(!stop_, "Post on a stopped ThreadPool");
-    queue_.push(Task{priority, next_seq_++, std::move(fn),
-                     std::move(on_complete)});
+    queue_.push(Task{priority, next_seq_++, fn, a, b});
   }
   cv_.notify_one();
 }
 
 void ThreadPool::WorkerLoop() {
   for (;;) {
-    Task task;
+    Task task{};
     {
       std::unique_lock<std::mutex> lock(mu_);
       cv_.wait(lock, [this]() { return stop_ || !queue_.empty(); });
       if (queue_.empty()) return;  // stop_ set and nothing left to drain
-      // priority_queue::top is const; the task is about to be popped, so
-      // moving out of it is safe.
-      task = std::move(const_cast<Task&>(queue_.top()));
+      task = queue_.top();
       queue_.pop();
     }
-    task.fn();
-    if (task.on_complete) task.on_complete();
+    task.fn(task.a, task.b);
   }
 }
 
@@ -114,7 +109,7 @@ void ThreadPool::ParallelFor(size_t n, size_t grain,
       workers_.size(),
       caller_participates ? state->chunk_count - 1 : state->chunk_count);
   for (size_t i = 0; i < helpers; ++i) {
-    Post([state]() { DrainChunks(state); }, kUrgentPriority);
+    PostBoxed([state]() { DrainChunks(state); }, kUrgentPriority);
   }
   if (caller_participates) DrainChunks(state);
   {

@@ -2,12 +2,14 @@
 //
 // Three execution primitives:
 //
-//  * Post(fn, priority, on_complete) — enqueues a fire-and-forget task into
-//    a priority queue (smaller priority value runs first; equal priorities
-//    run in submission order). The optional completion callback fires on
-//    the worker right after the task body — the event-driven scheduler uses
-//    it to re-arm a session when its async recomputation lands. Task bodies
-//    must not throw (there is no future to carry the exception).
+//  * Post(fn, a, b, priority) — enqueues a fire-and-forget call fn(a, b)
+//    into a priority queue (smaller priority value runs first; equal
+//    priorities run in submission order). A queue entry is a plain
+//    function pointer plus its two argument pointers, so posting
+//    allocates nothing: the event-driven scheduler posts every session
+//    event and recomputation this way. `fn` is noexcept by type — a task
+//    that can fail catches inside its body, where it knows what failed
+//    (the scheduler records the session's error for Engine::Wait).
 //  * Submit(fn)     — enqueues a task at the default priority and returns a
 //    std::future for its result; exceptions thrown by the task propagate
 //    through the future.
@@ -21,6 +23,9 @@
 //    every worker is busy: a saturated pool degrades to the caller running
 //    all chunks inline. Helper tasks run at kUrgentPriority so a fan-out
 //    issued from inside a running job is never starved by queued events.
+//
+// Submit and the ParallelFor helpers box their callable in one heap object
+// each and post a trampoline that runs and frees it.
 #pragma once
 
 #include <condition_variable>
@@ -50,6 +55,9 @@ class ThreadPool {
   /// this to preempt the default lane.
   static constexpr uint64_t kDefaultPriority = uint64_t{1} << 63;
 
+  /// A posted task: called once as fn(a, b) on a worker.
+  using TaskFn = void (*)(void* a, void* b) noexcept;
+
   /// Starts `threads` workers (clamped to at least 1).
   explicit ThreadPool(size_t threads);
 
@@ -68,20 +76,18 @@ class ThreadPool {
     return hw == 0 ? 1 : static_cast<size_t>(hw);
   }
 
-  /// Enqueues a fire-and-forget task. Smaller `priority` runs first; ties
-  /// run in submission order. `on_complete` (optional) runs on the same
-  /// worker immediately after `fn`. Neither callable may throw.
-  void Post(std::function<void()> fn, uint64_t priority = kDefaultPriority,
-            std::function<void()> on_complete = nullptr);
+  /// Enqueues the call fn(a, b). Smaller `priority` runs first; ties run in
+  /// submission order. Allocates nothing beyond the queue's own growth.
+  void Post(TaskFn fn, void* a, void* b, uint64_t priority = kDefaultPriority);
 
   /// Enqueues `fn` at the default priority and returns a future for its
   /// result. Exceptions thrown by the task are rethrown by future::get.
   template <typename F>
   auto Submit(F&& fn) -> std::future<std::invoke_result_t<std::decay_t<F>>> {
     using R = std::invoke_result_t<std::decay_t<F>>;
-    auto task = std::make_shared<std::packaged_task<R()>>(std::forward<F>(fn));
-    std::future<R> future = task->get_future();
-    Post([task]() { (*task)(); });
+    std::packaged_task<R()> task(std::forward<F>(fn));
+    std::future<R> future = task.get_future();
+    PostBoxed(std::move(task), kDefaultPriority);
     return future;
   }
 
@@ -105,13 +111,16 @@ class ThreadPool {
  private:
   struct ForState;  // shared chunk-claiming state of one ParallelFor
 
-  /// One queued task with its ordering key.
+  /// One queued task with its ordering key: trivially copyable, so the
+  /// heap moves 40-byte entries and never runs a destructor.
   struct Task {
     uint64_t priority;
     uint64_t seq;
-    std::function<void()> fn;
-    std::function<void()> on_complete;
+    TaskFn fn;
+    void* a;
+    void* b;
   };
+  static_assert(std::is_trivially_copyable_v<Task> && sizeof(Task) <= 40);
   /// Min-heap order: smallest (priority, seq) on top.
   struct TaskOrder {
     bool operator()(const Task& a, const Task& b) const {
@@ -119,6 +128,19 @@ class ThreadPool {
       return a.seq > b.seq;
     }
   };
+
+  /// Posts a heap-allocated copy of `fn`; the trampoline runs and frees it.
+  /// `fn` must not throw.
+  template <typename F>
+  void PostBoxed(F&& fn, uint64_t priority) {
+    using Box = std::decay_t<F>;
+    Post(
+        [](void* box, void*) noexcept {
+          const std::unique_ptr<Box> owned(static_cast<Box*>(box));
+          (*owned)();
+        },
+        new Box(std::forward<F>(fn)), nullptr, priority);
+  }
 
   void WorkerLoop();
   /// Claims and runs chunks until none remain. Returns once every chunk is

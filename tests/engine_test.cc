@@ -8,6 +8,7 @@
 #include <mutex>
 #include <stdexcept>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "engine/engine.h"
@@ -136,51 +137,51 @@ TEST(ThreadPoolTest, HardwareThreadsIsPositive) {
 
 TEST(ThreadPoolTest, PostRunsInPriorityOrder) {
   // Gate the single worker, queue out of order, then observe that the
-  // priority heap replays the queue smallest-priority-first (ties FIFO).
+  // priority heap replays the queue smallest-priority-first, and equal
+  // priorities in the order they were posted — the (priority, seq) rule
+  // the scheduler's ready queue relies on.
+  struct Log {
+    std::mutex mu;
+    std::condition_variable cv;
+    bool gate_open = false;
+    std::vector<int> order;
+  };
+  struct Entry {
+    Log* log;
+    int tag;
+  };
   ThreadPool pool(1);
-  std::mutex mu;
-  std::condition_variable cv;
-  bool gate_open = false;
-  std::vector<int> order;
-  pool.Post([&]() {
-    std::unique_lock<std::mutex> lock(mu);
-    cv.wait(lock, [&]() { return gate_open; });
-  });
-  for (int tag : {3, 1, 2}) {
-    pool.Post(
-        [&order, &mu, tag]() {
-          std::lock_guard<std::mutex> lock(mu);
-          order.push_back(tag);
-        },
-        static_cast<uint64_t>(tag));
-  }
-  auto last = pool.Submit([]() {});  // default priority: runs after 1,2,3
-  {
-    std::lock_guard<std::mutex> lock(mu);
-    gate_open = true;
-  }
-  cv.notify_all();
-  last.get();
-  std::lock_guard<std::mutex> lock(mu);
-  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
-}
-
-TEST(ThreadPoolTest, PostCompletionCallbackRunsAfterTask) {
-  ThreadPool pool(2);
-  std::atomic<int> stage{0};
-  std::promise<void> done;
+  Log log;
   pool.Post(
-      [&stage]() {
-        int expected = 0;
-        stage.compare_exchange_strong(expected, 1);
+      [](void* a, void*) noexcept {
+        Log* l = static_cast<Log*>(a);
+        std::unique_lock<std::mutex> lock(l->mu);
+        l->cv.wait(lock, [l]() { return l->gate_open; });
       },
-      ThreadPool::kDefaultPriority,
-      [&stage, &done]() {
-        int expected = 1;
-        if (stage.compare_exchange_strong(expected, 2)) done.set_value();
-      });
-  done.get_future().wait();
-  EXPECT_EQ(stage.load(), 2);
+      &log, nullptr);
+  // {tag, priority}: tags 10, 11, 12 share priority 1 and 20, 21 share 2.
+  const std::vector<std::pair<int, uint64_t>> posted = {
+      {3, 3}, {10, 1}, {20, 2}, {11, 1}, {21, 2}, {12, 1}};
+  std::vector<Entry> entries;
+  for (const auto& [tag, priority] : posted) entries.push_back({&log, tag});
+  for (size_t i = 0; i < entries.size(); ++i) {
+    pool.Post(
+        [](void* a, void*) noexcept {
+          const Entry* e = static_cast<const Entry*>(a);
+          std::lock_guard<std::mutex> lock(e->log->mu);
+          e->log->order.push_back(e->tag);
+        },
+        &entries[i], nullptr, posted[i].second);
+  }
+  auto last = pool.Submit([]() {});  // default priority: runs after all
+  {
+    std::lock_guard<std::mutex> lock(log.mu);
+    log.gate_open = true;
+  }
+  log.cv.notify_all();
+  last.get();
+  std::lock_guard<std::mutex> lock(log.mu);
+  EXPECT_EQ(log.order, (std::vector<int>{10, 11, 12, 20, 21, 3}));
 }
 
 // --- Engine -----------------------------------------------------------------

@@ -11,6 +11,8 @@
 #include <cstdint>
 #include <cstring>
 #include <limits>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -412,6 +414,77 @@ TEST(SessionStoreTest, CountersAreDeterministicSingleThreaded) {
   EXPECT_EQ(a.mem.spilled_bytes, b.mem.spilled_bytes);
   EXPECT_EQ(a.mem.resident_bytes, b.mem.resident_bytes);
   EXPECT_EQ(a.mem.peak_resident_bytes, b.mem.peak_resident_bytes);
+}
+
+TEST(SessionStoreTest, IdMajorSpillCountsMatchGoldenValues) {
+  // Under a budget the scheduler runs id-major: a session's whole timeline
+  // before the next session's first event. At one thread neither id-major
+  // nor time-major order shows in any result (per-session results do not
+  // depend on how sessions interleave), so the store's spill and
+  // rehydration counts are the observable trace of the pop order. Every
+  // session is admitted before Start, so the one worker pops a fixed
+  // sequence; the golden values pin it and the store's victim choice
+  // (largest id first).
+  Rng rng(0x1D3A'0001ull);
+  const fuzz::World w = fuzz::MakeFuzzWorld(&rng, 16, 3, 24);
+  fuzz::FuzzPlan plan = fuzz::MakeFuzzPlan(&rng, 16, 24);
+  plan.waves = 1;
+  plan.drain_before.assign(1, 0);
+  for (fuzz::PlannedSession& s : plan.sessions) s.wave = 0;
+
+  const BudgetRun base = RunWithBudget(w, plan, 1, 0);
+  const BudgetRun run = RunWithBudget(w, plan, 1, 8192);
+  EXPECT_EQ(run.digest, base.digest);
+  EXPECT_EQ(run.mem.spilled_sessions, 76u);
+  EXPECT_EQ(run.mem.rehydrated_sessions, 61u);
+}
+
+TEST(SessionStoreTest, SpillFailureInsideAnEventReachesWait) {
+  // The spill directory does not exist, so the first spill throws from
+  // mkstemp. The cap is the sessions' footprint at admission: admission
+  // fits, and the first spill happens inside a session event on a pool
+  // worker, once installed regions have grown a session. That exception
+  // must reach Wait() instead of std::terminate. A spill that fails
+  // leaves its victim resident and intact, so every session still runs to
+  // completion and the digest is the unbudgeted one.
+  Rng rng(0xFA11'5B11ull);
+  const size_t n_groups = 6;
+  const fuzz::World w = fuzz::MakeFuzzWorld(&rng, n_groups, 3, 16);
+  const auto admit_all = [&](Engine* engine) {
+    for (size_t g = 0; g < n_groups; ++g) {
+      engine->AdmitSession(fuzz::GroupOf(w, g));
+    }
+  };
+  EngineOptions probe_opt = fuzz::MakeEngineOptions(1);
+  probe_opt.budget.bytes_cap = size_t{1} << 30;  // wins over the env var
+  Engine base(&w.pois, &w.tree, probe_opt);
+  admit_all(&base);
+  const size_t admitted_bytes = base.memory_stats().resident_bytes;
+  base.Run();
+  ASSERT_GT(base.memory_stats().peak_resident_bytes, admitted_bytes);
+
+  for (const size_t threads : {size_t{1}, size_t{2}}) {
+    EngineOptions opt = fuzz::MakeEngineOptions(threads);
+    opt.budget.bytes_cap = admitted_bytes;
+    opt.budget.spill_dir = ::testing::TempDir() + "mpn-no-such-dir/spill";
+    Engine engine(&w.pois, &w.tree, opt);
+    admit_all(&engine);  // fits the cap: no spill, nothing thrown
+    engine.Start();
+    std::string what;
+    try {
+      engine.Wait();
+    } catch (const std::runtime_error& e) {
+      what = e.what();
+    }
+    EXPECT_NE(what.find("mpn engine: session "), std::string::npos) << what;
+    EXPECT_NE(what.find("cannot create spill file"), std::string::npos)
+        << what;
+    // Later Waits rethrow the same error.
+    EXPECT_THROW(engine.Wait(), std::runtime_error);
+    EXPECT_EQ(engine.memory_stats().spilled_sessions, 0u);
+    EXPECT_EQ(engine.ResultDigest(), base.ResultDigest())
+        << "threads=" << threads;
+  }
 }
 
 TEST(SessionStoreTest, RetireWhileSpilledMatchesResidentRetire) {

@@ -78,6 +78,36 @@ TEST(Crc32Test, MatchesIeee8023KnownAnswer) {
   EXPECT_NE(Crc32(dirty, sizeof(dirty)), Crc32(check, sizeof(check)));
 }
 
+TEST(Crc32Test, MatchesBitwiseReferenceAtEveryLengthAndOffset) {
+  // The word-at-a-time loop against the definition, one bit at a time:
+  // every length up to past a sharded admit frame (~1.07 KB) at every
+  // start offset mod 8, so each head/tail split and misalignment runs.
+  const auto reference = [](const uint8_t* p, size_t n) {
+    uint32_t crc = 0xFFFFFFFFu;
+    for (size_t i = 0; i < n; ++i) {
+      crc ^= p[i];
+      for (int bit = 0; bit < 8; ++bit) {
+        crc = (crc & 1u) ? (crc >> 1) ^ 0xEDB88320u : crc >> 1;
+      }
+    }
+    return crc ^ 0xFFFFFFFFu;
+  };
+  constexpr size_t kMaxLen = 1100;
+  std::vector<uint8_t> buf(kMaxLen + 8);
+  uint32_t x = 0x9E3779B9u;
+  for (uint8_t& b : buf) {
+    x = x * 1664525u + 1013904223u;
+    b = static_cast<uint8_t>(x >> 24);
+  }
+  for (size_t offset = 0; offset < 8; ++offset) {
+    for (size_t len = 0; len <= kMaxLen; ++len) {
+      ASSERT_EQ(Crc32(buf.data() + offset, len),
+                reference(buf.data() + offset, len))
+          << "offset=" << offset << " len=" << len;
+    }
+  }
+}
+
 TEST(FaultKindTest, NamesRoundTripAndUnknownNamesThrow) {
   for (const FaultKind k : kAllKinds) {
     EXPECT_EQ(ParseFaultKind(FaultKindName(k)), k);
