@@ -300,7 +300,7 @@ void RunRecoveryTable(const std::vector<Point>& pois, const PackedRTree& tree,
     // One deterministic mid-run death on the last shard: the supervisor
     // forks a replacement and re-admits the shard's groups from the
     // coordinator snapshot.
-    cluster.KillWorkerAt(shards - 1, timestamps / 2);
+    cluster.InjectFaultAt(shards - 1, timestamps / 2, FaultKind::kCrash);
     // Plus one transport fault on shard 0: its first drain reply is
     // corrupted in flight. The frame-op index counts the shard's channel
     // ops — n_groups/shards admit recvs, the drain recv, then the reply

@@ -15,11 +15,11 @@
 // coordinator snapshot, and the final digest is still bit-identical —
 // supervised recovery is invisible in the results.
 //
-// The third act swaps the byte backend to loopback TCP and turns the
-// hardened transport loose: a drain reply corrupted in flight (caught by
-// the frame CRC) and a worker stalled mid-reply (caught by the heartbeat
-// miss budget). Both are SIGKILLed, recovered by snapshot replay, and the
-// digest is re-checked — still bit-identical.
+// The third act turns the hardened transport loose: a drain reply
+// corrupted in flight (caught by the frame CRC) and a worker stalled
+// mid-reply (caught by the heartbeat miss budget). Both are SIGKILLed,
+// recovered by snapshot replay, and the digest is re-checked — still
+// bit-identical.
 //
 // Build & run:  ./examples/cluster_demo
 #include <cstdio>
@@ -104,7 +104,8 @@ int main() {
   // supervisor forks a replacement, replays the shard's admissions from
   // the coordinator snapshot, and the digest must not move.
   ClusterEngine elastic(&pois, &tree, opt);
-  elastic.KillWorkerAt(/*shard=*/1, /*timestamp=*/kTimestamps / 2);
+  elastic.InjectFaultAt(/*shard=*/1, /*at=*/kTimestamps / 2,
+                        FaultKind::kCrash);
   for (size_t g = 0; g < kGroups; ++g) {
     SessionTuning tuning;
     if (g == kGroups - 1) tuning.retire_at = 120;
@@ -121,15 +122,14 @@ int main() {
               static_cast<unsigned long long>(elastic.ResultDigest()),
               recovered_match ? "bit-identical" : "MISMATCH");
 
-  // Act three: the hardened transport. Same workload again, but over
-  // loopback TCP with two transport faults injected at deterministic
-  // frame indices: worker 2's first drain reply is corrupted in flight
-  // (the coordinator's CRC32 check catches it) and worker 0 stalls
-  // mid-reply in the second serving round (the heartbeat miss budget
-  // catches that). Both workers are SIGKILLed and recovered by snapshot
-  // replay — and the digest still must not move.
+  // Act three: the hardened transport. Same workload again, with two
+  // transport faults injected at deterministic frame indices: worker 2's
+  // first drain reply is corrupted in flight (the coordinator's CRC32
+  // check catches it) and worker 0 stalls mid-reply in the second serving
+  // round (the heartbeat miss budget catches that). Both workers are
+  // SIGKILLed and recovered by snapshot replay — and the digest still
+  // must not move.
   ClusterOptions opt3 = opt;
-  opt3.transport.kind = TransportKind::kTcpLoopback;
   opt3.transport.heartbeat_interval_ms = 100;
   opt3.transport.heartbeat_timeout_ms = 500;
   opt3.transport.heartbeat_miss_budget = 3;
@@ -140,8 +140,8 @@ int main() {
   // admits and op 3 is its drain-reply send; worker 0 serves {0,3,6,9}, so
   // after three admits, a drain and a round-2 admit its second drain-reply
   // send is op 7.
-  hardened.InjectFaultAt(/*shard=*/2, /*frame=*/3, FaultKind::kCorrupt);
-  hardened.InjectFaultAt(/*shard=*/0, /*frame=*/7, FaultKind::kStall);
+  hardened.InjectFaultAt(/*shard=*/2, /*at=*/3, FaultKind::kCorrupt);
+  hardened.InjectFaultAt(/*shard=*/0, /*at=*/7, FaultKind::kStall);
   hardened.Start();
   for (size_t g = 0; g < kUpfront; ++g) hardened.AdmitSession(groups[g]);
   hardened.Wait();
@@ -152,7 +152,7 @@ int main() {
   }
   hardened.Shutdown();
   const ClusterEngine::RecoveryStats hs = hardened.recovery_stats();
-  std::printf("hardened transport (loopback TCP): %zu restart(s), "
+  std::printf("hardened transport: %zu restart(s), "
               "%zu checksum failure(s), %zu heartbeat miss(es), "
               "%zu deadline hit(s), %zu I/O retry(ies)\n",
               hs.restarts, hs.checksum_failures, hs.heartbeat_misses,

@@ -6,7 +6,6 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <chrono>
 #include <cstdlib>
 #include <deque>
 #include <stdexcept>
@@ -121,7 +120,6 @@ int WorkerMain(IpcChannel* ch, IpcChannel* hb,
           tuning.recompute_cost_factor = r.GetDouble();
           tuning.retire_at = static_cast<size_t>(r.GetU64());
           tuning.mailbox_capacity = static_cast<size_t>(r.GetU64());
-          tuning.mailbox_policy = static_cast<MailboxPolicy>(r.GetU8());
           const uint32_t m = r.GetU32();
           std::vector<Trajectory> trajs(m);
           for (uint32_t i = 0; i < m; ++i) {
@@ -172,7 +170,6 @@ int WorkerMain(IpcChannel* ch, IpcChannel* hb,
                   out.PutU32(fr.po);
                   out.PutU64(fr.mailbox_peak);
                   out.PutU64(fr.stall_count);
-                  out.PutU64(fr.dropped_count);
                 });
           }
           const std::vector<Scheduler::Slot> slots = engine.timeline_slots();
@@ -229,7 +226,6 @@ ClusterEngine::ClusterEngine(const std::vector<Point>* pois,
     : pois_(pois), tree_(tree), options_(options) {
   MPN_ASSERT(pois_ != nullptr && tree_ != nullptr);
   MPN_ASSERT_MSG(options_.workers >= 1, "cluster needs at least one worker");
-  crash_plan_ = CrashPlan::FromEnv();
   fault_plan_ = FaultPlan::FromEnv(options_.workers);
 }
 
@@ -278,7 +274,6 @@ uint32_t ClusterEngine::AdmitSession(
   frame.PutDouble(tuning.recompute_cost_factor);
   frame.PutU64(static_cast<uint64_t>(tuning.retire_at));
   frame.PutU64(static_cast<uint64_t>(tuning.mailbox_capacity));
-  frame.PutU8(static_cast<uint8_t>(tuning.mailbox_policy));
   frame.PutU32(static_cast<uint32_t>(group.size()));
   for (const Trajectory* t : group) {
     MPN_ASSERT(t != nullptr);
@@ -330,16 +325,17 @@ void ClusterEngine::ForkWorker(size_t shard) {
   Worker& w = workers_[shard];
   const TransportTuning& tt = options_.transport;
   IpcChannel parent_end, child_end, hb_parent, hb_child;
-  IpcChannel::MakePair(tt.kind, &parent_end, &child_end);
-  IpcChannel::MakePair(tt.kind, &hb_parent, &hb_child);
-  // Arm the next planned crash for this shard (FIFO per incarnation);
-  // CrashPlan::kNoCrash == the engine's "disabled" sentinel. Transport
-  // faults batch the same way: this incarnation gets the shard's events
-  // up to and including the first fatal one.
+  IpcChannel::MakePair(&parent_end, &child_end);
+  IpcChannel::MakePair(&hb_parent, &hb_child);
+  // This incarnation gets the shard's next events up to and including the
+  // first fatal one. A crash is fatal, so it can only end the batch: it
+  // arms the worker's engine, and the rest arm its data channel.
   EngineOptions engine_options = options_.engine;
-  engine_options.crash_at_timestamp = crash_plan_.Take(shard);
-  const std::vector<FaultPlan::Event> faults =
-      fault_plan_.TakeIncarnation(shard);
+  std::vector<FaultPlan::Event> faults = fault_plan_.TakeIncarnation(shard);
+  if (!faults.empty() && faults.back().kind == FaultKind::kCrash) {
+    engine_options.crash_at_timestamp = faults.back().at;
+    faults.pop_back();
+  }
   const pid_t pid = fork();
   if (pid < 0) {
     throw std::runtime_error("mpn cluster: fork failed");
@@ -359,7 +355,7 @@ void ClusterEngine::ForkWorker(size_t shard) {
       other.heartbeat.Close();
     }
     for (const FaultPlan::Event& ev : faults) {
-      child_end.ArmFault(ev.frame, ev.kind);
+      child_end.ArmFault(ev.at, ev.kind);
     }
     const int code =
         WorkerMain(&child_end, &hb_child, pois_, tree_, engine_options);
@@ -563,14 +559,6 @@ void ClusterEngine::RecoverShard(size_t shard) {
     }
     ++w.restarts;
     ++stats_.restarts;
-    if (recovery.backoff_initial_ms > 0.0) {
-      double ms = recovery.backoff_initial_ms;
-      for (size_t i = 1; i < w.restarts && ms < recovery.backoff_max_ms; ++i) {
-        ms *= 2.0;
-      }
-      ms = std::min(ms, recovery.backoff_max_ms);
-      std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(ms));
-    }
     // Everything the dead incarnation did since its last successful drain
     // is discarded; finals below drained_through keep their coordinator-
     // held results and their slot contribution moves into slot_base.
@@ -586,7 +574,7 @@ void ClusterEngine::RecoverShard(size_t shard) {
     w.last_mem = MemoryStats();
     ForkWorker(shard);
     if (ReplayShardSnapshot(shard, /*count_stats=*/true)) break;
-    // The replacement died mid-replay (e.g. a crash plan armed at t=0 on a
+    // The replacement died mid-replay (e.g. a crash armed at t=0 on a
     // replayed session): charge another restart attempt.
   }
   stats_.recovery_seconds += timer.ElapsedSeconds();
@@ -604,8 +592,8 @@ void ClusterEngine::Start() {
   }
   // Initial delivery shares the recovery replay path (restored_below is 0,
   // so the full snapshot goes out); stats stay zero for it — only real
-  // recoveries count. A worker dying this early (e.g. a crash plan armed
-  // at t=0) is recovered like any other death.
+  // recoveries count. A worker dying this early (e.g. a crash armed at
+  // t=0) is recovered like any other death.
   for (size_t shard = 0; shard < options_.workers; ++shard) {
     if (!ReplayShardSnapshot(shard, /*count_stats=*/false)) {
       RecoverShard(shard);  // loops until replayed, lost, or poisoned
@@ -692,7 +680,6 @@ void ClusterEngine::ParseDrainReply(size_t shard,
     res.po = r.GetU32();
     res.mailbox_peak = r.GetU64();
     res.stalls = r.GetU64();
-    res.dropped = r.GetU64();
   }
   // Effective slot totals = dead incarnations' drained history + this
   // incarnation's recomputed timeline (commutative per-slot sums, so the
@@ -739,8 +726,8 @@ void ClusterEngine::Wait() {
     if (draining[shard]) RecvDrainRecovering(shard);
   }
 
-  // Fold exactly like Engine::RebuildRoundStats: slot totals in timestamp
-  // order (bit-identical counter sequences for any worker count), then the
+  // Fold like Engine::RebuildRoundStats: slot totals in timestamp order
+  // (bit-identical counter sequences for any worker count), then the
   // per-session mailbox marks in global session order. Lost shards
   // contribute their last drained history — consistent with their results_
   // entries staying frozen at the last successful drain.
@@ -883,10 +870,6 @@ size_t ClusterEngine::session_stall_count(uint32_t id) const {
   return static_cast<size_t>(ResultChecked(id).stalls);
 }
 
-size_t ClusterEngine::session_dropped_count(uint32_t id) const {
-  return static_cast<size_t>(ResultChecked(id).dropped);
-}
-
 SimMetrics ClusterEngine::TotalMetrics() const {
   SimMetrics total;
   for (const SessionResult& res : results_) total.Merge(res.metrics);
@@ -952,8 +935,7 @@ void ClusterEngine::StopWorkerForTest(size_t shard) {
   }
 }
 
-void ClusterEngine::InjectFaultAt(size_t shard, size_t frame,
-                                  FaultKind kind) {
+void ClusterEngine::InjectFaultAt(size_t shard, size_t at, FaultKind kind) {
   std::lock_guard<std::mutex> lock(mu_);
   if (started_) {
     throw std::logic_error(
@@ -962,22 +944,9 @@ void ClusterEngine::InjectFaultAt(size_t shard, size_t frame,
   MPN_ASSERT(shard < options_.workers);
   FaultPlan::Event event;
   event.shard = shard;
-  event.frame = frame;
+  event.at = at;
   event.kind = kind;
   fault_plan_.events.push_back(event);
-}
-
-void ClusterEngine::KillWorkerAt(size_t shard, size_t timestamp) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (started_) {
-    throw std::logic_error(
-        "ClusterEngine::KillWorkerAt must be called before Start");
-  }
-  MPN_ASSERT(shard < options_.workers);
-  CrashPlan::Event event;
-  event.shard = shard;
-  event.timestamp = timestamp;
-  crash_plan_.events.push_back(event);
 }
 
 void ClusterEngine::Reap(size_t shard) {

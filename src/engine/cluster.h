@@ -1,7 +1,8 @@
 // Multi-process engine sharding: a ClusterEngine forks N worker processes,
 // each running an Engine (engine/engine.h) over its shard of groups, with
 // admissions and retirements routed by group_id % N over length-prefixed
-// binary frames on socketpair(2) pipes (engine/ipc.h). No network is
+// binary frames on socketpair(2) pipes (engine/ipc.h), the one byte
+// transport. No network is
 // involved: the coordinator forks after the immutable world (POIs, R-tree)
 // is built, so workers share it copy-on-write; only per-group data
 // (trajectories, tuning) and results cross the process boundary.
@@ -38,14 +39,11 @@
 // too because each shard's slot totals split into the dead incarnations'
 // drained history (slot_base) plus the replacement's recomputed timeline,
 // and per-slot integer sums are commutative. Restarts are bounded per
-// shard (RecoveryOptions::max_restarts, with exponential backoff);
-// exhausting the budget degrades gracefully — the shard is marked lost,
-// the error names every group lost with it, and the healthy shards keep
-// serving and draining. RecoveryStats reports restarts, re-admissions,
-// replayed frames and recovery latency. Crash injection for tests and
-// benches: KillWorkerAt / MPN_CRASH_PLAN arm a deterministic virtual-
-// timestamp kill in each worker incarnation (engine/ipc.h CrashPlan,
-// EngineOptions::crash_at_timestamp).
+// shard (RecoveryOptions::max_restarts); exhausting the budget degrades
+// gracefully — the shard is marked lost, the error names every group lost
+// with it, and the healthy shards keep serving and draining.
+// RecoveryStats reports restarts, re-admissions, replayed frames and
+// recovery latency.
 //
 // Hardened transport (engine/transport.h, engine/ipc.h): frames carry a
 // magic/version/CRC32 header, channels are non-blocking with per-operation
@@ -57,9 +55,11 @@
 // recovered through the same snapshot replay as a death, so the digest
 // contract holds for hangs exactly as it does for crashes. Corrupt or
 // torn frames surface as the typed FrameError and take the same restart
-// path. Deterministic fault injection for tests and benches:
-// InjectFaultAt / MPN_FAULT_PLAN arm per-frame transport faults
-// (engine/ipc.h FaultPlan) in each worker incarnation.
+// path. Deterministic fault injection for tests and benches, one plan for
+// both failure classes: InjectFaultAt / MPN_FAULT_PLAN (engine/ipc.h
+// FaultPlan) arm per-frame transport faults and virtual-timestamp worker
+// crashes (the `crash` kind, EngineOptions::crash_at_timestamp) in each
+// worker incarnation.
 //
 // With max_restarts = 0 the pre-elastic fail-stop behaviour is restored:
 // any transport failure latches the cluster as failed and every
@@ -84,24 +84,15 @@ namespace mpn {
 
 /// Worker supervision policy.
 struct RecoveryOptions {
-  /// Replacement workers the supervisor may fork per shard before the
-  /// shard degrades to lost. 0 disables recovery entirely: the first
-  /// transport failure poisons the cluster (pre-elastic fail-stop).
+  /// Replacement workers the supervisor may fork per shard (immediately,
+  /// without backoff) before the shard degrades to lost. 0 disables
+  /// recovery entirely: the first transport failure poisons the cluster
+  /// (pre-elastic fail-stop).
   size_t max_restarts = 2;
-  /// Sleep before the k-th consecutive restart of a shard:
-  /// backoff_initial_ms * 2^(k-1), capped at backoff_max_ms. 0 restarts
-  /// immediately (test-friendly default; benches/servers set it > 0 to
-  /// avoid hammering a crash-looping shard).
-  double backoff_initial_ms = 0.0;
-  double backoff_max_ms = 200.0;
 };
 
 /// Transport hardening knobs (see docs/ARCHITECTURE.md §5d).
 struct TransportTuning {
-  /// Byte transport under the frames: AF_UNIX socketpair or loopback TCP
-  /// (engine/transport.h). Both are created pre-fork and behave
-  /// identically; TCP is the rehearsal for off-box workers.
-  TransportKind kind = TransportKind::kSocketPair;
   /// Coordinator-side per-operation I/O deadline (ms): bounds every send
   /// and any *mid-frame* receive progress. A worker that stops moving
   /// bytes inside an operation is killed and recovered. <= 0 restores
@@ -134,9 +125,9 @@ struct ClusterOptions {
   size_t workers = 2;
   /// Per-worker engine configuration (thread pool size, sim options, ...).
   EngineOptions engine;
-  /// Worker supervision (restart budget, backoff).
+  /// Worker supervision (restart budget).
   RecoveryOptions recovery;
-  /// Transport hardening (backend, deadlines, heartbeats).
+  /// Transport hardening (deadlines, heartbeats).
   TransportTuning transport;
 };
 
@@ -231,7 +222,6 @@ class ClusterEngine {
   bool session_has_result(uint32_t id) const;
   size_t session_mailbox_peak(uint32_t id) const;
   size_t session_stall_count(uint32_t id) const;
-  size_t session_dropped_count(uint32_t id) const;
 
   /// Merged metrics across all sessions (valid after Wait).
   SimMetrics TotalMetrics() const;
@@ -263,7 +253,8 @@ class ClusterEngine {
 
   /// Test hook: SIGKILLs shard's worker process so the recovery paths
   /// (Send failure, EOF instead of a drain reply) can be exercised at a
-  /// wall-clock instant. For a deterministic kill use KillWorkerAt.
+  /// wall-clock instant. For a deterministic kill inject a
+  /// FaultKind::kCrash.
   void KillWorkerForTest(size_t shard);
 
   /// Test hook: SIGSTOPs shard's worker — hung, not dead. The kernel
@@ -272,23 +263,16 @@ class ClusterEngine {
   /// budget.
   void StopWorkerForTest(size_t shard);
 
-  /// Deterministic crash injection: the next worker incarnation forked for
-  /// `shard` (initial worker first, then each replacement) _Exit(134)s the
-  /// first time one of its sessions is about to advance to virtual
-  /// timestamp `timestamp`. Events stack FIFO per shard — see
-  /// CrashPlan (engine/ipc.h); the MPN_CRASH_PLAN environment variable
-  /// ("shard:timestamp,...") prepends events at construction. Must be
-  /// called before Start (std::logic_error afterwards).
-  void KillWorkerAt(size_t shard, size_t timestamp);
-
-  /// Deterministic transport-fault injection: arms `kind` at the
-  /// `frame`-th frame operation of shard's data channel (engine/ipc.h
-  /// FaultPlan — batches are consumed per incarnation, fatal kinds
-  /// last). The MPN_FAULT_PLAN environment variable
-  /// ("shard:frame:kind,..." or "seed:N") prepends events at
-  /// construction. Must be called before Start (std::logic_error
-  /// afterwards).
-  void InjectFaultAt(size_t shard, size_t frame, FaultKind kind);
+  /// Deterministic fault injection: appends `kind` at `at` for `shard` to
+  /// the cluster's FaultPlan (engine/ipc.h). `at` is the frame-op index
+  /// on shard's data channel, or — for FaultKind::kCrash — the virtual
+  /// timestamp at which the incarnation _Exit(134)s. Events are consumed
+  /// FIFO per shard, one batch per incarnation (initial worker first,
+  /// then each replacement), each batch ending at its first fatal kind.
+  /// The MPN_FAULT_PLAN environment variable ("shard:at:kind,..." or
+  /// "seed:N") prepends events at construction. Must be called before
+  /// Start (std::logic_error afterwards).
+  void InjectFaultAt(size_t shard, size_t at, FaultKind kind);
 
  private:
   /// Cluster-level per-timestamp totals (mirrors Scheduler::Slot).
@@ -347,7 +331,6 @@ class ClusterEngine {
     uint32_t po = 0;
     uint64_t mailbox_peak = 0;
     uint64_t stalls = 0;
-    uint64_t dropped = 0;
   };
 
   /// Coordinator-side snapshot of one session: everything needed to
@@ -368,8 +351,8 @@ class ClusterEngine {
   const SessionResult& ResultChecked(uint32_t id) const;
   /// Shard-local session count (groups routed to `shard` so far).
   size_t ShardSessionCount(size_t shard) const;
-  /// Forks one worker for `shard` (arming the next crash-plan event) and
-  /// installs its channel. Caller holds mu_.
+  /// Forks one worker for `shard` (arming the shard's next fault batch)
+  /// and installs its channel. Caller holds mu_.
   void ForkWorker(size_t shard);
   /// Replays the snapshot to shard's current incarnation: the admit frame
   /// of every non-final session, ascending, with recorded retirements
@@ -434,7 +417,6 @@ class ClusterEngine {
   /// Recovery snapshot, indexed by global session id (admit frame recorded
   /// *before* the first send, so a replay can never miss a session).
   std::vector<SessionState> snapshot_;
-  CrashPlan crash_plan_;
   FaultPlan fault_plan_;
   RecoveryStats stats_;
   /// Last drained result per global id; persists across Waits so final

@@ -48,7 +48,7 @@ Engine::Engine(const std::vector<Point>* pois, const PackedRTree* tree,
   MPN_ASSERT(pois_ != nullptr && tree_ != nullptr);
   const size_t threads =
       options_.threads == 0 ? ThreadPool::HardwareThreads() : options_.threads;
-  table_ = std::make_unique<SessionTable>(options_.table_shards);
+  table_ = std::make_unique<SessionTable>();
   pool_ = std::make_unique<ThreadPool>(threads);
   executor_ = std::make_unique<PoolExecutor>(pool_.get());
   scheduler_ = std::make_shared<Scheduler>(pool_.get(), table_.get());
@@ -117,15 +117,6 @@ uint32_t Engine::AdmitSession(std::vector<const Trajectory*> group,
   return id;
 }
 
-uint32_t Engine::AddSession(std::vector<const Trajectory*> group) {
-  if (started_.load(std::memory_order_acquire)) {
-    throw std::logic_error(
-        "Engine::AddSession after Run/Start — use AdmitSession for mid-run "
-        "admission");
-  }
-  return AdmitSession(std::move(group));
-}
-
 void Engine::RetireSession(uint32_t id, size_t at_timestamp) {
   SessionRecord* r = FindChecked(id);
   std::lock_guard<std::mutex> lock(r->mu);
@@ -175,20 +166,9 @@ void Engine::RebuildRoundStats() {
     stats.round_seconds.Add(slot.seconds);
     ++stats.rounds;
   }
-  table_->ForEachOrdered([&stats, this](SessionRecord* r) {
-    // Sessions admitted concurrently with this Wait (no hold held) may
-    // still be running; fold only finalized ones — their result fields
-    // are no longer written, so the read is race-free.
-    {
-      std::lock_guard<std::mutex> lock(r->mu);
-      if (!r->finalized) return;
-    }
-    store_->WithResult(r, [&stats](const SessionFinalResult& fr) {
-      stats.mailbox_peak_per_session.Add(static_cast<double>(fr.mailbox_peak));
-      stats.mailbox_stalls_per_session.Add(
-          static_cast<double>(fr.stall_count));
-    });
-  });
+  const Scheduler::MailboxMarks marks = scheduler_->SnapshotMailboxMarks();
+  stats.mailbox_peak_per_session = marks.peak;
+  stats.mailbox_stalls_per_session = marks.stalls;
   round_stats_ = stats;
 }
 
@@ -274,14 +254,6 @@ size_t Engine::session_stall_count(uint32_t id) const {
       FindChecked(id),
       [&stalls](const SessionFinalResult& fr) { stalls = fr.stall_count; });
   return stalls;
-}
-
-size_t Engine::session_dropped_count(uint32_t id) const {
-  size_t dropped = 0;
-  store_->WithResult(
-      FindChecked(id),
-      [&dropped](const SessionFinalResult& fr) { dropped = fr.dropped_count; });
-  return dropped;
 }
 
 void Engine::WithSessionResult(

@@ -57,14 +57,11 @@ struct EngineOptions {
   size_t verify_grain = 16;
   /// Minimum candidate-list size before the fan-out engages.
   size_t verify_min_candidates = 32;
-  /// Shards of the session table (admission locks one shard, never the
-  /// scheduling hot path).
-  size_t table_shards = 16;
   /// Crash-injection test hook: the process _Exit(134)s the first time any
   /// session is about to advance to this virtual timestamp (deterministic
   /// in virtual time). SIZE_MAX disables. Set by the cluster supervisor
-  /// when a KillWorkerAt / MPN_CRASH_PLAN event is armed for a worker
-  /// incarnation (engine/cluster.h); never use it in-process.
+  /// when a worker incarnation's fault batch holds a `crash` event
+  /// (FaultPlan, engine/ipc.h); never use it in-process.
   size_t crash_at_timestamp = static_cast<size_t>(-1);
   /// Resident-session byte budget (engine/memory_budget.h). bytes_cap == 0
   /// defers to the MPN_MEMORY_BUDGET environment variable ("64m", "1g",
@@ -84,10 +81,11 @@ struct EngineRoundStats {
   RunningStat recomputes_per_round;    ///< safe-region recomputations
   RunningStat round_seconds;           ///< processing seconds per timestamp
   size_t rounds = 0;                   ///< timestamp slots processed
-  /// Mailbox high-water marks, one observation per session: the highest
-  /// occupancy each session's mailbox reached, and how often a
+  /// Mailbox high-water marks, one observation per finalized session: the
+  /// highest occupancy each session's mailbox reached, and how often a
   /// recomputation flight saturated it (stalling the session's clock).
-  /// Wall-clock dependent — excluded from ResultDigest().
+  /// Folded at finalization, not re-read by Wait. Wall-clock dependent —
+  /// excluded from ResultDigest().
   RunningStat mailbox_peak_per_session;
   RunningStat mailbox_stalls_per_session;
 
@@ -145,10 +143,6 @@ class Engine {
   uint32_t AdmitSession(std::vector<const Trajectory*> group,
                         const SessionTuning& tuning = SessionTuning());
 
-  /// Legacy pre-run registration. Throws std::logic_error after
-  /// Start()/Run() — use AdmitSession for mid-run admission.
-  uint32_t AddSession(std::vector<const Trajectory*> group);
-
   /// Stops session `id` before it advances to timestamp `at` (a
   /// deterministic truncation of its horizon — same digest on every thread
   /// count if `at` is set before the session reaches it, e.g. via
@@ -167,9 +161,11 @@ class Engine {
 
   /// Serving-loop drain: blocks until every session admitted so far has
   /// finished and no admission hold is outstanding, then refreshes the
-  /// round stats. The engine keeps serving — new sessions may be admitted
-  /// after Wait() returns and drained by another Wait(), so a worker built
-  /// on the engine is a long-lived server rather than a one-shot drain.
+  /// round stats from the totals folded at finalization (O(timestamps),
+  /// not O(sessions)). The engine keeps serving — new sessions may be
+  /// admitted after Wait() returns and drained by another Wait(), so a
+  /// worker built on the engine is a long-lived server rather than a
+  /// one-shot drain.
   /// Results (digest, metrics, stats) are valid after every Wait().
   ///
   /// If a session event or recomputation threw (a spill file that cannot
@@ -208,10 +204,6 @@ class Engine {
   /// GroupSession::mailbox_peak / stall_count).
   size_t session_mailbox_peak(uint32_t id) const;
   size_t session_stall_count(uint32_t id) const;
-
-  /// Buffered updates session `id` dropped (and later force-recomputed)
-  /// under MailboxPolicy::kDropOldest (see GroupSession::dropped_count).
-  size_t session_dropped_count(uint32_t id) const;
 
   /// Wall-clock completion stamps of session `id`'s advances (seconds
   /// since Start); consecutive gaps are the per-session round latencies.
@@ -261,8 +253,8 @@ class Engine {
   class PoolExecutor;  // VerifyExecutor adapter over the thread pool
 
   SessionRecord* FindChecked(uint32_t id) const;
-  /// Rebuilds round_stats_ from the scheduler slots and session mailbox
-  /// counters. Called after every drain (idle engine, all sessions final).
+  /// Rebuilds round_stats_ from the scheduler's slots and mailbox marks.
+  /// Called after every drain (idle engine, all sessions final).
   void RebuildRoundStats();
 
   const std::vector<Point>* pois_;

@@ -10,23 +10,22 @@ namespace mpn {
 
 GroupSession::GroupSession(uint32_t id, const std::vector<Point>* pois,
                            const PackedRTree* tree,
-                           std::vector<const Trajectory*> group,
+                           const std::vector<const Trajectory*>& group,
                            const SimOptions& options,
                            const SessionTuning& tuning, const Timer* run_timer)
     : id_(id),
       pois_(pois),
       tree_(tree),
-      group_(std::move(group)),
       options_(options),
       tuning_(tuning),
       run_timer_(run_timer),
       server_(pois, tree, options.server) {
-  MPN_ASSERT(!group_.empty());
+  MPN_ASSERT(!group.empty());
   MPN_ASSERT(tuning_.recompute_cost_factor >= 1.0);
-  clients_.reserve(group_.size());
-  for (const Trajectory* t : group_) clients_.emplace_back(t);
-  horizon_ = group_.front()->size();
-  for (const Trajectory* t : group_) horizon_ = std::min(horizon_, t->size());
+  clients_.reserve(group.size());
+  for (const Trajectory* t : group) clients_.emplace_back(t);
+  horizon_ = group.front()->size();
+  for (const Trajectory* t : group) horizon_ = std::min(horizon_, t->size());
   if (options_.max_timestamps > 0) {
     horizon_ = std::min(horizon_, options_.max_timestamps);
   }
@@ -112,24 +111,8 @@ void GroupSession::BufferAdvance() {
   AdvanceClients(t);
   mailbox_.emplace_back();
   CaptureSnapshot(t, &mailbox_.back());
-  ++materialized_;
   mailbox_peak_ = std::max(mailbox_peak_, mailbox_.size());
-  if (tuning_.mailbox_policy == MailboxPolicy::kDropOldest) {
-    if (materialized_ > tuning_.mailbox_capacity) {
-      // Drop the oldest payload, keeping its timestamp queued as a husk
-      // for the forced recompute at replay. Oldest materialized = first
-      // entry past the husk prefix ([husks...][materialized...]).
-      Snapshot& victim = mailbox_[mailbox_.size() - materialized_];
-      victim.locations.clear();
-      victim.locations.shrink_to_fit();
-      victim.hints.clear();
-      victim.hints.shrink_to_fit();
-      --materialized_;
-      ++dropped_count_;
-    }
-  } else if (mailbox_.size() >= tuning_.mailbox_capacity) {
-    flight_saturated_ = true;
-  }
+  if (mailbox_.size() >= tuning_.mailbox_capacity) flight_saturated_ = true;
   seconds_at_[t] += timer.ElapsedSeconds();
 }
 
@@ -174,11 +157,9 @@ void GroupSession::InstallResult(RecomputeOutcome outcome) {
   // A capacity-0 mailbox cannot buffer at all: every recomputation with
   // timestamps still ahead stalled the clock (deterministically). For
   // capacity >= 1 the stall was flagged by the BufferAdvance that filled
-  // the mailbox while this result was in flight. kDropOldest never stalls
-  // — overflow drops payloads (dropped_count_) instead.
-  if (tuning_.mailbox_policy == MailboxPolicy::kBlock &&
-      (flight_saturated_ ||
-       (tuning_.mailbox_capacity == 0 && !AdvancesExhausted()))) {
+  // the mailbox while this result was in flight.
+  if (flight_saturated_ ||
+      (tuning_.mailbox_capacity == 0 && !AdvancesExhausted())) {
     ++stall_count_;
   }
   flight_saturated_ = false;
@@ -212,15 +193,10 @@ GroupSession::Replay GroupSession::ReplayOne(Snapshot* snap) {
   if (mailbox_.empty()) return Replay::kEmpty;
   Timer timer;
   Snapshot entry = std::move(mailbox_.front());
-  // Empty locations = a kDropOldest husk (real payloads always have one
-  // location per group member, and groups are non-empty).
-  const bool dropped = entry.locations.empty();
   mailbox_.pop_front();
-  if (!dropped) --materialized_;
   // Retirement landed below an already-buffered timestamp (asap mode):
   // drop the update unchecked — the session is past its horizon.
   if (entry.t >= effective_horizon()) return Replay::kClean;
-  if (dropped) RematerializeSnapshot(&entry);
 
   bool violated = false;
   for (size_t i = 0; i < clients_.size(); ++i) {
@@ -240,29 +216,10 @@ GroupSession::Replay GroupSession::ReplayOne(Snapshot* snap) {
   return Replay::kClean;
 }
 
-void GroupSession::RematerializeSnapshot(Snapshot* entry) const {
-  const size_t t = entry->t;
-  entry->locations.clear();
-  entry->hints.clear();
-  entry->locations.reserve(group_.size());
-  entry->hints.reserve(group_.size());
-  for (const Trajectory* traj : group_) {
-    // Fresh replica, default options — exactly how clients_ were built, so
-    // replaying timestamps 0..t reproduces the dropped capture bit-for-bit
-    // (location and learned motion hint are pure functions of the
-    // trajectory prefix).
-    MpnClient replica(traj);
-    for (size_t u = 0; u <= t; ++u) replica.Advance(u);
-    entry->locations.push_back(replica.location());
-    entry->hints.push_back(replica.Hint());
-  }
-}
-
 GroupSession::State GroupSession::ExportState() const {
   // Spill boundary: between events, mailbox drained, no recompute in
   // flight (the scheduler's flags guarantee the latter). Under those
-  // conditions flight_saturated_ is provably false and materialized_ 0,
-  // so neither needs to travel.
+  // conditions flight_saturated_ is provably false, so it need not travel.
   MPN_ASSERT(mailbox_.empty());
   State state;
   state.next_t = next_t_;
@@ -271,7 +228,6 @@ GroupSession::State GroupSession::ExportState() const {
   state.current_po = current_po_;
   state.mailbox_peak = mailbox_peak_;
   state.stall_count = stall_count_;
-  state.dropped_count = dropped_count_;
   state.metrics = metrics_;
   state.server = server_.ExportState();
   state.clients.reserve(clients_.size());
@@ -295,13 +251,11 @@ void GroupSession::ImportState(const State& state) {
   current_po_ = state.current_po;
   mailbox_peak_ = state.mailbox_peak;
   stall_count_ = state.stall_count;
-  dropped_count_ = state.dropped_count;
   metrics_ = state.metrics;
   server_.ImportState(state.server);
   for (size_t i = 0; i < clients_.size(); ++i) {
     clients_[i].ImportState(state.clients[i]);
   }
-  materialized_ = 0;
   flight_saturated_ = false;
   messages_at_.assign(horizon_, 0);
   violated_at_.assign(horizon_, 0);

@@ -16,6 +16,8 @@
 //                      updates keep arriving: advance clients and append
 //                      the snapshot to a bounded mailbox instead of
 //                      checking regions the session does not have yet.
+//                      A full mailbox stalls the session's virtual clock
+//                      until the install — the one backpressure rule.
 //   InstallResult    — apply a finished recomputation (step-3 messages,
 //                      codec round-trip, region installation), then
 //   ReplayOne        — re-check the buffered updates, oldest first,
@@ -53,22 +55,6 @@
 
 namespace mpn {
 
-/// What a session does when a recomputation flight saturates its mailbox.
-enum class MailboxPolicy : uint8_t {
-  /// Stop advancing the virtual clock until the fresh regions arrive (the
-  /// original backpressure behaviour; counted in stall_count()).
-  kBlock = 0,
-  /// Keep advancing: drop the oldest buffered payload instead (its slot
-  /// stays queued as a timestamp-only husk) and *force-recompute* the
-  /// payload from the source trajectories when the husk is replayed. Every
-  /// timestamp is therefore still checked, in order, against the same
-  /// regions as under kBlock — results and digest are bit-identical; only
-  /// the wall-clock cost moves from the producer (stall) to the replayer
-  /// (rematerialization). Dropped-and-recomputed entries are counted in
-  /// dropped_count().
-  kDropOldest = 1,
-};
-
 /// Per-session knobs of the dynamic-admission API.
 struct SessionTuning {
   /// Multiplies the wall-clock cost of every recomputation by busy-waiting
@@ -80,11 +66,10 @@ struct SessionTuning {
   /// Settable later via Engine::RetireSession.
   size_t retire_at = std::numeric_limits<size_t>::max();
   /// Buffered location updates the session may accumulate while a
-  /// recomputation is in flight (0 = the session stalls instead, or drops
-  /// every payload under kDropOldest).
+  /// recomputation is in flight. A full mailbox stops the session's
+  /// virtual clock until the fresh regions arrive (counted in
+  /// stall_count()); 0 stalls on every recomputation.
   size_t mailbox_capacity = 16;
-  /// Backpressure policy once a recomputation flight saturates the mailbox.
-  MailboxPolicy mailbox_policy = MailboxPolicy::kBlock;
 };
 
 /// The per-session fields the engine still serves after a finalized
@@ -96,7 +81,6 @@ struct SessionFinalResult {
   uint32_t po = 0;
   size_t mailbox_peak = 0;
   size_t stall_count = 0;
-  size_t dropped_count = 0;
   /// Full advance-completion trace (horizon-sized, like advance_seconds()),
   /// kept so round-latency percentiles survive compaction.
   std::vector<double> advance_seconds;
@@ -131,7 +115,8 @@ class GroupSession {
   /// at least as long as the simulated horizon. `run_timer` (optional) is
   /// the engine-wide clock advance completions are stamped against.
   GroupSession(uint32_t id, const std::vector<Point>* pois,
-               const PackedRTree* tree, std::vector<const Trajectory*> group,
+               const PackedRTree* tree,
+               const std::vector<const Trajectory*>& group,
                const SimOptions& options,
                const SessionTuning& tuning = SessionTuning(),
                const Timer* run_timer = nullptr);
@@ -159,13 +144,9 @@ class GroupSession {
   bool MailboxEmpty() const { return mailbox_.empty(); }
 
   /// True while a recomputation is in flight and another location update
-  /// can land in the mailbox. Under kBlock a full mailbox stalls the
-  /// clock; under kDropOldest buffering never blocks (overflow drops the
-  /// oldest payload instead — see MailboxPolicy).
+  /// can land in the mailbox; a full mailbox stalls the clock instead.
   bool CanBuffer() const {
-    if (AdvancesExhausted()) return false;
-    if (tuning_.mailbox_policy == MailboxPolicy::kDropOldest) return true;
-    return mailbox_.size() < tuning_.mailbox_capacity;
+    return !AdvancesExhausted() && mailbox_.size() < tuning_.mailbox_capacity;
   }
 
   /// True once every timestamp has been processed (the scheduler must also
@@ -227,12 +208,6 @@ class GroupSession {
   /// is wall-clock dependent. Observability only, excluded from digests.
   size_t stall_count() const { return stall_count_; }
 
-  /// Buffered payloads dropped (and later force-recomputed at replay)
-  /// under MailboxPolicy::kDropOldest. Wall-clock dependent for
-  /// capacity >= 1, deterministic at capacity 0. Observability only,
-  /// excluded from digests.
-  size_t dropped_count() const { return dropped_count_; }
-
   /// Distills the finalized session into the fields the engine keeps
   /// serving after compaction. Requires Finish() to have run.
   SessionFinalResult ExtractFinalResult() const {
@@ -242,7 +217,6 @@ class GroupSession {
     fr.po = current_po_;
     fr.mailbox_peak = mailbox_peak_;
     fr.stall_count = stall_count_;
-    fr.dropped_count = dropped_count_;
     fr.advance_seconds = advance_at_;
     return fr;
   }
@@ -261,7 +235,6 @@ class GroupSession {
     uint32_t current_po = 0;
     size_t mailbox_peak = 0;
     size_t stall_count = 0;
-    size_t dropped_count = 0;
     SimMetrics metrics;
     MpnServer::State server;
     std::vector<MpnClient::State> clients;
@@ -302,12 +275,6 @@ class GroupSession {
  private:
   void AdvanceClients(size_t t);
   void CaptureSnapshot(size_t t, Snapshot* snap) const;
-  /// kDropOldest forced recompute: rebuilds a dropped payload (locations +
-  /// motion hints at entry->t) by replaying fresh client replicas over the
-  /// source trajectories from timestamp 0 — bit-identical to the original
-  /// capture, because MpnClient is a pure function of its trajectory
-  /// prefix.
-  void RematerializeSnapshot(Snapshot* entry) const;
   /// Step 1/2 message accounting + update counters for a violation at t.
   void RecordViolation(size_t t);
   /// check_correctness mode: the last reported meeting point must still be
@@ -319,7 +286,6 @@ class GroupSession {
   uint32_t id_;
   const std::vector<Point>* pois_;
   const PackedRTree* tree_;
-  std::vector<const Trajectory*> group_;
   SimOptions options_;
   SessionTuning tuning_;
   const Timer* run_timer_;
@@ -333,11 +299,6 @@ class GroupSession {
   std::deque<Snapshot> mailbox_;
   size_t mailbox_peak_ = 0;
   size_t stall_count_ = 0;
-  /// Mailbox entries still carrying their payload (kDropOldest husks
-  /// excluded). Always the newest entries: drops husk-ify oldest-first, so
-  /// the deque is [husks...][materialized...].
-  size_t materialized_ = 0;
-  size_t dropped_count_ = 0;
   /// The in-flight recomputation filled the mailbox; counted as one stall
   /// when its result installs.
   bool flight_saturated_ = false;

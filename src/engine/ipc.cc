@@ -159,59 +159,10 @@ uint32_t Crc32(const uint8_t* data, size_t n) {
   return crc ^ 0xFFFFFFFFu;
 }
 
-const size_t CrashPlan::kNoCrash = static_cast<size_t>(-1);
-
-size_t CrashPlan::Take(size_t shard) {
-  for (size_t i = 0; i < events.size(); ++i) {
-    if (events[i].shard == shard) {
-      const size_t t = events[i].timestamp;
-      events.erase(events.begin() + static_cast<ptrdiff_t>(i));
-      return t;
-    }
-  }
-  return kNoCrash;
-}
-
-CrashPlan CrashPlan::Parse(const std::string& spec) {
-  CrashPlan plan;
-  size_t pos = 0;
-  while (pos < spec.size()) {
-    size_t comma = spec.find(',', pos);
-    if (comma == std::string::npos) comma = spec.size();
-    const std::string tok = TrimToken(spec.substr(pos, comma - pos));
-    pos = comma + 1;
-    if (tok.empty()) continue;  // trailing commas are ok
-    const size_t colon = tok.find(':');
-    if (colon == std::string::npos || colon == 0 || colon + 1 == tok.size()) {
-      throw std::runtime_error(
-          "mpn ipc: malformed crash plan entry (want shard:timestamp): " +
-          tok);
-    }
-    char* end = nullptr;
-    Event ev;
-    ev.shard = std::strtoull(tok.c_str(), &end, 10);
-    if (end != tok.c_str() + colon) {
-      throw std::runtime_error("mpn ipc: malformed crash plan shard: " + tok);
-    }
-    ev.timestamp = std::strtoull(tok.c_str() + colon + 1, &end, 10);
-    if (end != tok.c_str() + tok.size()) {
-      throw std::runtime_error("mpn ipc: malformed crash plan timestamp: " +
-                               tok);
-    }
-    plan.events.push_back(ev);
-  }
-  return plan;
-}
-
-CrashPlan CrashPlan::FromEnv() {
-  const char* env = std::getenv("MPN_CRASH_PLAN");
-  if (env == nullptr || *env == '\0') return CrashPlan();
-  return Parse(env);
-}
-
 bool FaultPlan::IsFatal(FaultKind kind) {
   return kind == FaultKind::kCorrupt || kind == FaultKind::kTruncate ||
-         kind == FaultKind::kStall || kind == FaultKind::kReset;
+         kind == FaultKind::kStall || kind == FaultKind::kReset ||
+         kind == FaultKind::kCrash;
 }
 
 std::vector<FaultPlan::Event> FaultPlan::TakeIncarnation(size_t shard) {
@@ -243,8 +194,7 @@ FaultPlan FaultPlan::Parse(const std::string& spec) {
     if (c1 == std::string::npos || c2 == std::string::npos || c1 == 0 ||
         c2 == c1 + 1 || c2 + 1 == tok.size()) {
       throw std::runtime_error(
-          "mpn ipc: malformed fault plan entry (want shard:frame:kind): " +
-          tok);
+          "mpn ipc: malformed fault plan entry (want shard:at:kind): " + tok);
     }
     char* end = nullptr;
     Event ev;
@@ -252,9 +202,9 @@ FaultPlan FaultPlan::Parse(const std::string& spec) {
     if (end != tok.c_str() + c1) {
       throw std::runtime_error("mpn ipc: malformed fault plan shard: " + tok);
     }
-    ev.frame = std::strtoull(tok.c_str() + c1 + 1, &end, 10);
+    ev.at = std::strtoull(tok.c_str() + c1 + 1, &end, 10);
     if (end != tok.c_str() + c2) {
-      throw std::runtime_error("mpn ipc: malformed fault plan frame: " + tok);
+      throw std::runtime_error("mpn ipc: malformed fault plan index: " + tok);
     }
     ev.kind = ParseFaultKind(tok.substr(c2 + 1));
     plan.events.push_back(ev);
@@ -273,7 +223,7 @@ FaultPlan FaultPlan::FromSeed(uint64_t seed, size_t shards) {
         rng.UniformInt(0, static_cast<int64_t>(shards) - 1));
     // Early frame indices: the first frames of a shard are its admit
     // receives, so low indices are the ones a small workload reaches.
-    ev.frame = static_cast<size_t>(rng.UniformInt(0, 11));
+    ev.at = static_cast<size_t>(rng.UniformInt(0, 11));
     static const FaultKind kKinds[] = {
         FaultKind::kShortIo, FaultKind::kEintrStorm, FaultKind::kCorrupt,
         FaultKind::kTruncate, FaultKind::kStall, FaultKind::kReset};
@@ -298,15 +248,11 @@ FaultPlan FaultPlan::FromEnv(size_t shards) {
   return Parse(spec);
 }
 
-void IpcChannel::MakePair(TransportKind kind, IpcChannel* a, IpcChannel* b) {
+void IpcChannel::MakePair(IpcChannel* a, IpcChannel* b) {
   Transport ta, tb;
-  Transport::MakePair(kind, &ta, &tb);
+  Transport::MakePair(&ta, &tb);
   *a = IpcChannel(std::move(ta));
   *b = IpcChannel(std::move(tb));
-}
-
-void IpcChannel::MakePair(IpcChannel* a, IpcChannel* b) {
-  MakePair(TransportKind::kSocketPair, a, b);
 }
 
 IoStatus IpcChannel::SendFrame(const WireBuffer& frame, double deadline_ms) {
@@ -329,7 +275,7 @@ IoStatus IpcChannel::SendFrame(const WireBuffer& frame, double deadline_ms) {
         ::raise(SIGSTOP);
         break;
       case FaultKind::kReset:
-        transport_.Abort();
+        transport_.Close();
         return IoStatus::kClosed;
       case FaultKind::kCorrupt:
         corrupt = true;
@@ -391,7 +337,7 @@ IoStatus IpcChannel::RecvFrame(std::vector<uint8_t>* payload,
         ::raise(SIGSTOP);
         break;
       case FaultKind::kReset:
-        transport_.Abort();
+        transport_.Close();
         return IoStatus::kClosed;
       case FaultKind::kTruncate:
         // Receive-side truncation degrades to losing the stream: we hang

@@ -2,9 +2,9 @@
 // (engine/transport.h) — the protocol of the multi-process cluster layer
 // (engine/cluster.h).
 //
-// The cluster needs no network: the coordinator forks its workers, so a
-// connected stream pair per worker (AF_UNIX socketpair or loopback TCP)
-// is enough, and the kernel gives us exactly the failure signal the
+// The cluster needs no network: the coordinator forks its workers, so an
+// AF_UNIX socketpair per worker is enough, and the kernel gives us
+// exactly the failure signal the
 // robustness story needs — when a worker dies, its end closes and the
 // coordinator's next receive returns EOF (and sends fail) instead of
 // hanging. For workers that hang *without* dying, every frame operation
@@ -95,61 +95,32 @@ class WireReader {
 /// Crc32((const uint8_t*)"123456789", 9) == 0xCBF43926.
 uint32_t Crc32(const uint8_t* data, size_t n);
 
-/// Deterministic crash-injection plan for the cluster's recovery paths
-/// (engine/cluster.h). Each event kills one worker incarnation the moment
-/// any of its sessions is about to advance to the given *virtual*
-/// timestamp — deterministic in virtual time, so tests, the lifecycle
-/// fuzzer and the bench recovery table can kill workers mid-drain
-/// reproducibly. Events are consumed FIFO per shard: the k-th event of a
-/// shard arms the k-th incarnation forked for it (initial worker first,
-/// then each replacement), so a plan with several events for one shard
-/// exercises repeated restarts and, past the retry budget, graceful
-/// degradation.
-struct CrashPlan {
-  struct Event {
-    size_t shard = 0;
-    size_t timestamp = 0;
-  };
-  std::vector<Event> events;
-
-  bool empty() const { return events.empty(); }
-
-  /// Pops the next planned crash timestamp for `shard`; returns
-  /// kNoCrash (SIZE_MAX, the "disabled" sentinel the engine uses) when
-  /// none is planned.
-  size_t Take(size_t shard);
-
-  /// Parses "shard:timestamp[,shard:timestamp...]" (spaces allowed around
-  /// tokens). Throws std::runtime_error on a malformed spec — a typo in a
-  /// crash plan must fail loudly, not silently disarm the fuzz run.
-  static CrashPlan Parse(const std::string& spec);
-
-  /// Reads the MPN_CRASH_PLAN environment variable (empty plan when unset
-  /// or empty).
-  static CrashPlan FromEnv();
-
-  /// The "no crash planned" sentinel returned by Take.
-  static const size_t kNoCrash;
-};
-
-/// Deterministic transport-fault plan — CrashPlan's sibling for faults
-/// that damage or delay frames instead of killing the process outright.
-/// Each event injects one FaultKind at the Nth frame operation (0-based,
-/// sends and receives share the worker channel's counter) of a shard's
-/// data channel. The worker side of the cluster protocol is
-/// single-threaded, so its frame-op sequence — admit receives, the drain
-/// receive, the result send — is a deterministic function of the
-/// workload, which makes "the Nth frame of shard k" reproducible.
+/// Deterministic fault plan for the cluster's recovery paths
+/// (engine/cluster.h): worker crashes and transport faults in one list.
+/// Each event injects one FaultKind into a shard's worker at `at`:
+///
+///   - `crash`: `at` is a *virtual* timestamp. The worker _Exit(134)s the
+///     moment any of its sessions is about to advance to it
+///     (EngineOptions::crash_at_timestamp), so tests, the lifecycle fuzzer
+///     and the bench recovery table kill workers mid-drain reproducibly.
+///   - every other kind: `at` is the 0-based frame-operation index on the
+///     shard's data channel (sends and receives share the worker
+///     channel's counter). The worker side of the cluster protocol is
+///     single-threaded, so its frame-op sequence — admit receives, the
+///     drain receive, the result send — is a deterministic function of the
+///     workload, which makes "the Nth frame of shard k" reproducible.
 ///
 /// Events are consumed per incarnation: TakeIncarnation pops a shard's
 /// events in plan order up to and including the first *fatal* kind
-/// (corrupt / truncate / stall / reset — anything that costs the
+/// (crash / corrupt / truncate / stall / reset — anything that costs the
 /// incarnation its life), so the k-th batch arms the k-th incarnation
-/// forked for the shard, mirroring CrashPlan's FIFO semantics.
+/// forked for the shard (initial worker first, then each replacement). A
+/// plan with several fatal events for one shard therefore exercises
+/// repeated restarts and, past the restart budget, graceful degradation.
 struct FaultPlan {
   struct Event {
     size_t shard = 0;
-    size_t frame = 0;
+    size_t at = 0;  ///< frame-op index; virtual timestamp for kCrash
     FaultKind kind = FaultKind::kCorrupt;
   };
   std::vector<Event> events;
@@ -157,23 +128,26 @@ struct FaultPlan {
   bool empty() const { return events.empty(); }
 
   /// True for kinds after which the incarnation cannot survive (the
-  /// coordinator restarts the shard): corrupt, truncate, stall, reset.
+  /// coordinator restarts the shard): crash, corrupt, truncate, stall,
+  /// reset.
   static bool IsFatal(FaultKind kind);
 
   /// Pops the next batch of events for `shard`: everything up to and
-  /// including the first fatal kind. Returns an empty vector when the
-  /// shard has no events left.
+  /// including the first fatal kind, so a crash can only come last.
+  /// Returns an empty vector when the shard has no events left.
   std::vector<Event> TakeIncarnation(size_t shard);
 
-  /// Parses "shard:frame:kind[,shard:frame:kind...]" where kind is a
+  /// Parses "shard:at:kind[,shard:at:kind...]" where kind is a
   /// FaultKindName ("short", "eintr", "corrupt", "trunc", "stall",
-  /// "reset"); spaces allowed around tokens. Throws std::runtime_error
-  /// on a malformed spec.
+  /// "reset", "crash"); spaces allowed around tokens. Throws
+  /// std::runtime_error on a malformed spec — a typo in a plan must fail
+  /// loudly, not silently disarm the fuzz run.
   static FaultPlan Parse(const std::string& spec);
 
-  /// Derives a small random plan (1-2 events over `shards` shards) from
-  /// a seed — the "seed:N" form of MPN_FAULT_PLAN, used by the CI fault
-  /// soak. Deterministic for a given (seed, shards).
+  /// Derives a small random plan (1-2 frame-fault events over `shards`
+  /// shards; never a crash) from a seed — the "seed:N" form of
+  /// MPN_FAULT_PLAN, used by the CI fault soak. Deterministic for a given
+  /// (seed, shards).
   static FaultPlan FromSeed(uint64_t seed, size_t shards);
 
   /// Reads the MPN_FAULT_PLAN environment variable: empty plan when
@@ -203,10 +177,8 @@ class IpcChannel {
   IpcChannel(IpcChannel&&) noexcept = default;
   IpcChannel& operator=(IpcChannel&&) noexcept = default;
 
-  /// Creates a connected pair of the given kind (engine/transport.h).
-  /// Throws std::runtime_error when the underlying syscalls fail.
-  static void MakePair(TransportKind kind, IpcChannel* a, IpcChannel* b);
-  /// Legacy AF_UNIX socketpair form.
+  /// Creates a connected socketpair (engine/transport.h). Throws
+  /// std::runtime_error when the syscall fails.
   static void MakePair(IpcChannel* a, IpcChannel* b);
 
   bool valid() const { return transport_.valid(); }

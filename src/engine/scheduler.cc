@@ -55,6 +55,11 @@ std::vector<Scheduler::Slot> Scheduler::SnapshotSlots() const {
   return slots_;
 }
 
+Scheduler::MailboxMarks Scheduler::SnapshotMailboxMarks() const {
+  std::lock_guard<std::mutex> lock(stats_mu_);
+  return mailbox_;
+}
+
 void Scheduler::AddOutstanding() {
   std::lock_guard<std::mutex> lock(idle_mu_);
   ++outstanding_;
@@ -151,6 +156,8 @@ void Scheduler::FinalizeLocked(SessionRecord* r) {
       slots_[t].seconds += s->work_seconds_at()[t];
       ++slots_[t].sessions;
     }
+    mailbox_.peak.Add(static_cast<double>(s->mailbox_peak()));
+    mailbox_.stalls.Add(static_cast<double>(s->stall_count()));
   }
   // Compact: the state machine collapses to its SessionFinalResult.
   if (store_ != nullptr) store_->CompactFinalizedLocked(r);

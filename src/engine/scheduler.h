@@ -44,6 +44,7 @@
 #include <vector>
 
 #include "engine/session_table.h"
+#include "util/stats.h"
 #include "util/thread_pool.h"
 
 namespace mpn {
@@ -66,8 +67,8 @@ class Scheduler {
   /// calls std::_Exit the first time any session's event fires while that
   /// session is about to advance to virtual timestamp >= `t` — a
   /// deterministic-in-virtual-time worker death for EngineOptions::
-  /// crash_at_timestamp / MPN_CRASH_PLAN. Must be set before Start (no
-  /// synchronization). SIZE_MAX (the default) disables the hook.
+  /// crash_at_timestamp (a FaultPlan `crash` event). Must be set before
+  /// Start (no synchronization). SIZE_MAX (the default) disables the hook.
   void set_crash_at_timestamp(size_t t) { crash_at_timestamp_ = t; }
 
   /// Wires the engine's session store: Admit charges new sessions to it,
@@ -130,6 +131,14 @@ class Scheduler {
   /// Wait() is folding stats).
   std::vector<Slot> SnapshotSlots() const;
 
+  /// Mailbox marks folded at finalization, one observation per session.
+  struct MailboxMarks {
+    RunningStat peak;    ///< GroupSession::mailbox_peak
+    RunningStat stalls;  ///< GroupSession::stall_count
+  };
+  /// Copies the marks under the stats lock (see SnapshotSlots).
+  MailboxMarks SnapshotMailboxMarks() const;
+
  private:
   /// Priority of a session event. Default: virtual time first, session id
   /// as the tie-break — the (next_timestamp, session_id) ready ordering.
@@ -159,7 +168,8 @@ class Scheduler {
   /// Decides and schedules the session's next step. Caller holds r->mu.
   void ScheduleNextLocked(SessionRecord* r);
   void ScheduleEventLocked(SessionRecord* r, uint64_t priority);
-  /// Finish + fold the session's traces into the slots. Caller holds r->mu.
+  /// Finish + fold the session's traces into the slots and its mailbox
+  /// marks into mailbox_. Caller holds r->mu.
   void FinalizeLocked(SessionRecord* r);
   void AddOutstanding();
   void SubOutstanding();
@@ -180,6 +190,7 @@ class Scheduler {
 
   mutable std::mutex stats_mu_;
   std::vector<Slot> slots_;
+  MailboxMarks mailbox_;
 };
 
 }  // namespace mpn

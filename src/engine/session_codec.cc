@@ -178,7 +178,7 @@ void EncodeLiveSession(const GroupSession::State& state, WireBuffer* out) {
   out->PutU32(state.current_po);
   out->PutU64(state.mailbox_peak);
   out->PutU64(state.stall_count);
-  out->PutU64(state.dropped_count);
+  out->PutU64(0);  // unused u64: version 1 keeps its layout and size
   WriteMetrics(out, state.metrics);
   out->PutDouble(state.server.compute_seconds);
   out->PutU64(state.server.recompute_count);
@@ -201,7 +201,7 @@ void EncodeFinalSession(const SessionFinalResult& result, WireBuffer* out) {
   out->PutU32(result.po);
   out->PutU64(result.mailbox_peak);
   out->PutU64(result.stall_count);
-  out->PutU64(result.dropped_count);
+  out->PutU64(0);  // unused u64: version 1 keeps its layout and size
   out->PutU32(static_cast<uint32_t>(result.advance_seconds.size()));
   for (double v : result.advance_seconds) out->PutDouble(v);
 }
@@ -226,7 +226,7 @@ GroupSession::State DecodeLiveSession(WireReader* r) {
   state.current_po = r->GetU32();
   state.mailbox_peak = r->GetU64();
   state.stall_count = r->GetU64();
-  state.dropped_count = r->GetU64();
+  r->GetU64();  // the unused u64
   state.metrics = ReadMetrics(r);
   state.server.compute_seconds = r->GetDouble();
   state.server.recompute_count = r->GetU64();
@@ -251,7 +251,7 @@ SessionFinalResult DecodeFinalSession(WireReader* r) {
   result.po = r->GetU32();
   result.mailbox_peak = r->GetU64();
   result.stall_count = r->GetU64();
-  result.dropped_count = r->GetU64();
+  r->GetU64();  // the unused u64
   const uint32_t n = r->GetU32();
   for (uint32_t i = 0; i < n; ++i) {
     result.advance_seconds.push_back(r->GetDouble());

@@ -133,7 +133,6 @@ void SessionStore::WithResult(
     tmp.po = s.current_po();
     tmp.mailbox_peak = s.mailbox_peak();
     tmp.stall_count = s.stall_count();
-    tmp.dropped_count = s.dropped_count();
     tmp.advance_seconds = s.advance_seconds();
     fn(tmp);
     return;
@@ -155,7 +154,6 @@ void SessionStore::WithResult(
   tmp.po = state.current_po;
   tmp.mailbox_peak = state.mailbox_peak;
   tmp.stall_count = state.stall_count;
-  tmp.dropped_count = state.dropped_count;
   // Processed prefix only — the tail of a live session's trace is still
   // zero, and the mid-run readers (drain, digest) never consume it.
   tmp.advance_seconds = std::move(state.advance_at);

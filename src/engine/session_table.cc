@@ -1,20 +1,14 @@
 #include "engine/session_table.h"
 
-#include <algorithm>
-
 #include "util/macros.h"
 
 namespace mpn {
 
-SessionTable::SessionTable(size_t shard_count)
-    : shard_count_(std::max<size_t>(1, shard_count)),
-      shards_(shard_count_) {}
-
 SessionRecord* SessionTable::Insert(std::unique_ptr<SessionRecord> record) {
   MPN_ASSERT(record != nullptr && record->session != nullptr);
   const uint32_t id = record->session->id();
-  Shard& shard = shards_[id % shard_count_];
-  const size_t slot = id / shard_count_;
+  Shard& shard = shards_[id % kShards];
+  const size_t slot = id / kShards;
   std::lock_guard<std::mutex> lock(shard.mu);
   if (shard.records.size() <= slot) shard.records.resize(slot + 1);
   MPN_ASSERT_MSG(shard.records[slot] == nullptr, "duplicate session id");
@@ -23,8 +17,8 @@ SessionRecord* SessionTable::Insert(std::unique_ptr<SessionRecord> record) {
 }
 
 SessionRecord* SessionTable::Find(uint32_t id) const {
-  const Shard& shard = shards_[id % shard_count_];
-  const size_t slot = id / shard_count_;
+  const Shard& shard = shards_[id % kShards];
+  const size_t slot = id / kShards;
   std::lock_guard<std::mutex> lock(shard.mu);
   return slot < shard.records.size() ? shard.records[slot].get() : nullptr;
 }

@@ -16,6 +16,7 @@
 // meeting point for the digest.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
@@ -94,8 +95,11 @@ struct SessionRecord {
 /// Fixed-shard concurrent map id -> SessionRecord.
 class SessionTable {
  public:
-  explicit SessionTable(size_t shard_count);
+  /// Shards of the table (admission locks one shard, never the scheduling
+  /// hot path).
+  static constexpr size_t kShards = 16;
 
+  SessionTable() = default;
   SessionTable(const SessionTable&) = delete;
   SessionTable& operator=(const SessionTable&) = delete;
 
@@ -128,12 +132,11 @@ class SessionTable {
  private:
   struct Shard {
     mutable std::mutex mu;
-    /// Record for id sits at slot id / shard_count (dense per shard).
+    /// Record for id sits at slot id / kShards (dense per shard).
     std::vector<std::unique_ptr<SessionRecord>> records;
   };
 
-  size_t shard_count_;
-  std::vector<Shard> shards_;
+  std::array<Shard, kShards> shards_;
   std::atomic<uint32_t> next_id_{0};
 };
 

@@ -1,9 +1,6 @@
 #include "engine/transport.h"
 
-#include <arpa/inet.h>
 #include <fcntl.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <sys/types.h>
@@ -43,65 +40,6 @@ Clock::time_point DeadlineFrom(double deadline_ms) {
                                 deadline_ms));
 }
 
-void MakeTcpLoopbackPair(int fds[2]) {
-  const int listener = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (listener < 0) ThrowErrno("socket(listener)");
-  sockaddr_in addr;
-  std::memset(&addr, 0, sizeof(addr));
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = 0;  // Ephemeral: getsockname reports the bound port.
-  if (::bind(listener, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) !=
-          0 ||
-      ::listen(listener, 1) != 0) {
-    const int saved = errno;
-    ::close(listener);
-    errno = saved;
-    ThrowErrno("bind/listen(loopback)");
-  }
-  socklen_t len = sizeof(addr);
-  if (::getsockname(listener, reinterpret_cast<sockaddr*>(&addr), &len) !=
-      0) {
-    const int saved = errno;
-    ::close(listener);
-    errno = saved;
-    ThrowErrno("getsockname");
-  }
-  const int client = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (client < 0) {
-    const int saved = errno;
-    ::close(listener);
-    errno = saved;
-    ThrowErrno("socket(client)");
-  }
-  // A blocking connect to our own listening socket on loopback completes
-  // as soon as the kernel queues the connection — no retry loop needed.
-  if (::connect(client, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) !=
-      0) {
-    const int saved = errno;
-    ::close(listener);
-    ::close(client);
-    errno = saved;
-    ThrowErrno("connect(loopback)");
-  }
-  const int server = ::accept(listener, nullptr, nullptr);
-  if (server < 0) {
-    const int saved = errno;
-    ::close(listener);
-    ::close(client);
-    errno = saved;
-    ThrowErrno("accept(loopback)");
-  }
-  ::close(listener);
-  // Frames are small and latency-sensitive (heartbeats, drain replies):
-  // never let Nagle batch them.
-  const int one = 1;
-  (void)::setsockopt(client, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-  (void)::setsockopt(server, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-  fds[0] = client;
-  fds[1] = server;
-}
-
 }  // namespace
 
 const char* FaultKindName(FaultKind kind) {
@@ -118,6 +56,8 @@ const char* FaultKindName(FaultKind kind) {
       return "stall";
     case FaultKind::kReset:
       return "reset";
+    case FaultKind::kCrash:
+      return "crash";
   }
   return "unknown";
 }
@@ -125,7 +65,8 @@ const char* FaultKindName(FaultKind kind) {
 FaultKind ParseFaultKind(const std::string& name) {
   for (const FaultKind k :
        {FaultKind::kShortIo, FaultKind::kEintrStorm, FaultKind::kCorrupt,
-        FaultKind::kTruncate, FaultKind::kStall, FaultKind::kReset}) {
+        FaultKind::kTruncate, FaultKind::kStall, FaultKind::kReset,
+        FaultKind::kCrash}) {
     if (name == FaultKindName(k)) return k;
   }
   throw std::runtime_error("mpn transport: unknown fault kind: " + name);
@@ -159,14 +100,10 @@ Transport& Transport::operator=(Transport&& other) noexcept {
   return *this;
 }
 
-void Transport::MakePair(TransportKind kind, Transport* a, Transport* b) {
+void Transport::MakePair(Transport* a, Transport* b) {
   int fds[2];
-  if (kind == TransportKind::kSocketPair) {
-    if (::socketpair(AF_UNIX, SOCK_STREAM, 0, fds) != 0) {
-      ThrowErrno("socketpair");
-    }
-  } else {
-    MakeTcpLoopbackPair(fds);
+  if (::socketpair(AF_UNIX, SOCK_STREAM, 0, fds) != 0) {
+    ThrowErrno("socketpair");
   }
   *a = Transport(fds[0]);
   *b = Transport(fds[1]);
@@ -181,16 +118,6 @@ void Transport::Close() {
 
 void Transport::ShutdownBoth() {
   if (fd_ >= 0) (void)::shutdown(fd_, SHUT_RDWR);
-}
-
-void Transport::Abort() {
-  if (fd_ >= 0) {
-    struct linger lg;
-    lg.l_onoff = 1;
-    lg.l_linger = 0;
-    (void)::setsockopt(fd_, SOL_SOCKET, SO_LINGER, &lg, sizeof(lg));
-  }
-  Close();
 }
 
 IoStatus Transport::WaitReady(short events,

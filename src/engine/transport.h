@@ -1,12 +1,9 @@
 // Byte transport under the cluster's frame layer (engine/ipc.h).
 //
-// One concrete class covers both backends: a Transport owns a connected
-// stream-socket file descriptor — from socketpair(2) (AF_UNIX) or from a
-// loopback-TCP accept/connect pair — switched to non-blocking mode and
-// driven through poll(2). Both backends are created *pre-fork* by
-// MakePair, so they cross fork(2) identically and the cluster layer never
-// cares which one it got; the seam exists so the follow-on multi-machine
-// step only has to add a new pair factory.
+// A Transport owns one end of an AF_UNIX socketpair(2), switched to
+// non-blocking mode and driven through poll(2). MakePair creates the pair
+// *pre-fork*, so the coordinator keeps one end and the forked worker the
+// other.
 //
 // Every byte operation takes a deadline: partial reads/writes, EINTR and
 // EAGAIN/EWOULDBLOCK are retried internally (counted in
@@ -18,7 +15,8 @@
 // (FaultPlan, engine/ipc.h) fires exactly then — short I/O and EINTR
 // storms shape the byte loops below, while corruption/truncation/stall/
 // reset are executed by the frame layer, which knows where payload bytes
-// and frame boundaries are.
+// and frame boundaries are. The plan's `crash` kind never reaches a
+// channel: it arms the worker's engine instead.
 #pragma once
 
 #include <cstddef>
@@ -28,12 +26,6 @@
 
 namespace mpn {
 
-/// Which pair factory produced the connected endpoints.
-enum class TransportKind : uint8_t {
-  kSocketPair = 0,  ///< AF_UNIX socketpair(2) — the original backend.
-  kTcpLoopback = 1  ///< accept/connect over 127.0.0.1 with TCP_NODELAY.
-};
-
 /// Result of a deadline-bounded byte or frame operation.
 enum class IoStatus : uint8_t {
   kOk = 0,       ///< All requested bytes moved.
@@ -41,14 +33,16 @@ enum class IoStatus : uint8_t {
   kDeadline = 2  ///< Deadline expired before the operation completed.
 };
 
-/// Deterministic transport fault kinds (FaultPlan, engine/ipc.h).
+/// Deterministic fault kinds (FaultPlan, engine/ipc.h). All but kCrash
+/// fire at a frame operation of a worker's data channel.
 enum class FaultKind : uint8_t {
   kShortIo = 0,     ///< Byte ops capped at 1 byte each for one frame op.
   kEintrStorm = 1,  ///< A burst of simulated EINTR returns before progress.
   kCorrupt = 2,     ///< One payload byte flipped after the CRC is computed.
   kTruncate = 3,    ///< Frame cut mid-payload, then the stream is closed.
   kStall = 4,       ///< raise(SIGSTOP): the process hangs without dying.
-  kReset = 5        ///< Abortive close (RST on TCP) at a frame boundary.
+  kReset = 5,       ///< The connection is closed at a frame boundary.
+  kCrash = 6        ///< The worker _Exit(134)s at a virtual timestamp.
 };
 
 /// Human-readable fault name ("corrupt", "stall", ...), for logs/specs.
@@ -81,9 +75,9 @@ class Transport {
   Transport(Transport&& other) noexcept;
   Transport& operator=(Transport&& other) noexcept;
 
-  /// Creates a connected pair of the given kind. Throws
-  /// std::runtime_error when the underlying syscalls fail.
-  static void MakePair(TransportKind kind, Transport* a, Transport* b);
+  /// Creates a connected AF_UNIX socketpair. Throws std::runtime_error
+  /// when the syscall fails.
+  static void MakePair(Transport* a, Transport* b);
 
   bool valid() const { return fd_ >= 0; }
   void Close();
@@ -91,11 +85,6 @@ class Transport {
   /// Half-closes both directions without releasing the fd: a peer (or a
   /// sibling thread of this process) blocked in poll() wakes with EOF.
   void ShutdownBoth();
-
-  /// Abortive close for the kReset fault: on TCP, SO_LINGER(0) turns the
-  /// close into an RST so the peer may see ECONNRESET instead of a clean
-  /// EOF. On AF_UNIX it degrades to a plain close.
-  void Abort();
 
   /// Sends exactly `n` bytes. `deadline_ms <= 0` waits indefinitely.
   /// Returns kClosed when the peer is gone (never raises SIGPIPE),

@@ -3,9 +3,9 @@
 // Waits with a ResultDigest() bit-identical to an uninterrupted
 // single-process Engine; bounded restarts must degrade gracefully to a
 // per-shard error naming the lost groups (never a hang); RecoveryStats
-// must account restarts, re-admissions and snapshot restores; and the
-// crash-injection plumbing (KillWorkerAt, MPN_CRASH_PLAN, CrashPlan)
-// must be deterministic in virtual time.
+// must account restarts, re-admissions and snapshot restores; and crash
+// injection (FaultPlan's `crash` kind, armed via InjectFaultAt or
+// MPN_FAULT_PLAN) must be deterministic in virtual time.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -66,22 +66,32 @@ ClusterOptions MakeClusterOptions(size_t workers, size_t threads) {
   return opt;
 }
 
-// --- CrashPlan plumbing ------------------------------------------------------
+// --- Crash events in the fault plan -----------------------------------------
 
 TEST(CrashPlanTest, ParsesShardTimestampPairsAndConsumesFifoPerShard) {
-  CrashPlan plan = CrashPlan::Parse(" 0:5, 1:10 ,0:7,");
+  FaultPlan plan = FaultPlan::Parse(" 0:5:crash, 1:10:crash ,0:7:crash,");
   ASSERT_EQ(plan.events.size(), 3u);
-  EXPECT_EQ(plan.Take(0), 5u);   // first event for shard 0
-  EXPECT_EQ(plan.Take(0), 7u);   // second incarnation's event
-  EXPECT_EQ(plan.Take(0), CrashPlan::kNoCrash);
-  EXPECT_EQ(plan.Take(1), 10u);
+  // A crash is fatal, so each incarnation's batch holds exactly one.
+  std::vector<FaultPlan::Event> batch = plan.TakeIncarnation(0);
+  ASSERT_EQ(batch.size(), 1u);  // first incarnation of shard 0
+  EXPECT_EQ(batch[0].kind, FaultKind::kCrash);
+  EXPECT_EQ(batch[0].at, 5u);
+  batch = plan.TakeIncarnation(0);  // its replacement
+  ASSERT_EQ(batch.size(), 1u);
+  EXPECT_EQ(batch[0].at, 7u);
+  EXPECT_TRUE(plan.TakeIncarnation(0).empty());
+  batch = plan.TakeIncarnation(1);
+  ASSERT_EQ(batch.size(), 1u);
+  EXPECT_EQ(batch[0].shard, 1u);
+  EXPECT_EQ(batch[0].at, 10u);
   EXPECT_TRUE(plan.empty());
 
-  EXPECT_THROW(CrashPlan::Parse("5"), std::runtime_error);
-  EXPECT_THROW(CrashPlan::Parse("a:5"), std::runtime_error);
-  EXPECT_THROW(CrashPlan::Parse("0:5x"), std::runtime_error);
-  EXPECT_THROW(CrashPlan::Parse(":5"), std::runtime_error);
-  EXPECT_TRUE(CrashPlan::Parse("").empty());
+  EXPECT_THROW(FaultPlan::Parse("0:5"), std::runtime_error);
+  EXPECT_THROW(FaultPlan::Parse("a:5:crash"), std::runtime_error);
+  EXPECT_THROW(FaultPlan::Parse("0:5x:crash"), std::runtime_error);
+  EXPECT_THROW(FaultPlan::Parse(":5:crash"), std::runtime_error);
+  EXPECT_THROW(FaultPlan::Parse("0:5:crsh"), std::runtime_error);
+  EXPECT_TRUE(FaultPlan::Parse("").empty());
 }
 
 // --- Digest bit-identity through recovery ------------------------------------
@@ -89,9 +99,8 @@ TEST(CrashPlanTest, ParsesShardTimestampPairsAndConsumesFifoPerShard) {
 TEST(ClusterRecoveryTest, KilledWorkerRecoversWithBitIdenticalDigest) {
   const size_t kGroups = 6;
   const World w = MakeWorld(250, kGroups, 100, 0xEC0001);
-  SessionTuning drop;
-  drop.mailbox_capacity = 1;
-  drop.mailbox_policy = MailboxPolicy::kDropOldest;
+  SessionTuning tiny;
+  tiny.mailbox_capacity = 1;  // blocks whenever a flight fills it
   // Group 1's retirement rides in the tuning: a live RetireSession(1, 30)
   // issued while the run is in flight races the session's virtual clock
   // (the request only stops *future* advances), so on a loaded machine —
@@ -105,7 +114,7 @@ TEST(ClusterRecoveryTest, KilledWorkerRecoversWithBitIdenticalDigest) {
   retire30.retire_at = 30;
   const auto tuning_of = [&](size_t g) {
     if (g == 1) return retire30;
-    return g == 2 ? drop : SessionTuning();
+    return g == 2 ? tiny : SessionTuning();
   };
 
   // Uninterrupted single-process reference (destroyed before any fork).
@@ -138,7 +147,7 @@ TEST(ClusterRecoveryTest, KilledWorkerRecoversWithBitIdenticalDigest) {
     SCOPED_TRACE("kill shard " + std::to_string(kill.shard) + " at t=" +
                  std::to_string(kill.timestamp));
     ClusterEngine cluster(&w.pois, &w.tree, MakeClusterOptions(2, 2));
-    cluster.KillWorkerAt(kill.shard, kill.timestamp);
+    cluster.InjectFaultAt(kill.shard, kill.timestamp, FaultKind::kCrash);
     cluster.Start();
     for (size_t g = 0; g < kGroups; ++g) {
       cluster.AdmitSession(GroupOf(w, g), tuning_of(g));
@@ -226,8 +235,8 @@ TEST(ClusterRecoveryTest, ExhaustedRestartsDegradeToErrorNamingLostGroups) {
   ClusterEngine cluster(&w.pois, &w.tree, opt);
   // Two planned crashes on shard 1: the initial incarnation and its only
   // allowed replacement both die, exhausting the budget.
-  cluster.KillWorkerAt(1, 10);
-  cluster.KillWorkerAt(1, 10);
+  cluster.InjectFaultAt(1, 10, FaultKind::kCrash);
+  cluster.InjectFaultAt(1, 10, FaultKind::kCrash);
   cluster.Start();
   for (size_t g = 0; g < kGroups; ++g) cluster.AdmitSession(GroupOf(w, g));
   try {
@@ -285,9 +294,9 @@ TEST(ClusterRecoveryTest, EnvCrashPlanArmsTheSameDeterministicKill) {
     ref_digest = engine.ResultDigest();
   }
 
-  setenv("MPN_CRASH_PLAN", "0:20", /*overwrite=*/1);
+  setenv("MPN_FAULT_PLAN", "0:20:crash", /*overwrite=*/1);
   ClusterEngine cluster(&w.pois, &w.tree, MakeClusterOptions(2, 1));
-  unsetenv("MPN_CRASH_PLAN");  // consumed by the constructor
+  unsetenv("MPN_FAULT_PLAN");  // consumed by the constructor
   cluster.AdmitSession(GroupOf(w, 0));
   cluster.AdmitSession(GroupOf(w, 1));
   cluster.Run();
@@ -301,7 +310,8 @@ TEST(ClusterRecoveryTest, UninterruptedRunReportsZeroRecoveryStats) {
   cluster.AdmitSession(GroupOf(w, 0));
   cluster.AdmitSession(GroupOf(w, 1));
   cluster.Start();
-  EXPECT_THROW(cluster.KillWorkerAt(0, 10), std::logic_error);  // post-Start
+  EXPECT_THROW(cluster.InjectFaultAt(0, 10, FaultKind::kCrash),
+               std::logic_error);  // post-Start
   cluster.Shutdown();
   const ClusterEngine::RecoveryStats stats = cluster.recovery_stats();
   EXPECT_EQ(stats.restarts, 0u);

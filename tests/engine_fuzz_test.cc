@@ -1,23 +1,21 @@
 // Deterministic lifecycle fuzzer (ctest label `unit`): seeded random
-// schedules of admit / retire / recompute-cost / mailbox-capacity /
-// mailbox-policy churn, replayed at 1/2/4 threads and at 1/2/4 process
-// shards — with seeded worker crashes AND transport faults (0-2 each:
-// short I/O, EINTR storms, frame corruption/truncation, stalls, resets,
-// over a seed-chosen byte backend) injected into the cluster replays —
-// asserting digest bit-identity on every seed.
+// schedules of admit / retire / recompute-cost / mailbox-capacity churn,
+// replayed at 1/2/4 threads and at 1/2/4 process shards — with seeded
+// worker crashes AND transport faults (0-2 each: short I/O, EINTR storms,
+// frame corruption/truncation, stalls, resets) injected into the cluster
+// replays — asserting digest bit-identity on every seed.
 //
 // Each seed derives (a) a small world and (b) a plan: sessions with random
-// tunings (mailbox capacity incl. 0, drop-oldest mailboxes, deterministic
-// retire_at truncations, wall-clock-only recompute padding), assigned to
-// admission waves that are drained by serving-loop Wait() calls, plus
-// deterministic pre-start RetireSession truncations, 0–2 crash events
-// (shard slot, virtual kill timestamp) armed via KillWorkerAt and 0–2
-// transport-fault events (shard slot, frame index, kind) armed via
-// InjectFaultAt. Every run admits in the same logical order, so the
-// digest must be bit-identical no matter how the work is scheduled —
-// across thread counts in one process, across worker processes in a
-// cluster, across byte backends, and across supervised worker deaths or
-// transport faults recovered by snapshot replay.
+// tunings (mailbox capacity incl. 0, deterministic retire_at truncations,
+// wall-clock-only recompute padding), assigned to admission waves that are
+// drained by serving-loop Wait() calls, plus deterministic pre-start
+// RetireSession truncations and one fault plan armed via InjectFaultAt:
+// 0–2 crash events (shard slot, virtual kill timestamp) followed by 0–2
+// transport-fault events (shard slot, frame index, kind). Every run admits
+// in the same logical order, so the digest must be bit-identical no
+// matter how the work is scheduled — across thread counts in one process,
+// across worker processes in a cluster, and across supervised worker
+// deaths or transport faults recovered by snapshot replay.
 //
 // The world/plan machinery is shared with kernel_differential_test.cc via
 // engine_fuzz_util.h.

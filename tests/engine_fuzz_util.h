@@ -42,20 +42,13 @@ struct PlannedSession {
   size_t prestart_retire_at = 0;
 };
 
-/// One planned worker death for the cluster replays: shard_slot folds onto
-/// the actual shard count (shard_slot % workers), the timestamp is the
-/// deterministic virtual kill point (ClusterEngine::KillWorkerAt).
-struct PlannedCrash {
-  size_t shard_slot = 0;
-  size_t timestamp = 0;
-};
-
-/// One planned transport fault (ClusterEngine::InjectFaultAt): shard_slot
-/// folds like PlannedCrash, frame is the 0-based frame-op index on the
-/// shard's data channel, kind is any FaultKind (engine/transport.h).
+/// One planned fault for the cluster replays (ClusterEngine::InjectFaultAt):
+/// shard_slot folds onto the actual shard count (shard_slot % workers);
+/// `at` is the virtual kill timestamp for FaultKind::kCrash and the 0-based
+/// frame-op index on the shard's data channel for every other kind.
 struct PlannedFault {
   size_t shard_slot = 0;
-  size_t frame = 0;
+  size_t at = 0;
   FaultKind kind = FaultKind::kCorrupt;
 };
 
@@ -66,11 +59,8 @@ struct FuzzPlan {
   /// admissions in mid-run while earlier sessions are still draining.
   std::vector<uint8_t> drain_before;
   std::vector<PlannedSession> sessions;
-  std::vector<PlannedCrash> crashes;
+  /// Worker crashes first, then transport faults, in InjectFaultAt order.
   std::vector<PlannedFault> faults;
-  /// Run the cluster replays over loopback TCP instead of the AF_UNIX
-  /// socketpair — the digest must not care about the byte backend.
-  bool tcp = false;
 };
 
 inline World MakeFuzzWorld(Rng* rng, size_t n_groups, size_t group_size,
@@ -110,11 +100,6 @@ inline FuzzPlan MakeFuzzPlan(Rng* rng, size_t n_groups, size_t horizon) {
     s.tuning.mailbox_capacity =
         capacities[static_cast<size_t>(rng->UniformInt(0, 3))];
     if (rng->Bernoulli(0.3)) {
-      // Drop-oldest backpressure: overflowing payloads are dropped and
-      // force-recomputed at replay — a digest no-op by construction.
-      s.tuning.mailbox_policy = MailboxPolicy::kDropOldest;
-    }
-    if (rng->Bernoulli(0.3)) {
       // Deterministic retirement churn: truncated horizon at admission.
       s.tuning.retire_at = static_cast<size_t>(
           rng->UniformInt(0, static_cast<int64_t>(horizon)));
@@ -132,30 +117,29 @@ inline FuzzPlan MakeFuzzPlan(Rng* rng, size_t n_groups, size_t horizon) {
     }
     plan.sessions.push_back(s);
   }
+  // 0-2 worker crashes at virtual timestamps.
   const size_t n_crashes = static_cast<size_t>(rng->UniformInt(0, 2));
   for (size_t i = 0; i < n_crashes; ++i) {
-    PlannedCrash crash;
+    PlannedFault crash;
     crash.shard_slot = static_cast<size_t>(rng->UniformInt(0, 3));
-    crash.timestamp = static_cast<size_t>(
+    crash.at = static_cast<size_t>(
         rng->UniformInt(0, static_cast<int64_t>(horizon)));
-    plan.crashes.push_back(crash);
+    crash.kind = FaultKind::kCrash;
+    plan.faults.push_back(crash);
   }
-  // 0-2 transport faults layered on top of the crashes: byte shaping,
-  // frame damage or hangs at deterministic frame indices — none of which
-  // may move the digest (drawn after the crashes so pre-fault seeds keep
-  // their worlds and schedules).
+  // 0-2 transport faults behind them: byte shaping, frame damage or hangs
+  // at deterministic frame indices — none of which may move the digest.
   const size_t n_faults = static_cast<size_t>(rng->UniformInt(0, 2));
   for (size_t i = 0; i < n_faults; ++i) {
     PlannedFault fault;
     fault.shard_slot = static_cast<size_t>(rng->UniformInt(0, 3));
-    fault.frame = static_cast<size_t>(rng->UniformInt(0, 14));
+    fault.at = static_cast<size_t>(rng->UniformInt(0, 14));
     const FaultKind kinds[] = {FaultKind::kShortIo, FaultKind::kEintrStorm,
                                FaultKind::kCorrupt, FaultKind::kTruncate,
                                FaultKind::kStall, FaultKind::kReset};
     fault.kind = kinds[rng->UniformInt(0, 5)];
     plan.faults.push_back(fault);
   }
-  plan.tcp = rng->Bernoulli(0.5);
   return plan;
 }
 
@@ -220,15 +204,13 @@ inline uint64_t RunEnginePlan(const World& w, const FuzzPlan& plan,
 inline uint64_t RunClusterPlan(const World& w, const FuzzPlan& plan,
                                size_t workers, size_t threads,
                                KernelKind kernel = KernelKind::kSoA,
-                               bool with_crashes = true) {
+                               bool with_faults = true) {
   ClusterOptions opt;
   opt.workers = workers;
   opt.engine = MakeEngineOptions(threads, kernel);
   // Two planned crashes plus two fatal transport faults can all fold onto
   // one shard; keep the budget above that so every seeded death recovers.
   opt.recovery.max_restarts = 6;
-  opt.transport.kind =
-      plan.tcp ? TransportKind::kTcpLoopback : TransportKind::kSocketPair;
   // Fast liveness so a seeded kStall costs ~2 s instead of the serving
   // defaults' ~4.5 s; the timeout stays generous enough that a loaded CI
   // box never false-kills a live worker.
@@ -236,13 +218,9 @@ inline uint64_t RunClusterPlan(const World& w, const FuzzPlan& plan,
   opt.transport.heartbeat_timeout_ms = 500;
   opt.transport.heartbeat_miss_budget = 3;
   ClusterEngine cluster(&w.pois, &w.tree, opt);
-  if (with_crashes) {
-    for (const PlannedCrash& crash : plan.crashes) {
-      cluster.KillWorkerAt(crash.shard_slot % workers, crash.timestamp);
-    }
+  if (with_faults) {
     for (const PlannedFault& fault : plan.faults) {
-      cluster.InjectFaultAt(fault.shard_slot % workers, fault.frame,
-                            fault.kind);
+      cluster.InjectFaultAt(fault.shard_slot % workers, fault.at, fault.kind);
     }
   }
   return Replay(&cluster, w, plan);

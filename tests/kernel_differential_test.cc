@@ -62,11 +62,11 @@ TEST_P(KernelDifferentialTest, ScalarAndSoAKernelsProduceIdenticalDigests) {
                           /*parallel_verify=*/true))
       << "SoA kernel digest diverged under parallel verify (seed 0x"
       << std::hex << seed << ")";
-  // And across process shards (crash injection disabled: this test is
+  // And across process shards (fault injection disabled: this test is
   // about kernel equivalence, not recovery).
   for (size_t workers : {1u, 2u}) {
     EXPECT_EQ(RunClusterPlan(w, plan, workers, 2, KernelKind::kSoA,
-                             /*with_crashes=*/false),
+                             /*with_faults=*/false),
               reference)
         << "SoA kernel digest diverged at " << workers
         << " shard(s) (seed 0x" << std::hex << seed << ")";

@@ -197,7 +197,6 @@ TEST(SessionCodecTest, FinalSnapshotRoundTripIsExact) {
   fr.po = 0xDEADBEEF;
   fr.mailbox_peak = 7;
   fr.stall_count = 3;
-  fr.dropped_count = 2;
   fr.advance_seconds = {0.0, -0.0, kDenormal, PayloadNan(), 1.5e-300};
   WireBuffer out;
   EncodeFinalSession(fr, &out);
@@ -210,7 +209,6 @@ TEST(SessionCodecTest, FinalSnapshotRoundTripIsExact) {
   EXPECT_EQ(back.po, 0xDEADBEEFu);
   EXPECT_EQ(back.mailbox_peak, 7u);
   EXPECT_EQ(back.stall_count, 3u);
-  EXPECT_EQ(back.dropped_count, 2u);
   ASSERT_EQ(back.advance_seconds.size(), fr.advance_seconds.size());
   for (size_t i = 0; i < fr.advance_seconds.size(); ++i) {
     EXPECT_SAME_BITS(fr.advance_seconds[i], back.advance_seconds[i]);
@@ -225,7 +223,6 @@ TEST(SessionCodecTest, LiveSnapshotRoundTripIsExact) {
   s.current_po = 42;
   s.mailbox_peak = 2;
   s.stall_count = 1;
-  s.dropped_count = 0;
   s.metrics = MakeOddMetrics();
   s.server.compute_seconds = kDenormal;
   s.server.recompute_count = 9;
@@ -258,7 +255,6 @@ TEST(SessionCodecTest, LiveSnapshotRoundTripIsExact) {
   EXPECT_EQ(back.current_po, 42u);
   EXPECT_EQ(back.mailbox_peak, 2u);
   EXPECT_EQ(back.stall_count, 1u);
-  EXPECT_EQ(back.dropped_count, 0u);
   ExpectMetricsEqual(s.metrics, back.metrics);
   EXPECT_SAME_BITS(s.server.compute_seconds, back.server.compute_seconds);
   EXPECT_EQ(back.server.recompute_count, 9u);
@@ -424,7 +420,8 @@ TEST(SessionStoreTest, IdMajorSpillCountsMatchGoldenValues) {
   // rehydration counts are the observable trace of the pop order. Every
   // session is admitted before Start, so the one worker pops a fixed
   // sequence; the golden values pin it and the store's victim choice
-  // (largest id first).
+  // (largest id first). They are a function of the plan MakeFuzzPlan draws
+  // for this seed, so they move whenever its draws do.
   Rng rng(0x1D3A'0001ull);
   const fuzz::World w = fuzz::MakeFuzzWorld(&rng, 16, 3, 24);
   fuzz::FuzzPlan plan = fuzz::MakeFuzzPlan(&rng, 16, 24);
@@ -435,8 +432,8 @@ TEST(SessionStoreTest, IdMajorSpillCountsMatchGoldenValues) {
   const BudgetRun base = RunWithBudget(w, plan, 1, 0);
   const BudgetRun run = RunWithBudget(w, plan, 1, 8192);
   EXPECT_EQ(run.digest, base.digest);
-  EXPECT_EQ(run.mem.spilled_sessions, 76u);
-  EXPECT_EQ(run.mem.rehydrated_sessions, 61u);
+  EXPECT_EQ(run.mem.spilled_sessions, 93u);
+  EXPECT_EQ(run.mem.rehydrated_sessions, 78u);
 }
 
 TEST(SessionStoreTest, SpillFailureInsideAnEventReachesWait) {
@@ -533,8 +530,6 @@ TEST(SessionStoreTest, PerSessionAccessorsMatchUnbudgetedRun) {
     EXPECT_EQ(budgeted.session_has_result(id), base.session_has_result(id));
     EXPECT_EQ(budgeted.session_mailbox_peak(id), base.session_mailbox_peak(id));
     EXPECT_EQ(budgeted.session_stall_count(id), base.session_stall_count(id));
-    EXPECT_EQ(budgeted.session_dropped_count(id),
-              base.session_dropped_count(id));
     // By-reference accessors (rehydrate + pin). The advance trace holds
     // wall-clock timings — only its shape is comparable across runs, but
     // serving it at all proves the pinned rehydration path works.
@@ -572,8 +567,7 @@ TEST(SessionStoreTest, ClusterShardsSpillUnderPerShardBudget) {
   Rng rng(0xC1C5'7E44ull);
   const fuzz::World w = fuzz::MakeFuzzWorld(&rng, 8, 3, 16);
   fuzz::FuzzPlan plan = fuzz::MakeFuzzPlan(&rng, 8, 16);
-  plan.crashes.clear();  // isolate the budget; recovery has its own suite
-  plan.faults.clear();
+  plan.faults.clear();  // isolate the budget; recovery has its own suite
 
   const BudgetRun base = RunWithBudget(w, plan, 1, 0);
 

@@ -1,12 +1,12 @@
 // Hardened-transport tests (ctest label `cluster`): frame integrity
-// (magic/version/CRC32 header, typed FrameError), per-operation deadlines,
-// both byte backends (AF_UNIX socketpair and loopback TCP), deterministic
-// fault injection (FaultPlan / InjectFaultAt / MPN_FAULT_PLAN) and the
-// coordinator's liveness machinery — every injected fault kind, and a
-// SIGSTOPped (hung-but-alive) worker caught by the heartbeat miss budget,
-// must recover to a ResultDigest() bit-identical to an uninterrupted
-// single-process Engine, with the new RecoveryStats counters attributing
-// what happened. See docs/ARCHITECTURE.md §5d.
+// (magic/version/CRC32 header, typed FrameError), per-operation deadlines
+// over the AF_UNIX socketpair, deterministic fault injection (FaultPlan /
+// InjectFaultAt / MPN_FAULT_PLAN) and the coordinator's liveness
+// machinery — every injected fault kind, and a SIGSTOPped (hung-but-alive)
+// worker caught by the heartbeat miss budget, must recover to a
+// ResultDigest() bit-identical to an uninterrupted single-process Engine,
+// with the new RecoveryStats counters attributing what happened. See
+// docs/ARCHITECTURE.md §5d.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -61,6 +61,8 @@ EngineOptions MakeEngineOptions(size_t threads) {
   return opt;
 }
 
+// Every frame-level kind (kCrash, the one plan-level kind, is checked on
+// its own).
 constexpr FaultKind kAllKinds[] = {FaultKind::kShortIo, FaultKind::kEintrStorm,
                                    FaultKind::kCorrupt, FaultKind::kTruncate,
                                    FaultKind::kStall, FaultKind::kReset};
@@ -112,6 +114,8 @@ TEST(FaultKindTest, NamesRoundTripAndUnknownNamesThrow) {
   for (const FaultKind k : kAllKinds) {
     EXPECT_EQ(ParseFaultKind(FaultKindName(k)), k);
   }
+  EXPECT_STREQ(FaultKindName(FaultKind::kCrash), "crash");
+  EXPECT_EQ(ParseFaultKind("crash"), FaultKind::kCrash);
   EXPECT_THROW(ParseFaultKind("bogus"), std::runtime_error);
   EXPECT_THROW(ParseFaultKind(""), std::runtime_error);
 }
@@ -123,6 +127,7 @@ TEST(FaultKindTest, FatalKindsAreTheFrameLevelOnes) {
   EXPECT_TRUE(FaultPlan::IsFatal(FaultKind::kTruncate));
   EXPECT_TRUE(FaultPlan::IsFatal(FaultKind::kStall));
   EXPECT_TRUE(FaultPlan::IsFatal(FaultKind::kReset));
+  EXPECT_TRUE(FaultPlan::IsFatal(FaultKind::kCrash));
 }
 
 // --- FaultPlan parsing + per-incarnation batching ----------------------------
@@ -134,12 +139,12 @@ TEST(FaultPlanTest, ParsesSpecAndConsumesFifoPerShard) {
   // Shard 0's first batch ends at its first fatal kind (corrupt).
   std::vector<FaultPlan::Event> batch = plan.TakeIncarnation(0);
   ASSERT_EQ(batch.size(), 1u);
-  EXPECT_EQ(batch[0].frame, 3u);
+  EXPECT_EQ(batch[0].at, 3u);
   EXPECT_EQ(batch[0].kind, FaultKind::kCorrupt);
   // The second incarnation gets the next event.
   batch = plan.TakeIncarnation(0);
   ASSERT_EQ(batch.size(), 1u);
-  EXPECT_EQ(batch[0].frame, 7u);
+  EXPECT_EQ(batch[0].at, 7u);
   EXPECT_EQ(batch[0].kind, FaultKind::kReset);
   EXPECT_TRUE(plan.TakeIncarnation(0).empty());
 
@@ -161,6 +166,20 @@ TEST(FaultPlanTest, NonFatalKindsRideWithTheirIncarnationsFatal) {
   ASSERT_EQ(batch.size(), 1u);
   EXPECT_EQ(batch[0].kind, FaultKind::kReset);
   EXPECT_TRUE(plan.empty());
+
+  // Crashes and frame faults share one FIFO in plan order: a leading crash
+  // is its incarnation's whole batch, and the frame faults behind it ride
+  // with the replacement.
+  plan = FaultPlan::Parse("0:5:crash,0:2:short,0:3:corrupt");
+  batch = plan.TakeIncarnation(0);
+  ASSERT_EQ(batch.size(), 1u);
+  EXPECT_EQ(batch[0].kind, FaultKind::kCrash);
+  EXPECT_EQ(batch[0].at, 5u);
+  batch = plan.TakeIncarnation(0);
+  ASSERT_EQ(batch.size(), 2u);
+  EXPECT_EQ(batch[0].kind, FaultKind::kShortIo);
+  EXPECT_EQ(batch[1].kind, FaultKind::kCorrupt);
+  EXPECT_TRUE(plan.empty());
 }
 
 TEST(FaultPlanTest, MalformedSpecsFailLoudly) {
@@ -181,9 +200,32 @@ TEST(FaultPlanTest, SeededPlansAreDeterministicAndInBounds) {
   ASSERT_LE(a.events.size(), 2u);
   for (size_t i = 0; i < a.events.size(); ++i) {
     EXPECT_EQ(a.events[i].shard, b.events[i].shard);
-    EXPECT_EQ(a.events[i].frame, b.events[i].frame);
+    EXPECT_EQ(a.events[i].at, b.events[i].at);
     EXPECT_EQ(a.events[i].kind, b.events[i].kind);
     EXPECT_LT(a.events[i].shard, 4u);
+    EXPECT_NE(a.events[i].kind, FaultKind::kCrash);
+  }
+
+  // Golden plans over the soak's two shards: a "seed:N" repro line must
+  // keep naming the same plan.
+  struct Golden {
+    uint64_t seed;
+    std::vector<FaultPlan::Event> events;
+  };
+  const Golden goldens[] = {
+      {1, {{0, 8, FaultKind::kReset}, {1, 10, FaultKind::kCorrupt}}},
+      {2, {{0, 9, FaultKind::kEintrStorm}, {0, 0, FaultKind::kStall}}},
+      {3, {{0, 5, FaultKind::kStall}}},
+  };
+  for (const Golden& g : goldens) {
+    SCOPED_TRACE("seed " + std::to_string(g.seed));
+    const FaultPlan plan = FaultPlan::FromSeed(g.seed, 2);
+    ASSERT_EQ(plan.events.size(), g.events.size());
+    for (size_t i = 0; i < plan.events.size(); ++i) {
+      EXPECT_EQ(plan.events[i].shard, g.events[i].shard);
+      EXPECT_EQ(plan.events[i].at, g.events[i].at);
+      EXPECT_EQ(plan.events[i].kind, g.events[i].kind);
+    }
   }
 }
 
@@ -193,7 +235,7 @@ TEST(FaultPlanTest, EnvVariableFeedsBothSpecForms) {
   unsetenv("MPN_FAULT_PLAN");
   ASSERT_EQ(explicit_plan.events.size(), 1u);
   EXPECT_EQ(explicit_plan.events[0].shard, 1u);
-  EXPECT_EQ(explicit_plan.events[0].frame, 2u);
+  EXPECT_EQ(explicit_plan.events[0].at, 2u);
   EXPECT_EQ(explicit_plan.events[0].kind, FaultKind::kTruncate);
 
   setenv("MPN_FAULT_PLAN", "seed:7", /*overwrite=*/1);
@@ -203,14 +245,14 @@ TEST(FaultPlanTest, EnvVariableFeedsBothSpecForms) {
   ASSERT_EQ(seeded.events.size(), reference.events.size());
   for (size_t i = 0; i < seeded.events.size(); ++i) {
     EXPECT_EQ(seeded.events[i].shard, reference.events[i].shard);
-    EXPECT_EQ(seeded.events[i].frame, reference.events[i].frame);
+    EXPECT_EQ(seeded.events[i].at, reference.events[i].at);
     EXPECT_EQ(seeded.events[i].kind, reference.events[i].kind);
   }
 
   EXPECT_TRUE(FaultPlan::FromEnv(2).empty());  // unset -> empty plan
 }
 
-// --- Frame layer over both backends ------------------------------------------
+// --- Frame layer -------------------------------------------------------------
 
 WireBuffer SmallFrame() {
   WireBuffer f;
@@ -220,9 +262,17 @@ WireBuffer SmallFrame() {
   return f;
 }
 
-class FramePairTest : public testing::TestWithParam<TransportKind> {
+// The byte backend the frame and cluster suites run over; its one value
+// names their instantiation ("Backends/.../SocketPair").
+enum class Backend : uint8_t { kSocketPair = 0 };
+
+std::string BackendName(const testing::TestParamInfo<Backend>&) {
+  return "SocketPair";
+}
+
+class FramePairTest : public testing::TestWithParam<Backend> {
  protected:
-  void SetUp() override { IpcChannel::MakePair(GetParam(), &a_, &b_); }
+  void SetUp() override { IpcChannel::MakePair(&a_, &b_); }
   IpcChannel a_, b_;
 };
 
@@ -320,7 +370,7 @@ TEST_P(FramePairTest, BadHeadersAreRejectedNotDecoded) {
   for (const Bad& bad : bads) {
     SCOPED_TRACE(bad.what);
     Transport raw, rx_end;
-    Transport::MakePair(GetParam(), &raw, &rx_end);
+    Transport::MakePair(&raw, &rx_end);
     IpcChannel rx(std::move(rx_end));
     uint8_t header[IpcChannel::kHeaderBytes];
     put32(header + 0, bad.magic);
@@ -334,13 +384,7 @@ TEST_P(FramePairTest, BadHeadersAreRejectedNotDecoded) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Backends, FramePairTest,
-                         testing::Values(TransportKind::kSocketPair,
-                                         TransportKind::kTcpLoopback),
-                         [](const testing::TestParamInfo<TransportKind>& i) {
-                           return i.param == TransportKind::kSocketPair
-                                      ? "SocketPair"
-                                      : "TcpLoopback";
-                         });
+                         testing::Values(Backend::kSocketPair), BackendName);
 
 // --- Cluster recovery under injected faults ----------------------------------
 
@@ -355,7 +399,7 @@ constexpr size_t kGroups = 4;
 constexpr size_t kDrainRecvOp = 2;
 constexpr size_t kReplySendOp = 3;
 
-class ClusterFaultTest : public testing::TestWithParam<TransportKind> {
+class ClusterFaultTest : public testing::TestWithParam<Backend> {
  protected:
   static uint64_t ReferenceDigest(const World& w) {
     Engine engine(&w.pois, &w.tree, MakeEngineOptions(1));
@@ -369,7 +413,6 @@ class ClusterFaultTest : public testing::TestWithParam<TransportKind> {
     ClusterOptions opt;
     opt.workers = 2;
     opt.engine = MakeEngineOptions(1);
-    opt.transport.kind = GetParam();
     opt.transport.heartbeat_interval_ms = 100;
     opt.transport.heartbeat_timeout_ms = 500;
     opt.transport.heartbeat_miss_budget = 3;
@@ -525,13 +568,7 @@ TEST_P(ClusterFaultTest, HeartbeatsDisabledStillDrainsCleanly) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Backends, ClusterFaultTest,
-                         testing::Values(TransportKind::kSocketPair,
-                                         TransportKind::kTcpLoopback),
-                         [](const testing::TestParamInfo<TransportKind>& i) {
-                           return i.param == TransportKind::kSocketPair
-                                      ? "SocketPair"
-                                      : "TcpLoopback";
-                         });
+                         testing::Values(Backend::kSocketPair), BackendName);
 
 // --- Randomized fault soak (CI re-runs this with MPN_FAULT_PLAN=seed:N) ------
 
@@ -565,7 +602,8 @@ TEST(FaultSoakTest, RandomizedPlanKeepsTheDigestBitIdentical) {
   opt.recovery.max_restarts = 6;
 
   // The ctest entry runs the fixed fallback seed; the CI fault soak (and
-  // local repros) export MPN_FAULT_PLAN=seed:N to randomize it.
+  // local repros) export MPN_FAULT_PLAN=seed:N to randomize it, or
+  // MPN_FAULT_PLAN=shard:t:crash to kill a worker at virtual timestamp t.
   const bool env_driven = std::getenv("MPN_FAULT_PLAN") != nullptr;
   if (!env_driven) setenv("MPN_FAULT_PLAN", "seed:1", /*overwrite=*/1);
   ClusterEngine cluster(&w.pois, &w.tree, opt);  // ctor consumes the plan
