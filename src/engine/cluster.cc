@@ -44,6 +44,13 @@ enum FrameType : uint8_t {
 /// patches this field in place — see ReplayShardSnapshot.
 constexpr size_t kAdmitRetireAtOffset = 1 + 4 + 8;
 
+/// Coordinator-side per-operation I/O deadline (ms): bounds every send and
+/// any *mid-frame* receive progress. A worker that stops moving bytes
+/// inside an operation is killed and recovered. Worker-side channels stay
+/// unbounded — deadlines protect the coordinator from workers, never the
+/// reverse (a wedged coordinator means the cluster is gone anyway).
+constexpr double kIoDeadlineMs = 10'000.0;
+
 uint64_t ReadAdmitRetireAt(const WireBuffer& frame) {
   MPN_ASSERT(frame.size() >= kAdmitRetireAtOffset + 8);
   uint64_t v = 0;
@@ -111,6 +118,9 @@ int WorkerMain(IpcChannel* ch, IpcChannel* hb,
     // Transport retries already shipped in an earlier drain reply (the
     // coordinator folds the per-drain delta into its RecoveryStats).
     uint64_t reported_retries = 0;
+    // Sessions whose results an earlier drain reply shipped: final since
+    // that drain, and kept in the coordinator's results_.
+    size_t shipped = 0;
     while (ch->Recv(&payload)) {
       WireReader r(payload);
       switch (r.GetU8()) {
@@ -157,8 +167,9 @@ int WorkerMain(IpcChannel* ch, IpcChannel* hb,
           WireBuffer out;
           out.PutU8(kDrainedOk);
           const size_t sessions = engine.session_count();
-          out.PutU32(static_cast<uint32_t>(sessions));
-          for (uint32_t local = 0; local < sessions; ++local) {
+          out.PutU32(static_cast<uint32_t>(sessions - shipped));
+          for (uint32_t local = static_cast<uint32_t>(shipped);
+               local < sessions; ++local) {
             out.PutU32(global_ids[local]);
             // Streamed (not the pinning by-reference accessors): under a
             // memory budget a spilled session's result decodes into a
@@ -190,6 +201,7 @@ int WorkerMain(IpcChannel* ch, IpcChannel* hb,
           out.PutU64(mem.spilled_bytes);
           out.PutU64(mem.peak_resident_bytes);
           if (!ch->Send(out)) return 1;
+          shipped = sessions;
           break;
         }
         case kShutdown: {
@@ -347,7 +359,7 @@ void ClusterEngine::ForkWorker(size_t shard) {
     // sequence (admit receives, drain receive, reply send, ...) is
     // deterministic because the serving loop is single-threaded.
     // Worker-side channels stay deadline-free: a slow coordinator must
-    // never make a worker give up (see TransportTuning::io_deadline_ms).
+    // never make a worker give up (see kIoDeadlineMs).
     parent_end.Close();
     hb_parent.Close();
     for (Worker& other : workers_) {
@@ -369,7 +381,7 @@ void ClusterEngine::ForkWorker(size_t shard) {
   hb_child.Close();
   w.pid = pid;
   w.channel = std::move(parent_end);
-  w.channel.set_io_deadline_ms(tt.io_deadline_ms);
+  w.channel.set_io_deadline_ms(kIoDeadlineMs);
   w.heartbeat = std::move(hb_parent);
   w.heartbeat.set_io_deadline_ms(tt.heartbeat_timeout_ms);
   w.ping_seq = 0;
@@ -410,8 +422,7 @@ bool ClusterEngine::ReplayShardSnapshot(size_t shard, bool count_stats) {
 
 bool ClusterEngine::SendToShard(size_t shard, const WireBuffer& frame) {
   Worker& w = workers_[shard];
-  const IoStatus st =
-      w.channel.SendFrame(frame, options_.transport.io_deadline_ms);
+  const IoStatus st = w.channel.SendFrame(frame, kIoDeadlineMs);
   if (st == IoStatus::kOk) return true;
   if (st == IoStatus::kDeadline) {
     // The worker stopped draining its pipe within the deadline: count
@@ -661,15 +672,18 @@ void ClusterEngine::ParseDrainReply(size_t shard,
     throw std::runtime_error(ShardError(shard, "sent an invalid reply"));
   }
   const size_t shard_sessions = ShardSessionCount(shard);
+  // The reply carries the sessions admitted since the last successful
+  // drain; a replacement incarnation's first reply starts at the same
+  // index, because RecoverShard sets restored_below = drained_through.
   const uint32_t sessions = r.GetU32();
-  if (sessions != shard_sessions - w.restored_below) {
+  if (sessions != shard_sessions - w.drained_through) {
     failed_ = true;
     throw std::runtime_error(ShardError(shard, "routed ids out of sync"));
   }
   for (uint32_t local = 0; local < sessions; ++local) {
     const uint32_t global_id = r.GetU32();
     const uint32_t expected = static_cast<uint32_t>(
-        shard + (w.restored_below + local) * options_.workers);
+        shard + (w.drained_through + local) * options_.workers);
     if (global_id != expected || global_id >= results_.size()) {
       failed_ = true;
       throw std::runtime_error(ShardError(shard, "routed ids out of sync"));
@@ -793,7 +807,7 @@ void ClusterEngine::Shutdown() {
           tt.heartbeats ? (tt.heartbeat_interval_ms +
                            tt.heartbeat_timeout_ms) *
                               static_cast<double>(tt.heartbeat_miss_budget)
-                        : tt.io_deadline_ms;
+                        : kIoDeadlineMs;
       for (size_t shard = 0; shard < workers_.size(); ++shard) {
         Worker& w = workers_[shard];
         if (w.lost) continue;

@@ -11,15 +11,16 @@
 // admission order; id g lives on worker g % N as that shard's k-th group
 // (k = g / N — per-pipe FIFO keeps per-worker admission order equal to
 // global order restricted to the shard). When a drain completes, each
-// worker ships every session's deterministic result fields plus its
-// per-timestamp slot totals; the coordinator reassembles the per-session
-// stream in global id order and feeds it through the same digest code the
-// single-process engine uses (engine/digest.h) — so ResultDigest() is
-// bit-identical to one Engine over the same groups, for any worker count
-// and any admission interleaving. Round-stat counters re-aggregate with
-// the same commutative per-timestamp sums and are bit-identical too;
-// wall-clock columns (seconds, mailbox marks) are machine-dependent as
-// always.
+// worker ships the deterministic result fields of the sessions admitted
+// since its previous drain (earlier ones were final then and the
+// coordinator keeps their results) plus its per-timestamp slot totals; the
+// coordinator reassembles the per-session results in global id order and
+// feeds them through the same digest code the single-process engine uses
+// (engine/digest.h) — so ResultDigest() is bit-identical to one Engine
+// over the same groups, for any worker count and any admission
+// interleaving. Round-stat counters re-aggregate with the same commutative
+// per-timestamp sums and are bit-identical too; wall-clock columns
+// (seconds, mailbox marks) are machine-dependent as always.
 //
 // Serving loop: workers run Engine::Start immediately and then serve
 // frames forever — admit, retire, drain (Engine::Wait + result snapshot),
@@ -93,13 +94,6 @@ struct RecoveryOptions {
 
 /// Transport hardening knobs (see docs/ARCHITECTURE.md §5d).
 struct TransportTuning {
-  /// Coordinator-side per-operation I/O deadline (ms): bounds every send
-  /// and any *mid-frame* receive progress. A worker that stops moving
-  /// bytes inside an operation is killed and recovered. <= 0 restores
-  /// the pre-hardening unbounded blocking. Worker-side channels stay
-  /// unbounded — deadlines protect the coordinator from workers, never
-  /// the reverse (a wedged coordinator means the cluster is gone anyway).
-  double io_deadline_ms = 10'000.0;
   /// Liveness probing while awaiting a drain reply. Every
   /// heartbeat_interval_ms without a reply, the coordinator pings the
   /// worker's heartbeat channel and waits heartbeat_timeout_ms for the
@@ -308,7 +302,8 @@ class ClusterEngine {
     size_t restored_below = 0;
     /// Shard-local session count at this shard's last successful drain —
     /// everything below it was final then (Engine::Wait drains every
-    /// admitted session to completion).
+    /// admitted session to completion). The next drain reply carries the
+    /// sessions from this index on.
     size_t drained_through = 0;
     /// Per-timestamp slot totals owned by dead incarnations' drained
     /// history; the current incarnation's drain adds on top.

@@ -63,7 +63,6 @@ Engine::Engine(const std::vector<Point>* pois, const PackedRTree* tree,
   session_sim_options_ = options_.sim;
   if (options_.parallel_verify) {
     session_sim_options_.server.verify_fanout.executor = executor_.get();
-    session_sim_options_.server.verify_fanout.grain = options_.verify_grain;
     session_sim_options_.server.verify_fanout.min_candidates =
         options_.verify_min_candidates;
   }

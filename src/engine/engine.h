@@ -52,9 +52,6 @@ struct EngineOptions {
   /// Fan per-user Tile-MSR candidate verification out across the pool
   /// inside each recomputation (in addition to the per-session parallelism).
   bool parallel_verify = false;
-  /// Candidates per fan-out chunk; fixed layout keeps results
-  /// bit-identical across thread counts.
-  size_t verify_grain = 16;
   /// Minimum candidate-list size before the fan-out engages.
   size_t verify_min_candidates = 32;
   /// Crash-injection test hook: the process _Exit(134)s the first time any

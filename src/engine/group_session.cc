@@ -26,9 +26,6 @@ GroupSession::GroupSession(uint32_t id, const std::vector<Point>* pois,
   for (const Trajectory* t : group) clients_.emplace_back(t);
   horizon_ = group.front()->size();
   for (const Trajectory* t : group) horizon_ = std::min(horizon_, t->size());
-  if (options_.max_timestamps > 0) {
-    horizon_ = std::min(horizon_, options_.max_timestamps);
-  }
   retire_at_ = tuning_.retire_at;
   messages_at_.assign(horizon_, 0);
   violated_at_.assign(horizon_, 0);

@@ -123,8 +123,8 @@ class GroupSession {
 
   uint32_t id() const { return id_; }
 
-  /// Timestamps this session would simulate without retirement (min
-  /// trajectory length, capped by SimOptions::max_timestamps).
+  /// Timestamps this session would simulate without retirement (the
+  /// shortest trajectory's length).
   size_t horizon() const { return horizon_; }
 
   /// Horizon after retirement truncation.

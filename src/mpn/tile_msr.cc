@@ -13,9 +13,13 @@ namespace {
 constexpr double kMinDelta = 1e-9;
 constexpr double kMaxDelta = 1e14;
 
+// Cone half-angle of a directed ordering whose user supplies no learned
+// deviation: 60 degrees, in radians.
+constexpr double kDefaultTheta = 1.0471975511965976;
+
 // Fans the candidate scan out over the executor in fixed-size chunks.
 // Every chunk early-exits on its first failure; chunk statistics merge into
-// the verifier in chunk order, so for a fixed grain the counters do not
+// the verifier in chunk order, so for the fixed grain the counters do not
 // depend on how many workers ran the chunks. With `lanes` non-null the
 // chunks run the SoA kernel over the shared snapshot (read-only; workers
 // never touch the arena).
@@ -26,7 +30,7 @@ bool ParallelVerifyScan(const std::vector<TileRegion>& regions, size_t user_i,
                         const VerifyFanout& fanout, const TileLanes* lanes,
                         VerifyStats* chunk_stats, uint8_t* chunk_ok,
                         size_t chunk_count) {
-  const size_t grain = fanout.grain < 1 ? 1 : fanout.grain;
+  const size_t grain = VerifyFanout::kGrain;
   for (size_t c = 0; c < chunk_count; ++c) {
     chunk_stats[c] = VerifyStats{};
     chunk_ok[c] = 1;
@@ -97,7 +101,7 @@ bool DivideVerifyImpl(std::vector<TileRegion>* regions, size_t user_i,
       // only starts after that, so resetting here frees nothing live.
       Arena& arena = scratch->arena;
       arena.Reset();
-      const size_t grain = fanout.grain < 1 ? 1 : fanout.grain;
+      const size_t grain = VerifyFanout::kGrain;
       const size_t chunk_count = (candidates.size() + grain - 1) / grain;
       auto* chunk_stats = arena.AllocateArray<VerifyStats>(chunk_count);
       auto* chunk_ok = arena.AllocateArray<uint8_t>(chunk_count);
@@ -239,7 +243,7 @@ MsrResult ComputeTileMsr(const PackedRTree* tree,
   for (size_t i = 0; i < m; ++i) {
     if (config.directed && !hints.empty() && hints[i].has_heading) {
       const double theta =
-          hints[i].theta > 0.0 ? hints[i].theta : config.default_theta;
+          hints[i].theta > 0.0 ? hints[i].theta : kDefaultTheta;
       orderings.emplace_back(hints[i].heading, theta);
     } else {
       orderings.emplace_back();

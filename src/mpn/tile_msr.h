@@ -69,12 +69,13 @@ class VerifyExecutor {
 
 /// Knobs of the optional parallel candidate fan-out inside Divide-Verify.
 /// With a null executor the scan is the sequential legacy loop (stops at
-/// the first failing candidate). With an executor, chunks of `grain`
+/// the first failing candidate). With an executor, chunks of kGrain
 /// candidates are verified concurrently — each chunk still early-exits, so
-/// counters stay deterministic for a fixed grain.
+/// counters stay deterministic: the chunk layout is fixed.
 struct VerifyFanout {
+  /// Candidates per fan-out chunk.
+  static constexpr size_t kGrain = 16;
   VerifyExecutor* executor = nullptr;
-  size_t grain = 16;
   /// Below this many candidates the scan stays sequential (fan-out
   /// overhead would dominate).
   size_t min_candidates = 32;
@@ -91,9 +92,6 @@ struct TileMsrConfig {
   /// Theorem-3/6 index pruning during candidate retrieval. Disable only for
   /// the ablation benchmarks (full scans are drastically slower).
   bool index_pruning = true;
-  /// Fallback cone half-angle for directed ordering when a user supplies no
-  /// learned deviation (radians).
-  double default_theta = 1.0471975511965976;  // 60 degrees
   /// Parallel per-user verification fan-out (engine integration; defaults
   /// to sequential).
   VerifyFanout fanout;
@@ -130,7 +128,7 @@ struct MotionHint {
   bool has_heading = false;
   double heading = 0.0;  ///< radians
   double theta = 0.0;    ///< learned angular deviation bound (radians); <= 0
-                         ///< means "use TileMsrConfig::default_theta"
+                         ///< means the default cone of 60 degrees
 };
 
 /// Algorithm 2 (Divide-Verify), exposed for testing. Attempts to add grid

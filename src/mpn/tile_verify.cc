@@ -1,25 +1,10 @@
 #include "mpn/tile_verify.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
-#include <cstdlib>
-#include <cstring>
 #include <limits>
 
 #include "util/macros.h"
-
-#if defined(__SSE2__)
-#include <emmintrin.h>
-#endif
-
-// The AVX2 path compiles via a per-function target attribute (no global
-// -mavx2), so the binary still runs on SSE2-only machines; the wider path
-// is selected at runtime only when cpuid reports AVX2.
-#if defined(__SSE2__) && defined(__GNUC__)
-#include <immintrin.h>
-#define MPN_HAVE_AVX2_PATH 1
-#endif
 
 namespace mpn {
 
@@ -27,277 +12,115 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-// Per-user lane aggregates of the GT-Verify scan (see VerifyTileLanes).
-// All five are min/max selections over per-lane values, so any evaluation
-// order — including the two-accumulator SIMD split below — produces the
-// identical doubles.
-struct UserLaneAgg {
-  double maxmax_all = 0.0;   // max ||po,t||_max
-  double min_mx = kInf;      // min ||po,t||_max   (-> has_t)
-  double minmin_all2 = kInf; // min squared ||p,t||_min
-  double maxmax_s = 0.0;     // max ||po,t||_max over lanes with mn < d_p
-  double minmin_t2 = kInf;   // min squared ||p,t||_min over lanes mx < d_o
-};
+// Squared Rect::MinDist from (px, py) to lane k: the exact IEEE square the
+// AoS walk feeds to sqrt.
+inline double LaneMinDist2(const RectLanes& r, size_t k, double px,
+                           double py) {
+  const double dx = std::max(std::max(r.lo_x[k] - px, 0.0), px - r.hi_x[k]);
+  const double dy = std::max(std::max(r.lo_y[k] - py, 0.0), py - r.hi_y[k]);
+  return dx * dx + dy * dy;
+}
 
-// Folds one scalar lane into the aggregates using the branch-free select
+// Folds one lane into the five aggregates using the branch-free select
 // forms (identities: 0 for max over nonnegative distances, +inf for min).
 inline void FoldLane(double mn2, double mx, double d_o, double t_lt,
-                     UserLaneAgg* a) {
-  a->maxmax_all = std::max(a->maxmax_all, mx);
-  a->min_mx = std::min(a->min_mx, mx);
-  a->minmin_all2 = std::min(a->minmin_all2, mn2);
-  const bool below_do = mx < d_o;
-  const bool below_dp = mn2 <= t_lt;
-  a->maxmax_s = std::max(a->maxmax_s, below_dp ? mx : 0.0);
-  a->minmin_t2 = std::min(a->minmin_t2, below_do ? mn2 : kInf);
+                     double& maxmax_all, double& min_mx, double& minmin_all2,
+                     double& maxmax_s, double& minmin_t2) {
+  maxmax_all = std::max(maxmax_all, mx);
+  min_mx = std::min(min_mx, mx);
+  minmin_all2 = std::min(minmin_all2, mn2);
+  maxmax_s = std::max(maxmax_s, mn2 <= t_lt ? mx : 0.0);
+  minmin_t2 = std::min(minmin_t2, mx < d_o ? mn2 : kInf);
 }
 
-// Folds lanes [k, end) with the scalar loop into an existing aggregate —
-// the reference path and the shared tail of both SIMD paths.
-inline void FoldScalarLanes(const RectLanes& r, const double* max_po,
-                            size_t k, size_t end, double px, double py,
-                            double d_o, double t_lt, UserLaneAgg* a) {
-  for (; k < end; ++k) {
-    const double dx =
-        std::max(std::max(r.lo_x[k] - px, 0.0), px - r.hi_x[k]);
-    const double dy =
-        std::max(std::max(r.lo_y[k] - py, 0.0), py - r.hi_y[k]);
-    FoldLane(dx * dx + dy * dy, max_po[k], d_o, t_lt, a);
-  }
-}
+// Lanes folded side by side (a power of two): one AVX2 register of
+// doubles, two SSE2 ones.
+constexpr size_t kFoldWidth = 4;
 
-// Pure-scalar aggregation (MPN_LANE_ISA=scalar, or no SSE2 at build time).
-UserLaneAgg AggregateUserLanesScalar(const RectLanes& r, const double* max_po,
-                                     size_t begin, size_t end, double px,
-                                     double py, double d_o, double t_lt) {
-  UserLaneAgg a;
-  FoldScalarLanes(r, max_po, begin, end, px, py, d_o, t_lt, &a);
-  return a;
-}
-
-#if defined(__SSE2__)
-// Aggregates lanes [begin, end): squared Rect::MinDist per lane (the exact
-// IEEE square the scalar path feeds to sqrt) plus the five reductions. GCC
-// will not auto-vectorize floating min/max reductions without fast-math,
-// so the two-wide SSE2 form is written out by hand; maxpd/minpd/cmppd are
-// exact IEEE selections and compares, keeping every aggregate bit-identical
-// to the scalar loop (the fallback below and the tail share its code).
-UserLaneAgg AggregateUserLanesSse2(const RectLanes& r, const double* max_po,
-                                   size_t begin, size_t end, double px,
-                                   double py, double d_o, double t_lt) {
-  UserLaneAgg a;
-  size_t k = begin;
-  if (end - k >= 2) {
-    const __m128d vpx = _mm_set1_pd(px);
-    const __m128d vpy = _mm_set1_pd(py);
-    const __m128d vdo = _mm_set1_pd(d_o);
-    const __m128d vtl = _mm_set1_pd(t_lt);
-    const __m128d vzero = _mm_setzero_pd();
-    const __m128d vinf = _mm_set1_pd(kInf);
-    // Two accumulator sets (4 lanes per iteration) so the serial
-    // min/max latency chains overlap; accumulators merge with the same
-    // selection at the end, so the split cannot change any value.
-    __m128d maxmax_all = vzero, min_mx = vinf, minmin_all2 = vinf;
-    __m128d maxmax_s = vzero, minmin_t2 = vinf;
-    __m128d maxmax_all1 = vzero, min_mx1 = vinf, minmin_all21 = vinf;
-    __m128d maxmax_s1 = vzero, minmin_t21 = vinf;
-    const auto fold2 = [&](size_t at, __m128d* mm_all, __m128d* mn_mx,
-                           __m128d* mn_all2, __m128d* mm_s, __m128d* mn_t2) {
-      const __m128d dx = _mm_max_pd(
-          _mm_max_pd(_mm_sub_pd(_mm_loadu_pd(r.lo_x + at), vpx), vzero),
-          _mm_sub_pd(vpx, _mm_loadu_pd(r.hi_x + at)));
-      const __m128d dy = _mm_max_pd(
-          _mm_max_pd(_mm_sub_pd(_mm_loadu_pd(r.lo_y + at), vpy), vzero),
-          _mm_sub_pd(vpy, _mm_loadu_pd(r.hi_y + at)));
-      const __m128d mn2 =
-          _mm_add_pd(_mm_mul_pd(dx, dx), _mm_mul_pd(dy, dy));
-      const __m128d mx = _mm_loadu_pd(max_po + at);
-      *mm_all = _mm_max_pd(*mm_all, mx);
-      *mn_mx = _mm_min_pd(*mn_mx, mx);
-      *mn_all2 = _mm_min_pd(*mn_all2, mn2);
-      const __m128d below_dp = _mm_cmple_pd(mn2, vtl);
-      const __m128d below_do = _mm_cmplt_pd(mx, vdo);
-      // below_dp ? mx : 0.0 — the all-ones mask ANDs to mx, else +0.0.
-      *mm_s = _mm_max_pd(*mm_s, _mm_and_pd(below_dp, mx));
-      *mn_t2 = _mm_min_pd(
-          *mn_t2, _mm_or_pd(_mm_and_pd(below_do, mn2),
-                            _mm_andnot_pd(below_do, vinf)));
-    };
-    for (; k + 4 <= end; k += 4) {
-      fold2(k, &maxmax_all, &min_mx, &minmin_all2, &maxmax_s, &minmin_t2);
-      fold2(k + 2, &maxmax_all1, &min_mx1, &minmin_all21, &maxmax_s1,
-            &minmin_t21);
-    }
-    for (; k + 2 <= end; k += 2) {
-      fold2(k, &maxmax_all, &min_mx, &minmin_all2, &maxmax_s, &minmin_t2);
-    }
-    maxmax_all = _mm_max_pd(maxmax_all, maxmax_all1);
-    min_mx = _mm_min_pd(min_mx, min_mx1);
-    minmin_all2 = _mm_min_pd(minmin_all2, minmin_all21);
-    maxmax_s = _mm_max_pd(maxmax_s, maxmax_s1);
-    minmin_t2 = _mm_min_pd(minmin_t2, minmin_t21);
-    double lane2[2];
-    _mm_storeu_pd(lane2, maxmax_all);
-    a.maxmax_all = std::max(lane2[0], lane2[1]);
-    _mm_storeu_pd(lane2, min_mx);
-    a.min_mx = std::min(lane2[0], lane2[1]);
-    _mm_storeu_pd(lane2, minmin_all2);
-    a.minmin_all2 = std::min(lane2[0], lane2[1]);
-    _mm_storeu_pd(lane2, maxmax_s);
-    a.maxmax_s = std::max(lane2[0], lane2[1]);
-    _mm_storeu_pd(lane2, minmin_t2);
-    a.minmin_t2 = std::min(lane2[0], lane2[1]);
-  }
-  FoldScalarLanes(r, max_po, k, end, px, py, d_o, t_lt, &a);
-  return a;
-}
-#endif  // __SSE2__
-
-#if defined(MPN_HAVE_AVX2_PATH)
-// One four-wide fold step of the AVX2 path (free function rather than a
-// lambda: the target attribute does not propagate into lambda bodies on
-// older GCC).
-__attribute__((target("avx2"))) inline void Fold4Avx2(
-    const RectLanes& r, const double* max_po, size_t at, __m256d vpx,
-    __m256d vpy, __m256d vdo, __m256d vtl, __m256d vzero, __m256d vinf,
-    __m256d* mm_all, __m256d* mn_mx, __m256d* mn_all2, __m256d* mm_s,
-    __m256d* mn_t2) {
-  const __m256d dx = _mm256_max_pd(
-      _mm256_max_pd(_mm256_sub_pd(_mm256_loadu_pd(r.lo_x + at), vpx), vzero),
-      _mm256_sub_pd(vpx, _mm256_loadu_pd(r.hi_x + at)));
-  const __m256d dy = _mm256_max_pd(
-      _mm256_max_pd(_mm256_sub_pd(_mm256_loadu_pd(r.lo_y + at), vpy), vzero),
-      _mm256_sub_pd(vpy, _mm256_loadu_pd(r.hi_y + at)));
-  const __m256d mn2 =
-      _mm256_add_pd(_mm256_mul_pd(dx, dx), _mm256_mul_pd(dy, dy));
-  const __m256d mx = _mm256_loadu_pd(max_po + at);
-  *mm_all = _mm256_max_pd(*mm_all, mx);
-  *mn_mx = _mm256_min_pd(*mn_mx, mx);
-  *mn_all2 = _mm256_min_pd(*mn_all2, mn2);
-  const __m256d below_dp = _mm256_cmp_pd(mn2, vtl, _CMP_LE_OQ);
-  const __m256d below_do = _mm256_cmp_pd(mx, vdo, _CMP_LT_OQ);
-  *mm_s = _mm256_max_pd(*mm_s, _mm256_and_pd(below_dp, mx));
-  *mn_t2 = _mm256_min_pd(*mn_t2,
-                         _mm256_or_pd(_mm256_and_pd(below_do, mn2),
-                                      _mm256_andnot_pd(below_do, vinf)));
-}
-
-// Four-wide AVX2 form of the same fold, dual accumulators (8 lanes per
-// iteration). vmaxpd/vminpd/vcmppd are the same exact IEEE selections as
-// their SSE2 counterparts and the reductions are pure min/max, so every
-// aggregate stays bit-identical to the scalar loop.
-__attribute__((target("avx2"))) UserLaneAgg AggregateUserLanesAvx2(
+// The one body of the per-user lane fold. Each of the kFoldWidth
+// accumulator columns is its own min/max chain, so the main loop is
+// kFoldWidth independent folds rather than one reduction, and the compiler
+// vectorizes it under strict IEEE semantics (max/min/cmp/blend over packed
+// doubles). Every aggregate is a min/max selection over values that are
+// never NaN or -0.0, so the column split cannot change a bit. Runs shorter
+// than the width skip the columns; the scalar loop finishes every run.
+// always_inline: each wrapper below compiles the body for its own target.
+__attribute__((always_inline)) inline UserLaneAgg FoldUserLanesBody(
     const RectLanes& r, const double* max_po, size_t begin, size_t end,
     double px, double py, double d_o, double t_lt) {
   UserLaneAgg a;
   size_t k = begin;
-  if (end - k >= 4) {
-    const __m256d vpx = _mm256_set1_pd(px);
-    const __m256d vpy = _mm256_set1_pd(py);
-    const __m256d vdo = _mm256_set1_pd(d_o);
-    const __m256d vtl = _mm256_set1_pd(t_lt);
-    const __m256d vzero = _mm256_setzero_pd();
-    const __m256d vinf = _mm256_set1_pd(kInf);
-    __m256d maxmax_all = vzero, min_mx = vinf, minmin_all2 = vinf;
-    __m256d maxmax_s = vzero, minmin_t2 = vinf;
-    __m256d maxmax_all1 = vzero, min_mx1 = vinf, minmin_all21 = vinf;
-    __m256d maxmax_s1 = vzero, minmin_t21 = vinf;
-    for (; k + 8 <= end; k += 8) {
-      Fold4Avx2(r, max_po, k, vpx, vpy, vdo, vtl, vzero, vinf, &maxmax_all,
-                &min_mx, &minmin_all2, &maxmax_s, &minmin_t2);
-      Fold4Avx2(r, max_po, k + 4, vpx, vpy, vdo, vtl, vzero, vinf,
-                &maxmax_all1, &min_mx1, &minmin_all21, &maxmax_s1,
-                &minmin_t21);
+  if (end - k >= kFoldWidth) {
+    double maxmax_all[kFoldWidth], min_mx[kFoldWidth];
+    double minmin_all2[kFoldWidth], maxmax_s[kFoldWidth];
+    double minmin_t2[kFoldWidth];
+    for (size_t l = 0; l < kFoldWidth; ++l) {
+      maxmax_all[l] = maxmax_s[l] = 0.0;
+      min_mx[l] = minmin_all2[l] = minmin_t2[l] = kInf;
     }
-    for (; k + 4 <= end; k += 4) {
-      Fold4Avx2(r, max_po, k, vpx, vpy, vdo, vtl, vzero, vinf, &maxmax_all,
-                &min_mx, &minmin_all2, &maxmax_s, &minmin_t2);
+    for (; end - k >= kFoldWidth; k += kFoldWidth) {
+      for (size_t l = 0; l < kFoldWidth; ++l) {
+        FoldLane(LaneMinDist2(r, k + l, px, py), max_po[k + l], d_o, t_lt,
+                 maxmax_all[l], min_mx[l], minmin_all2[l], maxmax_s[l],
+                 minmin_t2[l]);
+      }
     }
-    maxmax_all = _mm256_max_pd(maxmax_all, maxmax_all1);
-    min_mx = _mm256_min_pd(min_mx, min_mx1);
-    minmin_all2 = _mm256_min_pd(minmin_all2, minmin_all21);
-    maxmax_s = _mm256_max_pd(maxmax_s, maxmax_s1);
-    minmin_t2 = _mm256_min_pd(minmin_t2, minmin_t21);
-    double lane4[4];
-    _mm256_storeu_pd(lane4, maxmax_all);
-    a.maxmax_all = std::max(std::max(lane4[0], lane4[1]),
-                            std::max(lane4[2], lane4[3]));
-    _mm256_storeu_pd(lane4, min_mx);
-    a.min_mx = std::min(std::min(lane4[0], lane4[1]),
-                        std::min(lane4[2], lane4[3]));
-    _mm256_storeu_pd(lane4, minmin_all2);
-    a.minmin_all2 = std::min(std::min(lane4[0], lane4[1]),
-                             std::min(lane4[2], lane4[3]));
-    _mm256_storeu_pd(lane4, maxmax_s);
-    a.maxmax_s = std::max(std::max(lane4[0], lane4[1]),
-                          std::max(lane4[2], lane4[3]));
-    _mm256_storeu_pd(lane4, minmin_t2);
-    a.minmin_t2 = std::min(std::min(lane4[0], lane4[1]),
-                           std::min(lane4[2], lane4[3]));
+    // Halve the columns down to column 0; folding them into the identities
+    // instead costs a compare and a blend per aggregate.
+    for (size_t w = kFoldWidth / 2; w > 0; w /= 2) {
+      for (size_t l = 0; l < w; ++l) {
+        maxmax_all[l] = std::max(maxmax_all[l], maxmax_all[l + w]);
+        min_mx[l] = std::min(min_mx[l], min_mx[l + w]);
+        minmin_all2[l] = std::min(minmin_all2[l], minmin_all2[l + w]);
+        maxmax_s[l] = std::max(maxmax_s[l], maxmax_s[l + w]);
+        minmin_t2[l] = std::min(minmin_t2[l], minmin_t2[l + w]);
+      }
+    }
+    a = UserLaneAgg{maxmax_all[0], min_mx[0], minmin_all2[0], maxmax_s[0],
+                    minmin_t2[0]};
   }
-  FoldScalarLanes(r, max_po, k, end, px, py, d_o, t_lt, &a);
+  for (; k < end; ++k) {
+    FoldLane(LaneMinDist2(r, k, px, py), max_po[k], d_o, t_lt, a.maxmax_all,
+             a.min_mx, a.minmin_all2, a.maxmax_s, a.minmin_t2);
+  }
   return a;
 }
-#endif  // MPN_HAVE_AVX2_PATH
 
-using LaneAggFn = UserLaneAgg (*)(const RectLanes&, const double*, size_t,
-                                  size_t, double, double, double, double);
+using FoldFn = UserLaneAgg (*)(const RectLanes&, const double*, size_t,
+                               size_t, double, double, double, double);
 
-// Picks the widest fold the CPU supports. `request` (normally the
-// MPN_LANE_ISA environment variable) pins a narrower path for differential
-// testing and perf triage; requests the hardware cannot honor fall back to
-// the widest supported path at or below the request.
-LaneAggFn ResolveLaneAggFn(const char* request) {
-  const bool want_scalar =
-      request != nullptr && std::strcmp(request, "scalar") == 0;
-  const bool want_sse2 = request != nullptr && std::strcmp(request, "sse2") == 0;
-#if defined(MPN_HAVE_AVX2_PATH)
-  if (!want_scalar && !want_sse2 && __builtin_cpu_supports("avx2")) {
-    return &AggregateUserLanesAvx2;
-  }
+// The build the CPU runs, picked once at first use.
+FoldFn PickedFold() {
+  static const FoldFn fold = [] {
+#if defined(__x86_64__)
+    if (__builtin_cpu_supports("avx2")) return &FoldUserLanesAvx2;
 #endif
-#if defined(__SSE2__)
-  if (!want_scalar) return &AggregateUserLanesSse2;
-#endif
-  return &AggregateUserLanesScalar;
-}
-
-// Latched on first use (relaxed is enough: racing resolvers compute the
-// same pointer from the same environment).
-std::atomic<LaneAggFn> g_lane_agg_fn{nullptr};
-
-inline LaneAggFn LaneAggImpl() {
-  LaneAggFn fn = g_lane_agg_fn.load(std::memory_order_relaxed);
-  if (fn == nullptr) {
-    fn = ResolveLaneAggFn(std::getenv("MPN_LANE_ISA"));
-    g_lane_agg_fn.store(fn, std::memory_order_relaxed);
-  }
-  return fn;
-}
-
-inline UserLaneAgg AggregateUserLanes(const RectLanes& r,
-                                      const double* max_po, size_t begin,
-                                      size_t end, double px, double py,
-                                      double d_o, double t_lt) {
-  return LaneAggImpl()(r, max_po, begin, end, px, py, d_o, t_lt);
+    return &FoldUserLanesBaseline;
+  }();
+  return fold;
 }
 
 }  // namespace
 
-const char* LaneIsaName() {
-  const LaneAggFn fn = LaneAggImpl();
-#if defined(MPN_HAVE_AVX2_PATH)
-  if (fn == &AggregateUserLanesAvx2) return "avx2";
-#endif
-#if defined(__SSE2__)
-  if (fn == &AggregateUserLanesSse2) return "sse2";
-#endif
-  (void)fn;
-  return "scalar";
+UserLaneAgg FoldUserLanesBaseline(const RectLanes& r, const double* max_po,
+                                  size_t begin, size_t end, double px,
+                                  double py, double d_o, double t_lt) {
+  return FoldUserLanesBody(r, max_po, begin, end, px, py, d_o, t_lt);
 }
 
-void SetLaneIsaForTesting(const char* isa) {
-  g_lane_agg_fn.store(ResolveLaneAggFn(isa), std::memory_order_relaxed);
+#if defined(__x86_64__)
+// A per-function target (no global -mavx2), so the binary still runs on
+// baseline x86-64. AVX2 only, not FMA; with -ffp-contract=off as well,
+// dx*dx + dy*dy is never fused.
+__attribute__((target("avx2"))) UserLaneAgg FoldUserLanesAvx2(
+    const RectLanes& r, const double* max_po, size_t begin, size_t end,
+    double px, double py, double d_o, double t_lt) {
+  return FoldUserLanesBody(r, max_po, begin, end, px, py, d_o, t_lt);
+}
+#endif
+
+const char* LaneIsaName() {
+  return PickedFold() == &FoldUserLanesBaseline ? "sse2" : "avx2";
 }
 
 bool TileVerifier::VerifyTileThreadSafe(const std::vector<TileRegion>& regions,
@@ -528,8 +351,8 @@ bool MaxGtVerifier::VerifyTileLanes(const TileLanes& lanes, size_t user_i,
     const size_t begin = lanes.offset[j];
     const size_t end = lanes.offset[j + 1];
     MPN_DCHECK(begin < end);
-    const UserLaneAgg agg = AggregateUserLanes(lanes.rects, lanes.max_po,
-                                               begin, end, px, py, d_o, t_lt);
+    const UserLaneAgg agg = PickedFold()(lanes.rects, lanes.max_po, begin,
+                                         end, px, py, d_o, t_lt);
     const bool has_s = agg.minmin_all2 <= t_lt;   // some mn < d_p
     const bool has_t = agg.min_mx < d_o;          // some mx < d_o
     const bool has_dd = agg.minmin_t2 <= t_lt;    // some lane in both groups
@@ -568,15 +391,9 @@ bool MaxGtVerifier::VerifyTileLanes(const TileLanes& lanes, size_t user_i,
   const double t_le = SqrtLeqThreshold(d_p);
   const RectLanes& r = lanes.rects;
   for (size_t k = lanes.offset[user_i]; k < lanes.offset[user_i + 1]; ++k) {
-    if (lanes.max_po[k] >= d_o) {
-      const double dx =
-          std::max(std::max(r.lo_x[k] - px, 0.0), px - r.hi_x[k]);
-      const double dy =
-          std::max(std::max(r.lo_y[k] - py, 0.0), py - r.hi_y[k]);
-      if (dx * dx + dy * dy <= t_le) {
-        has_role_tile = true;
-        break;
-      }
+    if (lanes.max_po[k] >= d_o && LaneMinDist2(r, k, px, py) <= t_le) {
+      has_role_tile = true;
+      break;
     }
   }
   const bool case4 = has_role_tile || m_star <= std::max(d_p, n_star);

@@ -25,6 +25,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <unordered_map>
 #include <vector>
 
@@ -229,16 +230,40 @@ class SumHyperbolaVerifier : public TileVerifier {
   std::unordered_map<uint32_t, double> pending_;
 };
 
-/// Name of the lane-aggregation path the SoA verifier is running on
-/// ("scalar", "sse2" or "avx2"). The widest CPU-supported path is chosen
-/// at first use; MPN_LANE_ISA=scalar|sse2|avx2 in the environment pins a
-/// narrower one (requests the hardware cannot honor fall back).
+/// Name of the lane-fold build the SoA verifier runs: "avx2" when the CPU
+/// reports AVX2 (picked once, at first use), else "sse2", the x86-64
+/// baseline build.
 const char* LaneIsaName();
 
-/// Test hook: re-resolves the lane-aggregation path as if MPN_LANE_ISA were
-/// `isa` (nullptr = auto-detect). Every path is bit-identical, which is
-/// exactly what differential tests pin down with this. Not thread-safe
-/// against in-flight verifications.
-void SetLaneIsaForTesting(const char* isa);
+// ---------------------------------------------------------------------------
+// Exposed for tests: GT-Verify's per-user lane fold (the inner loop of
+// MaxGtVerifier::VerifyTileLanes) and its two builds of one body.
+// ---------------------------------------------------------------------------
+
+/// Aggregates of one user's lanes, d_o and t_lt as in VerifyTileLanes
+/// (t_lt = SqrtLtThreshold(d_p)). All five are min/max selections, so any
+/// lane order or split yields the same doubles; the defaults are the fold
+/// identities (0 for max over nonnegative distances, +inf for min).
+struct UserLaneAgg {
+  static constexpr double kInf = std::numeric_limits<double>::infinity();
+  double maxmax_all = 0.0;   ///< max ||po,t||_max
+  double min_mx = kInf;      ///< min ||po,t||_max
+  double minmin_all2 = kInf; ///< min ||p,t||_min^2
+  double maxmax_s = 0.0;     ///< max ||po,t||_max over lanes mn2 <= t_lt
+  double minmin_t2 = kInf;   ///< min ||p,t||_min^2 over lanes mx < d_o
+};
+
+/// Folds lanes [begin, end) of `r` (with their ||po,t||_max in `max_po`)
+/// for candidate p = (px, py); built for the baseline target.
+UserLaneAgg FoldUserLanesBaseline(const RectLanes& r, const double* max_po,
+                                  size_t begin, size_t end, double px,
+                                  double py, double d_o, double t_lt);
+
+#if defined(__x86_64__)
+/// The same fold built for AVX2. Call only where the CPU reports AVX2.
+UserLaneAgg FoldUserLanesAvx2(const RectLanes& r, const double* max_po,
+                              size_t begin, size_t end, double px, double py,
+                              double d_o, double t_lt);
+#endif
 
 }  // namespace mpn

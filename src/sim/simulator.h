@@ -53,8 +53,6 @@ struct SimMetrics {
 /// Simulation options.
 struct SimOptions {
   ServerConfig server;
-  /// Simulate at most this many timestamps (0 = full trajectory length).
-  size_t max_timestamps = 0;
   /// Verify after every recomputation that the reported meeting point is
   /// the true optimum for the current locations (integration-test mode;
   /// O(n*m) per update).

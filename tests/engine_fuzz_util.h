@@ -1,8 +1,8 @@
 // Shared infrastructure for the seeded lifecycle replays: a deterministic
 // world + plan generator and replay drivers over Engine / ClusterEngine.
 // Used by engine_fuzz_test.cc (scheduling-invariance fuzzing),
-// kernel_differential_test.cc (scalar vs SoA verification kernels and the
-// lane ISAs) and session_store_test.cc (budgeted vs unbudgeted engines);
+// kernel_differential_test.cc (scalar vs SoA verification kernels) and
+// session_store_test.cc (budgeted vs unbudgeted engines);
 // all of them assert digest bit-identity over the same seed-derived plans.
 #pragma once
 

@@ -4,6 +4,11 @@
 // tiles under adversarial region shapes.
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "index/gnn.h"
 #include "mpn/tile_verify.h"
 #include "mpn/verify.h"
@@ -210,6 +215,115 @@ TEST(GtVerifyTest, SoAKernelMatchesScalarOnRandomScenes) {
     }
   }
   EXPECT_GT(accepted, 100u);  // both branches must be exercised
+}
+
+// Test-side reference for the lane fold: one lane at a time, with branches
+// where the fold under test uses selects.
+UserLaneAgg ReferenceLaneFold(const RectLanes& r, const double* max_po,
+                              size_t begin, size_t end, double px, double py,
+                              double d_o, double t_lt) {
+  UserLaneAgg a;
+  for (size_t k = begin; k < end; ++k) {
+    const double dx = std::max(std::max(r.lo_x[k] - px, 0.0), px - r.hi_x[k]);
+    const double dy = std::max(std::max(r.lo_y[k] - py, 0.0), py - r.hi_y[k]);
+    const double mn2 = dx * dx + dy * dy;
+    const double mx = max_po[k];
+    a.maxmax_all = std::max(a.maxmax_all, mx);
+    a.min_mx = std::min(a.min_mx, mx);
+    a.minmin_all2 = std::min(a.minmin_all2, mn2);
+    if (mn2 <= t_lt) a.maxmax_s = std::max(a.maxmax_s, mx);
+    if (mx < d_o) a.minmin_t2 = std::min(a.minmin_t2, mn2);
+  }
+  return a;
+}
+
+uint64_t Bits(double v) {
+  uint64_t b;
+  std::memcpy(&b, &v, sizeof b);
+  return b;
+}
+
+TEST(GtVerifyTest, LaneFoldBuildsMatchScalarAtEveryRunLength) {
+  // Both builds of the lane fold must reproduce the one-lane-at-a-time fold
+  // bit for bit: every run length through 19 (two full passes plus each
+  // tail for any fold width up to 8) and two long runs, at start offsets
+  // 0-3, with thresholds placed exactly on lane values.
+  using FoldFn = UserLaneAgg (*)(const RectLanes&, const double*, size_t,
+                                 size_t, double, double, double, double);
+  std::vector<std::pair<const char*, FoldFn>> builds = {
+      {"baseline", &FoldUserLanesBaseline}};
+#if defined(__x86_64__)
+  if (__builtin_cpu_supports("avx2")) {
+    builds.emplace_back("avx2", &FoldUserLanesAvx2);
+  }
+#endif
+  std::vector<size_t> lengths;
+  for (size_t len = 1; len <= 19; ++len) lengths.push_back(len);
+  lengths.push_back(64);
+  lengths.push_back(129);
+
+  Rng rng(0xF01D);
+  const double px = 10.0, py = -5.0;
+  size_t s_passes = 0, t_passes = 0;
+  for (const size_t len : lengths) {
+    for (size_t offset = 0; offset < 4; ++offset) {
+      const size_t n = offset + len;
+      std::vector<double> lo_x(n), lo_y(n), hi_x(n), hi_y(n), max_po(n);
+      for (size_t k = 0; k < n; ++k) {
+        // A third of the rects contain the candidate (mn2 == 0); the
+        // coarse grid makes equal distances across lanes common.
+        const bool inside = rng.UniformInt(0, 2) == 0;
+        const double cx = inside ? px : px + 0.5 * rng.UniformInt(-20, 20);
+        const double cy = inside ? py : py + 0.5 * rng.UniformInt(-20, 20);
+        const double half = 0.25 * rng.UniformInt(1, 4);
+        lo_x[k] = cx - half;
+        hi_x[k] = cx + half;
+        lo_y[k] = cy - half;
+        hi_y[k] = cy + half;
+        max_po[k] = 0.5 * rng.UniformInt(1, 40);
+      }
+      const RectLanes r{lo_x.data(), lo_y.data(), hi_x.data(), hi_y.data(),
+                        n};
+      // Per-lane mn2 as the fold computes it, to put thresholds on lanes.
+      const UserLaneAgg all = ReferenceLaneFold(r, max_po.data(), offset, n,
+                                                px, py, 0.0, -1.0);
+      const size_t pick = offset + static_cast<size_t>(rng.UniformInt(
+                                       0, static_cast<int64_t>(len) - 1));
+      const UserLaneAgg one = ReferenceLaneFold(r, max_po.data(), pick,
+                                                pick + 1, px, py, 0.0, -1.0);
+      const std::pair<double, double> thresholds[] = {
+          {max_po[pick], one.minmin_all2},  // on a random lane: < and <=
+          {all.min_mx, all.minmin_all2},    // on the smallest lane values
+          {0.0, -1.0},                      // no lane passes: identities
+          {all.maxmax_all + 1.0, 1e300},    // every lane passes
+      };
+      for (const auto& [d_o, t_lt] : thresholds) {
+        const UserLaneAgg want = ReferenceLaneFold(r, max_po.data(), offset,
+                                                   n, px, py, d_o, t_lt);
+        s_passes += want.maxmax_s > 0.0;
+        t_passes += want.minmin_t2 < UserLaneAgg::kInf;
+        for (const auto& [name, fold] : builds) {
+          const UserLaneAgg got =
+              fold(r, max_po.data(), offset, n, px, py, d_o, t_lt);
+          const std::string where =
+              std::string(name) + " build, run of " + std::to_string(len) +
+              " at offset " + std::to_string(offset) + ", d_o " +
+              std::to_string(d_o) + ", t_lt " + std::to_string(t_lt);
+          ASSERT_EQ(Bits(got.maxmax_all), Bits(want.maxmax_all)) << where;
+          ASSERT_EQ(Bits(got.min_mx), Bits(want.min_mx)) << where;
+          ASSERT_EQ(Bits(got.minmin_all2), Bits(want.minmin_all2)) << where;
+          ASSERT_EQ(Bits(got.maxmax_s), Bits(want.maxmax_s)) << where;
+          ASSERT_EQ(Bits(got.minmin_t2), Bits(want.minmin_t2)) << where;
+        }
+      }
+    }
+  }
+  // Both masks must pass some lanes and reject others across the sweep.
+  const size_t cases = lengths.size() * 4 * 4;
+  EXPECT_GT(s_passes, cases / 2);
+  EXPECT_LT(s_passes, cases);
+  EXPECT_GT(t_passes, cases / 4);
+  EXPECT_LT(t_passes, cases);
 }
 
 TEST(GtVerifyTest, StatsCountCallsAndAcceptances) {

@@ -6,15 +6,11 @@
 // enforcement of the kernel bit-identity contract (tile_verify.cc states
 // the per-operation argument; gt_verify_test.cc checks single calls).
 //
-// The same plans also pin the lane-aggregation ISA dispatch: the scalar,
-// SSE2 and AVX2 folds must all produce the reference digest.
-//
 // Widen the seed set with MPN_KERNEL_DIFF_SEEDS (a count or an explicit
 // comma-separated list) and run the binary directly.
 #include <gtest/gtest.h>
 
 #include "engine_fuzz_util.h"
-#include "mpn/tile_verify.h"
 
 namespace mpn {
 namespace {
@@ -71,31 +67,6 @@ TEST_P(KernelDifferentialTest, ScalarAndSoAKernelsProduceIdenticalDigests) {
         << "SoA kernel digest diverged at " << workers
         << " shard(s) (seed 0x" << std::hex << seed << ")";
   }
-}
-
-TEST_P(KernelDifferentialTest, LaneIsaPathsProduceIdenticalDigests) {
-  const uint64_t seed = GetParam();
-  Rng rng(seed);
-  const size_t n_groups = static_cast<size_t>(rng.UniformInt(3, 6));
-  const size_t group_size = static_cast<size_t>(rng.UniformInt(1, 3));
-  const size_t horizon = static_cast<size_t>(rng.UniformInt(40, 90));
-  const World w = MakeFuzzWorld(&rng, n_groups, group_size, horizon);
-  const FuzzPlan plan = MakeFuzzPlan(&rng, n_groups, horizon);
-
-  SetLaneIsaForTesting("scalar");
-  const uint64_t reference = RunEnginePlan(w, plan, 2, KernelKind::kSoA);
-  // "sse2" and "avx2" resolve to whatever the hardware can honor (each
-  // falls back down), so on any machine at least one wider path than the
-  // scalar reference is exercised when the build has SSE2.
-  for (const char* isa :
-       {"sse2", "avx2", static_cast<const char*>(nullptr)}) {
-    SetLaneIsaForTesting(isa);
-    EXPECT_EQ(RunEnginePlan(w, plan, 2, KernelKind::kSoA), reference)
-        << "lane ISA '" << (isa ? isa : "auto")
-        << "' (resolved: " << LaneIsaName() << ") digest diverged (seed 0x"
-        << std::hex << seed << ")";
-  }
-  SetLaneIsaForTesting(nullptr);  // restore auto-detect for other tests
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, KernelDifferentialTest,
