@@ -33,10 +33,11 @@ GroupSession::GroupSession(uint32_t id, const std::vector<Point>* pois,
   seconds_at_.assign(horizon_, 0.0);
 }
 
-void GroupSession::AdvanceClients(size_t t) {
+void GroupSession::AdvanceClients(size_t t, const Timer& tick) {
   for (MpnClient& c : clients_) c.Advance(t);
   ++metrics_.timestamps;
-  advance_at_[t] = Now();
+  advance_at_[t] =
+      run_timer_ != nullptr ? tick.StartedAfter(*run_timer_) : 0.0;
 }
 
 void GroupSession::CaptureSnapshot(size_t t, Snapshot* snap) const {
@@ -74,9 +75,9 @@ bool GroupSession::AdvanceAndCheck(Snapshot* snap) {
   // Re-checked (not asserted): a concurrent RetireSession may truncate the
   // horizon between the scheduler's readiness check and this call.
   if (AdvancesExhausted()) return false;
-  Timer timer;
+  const Timer timer;  // also the tick's advance stamp
   const size_t t = next_t_++;
-  AdvanceClients(t);
+  AdvanceClients(t, timer);
   bool violated = !has_result_;
   if (!violated) {
     for (const MpnClient& c : clients_) {
@@ -103,9 +104,9 @@ void GroupSession::BufferAdvance() {
   // Re-checked (not asserted): a concurrent RetireSession may have
   // exhausted the horizon since the event was scheduled.
   if (!CanBuffer()) return;
-  Timer timer;
+  const Timer timer;  // also the tick's advance stamp
   const size_t t = next_t_++;
-  AdvanceClients(t);
+  AdvanceClients(t, timer);
   mailbox_.emplace_back();
   CaptureSnapshot(t, &mailbox_.back());
   mailbox_peak_ = std::max(mailbox_peak_, mailbox_.size());
@@ -172,11 +173,11 @@ void GroupSession::InstallResult(RecomputeOutcome outcome) {
   // Step 3: ship po + safe region to every user; tile regions go through
   // the lossless codec so clients hold exactly the wire representation.
   for (size_t i = 0; i < m; ++i) {
-    const SafeRegion& region = result.regions[i];
+    SafeRegion& region = result.regions[i];
     const size_t values = kValuesPerPoint + RegionValueCount(region, true);
     metrics_.comm.Record(MessageType::kResult, values, packet_model_);
     if (region.is_circle()) {
-      clients_[i].SetRegion(region);
+      clients_[i].SetRegion(std::move(region));
     } else {
       const EncodedTileRegion enc = EncodeTileRegion(region.tiles());
       clients_[i].SetRegion(SafeRegion::MakeTiles(DecodeTileRegion(enc)));

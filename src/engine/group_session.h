@@ -81,7 +81,7 @@ struct SessionFinalResult {
   uint32_t po = 0;
   size_t mailbox_peak = 0;
   size_t stall_count = 0;
-  /// Full advance-completion trace (horizon-sized, like advance_seconds()),
+  /// Full advance-stamp trace (horizon-sized, like advance_seconds()),
   /// kept so round-latency percentiles survive compaction.
   std::vector<double> advance_seconds;
 };
@@ -113,7 +113,7 @@ class GroupSession {
 
   /// All referenced data must outlive the session. All trajectories must be
   /// at least as long as the simulated horizon. `run_timer` (optional) is
-  /// the engine-wide clock advance completions are stamped against.
+  /// the engine-wide clock the advances are stamped against.
   GroupSession(uint32_t id, const std::vector<Point>* pois,
                const PackedRTree* tree,
                const std::vector<const Trajectory*>& group,
@@ -265,23 +265,28 @@ class GroupSession {
   const std::vector<uint32_t>& messages_at() const { return messages_at_; }
   /// 1 when timestamp t triggered a recomputation.
   const std::vector<uint8_t>& violated_at() const { return violated_at_; }
-  /// Wall seconds (against the engine run timer) when timestamp t's advance
-  /// completed; the gaps are the per-session round latencies.
+  /// Wall seconds (against the engine run timer) when the tick that
+  /// advanced to timestamp t started: the phase timer's one clock read
+  /// stamps it, so a tick reads the clock twice (start, stop), not three
+  /// times. The gaps are the per-session round latencies: from the start
+  /// of tick t to the start of tick t + 1 lie one advance, one check, and
+  /// a violation's recompute and install.
   const std::vector<double>& advance_seconds() const { return advance_at_; }
   /// Processing seconds attributed to timestamp t (tick + recompute +
   /// install work).
   const std::vector<double>& work_seconds_at() const { return seconds_at_; }
 
  private:
-  void AdvanceClients(size_t t);
+  /// Advances the clients to t and stamps advance_at_[t] with the start of
+  /// `tick`, the phase timer of the tick doing it: one clock read serves
+  /// both.
+  void AdvanceClients(size_t t, const Timer& tick);
   void CaptureSnapshot(size_t t, Snapshot* snap) const;
   /// Step 1/2 message accounting + update counters for a violation at t.
   void RecordViolation(size_t t);
   /// check_correctness mode: the last reported meeting point must still be
   /// optimal for `locations` while every user is inside their region.
   void CheckInvariantAt(const std::vector<Point>& locations) const;
-  double Now() const { return run_timer_ != nullptr
-                                  ? run_timer_->ElapsedSeconds() : 0.0; }
 
   uint32_t id_;
   const std::vector<Point>* pois_;

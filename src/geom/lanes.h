@@ -18,6 +18,7 @@
 // — still value-identical to the scalar fold they replace.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 
 #include "geom/rect.h"
@@ -35,6 +36,23 @@ struct RectLanes {
   const double* hi_y = nullptr;
   size_t n = 0;
 };
+
+/// Rect::MinDist2 from (px, py) to lane k: the exact IEEE square the
+/// scalar Rect::MinDist feeds to sqrt.
+inline double LaneMinDist2(const RectLanes& r, size_t k, double px,
+                           double py) {
+  const double dx = std::max(std::max(r.lo_x[k] - px, 0.0), px - r.hi_x[k]);
+  const double dy = std::max(std::max(r.lo_y[k] - py, 0.0), py - r.hi_y[k]);
+  return dx * dx + dy * dy;
+}
+
+/// Rect::MaxDist2 from (px, py) to lane k, likewise exact.
+inline double LaneMaxDist2(const RectLanes& r, size_t k, double px,
+                           double py) {
+  const double dx = std::max(px - r.lo_x[k], r.hi_x[k] - px);
+  const double dy = std::max(py - r.lo_y[k], r.hi_y[k] - py);
+  return dx * dx + dy * dy;
+}
 
 /// out[i] = ||p, rect_i||_max (Rect::MaxDist per lane).
 void RectMaxDistLanes(const RectLanes& r, const Point& p, double* out);
@@ -62,5 +80,25 @@ double SqrtLeqThreshold(double z);
 /// Strict variant: for every double t >= 0,
 ///     std::sqrt(t) < y   <=>   t <= SqrtLtThreshold(y).
 double SqrtLtThreshold(double y);
+
+/// One-multiply stand-in for SqrtLeqThreshold(z), z >= 0, never below it:
+/// for every double t >= 0,
+///     std::sqrt(t) <= z   =>   t <= SqrtLeqBound(z),
+/// so `t <= SqrtLeqBound(z)` is a filter that drops nothing the exact test
+/// keeps, and may keep a few ulps more (callers re-test survivors exactly).
+/// It holds at every magnitude, no underflow guard needed. Let t > 0 and
+/// s = sqrt(t) <= z; s >= 2^-537 is normal, so the exact root is at most
+/// s(1 + 2^-53) and t <= z^2(1 + 2^-53)^2 < z^2(1 + 2^-51).
+///  * z^2 >= 2^-1022: each product rounds within a factor (1 - 2^-53), so
+///    the bound is at least z^2(1 - 2^-53)^2(1 + 2^-50) > z^2(1 + 2^-51),
+///    or +inf on overflow.
+///  * z^2 < 2^-1022: t < 2^-1021, so t and fl(z*z) are both multiples of
+///    u = 2^-1074, and fl(z*z) = R u is within u/2 of z^2. Then t < z^2 +
+///    z^2 2^-51 <= (R + 1/2 + (R + 1/2) 2^-51) u, while the bound rounds
+///    R(1 + 2^-50) u to the grid, so it is at least (R + R 2^-50 - 1/2) u.
+///    Since (R + 1/2) 2^-51 <= R 2^-50 for R >= 1 (R = 0 leaves only
+///    t = 0), t is below the bound plus u, hence at most the bound.
+/// LanesTest checks it against SqrtLeqThreshold across the exponent range.
+inline double SqrtLeqBound(double z) { return z * z * (1.0 + 0x1p-50); }
 
 }  // namespace mpn

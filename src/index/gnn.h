@@ -5,9 +5,11 @@
 // buffering optimization (Section 5.4 needs the best b+1 group nearest
 // neighbors). FindGnn is a best-first traversal whose priority key for an
 // index node is the aggregate of per-user MINDIST lower bounds, bounded by
-// the k-th result: it never queues an entry that could only pop after the
+// the k-th result: it never keeps an entry that could only pop after the
 // k-th result (docs/ARCHITECTURE.md §1), so it reads exactly the nodes an
-// unbounded best-first search reads before its k-th pop.
+// unbounded best-first search reads before its k-th pop. It scores a
+// popped node's children, or a leaf's points, as one run of the tree's SoA
+// lanes, and queues nodes only; points wait in a sorted k-best array.
 #pragma once
 
 #include <cstddef>
@@ -52,8 +54,8 @@ struct GnnItem {
 /// first. Returns fewer than k when the dataset is smaller. Reads exactly
 /// the nodes whose key is at most the k-th result's (all nodes when the
 /// dataset is smaller than k), so the node-access counter is a function of
-/// the tree, the users and k. Allocates only the result vector; the search
-/// heap lives in per-thread storage.
+/// the tree, the users and k. Allocates only the result vector; the node
+/// queue and the k-best array live in per-thread storage.
 std::vector<GnnItem> FindGnn(const PackedRTree* tree,
                              const std::vector<Point>& users, Objective obj,
                              size_t k);

@@ -118,7 +118,8 @@ PackedRTree PackedRTree::Build(const std::vector<Point>& points) {
   // The payload takes the block the leaf sort just released before the
   // upper levels' small temporaries can split it; allocated after them,
   // repeated builds fragment the heap and raise the peak resident set.
-  t.points_.resize(points.size());
+  t.x_.resize(points.size());
+  t.y_.resize(points.size());
   t.ids_.resize(points.size());
   while (levels.back().node_count() > 1) {
     levels.push_back(TileParents(levels.back()));
@@ -131,7 +132,12 @@ PackedRTree PackedRTree::Build(const std::vector<Point>& points) {
   for (size_t l = 0; l < levels.size(); ++l) {
     offset[l + 1] = offset[l] + levels[l].node_count();
   }
-  t.nodes_.resize(offset.back());
+  const size_t node_count = offset.back();
+  for (std::vector<double>* a : {&t.lo_x_, &t.lo_y_, &t.hi_x_, &t.hi_y_}) {
+    a->resize(node_count);
+  }
+  t.first_.resize(node_count);
+  t.count_.resize(node_count);
   t.leaf_count_ = static_cast<int32_t>(offset[1]);
   std::vector<uint32_t> order = {0};
   std::vector<uint32_t> next;
@@ -142,14 +148,19 @@ PackedRTree PackedRTree::Build(const std::vector<Point>& points) {
     next.clear();
     for (size_t pos = 0; pos < order.size(); ++pos) {
       const uint32_t k = order[pos];
-      Node& node = t.nodes_[offset[l] + pos];
-      node.mbr = level.mbrs[k];
-      node.first = static_cast<int32_t>(child_base + placed);
-      node.count = static_cast<int32_t>(level.runs[k + 1] - level.runs[k]);
+      const size_t node = offset[l] + pos;
+      const Rect& mbr = level.mbrs[k];
+      t.lo_x_[node] = mbr.lo.x;
+      t.lo_y_[node] = mbr.lo.y;
+      t.hi_x_[node] = mbr.hi.x;
+      t.hi_y_[node] = mbr.hi.y;
+      t.first_[node] = static_cast<int32_t>(child_base + placed);
+      t.count_[node] = static_cast<int32_t>(level.runs[k + 1] - level.runs[k]);
       for (uint32_t j = level.runs[k]; j < level.runs[k + 1]; ++j, ++placed) {
         const uint32_t id = level.ids[j];
         if (l == 0) {
-          t.points_[placed] = points[id];
+          t.x_[placed] = points[id].x;
+          t.y_[placed] = points[id].y;
           t.ids_[placed] = id;
         } else {
           next.push_back(id);
@@ -158,18 +169,22 @@ PackedRTree PackedRTree::Build(const std::vector<Point>& points) {
     }
     order.swap(next);
   }
-  t.root_ = static_cast<int32_t>(t.nodes_.size()) - 1;
+  t.root_ = static_cast<int32_t>(node_count) - 1;
   return t;
 }
 
 void PackedRTree::CheckInvariants() const {
-  const size_t n = points_.size();
-  MPN_ASSERT(ids_.size() == n);
+  const size_t n = ids_.size();
+  MPN_ASSERT(x_.size() == n && y_.size() == n);
+  const size_t nodes = first_.size();
+  MPN_ASSERT(count_.size() == nodes && lo_x_.size() == nodes &&
+             lo_y_.size() == nodes && hi_x_.size() == nodes &&
+             hi_y_.size() == nodes);
   if (root_ < 0) {
-    MPN_ASSERT(n == 0 && nodes_.empty() && leaf_count_ == 0);
+    MPN_ASSERT(n == 0 && nodes == 0 && leaf_count_ == 0);
     return;
   }
-  const int32_t node_count = static_cast<int32_t>(nodes_.size());
+  const int32_t node_count = static_cast<int32_t>(nodes);
   MPN_ASSERT(root_ == node_count - 1);
   MPN_ASSERT(leaf_count_ >= 1 && leaf_count_ <= node_count);
 
@@ -179,44 +194,45 @@ void PackedRTree::CheckInvariants() const {
   int32_t next_slot = 0;
   int32_t next_child = 0;
   for (int32_t idx = 0; idx < node_count; ++idx) {
-    const Node& node = nodes_[idx];
-    MPN_ASSERT(node.count >= 1 && static_cast<size_t>(node.count) <= kFanout);
+    const int32_t first = first_[idx];
+    const int32_t count = count_[idx];
+    MPN_ASSERT(count >= 1 && static_cast<size_t>(count) <= kFanout);
     Rect mbr = Rect::Empty();
     if (IsLeafNode(idx)) {
-      MPN_ASSERT(node.first == next_slot);
-      next_slot += node.count;
+      MPN_ASSERT(first == next_slot);
+      next_slot += count;
       MPN_ASSERT(static_cast<size_t>(next_slot) <= n);
-      for (int32_t i = node.first; i < node.first + node.count; ++i) {
-        mbr.ExpandToInclude(points_[i]);
+      for (int32_t i = first; i < first + count; ++i) {
+        mbr.ExpandToInclude(PointAt(i));
       }
     } else {
       // Children are contiguous and precede their parent.
-      MPN_ASSERT(node.first == next_child);
-      next_child += node.count;
+      MPN_ASSERT(first == next_child);
+      next_child += count;
       MPN_ASSERT(next_child <= idx);
-      for (int32_t c = node.first; c < node.first + node.count; ++c) {
-        mbr.ExpandToInclude(nodes_[c].mbr);
+      for (int32_t c = first; c < first + count; ++c) {
+        mbr.ExpandToInclude(MbrAt(c));
       }
     }
     // Stored MBRs are exact, not merely containing.
-    MPN_ASSERT(mbr.lo.x == node.mbr.lo.x && mbr.lo.y == node.mbr.lo.y &&
-               mbr.hi.x == node.mbr.hi.x && mbr.hi.y == node.mbr.hi.y);
+    const Rect stored = MbrAt(idx);
+    MPN_ASSERT(mbr.lo.x == stored.lo.x && mbr.lo.y == stored.lo.y &&
+               mbr.hi.x == stored.hi.x && mbr.hi.y == stored.hi.y);
   }
   MPN_ASSERT(static_cast<size_t>(next_slot) == n);
   MPN_ASSERT(next_child == root_);
 
   // Every leaf has the same depth. Parents have larger ids than their
   // children, so a descending sweep sees each parent first.
-  std::vector<int> depth(nodes_.size(), 0);
+  std::vector<int> depth(nodes, 0);
   int leaf_depth = -1;
   for (int32_t idx = root_; idx >= 0; --idx) {
-    const Node& node = nodes_[idx];
     if (IsLeafNode(idx)) {
       MPN_ASSERT(leaf_depth < 0 || depth[idx] == leaf_depth);
       leaf_depth = depth[idx];
       continue;
     }
-    for (int32_t c = node.first; c < node.first + node.count; ++c) {
+    for (int32_t c = first_[idx]; c < first_[idx] + count_[idx]; ++c) {
       depth[c] = depth[idx] + 1;
     }
   }

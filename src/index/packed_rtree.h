@@ -2,8 +2,8 @@
 //
 // This is the index the paper assumes over the static POI set P (Section
 // 3.1). It serves two query shapes: the pruned Traverse behind the
-// Theorem-3/6 candidate retrieval (mpn/candidates.cc) and the node-access
-// primitives behind the bounded best-first group-nearest-neighbor search
+// Theorem-3/6 candidate retrieval (mpn/candidates.cc) and the run access
+// behind the bounded best-first group-nearest-neighbor search
 // (index/gnn.h).
 //
 // Shape. Build is sort-tile-recursive at every level:
@@ -20,12 +20,17 @@
 // consecutive nodes instead costs the pruned traversals 1.4-1.65x the node
 // accesses (docs/ARCHITECTURE.md §1b).
 //
-// Layout. Nodes live in one flat array, level by level: leaves occupy ids
-// [0, leaf_count), each upper level follows the one below it, and the root
-// is the last node. A node is a leaf iff its id < leaf_count. Each level is
-// laid out in its parents' order, so a node's entries — child nodes or
-// point slots — are the contiguous run [first, first + count), and points
-// are stored in leaf order. No per-node allocation, no parent pointers.
+// Layout. Nodes are ids into parallel arrays, level by level: leaves
+// occupy ids [0, leaf_count), each upper level follows the one below it,
+// and the root is the last node. A node is a leaf iff its id < leaf_count.
+// Each level is laid out in its parents' order, so a node's entries —
+// child nodes or point slots — are the contiguous run [first, first +
+// count), and points are stored in leaf order. The arrays are SoA: node
+// MBRs as lo_x/lo_y/hi_x/hi_y plus first/count, points as x/y plus ids.
+// A popped node's children or a leaf's points are then one run of
+// contiguous lanes per coordinate, which the GNN search scores in one
+// vectorized loop per user (index/gnn.cc). No per-node allocation, no
+// parent pointers.
 //
 // The shape and the child order are a pure function of the input points,
 // so every Traverse and every GNN search visits the same nodes in the same
@@ -38,6 +43,7 @@
 #include <deque>
 #include <vector>
 
+#include "geom/lanes.h"
 #include "geom/rect.h"
 #include "geom/vec2.h"
 #include "util/macros.h"
@@ -104,10 +110,10 @@ class PackedRTree {
   static PackedRTree Build(const std::vector<Point>& points);
 
   /// Number of points stored.
-  size_t size() const { return points_.size(); }
+  size_t size() const { return ids_.size(); }
 
   /// True when no points are stored.
-  bool empty() const { return points_.empty(); }
+  bool empty() const { return ids_.empty(); }
 
   /// Guided depth-first traversal. Descends into a child iff
   /// `mbr_pred(child_mbr)` is true; calls `point_fn(point, id)` for every
@@ -123,23 +129,23 @@ class PackedRTree {
       const int32_t idx = stack.back();
       stack.pop_back();
       ++internal::tls_rtree_node_accesses;
-      const Node& node = nodes_[idx];
-      const int32_t end = node.first + node.count;
+      const int32_t end = first_[idx] + count_[idx];
       if (idx < leaf_count_) {
-        for (int32_t i = node.first; i < end; ++i) {
-          point_fn(points_[i], ids_[i]);
+        for (int32_t i = first_[idx]; i < end; ++i) {
+          point_fn(PointAt(i), ids_[i]);
         }
       } else {
-        for (int32_t i = node.first; i < end; ++i) {
-          if (mbr_pred(nodes_[i].mbr)) stack.push_back(i);
+        for (int32_t i = first_[idx]; i < end; ++i) {
+          if (mbr_pred(MbrAt(i))) stack.push_back(i);
         }
       }
     }
   }
 
-  // Low-level node access for best-first searches (index/gnn.h). Node
-  // handles are int32 ids; -1 means "no node". Point slots are positions
-  // in the leaf-order payload, [0, size()).
+  // Run access for best-first searches (index/gnn.h). Node handles are
+  // int32 ids; -1 means "no node". Point slots are positions in the
+  // leaf-order payload, [0, size()). Reading a run counts one node access,
+  // as Traverse counts each node it visits.
 
   /// Root node handle; -1 when empty.
   int32_t root() const { return root_; }
@@ -147,32 +153,47 @@ class PackedRTree {
   /// True when the handle refers to a leaf.
   bool IsLeafNode(int32_t node) const { return node < leaf_count_; }
 
-  /// Visits (child_handle, child_mbr, child_entry_count) of an internal
-  /// node, in order. A leaf child's entry count is its number of points.
-  template <typename Fn>
-  void ForEachChild(int32_t node, Fn&& fn) const {
+  /// An internal node's children: lane i is child node `first + i`, with
+  /// MBR lane i of `mbrs` and `count[i]` entries (a leaf child's entry
+  /// count is its number of points).
+  struct ChildRun {
+    int32_t first = 0;
+    RectLanes mbrs;
+    const int32_t* count = nullptr;
+  };
+
+  /// A leaf's points: lane i is point slot `first + i`, at (x[i], y[i]),
+  /// with id ids[i].
+  struct PointRun {
+    int32_t first = 0;
+    size_t n = 0;
+    const double* x = nullptr;
+    const double* y = nullptr;
+    const uint32_t* ids = nullptr;
+  };
+
+  /// The children of internal node `node`; one node access.
+  ChildRun Children(int32_t node) const {
     ++internal::tls_rtree_node_accesses;
     MPN_DCHECK(!IsLeafNode(node));
-    const Node& n = nodes_[node];
-    for (int32_t i = n.first; i < n.first + n.count; ++i) {
-      fn(i, nodes_[i].mbr, nodes_[i].count);
-    }
+    const int32_t f = first_[node];
+    return {f,
+            {&lo_x_[f], &lo_y_[f], &hi_x_[f], &hi_y_[f],
+             static_cast<size_t>(count_[node])},
+            &count_[f]};
   }
 
-  /// Visits (point, id, slot) of a leaf node, in order.
-  template <typename Fn>
-  void ForEachLeafEntry(int32_t node, Fn&& fn) const {
+  /// The points of leaf `node`; one node access.
+  PointRun LeafPoints(int32_t node) const {
     ++internal::tls_rtree_node_accesses;
     MPN_DCHECK(IsLeafNode(node));
-    const Node& n = nodes_[node];
-    for (int32_t i = n.first; i < n.first + n.count; ++i) {
-      fn(points_[i], ids_[i], i);
-    }
+    const int32_t f = first_[node];
+    return {f, static_cast<size_t>(count_[node]), &x_[f], &y_[f], &ids_[f]};
   }
 
   /// The point stored in `slot`. Not a node access: the search reading it
   /// has already counted the slot's leaf.
-  const Point& PointAt(int32_t slot) const { return points_[slot]; }
+  Point PointAt(int32_t slot) const { return {x_[slot], y_[slot]}; }
 
   /// Cumulative count of node visits across all queries issued by the
   /// calling thread (profiling aid for the buffering experiments,
@@ -189,19 +210,18 @@ class PackedRTree {
   void CheckInvariants() const;
 
  private:
-  struct Node {
-    Rect mbr;
-    // First child id (internal) or first point slot (leaf); the node's
-    // entries are [first, first + count).
-    int32_t first = 0;
-    int32_t count = 0;
-  };
+  Rect MbrAt(int32_t node) const {
+    return Rect({lo_x_[node], lo_y_[node]}, {hi_x_[node], hi_y_[node]});
+  }
 
   int32_t root_ = -1;
   int32_t leaf_count_ = 0;
-  std::vector<Node> nodes_;
-  // Point payload in leaf order.
-  std::vector<Point> points_;
+  // Nodes by id: the MBR, and the entries [first, first + count) — child
+  // ids (internal) or point slots (leaf).
+  std::vector<double> lo_x_, lo_y_, hi_x_, hi_y_;
+  std::vector<int32_t> first_, count_;
+  // Point payload in leaf order, by slot.
+  std::vector<double> x_, y_;
   std::vector<uint32_t> ids_;
 };
 

@@ -12,15 +12,6 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-// Squared Rect::MinDist from (px, py) to lane k: the exact IEEE square the
-// AoS walk feeds to sqrt.
-inline double LaneMinDist2(const RectLanes& r, size_t k, double px,
-                           double py) {
-  const double dx = std::max(std::max(r.lo_x[k] - px, 0.0), px - r.hi_x[k]);
-  const double dy = std::max(std::max(r.lo_y[k] - py, 0.0), py - r.hi_y[k]);
-  return dx * dx + dy * dy;
-}
-
 // Folds one lane into the five aggregates using the branch-free select
 // forms (identities: 0 for max over nonnegative distances, +inf for min).
 inline void FoldLane(double mn2, double mx, double d_o, double t_lt,

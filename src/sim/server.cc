@@ -1,5 +1,7 @@
 #include "sim/server.h"
 
+#include <utility>
+
 #include "mpn/circle_msr.h"
 #include "util/macros.h"
 
@@ -46,12 +48,11 @@ MsrResult MpnServer::Recompute(const std::vector<Point>& locations,
   Timer timer;
   MsrResult result;
   if (config_.method == Method::kCircle) {
-    const CircleMsrResult c = ComputeCircleMsr(tree_, locations,
-                                               config_.objective);
+    CircleMsrResult c = ComputeCircleMsr(tree_, locations, config_.objective);
     result.po_id = c.po_id;
     result.po = c.po;
     result.po_agg = c.po_agg;
-    result.regions = c.regions;
+    result.regions = std::move(c.regions);
   } else {
     TileMsrConfig tc;
     tc.alpha = config_.alpha;

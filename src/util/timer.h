@@ -24,6 +24,12 @@ class Timer {
   /// Elapsed microseconds.
   double ElapsedMicros() const { return ElapsedSeconds() * 1e6; }
 
+  /// Seconds from `origin`'s start to this timer's start: a timestamp in
+  /// origin's frame that costs no clock read.
+  double StartedAfter(const Timer& origin) const {
+    return std::chrono::duration<double>(start_ - origin.start_).count();
+  }
+
  private:
   using Clock = std::chrono::steady_clock;
   Clock::time_point start_;

@@ -345,6 +345,41 @@ TEST(LanesTest, SqrtThresholdsMoveComparesToSquaredDomainExactly) {
   EXPECT_EQ(SqrtLtThreshold(inf), std::numeric_limits<double>::max());
 }
 
+TEST(LanesTest, SqrtLeqBoundNeverDropsWhatTheExactTestKeeps) {
+  // The largest t with sqrt(t) <= z is SqrtLeqThreshold(z), so the filter
+  // t <= SqrtLeqBound(z) keeps every such t iff the bound is at least the
+  // threshold. Checked at random magnitudes over the whole exponent range,
+  // and densely where z * z is subnormal or zero (z below 2^-511), where
+  // it crosses into the normal range, and where it overflows.
+  Rng rng(0x5158);
+  std::vector<double> zs = {0.0, 1.0, 0x1p-1074, 0x1p-537, 0x1p-511,
+                            std::numeric_limits<double>::max(),
+                            std::numeric_limits<double>::infinity()};
+  const auto draw = [&](int lo, int hi) {
+    const int e = static_cast<int>(rng.UniformInt(lo, hi));
+    zs.push_back(std::ldexp(1.0 + rng.Uniform01(), e));
+  };
+  for (int i = 0; i < 20000; ++i) {
+    draw(-1074, 1023);
+    draw(-545, -505);
+    draw(505, 515);
+  }
+  // The roots of consecutive subnormals and of the squares around the
+  // smallest normal, and their one-ulp neighbours.
+  for (uint64_t step = 1; step < 4000; ++step) {
+    for (const double t : {static_cast<double>(step) * 0x1p-1074,
+                           0x1p-1022 - static_cast<double>(step) * 0x1p-1074}) {
+      const double s = std::sqrt(t);
+      zs.insert(zs.end(), {s, std::nextafter(s, 0.0), std::nextafter(s, 1.0)});
+    }
+  }
+  for (const double z : zs) {
+    EXPECT_LE(SqrtLeqThreshold(z), SqrtLeqBound(z)) << "z=" << z;
+  }
+  // Without the slack, a bare z * z drops roots that round down to z.
+  EXPECT_GT(SqrtLeqThreshold(1.0), 1.0 * 1.0);
+}
+
 TEST(FocalDiffTest, UpperBoundIsConservative) {
   Rng rng(123);
   for (int trial = 0; trial < 100; ++trial) {

@@ -1,10 +1,13 @@
 // Group nearest neighbor (MAX/SUM-GNN) tests: aggregate distance math,
-// bounded best-first search vs brute force, full-depth ordering.
+// bounded best-first search vs brute force, full-depth ordering, and keys
+// on the search's boundaries (ties with the bound, nodes and points keyed
+// alike, bounds whose squares underflow or overflow).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 
+#include "gnn_boundary_inputs.h"
 #include "index/gnn.h"
 #include "util/rng.h"
 
@@ -201,6 +204,82 @@ TEST(GnnTest, SingleUserEqualsKnn) {
   for (size_t i = 0; i < knn.size(); ++i) {
     EXPECT_EQ(gnn[i].id, knn[i].id) << "rank " << i;
     EXPECT_EQ(gnn[i].agg, knn[i].agg) << "rank " << i;
+  }
+}
+
+/// FindGnn must return exactly the brute-force ranking's first k: ids,
+/// points and aggregates, bit for bit.
+void ExpectBruteForceTopK(const std::vector<Point>& pois,
+                          const PackedRTree& tree,
+                          const std::vector<Point>& users, Objective obj,
+                          size_t k) {
+  SCOPED_TRACE(testing::Message() << ObjectiveName(obj)
+                                  << " m=" << users.size() << " k=" << k);
+  const auto got = FindGnn(&tree, users, obj, k);
+  const auto want = FindGnnBruteForce(pois, users, obj, k);
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].id, want[i].id) << "rank " << i;
+    EXPECT_EQ(got[i].agg, want[i].agg) << "rank " << i;
+    EXPECT_EQ(got[i].p, want[i].p) << "rank " << i;
+  }
+}
+
+TEST(GnnTest, KeysOnTheBoundMatchBruteForce) {
+  // Points on the ring of radius R around the users, their one-ulp
+  // neighbours, duplicates with equal keys and a leaf keyed like them
+  // (gnn_boundary_inputs.h). At every depth the k-th result's key is the
+  // bound some later point or node ties with.
+  const auto pois = gnn_inputs::UlpRingPoints(0x1A1);
+  const PackedRTree tree = PackedRTree::Build(pois);
+  for (size_t m = 1; m <= 6; ++m) {
+    for (Objective obj : {Objective::kMax, Objective::kSum}) {
+      for (size_t k = 1; k <= pois.size() + 1; ++k) {
+        ExpectBruteForceTopK(pois, tree, gnn_inputs::RingUsers(m), obj, k);
+      }
+    }
+  }
+}
+
+TEST(GnnTest, BoundsWhoseSquaresUnderflowOrOverflowMatchBruteForce) {
+  // At 1e-160 the squared keys and the bound's square are subnormal or
+  // zero; at 1.2e154 they overflow to +inf, for some keys as well.
+  constexpr size_t kFanout = PackedRTree::kFanout;
+  for (double extent : {1e-160, 1.2e154}) {
+    SCOPED_TRACE(testing::Message() << "extent=" << extent);
+    const auto pois = gnn_inputs::ScaledPoints(1000, extent, 0x1A2);
+    const PackedRTree tree = PackedRTree::Build(pois);
+    Rng rng(0x1A3);
+    for (size_t m = 1; m <= 6; ++m) {
+      std::vector<Point> users;
+      for (size_t j = 0; j < m; ++j) {
+        users.push_back({rng.Uniform(-0.1 * extent, 1.1 * extent),
+                         rng.Uniform(-0.1 * extent, 1.1 * extent)});
+      }
+      for (Objective obj : {Objective::kMax, Objective::kSum}) {
+        for (size_t k : {size_t{1}, size_t{2}, kFanout, kFanout + 1,
+                         pois.size(), pois.size() + 1}) {
+          ExpectBruteForceTopK(pois, tree, users, obj, k);
+        }
+      }
+    }
+  }
+}
+
+TEST(GnnTest, LeafWithFewerThanKPointsBoundsNothing) {
+  // 33 points tile into two leaves, the 17 of least x and the other 16.
+  // The 16 sit next to the user; with k = 17 their leaf's AggMaxDist lies
+  // below the 17th result, which is in the far leaf, so taking it as a
+  // bound would prune that leaf.
+  std::vector<Point> pois;
+  for (int i = 0; i < 17; ++i) pois.push_back({0.05 * i, 500.0 + 0.05 * i});
+  for (int i = 0; i < 16; ++i) pois.push_back({100.0 + 0.05 * i, 0.05 * i});
+  const PackedRTree tree = PackedRTree::Build(pois);
+  for (Objective obj : {Objective::kMax, Objective::kSum}) {
+    for (size_t k : {15, 16, 17, 18, 33, 34}) {
+      ExpectBruteForceTopK(pois, tree, {{100.4, 0.4}}, obj, k);
+      ExpectBruteForceTopK(pois, tree, {{100.4, 0.4}, {100.0, 0.0}}, obj, k);
+    }
   }
 }
 

@@ -6,17 +6,20 @@
 // pruned Traverse must return the same ids in the same order after the
 // same number of node accesses, and FindGnn must return what the unbounded
 // best-first search it replaced returns on the reference tree, after the
-// same node accesses; both must also match brute force. This is what keeps
-// the reproduced node-access counters (fig16/fig19) and every result
+// same node accesses; both must also match brute force, on random inputs
+// and on the GNN boundary inputs of gnn_boundary_inputs.h. This is what
+// keeps the reproduced node-access counters (fig16/fig19) and every result
 // digest fixed. Query semantics across sizes are covered in rtree_test.cc.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <cstdlib>
 #include <queue>
 #include <string>
 #include <vector>
 
+#include "gnn_boundary_inputs.h"
 #include "index/gnn.h"
 #include "index/packed_rtree.h"
 #include "reference_rtree.h"
@@ -93,6 +96,21 @@ std::vector<uint32_t> Sorted(std::vector<uint32_t> v) {
   return v;
 }
 
+/// Appends the children of internal node `node` to `out`.
+void AppendChildren(const PackedRTree& tree, int32_t node,
+                    std::vector<int32_t>* out) {
+  const PackedRTree::ChildRun run = tree.Children(node);
+  for (size_t i = 0; i < run.mbrs.n; ++i) {
+    out->push_back(run.first + static_cast<int32_t>(i));
+  }
+}
+
+void AppendChildren(const reference::RTree& tree, int32_t node,
+                    std::vector<int32_t>* out) {
+  tree.ForEachChild(node,
+                    [&](int32_t child, const Rect&) { out->push_back(child); });
+}
+
 /// Nodes per level, root level first (size() is the height).
 template <typename Tree>
 std::vector<size_t> LevelSizes(const Tree& tree) {
@@ -103,10 +121,7 @@ std::vector<size_t> LevelSizes(const Tree& tree) {
     sizes.push_back(level.size());
     std::vector<int32_t> next;
     for (int32_t node : level) {
-      if (tree.IsLeafNode(node)) continue;
-      tree.ForEachChild(node, [&](int32_t child, const Rect&, auto...) {
-        next.push_back(child);
-      });
+      if (!tree.IsLeafNode(node)) AppendChildren(tree, node, &next);
     }
     level = std::move(next);
   }
@@ -157,20 +172,32 @@ struct PrunedQuery {
   }
 };
 
+/// The square [lo, lo + extent]^2 an input's points lie in; queries draw
+/// their users around it.
+struct Frame {
+  double lo = 0.0;
+  double extent = 1000.0;
+
+  /// A coordinate drawn from the frame widened by `margin` * extent.
+  double Draw(Rng* rng, double margin) const {
+    return rng->Uniform(lo - margin * extent, lo + (1 + margin) * extent);
+  }
+};
+
 PrunedQuery MakePrunedQuery(Rng* rng, const std::vector<Point>& pts,
-                            Objective obj) {
+                            Objective obj, const Frame& frame) {
   PrunedQuery q;
   q.obj = obj;
   const size_t m = static_cast<size_t>(rng->UniformInt(1, 4));
   for (size_t j = 0; j < m; ++j) {
-    q.users.push_back({rng->Uniform(0, 1000), rng->Uniform(0, 1000)});
+    q.users.push_back({frame.Draw(rng, 0.0), frame.Draw(rng, 0.0)});
   }
   // Bounds around a random POI standing in for the optimum po, widened by
   // a random region size as ||po,R||_top + r_up_j (MAX) or
   // ||po,U||_sum + 2 * sum_j r_up_j (SUM) would.
   const Point& po = pts[static_cast<size_t>(
       rng->UniformInt(0, static_cast<int64_t>(pts.size()) - 1))];
-  const double slack = rng->Uniform(0, 120);
+  const double slack = rng->Uniform(0, 0.12 * frame.extent);
   if (obj == Objective::kSum) {
     q.bounds.push_back(AggDist(po, q.users, Objective::kSum) +
                        2.0 * static_cast<double>(m) * slack);
@@ -367,23 +394,83 @@ INSTANTIATE_TEST_SUITE_P(Algos, PackedRTreeAlgoTest,
                            return std::string("str");
                          });
 
-std::vector<Point> MakeInput(const std::string& name) {
-  if (name == "n1") return RandomPoints(1, 0x701);
-  if (name == "n17") return RandomPoints(17, 0x702);
-  if (name == "n1000") return RandomPoints(1000, 0x703);
-  if (name == "n40000") return RandomPoints(40000, 0x704);
-  if (name == "stacked") return StackedPoints(5000, 0x706);
-  return ClusteredPointsWithDuplicates(6000, 0x705);
+/// A topology-suite input: its points, the frame queries draw users
+/// around, and user groups placed on its GNN boundaries, if any.
+struct TreeInput {
+  std::vector<Point> points;
+  Frame frame;
+  std::vector<std::vector<Point>> boundary_users;
+};
+
+TreeInput MakeInput(const std::string& name) {
+  if (name == "n1") return {RandomPoints(1, 0x701), {}, {}};
+  if (name == "n17") return {RandomPoints(17, 0x702), {}, {}};
+  if (name == "n1000") return {RandomPoints(1000, 0x703), {}, {}};
+  if (name == "n40000") return {RandomPoints(40000, 0x704), {}, {}};
+  if (name == "stacked") return {StackedPoints(5000, 0x706), {}, {}};
+  if (name == "ulp_ring") {
+    // Keys tying on the ring for users at its centre (gnn_boundary_inputs.h).
+    const double r = gnn_inputs::kRingRadius;
+    TreeInput in{gnn_inputs::UlpRingPoints(0x707), {-2 * r, 4 * r}, {}};
+    for (size_t m : {1, 2, 6}) {
+      in.boundary_users.push_back(gnn_inputs::RingUsers(m));
+    }
+    return in;
+  }
+  if (name == "tiny") {
+    // Squared keys, and a bound's square, underflow.
+    return {gnn_inputs::ScaledPoints(3000, 1e-160, 0x708), {0, 1e-160}, {}};
+  }
+  if (name == "huge") {
+    // Squared keys, and a bound's square, overflow.
+    return {gnn_inputs::ScaledPoints(3000, 1.2e154, 0x709), {0, 1.2e154},
+            {}};
+  }
+  return {ClusteredPointsWithDuplicates(6000, 0x705), {}, {}};
+}
+
+/// MPN_GNN_SEED offsets the GNN case's seeds (0 when unset), so a run can
+/// draw fresh queries; the same value reproduces them.
+uint64_t GnnSeedOffset() {
+  const char* env = std::getenv("MPN_GNN_SEED");
+  return env == nullptr ? 0 : std::strtoull(env, nullptr, 10);
 }
 
 class PackedRTreeTopologyTest : public testing::TestWithParam<std::string> {
  protected:
   void SetUp() override {
-    points_ = MakeInput(GetParam());
+    input_ = MakeInput(GetParam());
+    points_ = input_.points;
     packed_ = PackedRTree::Build(points_);
     reference_ = reference::RTree::BulkLoad(points_);
   }
 
+  /// FindGnn against the unbounded search on the reference tree (same
+  /// items, same node accesses) and against `ranked`, the brute-force
+  /// ranking of every point for these users.
+  void ExpectGnnMatches(const std::vector<Point>& users, Objective obj,
+                        size_t k, const std::vector<GnnItem>& ranked) {
+    SCOPED_TRACE(testing::Message() << ObjectiveName(obj) << " m="
+                                    << users.size() << " k=" << k);
+    uint64_t before = internal::tls_rtree_node_accesses;
+    const auto served = FindGnn(&packed_, users, obj, k);
+    const uint64_t served_nodes = internal::tls_rtree_node_accesses - before;
+
+    before = internal::tls_rtree_node_accesses;
+    const auto reference = GnnOver(reference_, users, obj, k);
+    const uint64_t reference_nodes =
+        internal::tls_rtree_node_accesses - before;
+
+    // The bounded search returns what the unbounded one does, after the
+    // same node accesses ...
+    ExpectSameItems(served, reference);
+    EXPECT_EQ(served_nodes, reference_nodes);
+    // ... and that is the k smallest (agg, id) of the whole input.
+    ExpectSameItems(served, {ranked.begin(),
+                             ranked.begin() + std::min(k, ranked.size())});
+  }
+
+  TreeInput input_;
   std::vector<Point> points_;
   PackedRTree packed_;
   reference::RTree reference_;
@@ -403,7 +490,7 @@ TEST_P(PackedRTreeTopologyTest, PrunedTraverseMatchesReferenceAndBruteForce) {
   Rng rng(0x7A5E + pts.size());
   for (int round = 0; round < 40; ++round) {
     const Objective obj = round % 2 == 0 ? Objective::kMax : Objective::kSum;
-    const PrunedQuery q = MakePrunedQuery(&rng, pts, obj);
+    const PrunedQuery q = MakePrunedQuery(&rng, pts, obj, input_.frame);
     const TraverseLog got = RunTraverse(packed_, q);
     const TraverseLog want = RunTraverse(reference_, q);
     // Same nodes in the same order: the predicate sees the same MBRs and
@@ -421,39 +508,39 @@ TEST_P(PackedRTreeTopologyTest, PrunedTraverseMatchesReferenceAndBruteForce) {
 }
 
 TEST_P(PackedRTreeTopologyTest, GnnMatchesReference) {
-  const std::vector<Point>& pts = points_;
-  Rng rng(0x6C0 + pts.size());
-  for (size_t m = 1; m <= 4; ++m) {
+  const size_t n = points_.size();
+  const uint64_t offset = GnnSeedOffset();
+  SCOPED_TRACE(testing::Message() << "MPN_GNN_SEED=" << offset);
+  Rng rng(0x6C0 + n + offset);
+  for (size_t m = 1; m <= 6; ++m) {
     for (Objective obj : {Objective::kMax, Objective::kSum}) {
-      SCOPED_TRACE(ObjectiveName(obj));
       for (int trial = 0; trial < 5; ++trial) {
         std::vector<Point> users;
         for (size_t j = 0; j < m; ++j) {
-          users.push_back({rng.Uniform(-100, 1100), rng.Uniform(-100, 1100)});
+          users.push_back(
+              {input_.frame.Draw(&rng, 0.1), input_.frame.Draw(&rng, 0.1)});
         }
-        // A drawn depth up to 20, then the Tile-D-b buffer depths b + 1 of
-        // fig16/fig19. Past kFanout only the k-best bound prunes.
+        // A drawn depth up to 20; one run and two around the fanout; the
+        // Tile-D-b buffer depths b + 1 of fig16/fig19, past which only the
+        // k-best bound prunes; and, once per group size, the whole input
+        // and one more.
         const size_t drawn = static_cast<size_t>(rng.UniformInt(1, 20));
-        const std::vector<size_t> depths = {drawn, 6, 11, 26, 51, 101, 201};
-        for (size_t k : depths) {
-          SCOPED_TRACE(testing::Message() << "m=" << m << " k=" << k);
-          uint64_t before = internal::tls_rtree_node_accesses;
-          const auto served = FindGnn(&packed_, users, obj, k);
-          const uint64_t served_nodes =
-              internal::tls_rtree_node_accesses - before;
-
-          before = internal::tls_rtree_node_accesses;
-          const auto reference = GnnOver(reference_, users, obj, k);
-          const uint64_t reference_nodes =
-              internal::tls_rtree_node_accesses - before;
-
-          // The bounded search returns what the unbounded one does, after
-          // the same node accesses ...
-          ExpectSameItems(served, reference);
-          EXPECT_EQ(served_nodes, reference_nodes);
-          // ... and that is the k smallest (agg, id) of the whole input.
-          ExpectSameItems(served, FindGnnBruteForce(pts, users, obj, k));
-        }
+        constexpr size_t kFanout = PackedRTree::kFanout;
+        std::vector<size_t> depths = {drawn,       1,  2,  kFanout,
+                                      kFanout + 1, 6,  11, 26,
+                                      51,          101, 201};
+        if (trial == 0) depths.insert(depths.end(), {n, n + 1});
+        const auto ranked = FindGnnBruteForce(points_, users, obj, n);
+        for (size_t k : depths) ExpectGnnMatches(users, obj, k, ranked);
+      }
+    }
+  }
+  // Groups on the input's boundaries, at every depth.
+  for (const std::vector<Point>& users : input_.boundary_users) {
+    for (Objective obj : {Objective::kMax, Objective::kSum}) {
+      const auto ranked = FindGnnBruteForce(points_, users, obj, n);
+      for (size_t k = 1; k <= n + 1; ++k) {
+        ExpectGnnMatches(users, obj, k, ranked);
       }
     }
   }
@@ -461,7 +548,8 @@ TEST_P(PackedRTreeTopologyTest, GnnMatchesReference) {
 
 INSTANTIATE_TEST_SUITE_P(Inputs, PackedRTreeTopologyTest,
                          testing::Values("n1", "n17", "n1000", "n40000",
-                                         "clustered_dups", "stacked"),
+                                         "clustered_dups", "stacked",
+                                         "ulp_ring", "tiny", "huge"),
                          [](const testing::TestParamInfo<std::string>& i) {
                            return i.param;
                          });
