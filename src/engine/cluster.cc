@@ -280,7 +280,15 @@ uint32_t ClusterEngine::AdmitSession(
     throw std::runtime_error(workers_[shard].lost_reason);
   }
   const uint32_t id = next_id_++;
+  // The snapshot keeps this frame for the session's lifetime: size it
+  // exactly rather than to the next growth step.
+  size_t bytes = 1 + 4 + 8 + 8 + 8 + 4;
+  for (const Trajectory* t : group) {
+    MPN_ASSERT(t != nullptr);
+    bytes += 4 + 16 * t->positions.size();
+  }
   WireBuffer frame;
+  frame.Reserve(bytes);
   frame.PutU8(kAdmit);
   frame.PutU32(id);
   frame.PutDouble(tuning.recompute_cost_factor);
@@ -288,7 +296,6 @@ uint32_t ClusterEngine::AdmitSession(
   frame.PutU64(static_cast<uint64_t>(tuning.mailbox_capacity));
   frame.PutU32(static_cast<uint32_t>(group.size()));
   for (const Trajectory* t : group) {
-    MPN_ASSERT(t != nullptr);
     frame.PutU32(static_cast<uint32_t>(t->positions.size()));
     for (const Point& p : t->positions) {
       frame.PutDouble(p.x);

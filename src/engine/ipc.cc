@@ -35,24 +35,9 @@ std::string TrimToken(const std::string& tok) {
 
 }  // namespace
 
-void WireBuffer::PutU32(uint32_t v) {
-  for (int i = 0; i < 4; ++i) data_.push_back((v >> (8 * i)) & 0xFF);
-}
-
-void WireBuffer::PutU64(uint64_t v) {
-  for (int i = 0; i < 8; ++i) data_.push_back((v >> (8 * i)) & 0xFF);
-}
-
 void WireBuffer::PatchU64(size_t offset, uint64_t v) {
   MPN_ASSERT(offset + 8 <= data_.size());
   for (int i = 0; i < 8; ++i) data_[offset + i] = (v >> (8 * i)) & 0xFF;
-}
-
-void WireBuffer::PutDouble(double v) {
-  uint64_t bits;
-  static_assert(sizeof(bits) == sizeof(v), "double must be 64-bit");
-  std::memcpy(&bits, &v, sizeof(bits));
-  PutU64(bits);
 }
 
 void WireBuffer::PutString(const std::string& s) {
@@ -60,40 +45,8 @@ void WireBuffer::PutString(const std::string& s) {
   data_.insert(data_.end(), s.begin(), s.end());
 }
 
-void WireReader::Need(size_t n) const {
-  if (size_ - off_ < n) {
-    throw FrameError("truncated frame payload");
-  }
-}
-
-uint8_t WireReader::GetU8() {
-  Need(1);
-  return data_[off_++];
-}
-
-uint32_t WireReader::GetU32() {
-  Need(4);
-  uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) {
-    v |= static_cast<uint32_t>(data_[off_++]) << (8 * i);
-  }
-  return v;
-}
-
-uint64_t WireReader::GetU64() {
-  Need(8);
-  uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) {
-    v |= static_cast<uint64_t>(data_[off_++]) << (8 * i);
-  }
-  return v;
-}
-
-double WireReader::GetDouble() {
-  const uint64_t bits = GetU64();
-  double v;
-  std::memcpy(&v, &bits, sizeof(v));
-  return v;
+void WireReader::ThrowTruncated() {
+  throw FrameError("truncated frame payload");
 }
 
 std::string WireReader::GetString() {

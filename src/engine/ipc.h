@@ -27,6 +27,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -35,14 +36,20 @@
 
 namespace mpn {
 
-/// Serialization buffer for one frame payload.
+/// Serialization buffer for one frame payload. Put* append each value's
+/// little-endian bytes with one insert.
 class WireBuffer {
  public:
   void PutU8(uint8_t v) { data_.push_back(v); }
-  void PutU32(uint32_t v);
-  void PutU64(uint64_t v);
+  void PutU32(uint32_t v) { PutLe(v); }
+  void PutU64(uint64_t v) { PutLe(v); }
   /// IEEE-754 bit pattern via the u64 path: byte-exact round-trip.
-  void PutDouble(double v);
+  void PutDouble(double v) {
+    uint64_t bits = 0;
+    static_assert(sizeof(bits) == sizeof(v), "double must be 64-bit");
+    std::memcpy(&bits, &v, sizeof(bits));
+    PutU64(bits);
+  }
   void PutString(const std::string& s);
   /// Overwrites the 8 bytes at `offset` with `v` (same little-endian
   /// layout as PutU64). For in-place patching of a recorded frame — the
@@ -50,10 +57,23 @@ class WireBuffer {
   /// frame's tuning field so retirement never races the admission.
   void PatchU64(size_t offset, uint64_t v);
 
+  /// Capacity for `n` bytes in total, so a payload of known size grows
+  /// its vector once.
+  void Reserve(size_t n) { data_.reserve(n); }
+
   const std::vector<uint8_t>& data() const { return data_; }
   size_t size() const { return data_.size(); }
 
  private:
+  template <typename T>
+  void PutLe(T v) {
+    uint8_t bytes[sizeof(T)];
+    for (size_t i = 0; i < sizeof(T); ++i) {
+      bytes[i] = static_cast<uint8_t>(v >> (8 * i));
+    }
+    data_.insert(data_.end(), bytes, bytes + sizeof(T));
+  }
+
   std::vector<uint8_t> data_;
 };
 
@@ -69,22 +89,46 @@ class FrameError : public std::runtime_error {
 };
 
 /// Bounds-checked decoder over a received payload. Get* throw FrameError
-/// past the end (malformed frame).
+/// past the end (malformed frame); each value is one bounds check.
 class WireReader {
  public:
   explicit WireReader(const std::vector<uint8_t>& payload)
       : data_(payload.data()), size_(payload.size()) {}
 
-  uint8_t GetU8();
-  uint32_t GetU32();
-  uint64_t GetU64();
-  double GetDouble();
+  uint8_t GetU8() {
+    Need(1);
+    return data_[off_++];
+  }
+  uint32_t GetU32() { return GetLe<uint32_t>(); }
+  uint64_t GetU64() { return GetLe<uint64_t>(); }
+  double GetDouble() {
+    const uint64_t bits = GetU64();
+    double v = 0.0;
+    std::memcpy(&v, &bits, sizeof(v));
+    return v;
+  }
   std::string GetString();
 
   bool AtEnd() const { return off_ == size_; }
+  /// Bytes left to read.
+  size_t remaining() const { return size_ - off_; }
 
  private:
-  void Need(size_t n) const;
+  void Need(size_t n) const {
+    if (size_ - off_ < n) ThrowTruncated();
+  }
+  [[noreturn]] static void ThrowTruncated();
+
+  template <typename T>
+  T GetLe() {
+    Need(sizeof(T));
+    T v = 0;
+    for (size_t i = 0; i < sizeof(T); ++i) {
+      v |= static_cast<T>(data_[off_ + i]) << (8 * i);
+    }
+    off_ += sizeof(T);
+    return v;
+  }
 
   const uint8_t* data_;
   size_t size_;

@@ -1,5 +1,6 @@
 #include "engine/session_codec.h"
 
+#include <algorithm>
 #include <utility>
 #include <vector>
 
@@ -8,6 +9,19 @@
 namespace mpn {
 
 namespace {
+
+// Sizes of the records below, for reserving a snapshot's buffer.
+constexpr size_t kMsrStatsBytes = 12 * 8;
+constexpr size_t kMetricsBytes =
+    3 * 8 + kMessageTypeCount * 3 * 8 + 8 + kMsrStatsBytes;
+// A client without headings or region: location, two flags, heading and
+// the headings count.
+constexpr size_t kClientBytes = 16 + 1 + 8 + 4 + 1;
+// A circle region with its kind byte (tile bitmaps are larger and grow
+// the buffer).
+constexpr size_t kCircleRegionBytes = 1 + 24;
+// One timestamp of the four traces: u32 + u8 + two doubles.
+constexpr size_t kTraceEntryBytes = 4 + 1 + 8 + 8;
 
 void WriteMsrStats(WireBuffer* out, const MsrStats& s) {
   out->PutU64(s.tiles_tried);
@@ -161,6 +175,8 @@ MpnClient::State ReadClientState(WireReader* r) {
   c.moved = r->GetU8() != 0;
   c.heading = r->GetDouble();
   const uint32_t n = r->GetU32();
+  // Counts come off the wire: reserve no more than the payload can hold.
+  c.recent_headings.reserve(std::min<size_t>(n, r->remaining() / 8));
   for (uint32_t i = 0; i < n; ++i) c.recent_headings.push_back(r->GetDouble());
   c.has_region = r->GetU8() != 0;
   if (c.has_region) c.region = ReadSafeRegion(r);
@@ -170,6 +186,14 @@ MpnClient::State ReadClientState(WireReader* r) {
 }  // namespace
 
 void EncodeLiveSession(const GroupSession::State& state, WireBuffer* out) {
+  // Header and fixed fields (47 B), metrics, server state, the clients
+  // and trace counts, the traces, and each client with a circle region.
+  size_t bytes = 47 + kMetricsBytes + 16 + kMsrStatsBytes + 4 + 4 +
+                 kTraceEntryBytes * state.messages_at.size();
+  for (const MpnClient::State& c : state.clients) {
+    bytes += kClientBytes + kCircleRegionBytes + 8 * c.recent_headings.size();
+  }
+  out->Reserve(out->size() + bytes);
   out->PutU8(kSessionSnapshotVersion);
   out->PutU8(static_cast<uint8_t>(SnapshotKind::kLive));
   out->PutU64(state.next_t);
@@ -194,6 +218,9 @@ void EncodeLiveSession(const GroupSession::State& state, WireBuffer* out) {
 }
 
 void EncodeFinalSession(const SessionFinalResult& result, WireBuffer* out) {
+  // Header, metrics, fixed fields (33 B) and the advance times.
+  out->Reserve(out->size() + 2 + kMetricsBytes + 33 +
+               8 * result.advance_seconds.size());
   out->PutU8(kSessionSnapshotVersion);
   out->PutU8(static_cast<uint8_t>(SnapshotKind::kFinal));
   WriteMetrics(out, result.metrics);
@@ -232,11 +259,17 @@ GroupSession::State DecodeLiveSession(WireReader* r) {
   state.server.recompute_count = r->GetU64();
   state.server.stats = ReadMsrStats(r);
   const uint32_t m = r->GetU32();
+  state.clients.reserve(std::min<size_t>(m, r->remaining() / kClientBytes));
   for (uint32_t i = 0; i < m; ++i) state.clients.push_back(ReadClientState(r));
   const uint32_t n = r->GetU32();
   if (n != state.next_t) {
     throw FrameError("session trace length does not match next_t");
   }
+  const size_t fits = std::min<size_t>(n, r->remaining() / kTraceEntryBytes);
+  state.messages_at.reserve(fits);
+  state.violated_at.reserve(fits);
+  state.advance_at.reserve(fits);
+  state.seconds_at.reserve(fits);
   for (uint32_t i = 0; i < n; ++i) state.messages_at.push_back(r->GetU32());
   for (uint32_t i = 0; i < n; ++i) state.violated_at.push_back(r->GetU8());
   for (uint32_t i = 0; i < n; ++i) state.advance_at.push_back(r->GetDouble());
@@ -253,6 +286,7 @@ SessionFinalResult DecodeFinalSession(WireReader* r) {
   result.stall_count = r->GetU64();
   r->GetU64();  // the unused u64
   const uint32_t n = r->GetU32();
+  result.advance_seconds.reserve(std::min<size_t>(n, r->remaining() / 8));
   for (uint32_t i = 0; i < n; ++i) {
     result.advance_seconds.push_back(r->GetDouble());
   }

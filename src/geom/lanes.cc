@@ -47,10 +47,11 @@ double SqrtLeqThreshold(double z) {
   if (std::isinf(z)) return z;   // sqrt(t) <= inf for every t, inf included
   double t = z * z;              // within a few ulps of the exact boundary
   if (std::isinf(t)) t = std::numeric_limits<double>::max();
-  while (std::sqrt(t) > z) t = std::nextafter(t, 0.0);
+  // sqrt(t) > z >= 0 makes t > 0 here, and t stays finite: UlpDown and
+  // UlpUp are within their domains.
+  while (std::sqrt(t) > z) t = UlpDown(t);
   for (;;) {
-    const double up =
-        std::nextafter(t, std::numeric_limits<double>::infinity());
+    const double up = UlpUp(t);  // +inf after DBL_MAX
     if (std::isinf(up) || std::sqrt(up) > z) break;
     t = up;
   }
@@ -64,7 +65,7 @@ double SqrtLtThreshold(double y) {
     return std::numeric_limits<double>::max();
   }
   // sqrt(t) and y are doubles, so sqrt(t) < y <=> sqrt(t) <= pred(y).
-  return SqrtLeqThreshold(std::nextafter(y, 0.0));
+  return SqrtLeqThreshold(UlpDown(y));
 }
 
 }  // namespace mpn

@@ -20,6 +20,8 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <cstdint>
+#include <cstring>
 
 #include "geom/rect.h"
 #include "geom/vec2.h"
@@ -65,6 +67,27 @@ double RectMinDistReduce(const RectLanes& r, const Point& p);
 /// is the identity the scalar folds start from). Equals the fold
 /// max(Rect::MaxDist) over the lanes.
 double RectMaxDistReduce(const RectLanes& r, const Point& p);
+
+/// The next double above `t`, for finite t >= 0; UlpUp(DBL_MAX) is +inf.
+/// Nonnegative doubles order like their bit patterns, so this is the
+/// pattern plus one, and equals std::nextafter(t, +inf) on that domain.
+inline double UlpUp(double t) {
+  uint64_t bits = 0;
+  std::memcpy(&bits, &t, sizeof(bits));
+  ++bits;
+  std::memcpy(&t, &bits, sizeof(t));
+  return t;
+}
+
+/// The next double below `t`, for finite t > 0 (the pattern minus one);
+/// equals std::nextafter(t, 0.0) there.
+inline double UlpDown(double t) {
+  uint64_t bits = 0;
+  std::memcpy(&bits, &t, sizeof(bits));
+  --bits;
+  std::memcpy(&t, &bits, sizeof(t));
+  return t;
+}
 
 /// Largest double t with std::sqrt(t) <= z, or -1.0 when no nonnegative t
 /// satisfies it (z < 0 or NaN). Moves sqrt comparisons into the squared

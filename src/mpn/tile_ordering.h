@@ -12,6 +12,13 @@
 // (Tao et al., SIGMOD 2004). The angular test is slightly widened by the
 // cell's angular half-span so that cells partially inside the cone are kept
 // (conservative: extra tiles cost time, never correctness).
+//
+// The angular test is exact: five atan2 calls per cell. Most cells of a
+// narrow cone are rejected, so a cheap certificate runs first — a dot
+// product against the heading and a bound on the cell's half-span — and
+// rejects a cell only where the atan2 test provably would; every other
+// cell takes the atan2 test. Which cells are reported does not depend on
+// the certificate (the proof and its guards are in tile_ordering.cc).
 #pragma once
 
 #include <optional>
@@ -28,8 +35,7 @@ class TileOrdering {
   TileOrdering() = default;
 
   /// Directed ordering around `heading` (radians) with half-angle `theta`.
-  TileOrdering(double heading, double theta)
-      : directed_(true), heading_(heading), theta_(theta) {}
+  TileOrdering(double heading, double theta);
 
   /// Next level-0 cell to try (never the initial cell (0,0)), or nullopt
   /// when exhausted. Cells are reported in ring order; within a ring,
@@ -47,10 +53,20 @@ class TileOrdering {
   // Cell at position `pos` (0-based) of ring `k`, CCW from (k, 0).
   static void RingCell(int k, int pos, int* ix, int* iy);
   bool AcceptCell(const TileRegion& region, int ix, int iy) const;
+  // True only when the exact test would reject the cell whose rectangle
+  // is `rect`, seen from `u`; false when it cannot tell.
+  bool CertainlyOutsideCone(const Rect& rect, const Point& u,
+                            double delta) const;
 
   bool directed_ = false;
   double heading_ = 0.0;
   double theta_ = 0.0;
+  // Certificate constants, set by the directed constructor: whether it
+  // applies (0 <= theta < pi/2 and |heading| <= pi), the heading's unit
+  // vector, and theta's cosine and sine.
+  bool certify_ = false;
+  double hx_ = 0.0, hy_ = 0.0;
+  double cos_theta_ = 0.0, sin_theta_ = 0.0;
   int ring_ = 0;
   int pos_ = 0;  // next position within the ring
   bool inserted_in_ring_ = false;

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <limits>
 #include <vector>
 
@@ -343,6 +345,88 @@ TEST(LanesTest, SqrtThresholdsMoveComparesToSquaredDomainExactly) {
   const double inf = std::numeric_limits<double>::infinity();
   EXPECT_EQ(SqrtLeqThreshold(inf), inf);
   EXPECT_EQ(SqrtLtThreshold(inf), std::numeric_limits<double>::max());
+}
+
+// The thresholds as written with libm nextafter: the reference for the
+// in-line ulp steps.
+double NextafterSqrtLeqThreshold(double z) {
+  if (!(z >= 0.0)) return -1.0;
+  if (std::isinf(z)) return z;
+  double t = z * z;
+  if (std::isinf(t)) t = std::numeric_limits<double>::max();
+  while (std::sqrt(t) > z) t = std::nextafter(t, 0.0);
+  for (;;) {
+    const double up =
+        std::nextafter(t, std::numeric_limits<double>::infinity());
+    if (std::isinf(up) || std::sqrt(up) > z) break;
+    t = up;
+  }
+  return t;
+}
+
+double NextafterSqrtLtThreshold(double y) {
+  if (!(y > 0.0)) return -1.0;
+  if (std::isinf(y)) return std::numeric_limits<double>::max();
+  return NextafterSqrtLeqThreshold(std::nextafter(y, 0.0));
+}
+
+uint64_t BitsOf(double d) {
+  uint64_t u = 0;
+  std::memcpy(&u, &d, sizeof(u));
+  return u;
+}
+
+TEST(LanesTest, UlpStepsMatchNextafter) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double max = std::numeric_limits<double>::max();
+  const double tiny = std::numeric_limits<double>::denorm_min();
+  const double min_normal = std::numeric_limits<double>::min();
+  std::vector<double> ts = {0.0, tiny, 2 * tiny, 3 * tiny, 1.0, max};
+  ts.insert(ts.end(), {min_normal - tiny, min_normal, min_normal + tiny});
+  ts.insert(ts.end(), {0.5 * min_normal, std::nextafter(max, 0.0)});
+  for (int e = -1074; e <= 1023; ++e) {
+    const double p = std::ldexp(1.0, e);  // every power of two
+    ts.insert(ts.end(), {p, std::nextafter(p, 0.0), std::nextafter(p, inf)});
+  }
+  Rng rng(0x5159);
+  for (int i = 0; i < 2000; ++i) {
+    ts.push_back(std::ldexp(1.0 + rng.Uniform01(),
+                            static_cast<int>(rng.UniformInt(-1074, 1023))));
+  }
+  for (const double t : ts) {
+    ASSERT_TRUE(std::isfinite(t) && t >= 0.0);
+    EXPECT_EQ(BitsOf(UlpUp(t)), BitsOf(std::nextafter(t, inf))) << "t=" << t;
+    if (t > 0.0) {
+      EXPECT_EQ(BitsOf(UlpDown(t)), BitsOf(std::nextafter(t, 0.0)))
+          << "t=" << t;
+    }
+  }
+  EXPECT_EQ(UlpUp(max), inf);  // the upward probe's stop
+  EXPECT_EQ(UlpUp(0.0), tiny);
+  EXPECT_EQ(UlpDown(tiny), 0.0);
+}
+
+TEST(LanesTest, SqrtThresholdsMatchTheNextafterReference) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double max = std::numeric_limits<double>::max();
+  const double tiny = std::numeric_limits<double>::denorm_min();
+  const double min_normal = std::numeric_limits<double>::min();
+  std::vector<double> zs = {0.0, -0.0, tiny, 2 * tiny, 7 * tiny, max, inf};
+  zs.insert(zs.end(), {0.5 * min_normal, min_normal - tiny, min_normal});
+  zs.insert(zs.end(), {std::nextafter(max, 0.0), -1.0, -inf, std::nan("")});
+  for (int e = -1074; e <= 1023; ++e) {
+    const double p = std::ldexp(1.0, e);
+    zs.insert(zs.end(), {p, std::nextafter(p, 0.0), std::nextafter(p, inf)});
+    const double r = std::sqrt(p);  // thresholds right at a square
+    zs.insert(zs.end(), {r, std::nextafter(r, 0.0), std::nextafter(r, inf)});
+  }
+  for (const double z : zs) {
+    EXPECT_EQ(BitsOf(SqrtLeqThreshold(z)),
+              BitsOf(NextafterSqrtLeqThreshold(z)))
+        << "z=" << z;
+    EXPECT_EQ(BitsOf(SqrtLtThreshold(z)), BitsOf(NextafterSqrtLtThreshold(z)))
+        << "z=" << z;
+  }
 }
 
 TEST(LanesTest, SqrtLeqBoundNeverDropsWhatTheExactTestKeeps) {

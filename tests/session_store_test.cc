@@ -282,6 +282,140 @@ TEST(SessionCodecTest, LiveSnapshotRoundTripIsExact) {
   }
 }
 
+// --- golden bytes -----------------------------------------------------------
+//
+// Round trips cannot see a layout slip that the encoder and the decoder
+// make alike (two fields swapped on both sides, a wider count). These pin
+// the exact bytes: little-endian integers, doubles as their bit patterns,
+// the field order of both snapshot kinds and the tile bitmap.
+
+std::string Hex(const std::vector<uint8_t>& bytes) {
+  static const char kDigits[] = "0123456789abcdef";
+  std::string s;
+  for (uint8_t b : bytes) {
+    s += kDigits[b >> 4];
+    s += kDigits[b & 15];
+  }
+  return s;
+}
+
+SimMetrics GoldenMetrics() {
+  SimMetrics m;
+  m.timestamps = 0x0102030405060708ull;
+  m.updates = 17;
+  m.result_changes = 5;
+  m.server_seconds = -1.5;
+  m.comm.AddRaw(MessageType::kLocationUpdate, 3, 4, 5);
+  m.comm.AddRaw(MessageType::kResult, 12, 13, 14);
+  m.msr.tiles_tried = 100;
+  m.msr.divide_calls = 0xA0B0C0D0u;
+  m.msr.rtree_node_accesses = 12345;
+  return m;
+}
+
+TEST(SessionCodecTest, PrimitivesHaveGoldenBytes) {
+  WireBuffer out;
+  out.PutU8(0xAB);
+  out.PutU32(0x01020304u);
+  out.PutU64(0x1122334455667788ull);
+  out.PutDouble(-2.5);
+  out.PutDouble(kDenormal);
+  out.PutU32(0xFFFFFFFEu);
+  EXPECT_EQ(Hex(out.data()),
+            "ab04030201887766554433221100000000000004c00100000000000000feffff"
+            "ff");
+  WireReader r(out.data());
+  EXPECT_EQ(r.GetU8(), 0xABu);
+  EXPECT_EQ(r.GetU32(), 0x01020304u);
+  EXPECT_EQ(r.GetU64(), 0x1122334455667788ull);
+  EXPECT_SAME_BITS(r.GetDouble(), -2.5);
+  EXPECT_SAME_BITS(r.GetDouble(), kDenormal);
+  EXPECT_EQ(r.GetU32(), 0xFFFFFFFEu);
+  EXPECT_TRUE(r.AtEnd());
+  EXPECT_THROW(r.GetU8(), FrameError);
+}
+
+TEST(SessionCodecTest, FinalSnapshotHasGoldenBytes) {
+  SessionFinalResult fr;
+  fr.metrics = GoldenMetrics();
+  fr.has_result = true;
+  fr.po = 0xDEADBEEF;
+  fr.mailbox_peak = 7;
+  fr.stall_count = 3;
+  fr.advance_seconds = {0.25, -0.0};
+  WireBuffer out;
+  EncodeFinalSession(fr, &out);
+  EXPECT_EQ(out.size(), 275u);
+  EXPECT_EQ(Hex(out.data()),
+            "0101080706050403020111000000000000000500000000000000030000000000"
+            "0000040000000000000005000000000000000000000000000000000000000000"
+            "0000000000000000000000000000000000000000000000000000000000000000"
+            "00000c000000000000000d000000000000000e00000000000000000000000000"
+            "f8bf64000000000000000000000000000000d0c0b0a000000000000000000000"
+            "0000000000000000000000000000000000000000000000000000000000000000"
+            "0000000000000000000000000000000000000000000000000000393000000000"
+            "000001efbeadde07000000000000000300000000000000000000000000000002"
+            "000000000000000000d03f0000000000000080");
+}
+
+TEST(SessionCodecTest, LiveSnapshotHasGoldenBytes) {
+  GroupSession::State s;
+  s.next_t = 2;
+  s.retire_at = 17;
+  s.has_result = true;
+  s.current_po = 42;
+  s.mailbox_peak = 2;
+  s.stall_count = 1;
+  s.metrics = GoldenMetrics();
+  s.server.compute_seconds = 0.125;
+  s.server.recompute_count = 9;
+  s.server.stats.tiles_tried = 11;
+  MpnClient::State c0;  // a tile region on two levels
+  c0.location = {-0.0, 3.0};
+  c0.moved = true;
+  c0.heading = 0.5;
+  c0.recent_headings = {0.25, -1.0};
+  c0.has_region = true;
+  TileRegion tiles = TileRegion::FromOrigin({-4.0, 8.0}, 2.0);
+  tiles.Add(GridTile{0, 0, 0});
+  tiles.Add(GridTile{0, 1, 0});
+  tiles.Add(GridTile{1, -1, 2});
+  c0.region = SafeRegion::MakeTiles(std::move(tiles));
+  MpnClient::State c1;  // a circle region
+  c1.location = {5.0, 6.0};
+  c1.has_region = true;
+  c1.region = SafeRegion::MakeCircle(Circle{{1.0, 2.0}, 3.0});
+  s.clients = {c0, c1};
+  s.messages_at = {4, 0x01020304u};
+  s.violated_at = {1, 0};
+  s.advance_at = {0.5, -0.0};
+  s.seconds_at = {1.0, 2.0};
+  WireBuffer out;
+  EncodeLiveSession(s, &out);
+  EXPECT_EQ(out.size(), 635u);
+  EXPECT_EQ(Hex(out.data()),
+            "010002000000000000001100000000000000012a000000020000000000000001"
+            "0000000000000000000000000000000807060504030201110000000000000005"
+            "0000000000000003000000000000000400000000000000050000000000000000"
+            "0000000000000000000000000000000000000000000000000000000000000000"
+            "0000000000000000000000000000000c000000000000000d000000000000000e"
+            "00000000000000000000000000f8bf64000000000000000000000000000000d0"
+            "c0b0a00000000000000000000000000000000000000000000000000000000000"
+            "0000000000000000000000000000000000000000000000000000000000000000"
+            "000000000000003930000000000000000000000000c03f09000000000000000b"
+            "0000000000000000000000000000000000000000000000000000000000000000"
+            "0000000000000000000000000000000000000000000000000000000000000000"
+            "0000000000000000000000000000000000000000000000000000000000000002"
+            "0000000000000000000080000000000000084001000000000000e03f02000000"
+            "000000000000d03f000000000000f0bf010100000000000010c0000000000000"
+            "2040000000000000004002000000000000000000000000000000020000000100"
+            "00000200000000000000030000000000000001000000ffffffff020000000100"
+            "0000010000000100000000000000010000000000000000000000000014400000"
+            "000000001840000000000000000000000000000100000000000000f03f000000"
+            "0000000040000000000000084002000000040000000403020101000000000000"
+            "00e03f0000000000000080000000000000f03f0000000000000040");
+}
+
 // --- malformed input rejection ---------------------------------------------
 
 TEST(SessionCodecTest, RejectsUnsupportedVersionAndKind) {

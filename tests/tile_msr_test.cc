@@ -3,7 +3,14 @@
 // orderings, buffering, and structural checks.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstdlib>
+#include <ostream>
+#include <set>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "mpn/tile_msr.h"
 #include "mpn/verify.h"
@@ -484,6 +491,275 @@ TEST(TileOrderingTest, WideConeBehavesLikeUndirected) {
     EXPECT_EQ(a->iy, b->iy);
     directed.MarkInserted();
     undirected.MarkInserted();
+  }
+}
+
+// --- Directed ordering against the exact cone test --------------------------
+//
+// The directed ordering rejects most cells with a cheap certificate and
+// decides every other cell with the exact atan2 test. The certificate may
+// only reject cells the exact test rejects, so every walk must report the
+// cells the exact test alone reports. ExactAccept is that test, computed
+// exactly as AcceptCell's fallback computes it.
+
+using Cell = std::pair<int, int>;
+
+constexpr double kTheta15 = 0.26179938779914941;      // MpnClient's theta_min
+constexpr double kThetaDefault = 1.0471975511965976;  // pi/3
+constexpr double kHalfPi = 1.5707963267948966;
+constexpr double kPiD = 3.141592653589793;
+
+Point UserOf(const TileRegion& region) {
+  return {region.origin().x + region.delta() / 2.0,
+          region.origin().y + region.delta() / 2.0};
+}
+
+// The cell's centre direction and half-span as the exact test has them.
+void CenterAndHalfSpan(const TileRegion& region, int ix, int iy,
+                       double* center_angle, double* half_span) {
+  const Rect rect = region.TileRect(GridTile{0, ix, iy});
+  const Point u = UserOf(region);
+  *center_angle = (rect.Center() - u).Angle();
+  *half_span = 0.0;
+  for (int c = 0; c < 4; ++c) {
+    *half_span = std::max(
+        *half_span, AngleDiff((rect.Corner(c) - u).Angle(), *center_angle));
+  }
+}
+
+bool ExactAccept(const TileRegion& region, double heading, double theta,
+                 int ix, int iy) {
+  if (region.TileRect(GridTile{0, ix, iy}).Contains(UserOf(region))) {
+    return true;
+  }
+  double center_angle = 0.0, half_span = 0.0;
+  CenterAndHalfSpan(region, ix, iy, &center_angle, &half_span);
+  return AngleDiff(center_angle, heading) <= theta + half_span;
+}
+
+// Cells the directed ordering reports through ring `max_ring`, each one
+// marked inserted.
+std::vector<Cell> DirectedWalk(const TileRegion& region, double heading,
+                               double theta, int max_ring) {
+  TileOrdering ordering(heading, theta);
+  std::vector<Cell> cells;
+  while (auto t = ordering.Next(region)) {
+    if (ordering.ring() > max_ring) break;
+    cells.push_back({t->ix, t->iy});
+    ordering.MarkInserted();
+  }
+  return cells;
+}
+
+// The same walk decided by ExactAccept: the undirected ordering gives the
+// ring order, and the walk ends after a ring that reported nothing.
+std::vector<Cell> ExactWalk(const TileRegion& region, double heading,
+                            double theta, int max_ring) {
+  TileOrdering ring_order;
+  std::vector<Cell> cells;
+  int ring = 1;
+  bool reported = false;
+  while (auto t = ring_order.Next(region)) {
+    ring_order.MarkInserted();
+    if (ring_order.ring() != ring) {
+      if (!reported || ring_order.ring() > max_ring) break;
+      ring = ring_order.ring();
+      reported = false;
+    }
+    if (ExactAccept(region, heading, theta, t->ix, t->iy)) {
+      cells.push_back({t->ix, t->iy});
+      reported = true;
+    }
+  }
+  return cells;
+}
+
+// Headings within `ulps` ulps of either edge of the exact test's cone for
+// cell (ix, iy): centre direction +- (theta + half_span).
+std::vector<double> EdgeHeadings(const TileRegion& region, double theta,
+                                 int ix, int iy, int ulps) {
+  double center_angle = 0.0, half_span = 0.0;
+  CenterAndHalfSpan(region, ix, iy, &center_angle, &half_span);
+  std::vector<double> headings;
+  for (const double side : {-1.0, 1.0}) {
+    const double edge =
+        NormalizeAngle(center_angle + side * (theta + half_span));
+    double below = edge, above = edge;
+    headings.push_back(edge);
+    for (int i = 0; i < ulps; ++i) {
+      below = std::nextafter(below, -4.0);
+      above = std::nextafter(above, 4.0);
+      headings.insert(headings.end(), {below, above});
+    }
+  }
+  return headings;
+}
+
+// Ring k's cells where a corner touches the half-span bound's tangent
+// (k, k - 1) and its images, plus the axis and diagonal cells.
+std::vector<Cell> EdgeTargets(int k) {
+  std::set<Cell> cells;
+  for (const int sx : {-1, 1}) {
+    for (const int sy : {-1, 1}) {
+      cells.insert({sx * k, sy * (k - 1)});
+      cells.insert({sx * (k - 1), sy * k});
+      cells.insert({sx * k, sy * k});
+      cells.insert({sx * k, 0});
+      cells.insert({0, sy * k});
+    }
+  }
+  return {cells.begin(), cells.end()};
+}
+
+// Expects the two walks to agree; false (stop testing) when they do not.
+bool SameWalk(const TileRegion& region, double heading, double theta,
+              int max_ring) {
+  const std::vector<Cell> directed =
+      DirectedWalk(region, heading, theta, max_ring);
+  const std::vector<Cell> exact = ExactWalk(region, heading, theta, max_ring);
+  EXPECT_EQ(directed, exact)
+      << "heading " << testing::PrintToString(heading) << " theta "
+      << testing::PrintToString(theta) << " origin ("
+      << testing::PrintToString(region.origin().x) << ", "
+      << testing::PrintToString(region.origin().y) << ") delta "
+      << region.delta();
+  return directed == exact;
+}
+
+struct OrderingFrame {
+  std::string name;
+  Point origin;
+  double delta;
+};
+
+void PrintTo(const OrderingFrame& frame, std::ostream* os) {
+  *os << frame.name;
+}
+
+// Grids the certificate must agree with the exact test on. "unit" has
+// exact coordinates. "tiny", "huge" and "guard_edge" are certified; the
+// last has coordinates up to 0.97 * 2^22 delta, so they round by about
+// 2^-31 delta and the half-span bound needs its inflation. "tiny_far" and
+// the 1e15 and 1e16 grids fail the conditioning guard: their coordinates
+// are multiples of 0.125 (1e15) and 2 (1e16), a large share of delta, so
+// only the guard keeps the certificate off them. (With delta = 1 at 1e15
+// every coordinate is still exact; delta = 1.1 is not.)
+std::vector<OrderingFrame> OrderingFrames() {
+  const double g = 0x1p22 * 0.7;  // guard_edge's 2^22 delta
+  return {
+      {"unit", {-0.5, -0.5}, 1.0},
+      {"tiny", {1.3e-3, -2.1e-3}, 1e-9},
+      {"tiny_far", {0.3, -0.7}, 1e-9},
+      {"huge", {3.7e15, -1.1e15}, 1e14},
+      {"guard_edge", {0.97 * g + 0.123, -0.96 * g - 0.377}, 0.7},
+      {"origin_1e15", {1e15, 1e15}, 1.0},
+      {"origin_1e15_odd", {1e15 + 0.375, -1e15 - 0.625}, 0.3},
+      {"origin_1e15_wide", {-1e15, 1e15 + 0.125}, 1.1},
+      {"origin_1e16", {1e16, -1e16}, 1.0},
+  };
+}
+
+class OrderingEdgeTest : public testing::TestWithParam<OrderingFrame> {};
+
+TEST_P(OrderingEdgeTest, HeadingsAtTheConeEdgeMatchTheExactTest) {
+  const OrderingFrame& frame = GetParam();
+  const TileRegion region = TileRegion::FromOrigin(frame.origin, frame.delta);
+  for (const double theta :
+       {kTheta15, kThetaDefault, std::nextafter(kHalfPi, 0.0)}) {
+    for (int k = 1; k <= 20; ++k) {
+      for (const auto& [ix, iy] : EdgeTargets(k)) {
+        for (const double heading : EdgeHeadings(region, theta, ix, iy, 2)) {
+          if (!SameWalk(region, heading, theta, k)) return;
+        }
+      }
+    }
+  }
+}
+
+TEST_P(OrderingEdgeTest, HeadingsAtPlusMinusPiMatchTheExactTest) {
+  const OrderingFrame& frame = GetParam();
+  const TileRegion region = TileRegion::FromOrigin(frame.origin, frame.delta);
+  for (const double theta : {kTheta15, kThetaDefault}) {
+    for (const double heading : {kPiD, -kPiD, std::nextafter(kPiD, 0.0),
+                                 std::nextafter(-kPiD, 0.0)}) {
+      if (!SameWalk(region, heading, theta, 20)) return;
+    }
+  }
+}
+
+TEST_P(OrderingEdgeTest, ThetaAroundHalfPiAndPastPiMatchesTheExactTest) {
+  // Past pi/2 the certificate does not apply (theta + half_span can pass
+  // pi, where comparing cosines stops comparing angles); from pi on the
+  // exact test keeps every cell.
+  const OrderingFrame& frame = GetParam();
+  const TileRegion region = TileRegion::FromOrigin(frame.origin, frame.delta);
+  Rng rng(0x0AD1);
+  for (const double theta :
+       {std::nextafter(kHalfPi, 0.0), kHalfPi, std::nextafter(kHalfPi, 4.0),
+        2.0, 2.4, std::nextafter(kPiD, 0.0), kPiD, 3.2, 4.0}) {
+    std::vector<double> headings = {0.0, 1.0, -2.0, kPiD};
+    for (int i = 0; i < 8; ++i) headings.push_back(rng.Uniform(-kPiD, kPiD));
+    for (const auto& [ix, iy] : EdgeTargets(3)) {
+      const std::vector<double> edge = EdgeHeadings(region, theta, ix, iy, 1);
+      headings.insert(headings.end(), edge.begin(), edge.end());
+    }
+    for (const double heading : headings) {
+      if (!SameWalk(region, heading, theta, 8)) return;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Frames, OrderingEdgeTest, testing::ValuesIn(OrderingFrames()),
+    [](const testing::TestParamInfo<OrderingFrame>& info) {
+      return info.param.name;
+    });
+
+/// MPN_ORDERING_SEED offsets the randomized differential's seed (0 when
+/// unset), so a run can draw fresh grids; the same value reproduces them.
+uint64_t OrderingSeedOffset() {
+  const char* env = std::getenv("MPN_ORDERING_SEED");
+  return env == nullptr ? 0 : std::strtoull(env, nullptr, 10);
+}
+
+TEST(TileOrderingTest, RandomGridsMatchTheExactTest) {
+  // Grids from delta 1e-9 to 1e14 whose coordinates reach from 0.1 to 1e9
+  // times delta, on both sides of the conditioning guard's 2^22; cones
+  // from narrower than MpnClient's 15 degrees to wider than pi; headings
+  // anywhere, or a few ulps from a cell's cone edge.
+  const uint64_t offset = OrderingSeedOffset();
+  SCOPED_TRACE(testing::Message() << "MPN_ORDERING_SEED=" << offset);
+  Rng rng(0x0DE5 + offset);
+  for (int i = 0; i < 400; ++i) {
+    const double delta = std::pow(10.0, rng.Uniform(-9.0, 14.0));
+    const auto coordinate = [&] {
+      const double c = delta * std::pow(10.0, rng.Uniform(-1.0, 9.0));
+      return rng.Bernoulli(0.5) ? c : -c;
+    };
+    const TileRegion region =
+        TileRegion::FromOrigin({coordinate(), coordinate()}, delta);
+    const double thetas[] = {
+        kTheta15,
+        kThetaDefault,
+        std::nextafter(kHalfPi, 0.0),
+        kPiD,
+        rng.Uniform(0.0, kTheta15),
+        rng.Uniform(kTheta15, kHalfPi),
+        rng.Uniform(kHalfPi, kPiD),
+    };
+    const double theta = thetas[rng.UniformInt(0, 6)];
+    double heading = rng.Uniform(-kPiD, kPiD);
+    if (rng.Bernoulli(0.5)) {
+      const int k = static_cast<int>(rng.UniformInt(1, 12));
+      const std::vector<Cell> targets = EdgeTargets(k);
+      const Cell cell = targets[static_cast<size_t>(
+          rng.UniformInt(0, static_cast<int64_t>(targets.size()) - 1))];
+      const std::vector<double> edge =
+          EdgeHeadings(region, theta, cell.first, cell.second, 3);
+      heading = edge[static_cast<size_t>(
+          rng.UniformInt(0, static_cast<int64_t>(edge.size()) - 1))];
+    }
+    if (!SameWalk(region, heading, theta, 12)) return;
   }
 }
 
