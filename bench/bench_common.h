@@ -17,6 +17,7 @@
 #include <string>
 #include <vector>
 
+#include "engine/engine.h"
 #include "index/packed_rtree.h"
 #include "sim/simulator.h"
 #include "traj/generators.h"
@@ -99,17 +100,22 @@ inline std::vector<Point> MakePoiSet(size_t n, uint64_t seed = 0x901) {
   return GeneratePois(n, opt, &rng);
 }
 
-/// Runs one method over `groups` group blocks of size m and returns merged
-/// metrics.
+/// Runs one method over `groups` group blocks of size m, one session per
+/// group on a one-thread engine, and returns merged metrics.
 inline SimMetrics RunConfig(const std::vector<Point>& pois,
                             const PackedRTree& tree, const TrajectorySet& set,
                             size_t m, const BenchEnv& env,
                             const ServerConfig& server) {
   auto all_groups = MakeGroups(set.trajectories, m, env.block);
   if (all_groups.size() > env.groups) all_groups.resize(env.groups);
-  SimOptions opt;
-  opt.server = server;
-  return RunGroups(pois, &tree, all_groups, opt);
+  EngineOptions opt;
+  opt.threads = 1;
+  opt.sim.server = server;
+  Engine engine(&pois, &tree, opt);
+  for (const auto& group : all_groups) engine.AdmitSession(group);
+  engine.Start();
+  engine.Shutdown();
+  return engine.TotalMetrics();
 }
 
 /// ServerConfig for one of the paper's method configurations with Table-2

@@ -73,12 +73,14 @@ struct RunResult {
 /// completions (the time each next virtual timestamp took to land).
 void AppendAdvanceGapsMs(const Engine& engine, uint32_t id,
                          std::vector<double>* gaps) {
-  const std::vector<double>& at = engine.session_advance_seconds(id);
-  for (size_t t = 1; t < at.size(); ++t) {
-    if (at[t] > 0.0 && at[t - 1] > 0.0) {
-      gaps->push_back((at[t] - at[t - 1]) * 1e3);
+  engine.WithSessionResult(id, [gaps](const SessionFinalResult& fr) {
+    const std::vector<double>& at = fr.advance_seconds;
+    for (size_t t = 1; t < at.size(); ++t) {
+      if (at[t] > 0.0 && at[t - 1] > 0.0) {
+        gaps->push_back((at[t] - at[t - 1]) * 1e3);
+      }
     }
-  }
+  });
 }
 
 RunResult RunEngineOnce(const std::vector<Point>& pois, const PackedRTree& tree,
@@ -93,7 +95,8 @@ RunResult RunEngineOnce(const std::vector<Point>& pois, const PackedRTree& tree,
   Engine engine(&pois, &tree, opt);
   for (size_t g = 0; g < n_groups; ++g) engine.AdmitSession(groups[g]);
   Timer timer;
-  engine.Run();
+  engine.Start();
+  engine.Shutdown();
   RunResult r;
   r.seconds = timer.ElapsedSeconds();
   const double rounds =
@@ -164,7 +167,8 @@ void RunStragglerTable(const std::vector<Point>& pois, const PackedRTree& tree,
         engine.AdmitSession(groups[g], tuning);
       }
       Timer timer;
-      engine.Run();
+      engine.Start();
+      engine.Shutdown();
       const double seconds = timer.ElapsedSeconds();
       // The pad is wall-clock only, so the digest must not move.
       if (with_straggler == 0) control_digest = engine.ResultDigest();
@@ -255,7 +259,8 @@ void RunClusterTable(const std::vector<Point>& pois, const PackedRTree& tree,
     ClusterEngine cluster(&pois, &tree, opt);
     for (size_t g = 0; g < n_groups; ++g) cluster.AdmitSession(groups[g]);
     Timer timer;
-    cluster.Run();
+    cluster.Start();
+    cluster.Shutdown();
     const double seconds = timer.ElapsedSeconds();
     const double rounds =
         static_cast<double>(cluster.TotalMetrics().timestamps);
@@ -309,7 +314,8 @@ void RunRecoveryTable(const std::vector<Point>& pois, const PackedRTree& tree,
     cluster.InjectFaultAt(0, n_groups / shards + 1, FaultKind::kCorrupt);
     for (size_t g = 0; g < n_groups; ++g) cluster.AdmitSession(groups[g]);
     Timer timer;
-    cluster.Run();
+    cluster.Start();
+    cluster.Shutdown();
     const double seconds = timer.ElapsedSeconds();
     const ClusterEngine::RecoveryStats rs = cluster.recovery_stats();
     table.AddRow({std::to_string(shards), std::to_string(n_groups), "1", "1",
@@ -430,7 +436,8 @@ SpillRun RunSpillOnce(const std::vector<Point>& pois, const PackedRTree& tree,
   for (size_t i = 0; i < n_sessions; ++i) {
     engine.AdmitSession(groups[i % groups.size()]);
   }
-  engine.Run();
+  engine.Start();
+  engine.Shutdown();
   SpillRun r;
   r.seconds = timer.ElapsedSeconds();
   r.rss_peak = rss.Stop();
@@ -456,7 +463,8 @@ SpillRun RunSpillClusterOnce(const std::vector<Point>& pois,
   for (size_t i = 0; i < n_sessions; ++i) {
     cluster.AdmitSession(groups[i % groups.size()]);
   }
-  cluster.Run();
+  cluster.Start();
+  cluster.Shutdown();
   SpillRun r;
   r.seconds = timer.ElapsedSeconds();
   r.rss_peak = rss.Stop();

@@ -92,7 +92,8 @@ int main() {
     if (g == kGroups - 1) tuning.retire_at = 120;
     engine.AdmitSession(groups[g], tuning);
   }
-  engine.Run();
+  engine.Start();
+  engine.Shutdown();
   const bool match = engine.ResultDigest() == cluster.ResultDigest();
   std::printf("digest: cluster %016llx vs single-process %016llx — %s\n",
               static_cast<unsigned long long>(cluster.ResultDigest()),
@@ -111,7 +112,8 @@ int main() {
     if (g == kGroups - 1) tuning.retire_at = 120;
     elastic.AdmitSession(groups[g], tuning);
   }
-  elastic.Run();
+  elastic.Start();
+  elastic.Shutdown();
   const ClusterEngine::RecoveryStats rs = elastic.recovery_stats();
   std::printf("recovery: %zu restart(s), %zu session(s) re-admitted, "
               "%zu frame(s) replayed, %.1f ms\n",

@@ -13,7 +13,7 @@
 // Build & run:  ./examples/event_calendar
 #include <cstdio>
 
-#include "sim/simulator.h"
+#include "engine/engine.h"
 #include "traj/generators.h"
 
 int main() {
@@ -51,12 +51,17 @@ int main() {
   const char* labels[] = {"circle safe regions", "tile-D safe regions"};
   const Method methods[] = {Method::kCircle, Method::kTileD};
   for (int k = 0; k < 2; ++k) {
-    SimOptions opt;
-    opt.server.method = methods[k];
-    opt.server.objective = Objective::kMax;
-    opt.server.alpha = 20;
-    Simulator sim(&restaurants, &tree, friends, opt);
-    const SimMetrics metrics = sim.Run();
+    // One session on a one-thread engine: the group's whole evening.
+    EngineOptions opt;
+    opt.threads = 1;
+    opt.sim.server.method = methods[k];
+    opt.sim.server.objective = Objective::kMax;
+    opt.sim.server.alpha = 20;
+    Engine engine(&restaurants, &tree, opt);
+    engine.AdmitSession(friends);
+    engine.Start();
+    engine.Shutdown();
+    const SimMetrics metrics = engine.TotalMetrics();
     std::printf(
         "\n[%s]\n  notifications to the calendar (recommendation changes): "
         "%zu\n  server contacts: %zu (%.2f%% of timestamps)\n  packets: %zu "

@@ -79,9 +79,11 @@ int main() {
               "updates", "packets", "meeting@");
   for (uint32_t id : {0u, 1u, static_cast<uint32_t>(kUpfront),
                       static_cast<uint32_t>(kGroups - 1)}) {
-    const SimMetrics& m = engine.session_metrics(id);
-    std::printf("%-8u %-10zu %-10zu %-10zu poi #%u\n", id, m.timestamps,
-                m.updates, m.comm.TotalPackets(), engine.session_po(id));
+    engine.WithSessionResult(id, [id](const SessionFinalResult& fr) {
+      const SimMetrics& m = fr.metrics;
+      std::printf("%-8u %-10zu %-10zu %-10zu poi #%u\n", id, m.timestamps,
+                  m.updates, m.comm.TotalPackets(), fr.po);
+    });
   }
   const SimMetrics total = engine.TotalMetrics();
   std::printf("\ntotal: %zu updates over %zu group-rounds "

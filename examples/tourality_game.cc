@@ -10,7 +10,7 @@
 // Build & run:  ./examples/tourality_game
 #include <cstdio>
 
-#include "sim/simulator.h"
+#include "engine/engine.h"
 #include "traj/generators.h"
 #include "traj/road_network.h"
 
@@ -55,13 +55,18 @@ int main() {
        "fuel-pool mode (SUM, Tile-D-b, b=50)"},
   };
   for (const Mode& mode : modes) {
-    SimOptions opt;
-    opt.server.method = mode.method;
-    opt.server.objective = mode.obj;
-    opt.server.alpha = 20;
-    opt.server.buffer_b = 50;
-    Simulator sim(&spots, &tree, team, opt);
-    const SimMetrics metrics = sim.Run();
+    // One session on a one-thread engine per game mode.
+    EngineOptions opt;
+    opt.threads = 1;
+    opt.sim.server.method = mode.method;
+    opt.sim.server.objective = mode.obj;
+    opt.sim.server.alpha = 20;
+    opt.sim.server.buffer_b = 50;
+    Engine engine(&spots, &tree, opt);
+    engine.AdmitSession(team);
+    engine.Start();
+    engine.Shutdown();
+    const SimMetrics metrics = engine.TotalMetrics();
     std::printf(
         "\n[%s]\n  target-spot changes: %zu  server contacts: %zu\n"
         "  packets: %zu  compute/update: %.3f ms  R-tree nodes/update: "

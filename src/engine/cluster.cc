@@ -171,9 +171,8 @@ int WorkerMain(IpcChannel* ch, IpcChannel* hb,
           for (uint32_t local = static_cast<uint32_t>(shipped);
                local < sessions; ++local) {
             out.PutU32(global_ids[local]);
-            // Streamed (not the pinning by-reference accessors): under a
-            // memory budget a spilled session's result decodes into a
-            // stack-local, so the drain itself stays O(1) resident.
+            // Streamed: under a memory budget a spilled session's result
+            // decodes into a stack-local, so the drain stays O(1) resident.
             engine.WithSessionResult(
                 local, [&out](const SessionFinalResult& fr) {
                   WriteMetrics(&out, fr.metrics);
@@ -245,7 +244,7 @@ ClusterEngine::~ClusterEngine() { TeardownWorkers(); }
 
 void ClusterEngine::RequireStarted() const {
   if (!started_) {
-    throw std::logic_error("ClusterEngine: not started (call Start/Run)");
+    throw std::logic_error("ClusterEngine: not started (call Start)");
   }
 }
 
@@ -601,7 +600,7 @@ void ClusterEngine::RecoverShard(size_t shard) {
 void ClusterEngine::Start() {
   std::lock_guard<std::mutex> lock(mu_);
   if (started_) {
-    throw std::logic_error("ClusterEngine::Run/Start may be called once");
+    throw std::logic_error("ClusterEngine::Start may be called once");
   }
   started_ = true;
   workers_.resize(options_.workers);
@@ -695,18 +694,18 @@ void ClusterEngine::ParseDrainReply(size_t shard,
       failed_ = true;
       throw std::runtime_error(ShardError(shard, "routed ids out of sync"));
     }
-    SessionResult& res = results_[global_id];
+    SessionFinalResult& res = results_[global_id];
     res.metrics = ReadMetrics(&r);
     res.has_result = r.GetU8() != 0;
     res.po = r.GetU32();
-    res.mailbox_peak = r.GetU64();
-    res.stalls = r.GetU64();
+    res.mailbox_peak = static_cast<size_t>(r.GetU64());
+    res.stall_count = static_cast<size_t>(r.GetU64());
   }
   // Effective slot totals = dead incarnations' drained history + this
   // incarnation's recomputed timeline (commutative per-slot sums, so the
   // split is invisible to the folded round stats).
   const uint32_t slot_count = r.GetU32();
-  std::vector<SlotTotals> slots = w.slot_base;
+  std::vector<Scheduler::Slot> slots = w.slot_base;
   if (slots.size() < slot_count) slots.resize(slot_count);
   for (uint32_t t = 0; t < slot_count; ++t) {
     slots[t].messages += r.GetU64();
@@ -752,7 +751,7 @@ void ClusterEngine::Wait() {
   // per-session mailbox marks in global session order. Lost shards
   // contribute their last drained history — consistent with their results_
   // entries staying frozen at the last successful drain.
-  std::vector<SlotTotals> slots;
+  std::vector<Scheduler::Slot> slots;
   for (const Worker& w : workers_) {
     if (slots.size() < w.last_slots.size()) slots.resize(w.last_slots.size());
     for (size_t t = 0; t < w.last_slots.size(); ++t) {
@@ -761,16 +760,10 @@ void ClusterEngine::Wait() {
       slots[t].seconds += w.last_slots[t].seconds;
     }
   }
-  EngineRoundStats stats;
-  for (const SlotTotals& slot : slots) {
-    stats.messages_per_round.Add(static_cast<double>(slot.messages));
-    stats.recomputes_per_round.Add(static_cast<double>(slot.recomputes));
-    stats.round_seconds.Add(slot.seconds);
-    ++stats.rounds;
-  }
-  for (const SessionResult& res : results_) {
+  EngineRoundStats stats = EngineRoundStats::FromSlots(slots);
+  for (const SessionFinalResult& res : results_) {
     stats.mailbox_peak_per_session.Add(static_cast<double>(res.mailbox_peak));
-    stats.mailbox_stalls_per_session.Add(static_cast<double>(res.stalls));
+    stats.mailbox_stalls_per_session.Add(static_cast<double>(res.stall_count));
   }
   round_stats_ = stats;
 
@@ -857,13 +850,7 @@ void ClusterEngine::Shutdown() {
   if (degraded) std::rethrow_exception(degraded);
 }
 
-void ClusterEngine::Run() {
-  Start();
-  Shutdown();
-}
-
-const ClusterEngine::SessionResult& ClusterEngine::ResultChecked(
-    uint32_t id) const {
+const SessionFinalResult& ClusterEngine::ResultChecked(uint32_t id) const {
   if (id >= results_.size()) {
     throw std::out_of_range(
         "ClusterEngine: unknown session id (results are valid after Wait)");
@@ -883,23 +870,21 @@ bool ClusterEngine::session_has_result(uint32_t id) const {
   return ResultChecked(id).has_result;
 }
 
-size_t ClusterEngine::session_mailbox_peak(uint32_t id) const {
-  return static_cast<size_t>(ResultChecked(id).mailbox_peak);
-}
-
-size_t ClusterEngine::session_stall_count(uint32_t id) const {
-  return static_cast<size_t>(ResultChecked(id).stalls);
+void ClusterEngine::WithSessionResult(
+    uint32_t id,
+    const std::function<void(const SessionFinalResult&)>& fn) const {
+  fn(ResultChecked(id));
 }
 
 SimMetrics ClusterEngine::TotalMetrics() const {
   SimMetrics total;
-  for (const SessionResult& res : results_) total.Merge(res.metrics);
+  for (const SessionFinalResult& res : results_) total.Merge(res.metrics);
   return total;
 }
 
 uint64_t ClusterEngine::ResultDigest() const {
   Fnv1a fnv;
-  for (const SessionResult& res : results_) {
+  for (const SessionFinalResult& res : results_) {
     AddSessionResultToDigest(&fnv, res.metrics, res.has_result, res.po);
   }
   return fnv.hash;

@@ -62,6 +62,15 @@
 // crashes (the `crash` kind, EngineOptions::crash_at_timestamp) in each
 // worker incarnation.
 //
+// The coordinator keeps each session's result as the SessionFinalResult a
+// worker's Engine::WithSessionResult streamed to it, minus the wall-clock
+// advance trace (advance_seconds stays empty: timings do not cross IPC),
+// and serves it through the same WithSessionResult — the one read both
+// engines share (engine/engine.h). session_metrics, session_po and
+// session_has_result remain as one-line reads of that record only because
+// the serving benchmark's cluster outcome (perfbench/serve.cc) still calls
+// them; they go when it reads through WithSessionResult.
+//
 // With max_restarts = 0 the pre-elastic fail-stop behaviour is restored:
 // any transport failure latches the cluster as failed and every
 // subsequent call throws. Double Start() and AdmitSession after
@@ -125,13 +134,14 @@ struct ClusterOptions {
   TransportTuning transport;
 };
 
-/// Coordinator of a multi-process engine cluster. Mirrors the Engine
-/// lifecycle API; calls are serialized internally — the concurrency lives
-/// in the worker processes. Worker deaths are handled by the supervisor
-/// (see the header comment); only an exhausted restart budget (per-shard
-/// graceful degradation), max_restarts = 0 (fail-stop poison latch) or a
-/// protocol violation (poison latch) surface as errors, and the result
-/// accessors always keep returning the last successful drain's snapshot.
+/// Coordinator of a multi-process engine cluster. Shares the Engine's
+/// lifecycle and read surface by name (see engine/engine.h); calls are
+/// serialized internally — the concurrency lives in the worker processes.
+/// Worker deaths are handled by the supervisor (see the header comment);
+/// only an exhausted restart budget (per-shard graceful degradation),
+/// max_restarts = 0 (fail-stop poison latch) or a protocol violation
+/// (poison latch) surface as errors, and the result reads always keep
+/// returning the last successful drain's snapshot.
 class ClusterEngine {
  public:
   /// Counters of the supervisor (cumulative over the cluster's life).
@@ -204,25 +214,29 @@ class ClusterEngine {
   /// gracefully before the error propagates.
   void Shutdown();
 
-  /// Start() + Shutdown() — one-shot drain over the queued admissions.
-  void Run();
-
   size_t worker_count() const { return options_.workers; }
   size_t session_count() const { return next_id_; }
 
-  /// Per-session results (valid after Wait), indexed by global id.
+  /// Streams session `id`'s result as of the last successful Wait to `fn`
+  /// (see Engine::WithSessionResult). advance_seconds is always empty:
+  /// wall-clock traces stay on the workers. Throws std::out_of_range for
+  /// an id no Wait has drained yet.
+  void WithSessionResult(
+      uint32_t id,
+      const std::function<void(const SessionFinalResult&)>& fn) const;
+
+  /// One-line reads of the same record, kept for the serving benchmark's
+  /// cluster outcome (see the header comment). Same std::out_of_range.
   const SimMetrics& session_metrics(uint32_t id) const;
   uint32_t session_po(uint32_t id) const;
   bool session_has_result(uint32_t id) const;
-  size_t session_mailbox_peak(uint32_t id) const;
-  size_t session_stall_count(uint32_t id) const;
 
   /// Merged metrics across all sessions (valid after Wait).
   SimMetrics TotalMetrics() const;
 
   /// Cluster-level per-timestamp aggregates (valid after Wait): worker
-  /// slot totals summed per timestamp, then folded exactly like the
-  /// single-process engine folds its own slots.
+  /// slot totals summed per timestamp, then folded by the single-process
+  /// engine's own fold (EngineRoundStats::FromSlots).
   const EngineRoundStats& round_stats() const { return round_stats_; }
 
   /// Bit-identical to Engine::ResultDigest() over the same groups in the
@@ -269,13 +283,6 @@ class ClusterEngine {
   void InjectFaultAt(size_t shard, size_t at, FaultKind kind);
 
  private:
-  /// Cluster-level per-timestamp totals (mirrors Scheduler::Slot).
-  struct SlotTotals {
-    uint64_t messages = 0;
-    uint64_t recomputes = 0;
-    double seconds = 0.0;
-  };
-
   struct Worker {
     pid_t pid = -1;
     IpcChannel channel;
@@ -307,25 +314,15 @@ class ClusterEngine {
     size_t drained_through = 0;
     /// Per-timestamp slot totals owned by dead incarnations' drained
     /// history; the current incarnation's drain adds on top.
-    std::vector<SlotTotals> slot_base;
+    std::vector<Scheduler::Slot> slot_base;
     /// slot_base + the last successful drain's reported slots — this
     /// shard's effective contribution to the cluster round stats.
-    std::vector<SlotTotals> last_slots;
+    std::vector<Scheduler::Slot> last_slots;
     /// Session-store counters owned by dead incarnations (sums folded,
     /// peak maxed — see RecoverShard); the replacement restarts at zero.
     MemoryStats mem_base;
     /// Counters reported by the current incarnation's last drain.
     MemoryStats last_mem;
-  };
-
-  /// One session's deterministic result fields plus observability marks,
-  /// as shipped by its worker.
-  struct SessionResult {
-    SimMetrics metrics;
-    bool has_result = false;
-    uint32_t po = 0;
-    uint64_t mailbox_peak = 0;
-    uint64_t stalls = 0;
   };
 
   /// Coordinator-side snapshot of one session: everything needed to
@@ -343,7 +340,7 @@ class ClusterEngine {
   /// subsequent admit/retire/drain throws; results from the last
   /// *successful* Wait stay readable.
   void RequireHealthy() const;
-  const SessionResult& ResultChecked(uint32_t id) const;
+  const SessionFinalResult& ResultChecked(uint32_t id) const;
   /// Shard-local session count (groups routed to `shard` so far).
   size_t ShardSessionCount(size_t shard) const;
   /// Forks one worker for `shard` (arming the shard's next fault batch)
@@ -416,7 +413,7 @@ class ClusterEngine {
   RecoveryStats stats_;
   /// Last drained result per global id; persists across Waits so final
   /// sessions on recovered (or lost) shards keep their results.
-  std::vector<SessionResult> results_;
+  std::vector<SessionFinalResult> results_;
   EngineRoundStats round_stats_;
 };
 

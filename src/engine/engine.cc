@@ -27,6 +27,18 @@ class Engine::PoolExecutor : public VerifyExecutor {
   ThreadPool* pool_;
 };
 
+EngineRoundStats EngineRoundStats::FromSlots(
+    const std::vector<Scheduler::Slot>& slots) {
+  EngineRoundStats stats;
+  for (const Scheduler::Slot& slot : slots) {
+    stats.messages_per_round.Add(static_cast<double>(slot.messages));
+    stats.recomputes_per_round.Add(static_cast<double>(slot.recomputes));
+    stats.round_seconds.Add(slot.seconds);
+    ++stats.rounds;
+  }
+  return stats;
+}
+
 Table EngineRoundStats::ToTable() const {
   Table table({"metric", "rounds", "mean", "min", "max", "total"});
   const auto row = [&table](const char* name, const RunningStat& s) {
@@ -92,7 +104,7 @@ Engine::~Engine() {
 
 SessionRecord* Engine::FindChecked(uint32_t id) const {
   SessionRecord* r = table_->Find(id);
-  MPN_ASSERT_MSG(r != nullptr, "unknown session id");
+  if (r == nullptr) throw std::out_of_range("Engine: unknown session id");
   return r;
 }
 
@@ -100,7 +112,7 @@ uint32_t Engine::AdmitSession(std::vector<const Trajectory*> group,
                               const SessionTuning& tuning) {
   if (stopped_.load(std::memory_order_acquire)) {
     throw std::logic_error(
-        "Engine::AdmitSession on a finished engine (Run/Shutdown already "
+        "Engine::AdmitSession on a finished engine (Shutdown already "
         "returned)");
   }
   const uint32_t id = table_->ReserveId();
@@ -131,7 +143,7 @@ void Engine::RetireSession(uint32_t id, size_t at_timestamp) {
 
 void Engine::Start() {
   if (started_.exchange(true, std::memory_order_acq_rel)) {
-    throw std::logic_error("Engine::Run/Start may be called once");
+    throw std::logic_error("Engine::Start may be called once");
   }
   run_timer_.Reset();
   scheduler_->Start();
@@ -139,7 +151,7 @@ void Engine::Start() {
 
 void Engine::Wait() {
   if (!started_.load(std::memory_order_acquire)) {
-    throw std::logic_error("Engine::Wait before Run/Start");
+    throw std::logic_error("Engine::Wait before Start");
   }
   scheduler_->WaitIdle();
   const std::string error = scheduler_->error();
@@ -152,19 +164,9 @@ void Engine::Shutdown() {
   stopped_.store(true, std::memory_order_release);
 }
 
-void Engine::Run() {
-  Start();
-  Shutdown();
-}
-
 void Engine::RebuildRoundStats() {
-  EngineRoundStats stats;
-  for (const Scheduler::Slot& slot : scheduler_->SnapshotSlots()) {
-    stats.messages_per_round.Add(static_cast<double>(slot.messages));
-    stats.recomputes_per_round.Add(static_cast<double>(slot.recomputes));
-    stats.round_seconds.Add(slot.seconds);
-    ++stats.rounds;
-  }
+  EngineRoundStats stats =
+      EngineRoundStats::FromSlots(scheduler_->SnapshotSlots());
   const Scheduler::MailboxMarks marks = scheduler_->SnapshotMailboxMarks();
   stats.mailbox_peak_per_session = marks.peak;
   stats.mailbox_stalls_per_session = marks.stalls;
@@ -189,70 +191,6 @@ uint64_t Engine::ResultDigest() const {
     });
   });
   return fnv.hash;
-}
-
-// --- legacy per-session accessors -----------------------------------------
-//
-// The by-value accessors stream through the store (no pinning); the
-// by-reference ones must hand out pointers into the record's state, so
-// they rehydrate-and-pin: the session stays resident for the rest of the
-// run. Budget-friendly iteration goes through WithSessionResult instead.
-
-const SimMetrics& Engine::session_metrics(uint32_t id) const {
-  SessionRecord* r = FindChecked(id);
-  const SimMetrics* out = nullptr;
-  {
-    std::lock_guard<std::mutex> lock(r->mu);
-    store_->EnsureResidentLocked(r, /*pin=*/true);
-    out = r->final_result != nullptr ? &r->final_result->metrics
-                                     : &r->session->metrics();
-  }
-  store_->Rebalance();  // pinning may have pushed residency over the cap
-  return *out;
-}
-
-const std::vector<double>& Engine::session_advance_seconds(uint32_t id) const {
-  SessionRecord* r = FindChecked(id);
-  const std::vector<double>* out = nullptr;
-  {
-    std::lock_guard<std::mutex> lock(r->mu);
-    store_->EnsureResidentLocked(r, /*pin=*/true);
-    out = r->final_result != nullptr ? &r->final_result->advance_seconds
-                                     : &r->session->advance_seconds();
-  }
-  store_->Rebalance();
-  return *out;
-}
-
-uint32_t Engine::session_po(uint32_t id) const {
-  uint32_t po = 0;
-  store_->WithResult(FindChecked(id),
-                     [&po](const SessionFinalResult& fr) { po = fr.po; });
-  return po;
-}
-
-bool Engine::session_has_result(uint32_t id) const {
-  bool has = false;
-  store_->WithResult(
-      FindChecked(id),
-      [&has](const SessionFinalResult& fr) { has = fr.has_result; });
-  return has;
-}
-
-size_t Engine::session_mailbox_peak(uint32_t id) const {
-  size_t peak = 0;
-  store_->WithResult(
-      FindChecked(id),
-      [&peak](const SessionFinalResult& fr) { peak = fr.mailbox_peak; });
-  return peak;
-}
-
-size_t Engine::session_stall_count(uint32_t id) const {
-  size_t stalls = 0;
-  store_->WithResult(
-      FindChecked(id),
-      [&stalls](const SessionFinalResult& fr) { stalls = fr.stall_count; });
-  return stalls;
 }
 
 void Engine::WithSessionResult(

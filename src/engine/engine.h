@@ -14,8 +14,16 @@
 // Since the cluster layer landed (engine/cluster.h) the engine is a
 // persistent server: Wait() drains the sessions admitted so far but keeps
 // the engine serving, so admit/Wait cycles can repeat indefinitely (the
-// worker serving loop); Shutdown() ends the engine's life explicitly and
-// Run() keeps the legacy one-shot drain semantics (Start + Shutdown).
+// worker serving loop); Shutdown() ends the engine's life explicitly. A
+// one-shot run is Start() then Shutdown().
+//
+// Engine and ClusterEngine share one surface, by name: the lifecycle
+// (AdmitSession, RetireSession, Start, Wait, Shutdown) and the reads
+// (WithSessionResult, TotalMetrics, round_stats, memory_stats,
+// ResultDigest, session_count). A session's result is read only through
+// WithSessionResult, which streams it without rehydrating a spilled
+// session. Callers that treat both engines alike are templates over those
+// names; there is no common base class.
 //
 // Determinism: sessions share only immutable data (POIs, R-tree), every
 // session phase except the recomputation job is serialized per session,
@@ -86,6 +94,11 @@ struct EngineRoundStats {
   RunningStat mailbox_peak_per_session;
   RunningStat mailbox_stalls_per_session;
 
+  /// Folds per-timestamp slot totals in timestamp order — the fold the
+  /// engine and the cluster coordinator share, so their counter columns
+  /// are bit-identical. The mailbox marks are left for the caller to add.
+  static EngineRoundStats FromSlots(const std::vector<Scheduler::Slot>& slots);
+
   /// Renders the aggregates as a util/table (one row per metric).
   Table ToTable() const;
 };
@@ -97,10 +110,11 @@ class Engine {
   /// cut point; pass an explicit timestamp for a deterministic one).
   static constexpr size_t kRetireNow = 0;
 
-  /// RAII admission hold: keeps Run()/Wait() from returning while mid-run
-  /// admissions are still coming. Shares ownership of the scheduler, so a
-  /// hold that outlives its engine releases safely (though holding one
-  /// past ~Engine just forfeits the hold — the destructor drains anyway).
+  /// RAII admission hold: keeps Wait()/Shutdown() from returning while
+  /// mid-run admissions are still coming. Shares ownership of the
+  /// scheduler, so a hold that outlives its engine releases safely (though
+  /// holding one past ~Engine just forfeits the hold — the destructor
+  /// drains anyway).
   class Hold {
    public:
     Hold() = default;
@@ -146,7 +160,8 @@ class Engine {
   /// SessionTuning::retire_at at admission). kRetireNow stops it at the
   /// next event boundary instead, which is wall-clock dependent.
   /// Already-processed timestamps are unaffected; the session keeps its
-  /// metrics and digest contribution. Callable from any thread.
+  /// metrics and digest contribution. Callable from any thread; throws
+  /// std::out_of_range for an id that was never admitted.
   void RetireSession(uint32_t id, size_t at_timestamp = kRetireNow);
 
   size_t session_count() const { return table_->size(); }
@@ -176,41 +191,18 @@ class Engine {
   /// std::logic_error. Idempotent.
   void Shutdown();
 
-  /// Start() + Shutdown() — the legacy one-shot drain. Throws
-  /// std::logic_error when called twice.
-  void Run();
-
-  /// Keeps Run()/Wait() from returning while the caller still plans
+  /// Keeps Wait()/Shutdown() from returning while the caller still plans
   /// mid-run admissions. Acquire before Start (or while holding another
   /// hold) to avoid racing the drain.
   Hold AcquireHold() { return Hold(scheduler_); }
 
-  /// Per-session metrics (valid after Wait). By-reference: pins the
-  /// session resident for the rest of the run (see WithSessionResult for
-  /// the streaming alternative the budget-friendly paths use).
-  const SimMetrics& session_metrics(uint32_t id) const;
-
-  /// POI id of session `id`'s final meeting point.
-  uint32_t session_po(uint32_t id) const;
-
-  /// True once session `id` received its first meeting point (false for
-  /// sessions retired before their first update).
-  bool session_has_result(uint32_t id) const;
-
-  /// Mailbox high-water mark / stall count of session `id` (see
-  /// GroupSession::mailbox_peak / stall_count).
-  size_t session_mailbox_peak(uint32_t id) const;
-  size_t session_stall_count(uint32_t id) const;
-
-  /// Wall-clock completion stamps of session `id`'s advances (seconds
-  /// since Start); consecutive gaps are the per-session round latencies.
-  /// By-reference: pins the session resident (see session_metrics).
-  const std::vector<double>& session_advance_seconds(uint32_t id) const;
-
-  /// Streams session `id`'s result fields to `fn` without pinning — for a
-  /// spilled session the snapshot is decoded into a stack-local that dies
-  /// with the call, so iterating every session stays O(1) resident. The
-  /// reference is valid only inside `fn`.
+  /// Streams session `id`'s result (valid after Wait) to `fn`: metrics,
+  /// final meeting point, mailbox marks and the wall-clock advance stamps
+  /// (seconds since Start; consecutive gaps are the round latencies). A
+  /// spilled session is decoded into a stack-local that dies with the call
+  /// and is never rehydrated, so reading every session stays O(1)
+  /// resident. The reference is valid only inside `fn`. Throws
+  /// std::out_of_range for an id that was never admitted.
   void WithSessionResult(
       uint32_t id,
       const std::function<void(const SessionFinalResult&)>& fn) const;
@@ -249,6 +241,7 @@ class Engine {
  private:
   class PoolExecutor;  // VerifyExecutor adapter over the thread pool
 
+  /// The record of session `id`; std::out_of_range when never admitted.
   SessionRecord* FindChecked(uint32_t id) const;
   /// Rebuilds round_stats_ from the scheduler's slots and mailbox marks.
   /// Called after every drain (idle engine, all sessions final).

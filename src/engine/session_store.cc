@@ -57,12 +57,7 @@ void SessionStore::AccountLocked(SessionRecord* r) {
   const size_t est = r->session->StateBytesEstimate();
   std::lock_guard<std::mutex> sl(mu_);
   SetAccountedLocked(r, est);
-  if (!enabled()) return;
-  if (r->accessor_pinned) {
-    EraseActiveLocked(r);
-  } else {
-    InsertActiveLocked(r);
-  }
+  if (enabled()) InsertActiveLocked(r);
 }
 
 void SessionStore::CompactFinalizedLocked(SessionRecord* r) {
@@ -74,11 +69,10 @@ void SessionStore::CompactFinalizedLocked(SessionRecord* r) {
   std::lock_guard<std::mutex> sl(mu_);
   EraseActiveLocked(r);
   SetAccountedLocked(r, est);
-  if (enabled() && !r->accessor_pinned) finals_.push_back(r);
+  if (enabled()) finals_.push_back(r);
 }
 
-void SessionStore::EnsureResidentLocked(SessionRecord* r, bool pin) {
-  if (pin) r->accessor_pinned = true;
+void SessionStore::EnsureResidentLocked(SessionRecord* r) {
   if (!r->spilled) return;
   const std::vector<uint8_t> bytes =
       ReadExtent(r->spill_offset, r->spill_length);
@@ -108,12 +102,10 @@ void SessionStore::EnsureResidentLocked(SessionRecord* r, bool pin) {
   FreeExtentLocked(r->spill_offset, r->spill_capacity);
   ++stats_.rehydrated_sessions;
   SetAccountedLocked(r, est);
-  if (!r->accessor_pinned) {
-    if (live) {
-      InsertActiveLocked(r);
-    } else {
-      finals_.push_back(r);
-    }
+  if (live) {
+    InsertActiveLocked(r);
+  } else {
+    finals_.push_back(r);
   }
 }
 
@@ -176,8 +168,8 @@ void SessionStore::Rebalance() {
         victim->store_indexed = false;
         active_.erase(it);
       } else {
-        // Everything resident is pinned or mid-event: the cap is
-        // best-effort until those sessions' events re-account them.
+        // Everything resident is mid-event: the cap is best-effort until
+        // those sessions' events re-account them.
         return;
       }
     }
@@ -190,7 +182,7 @@ void SessionStore::Rebalance() {
 }
 
 void SessionStore::SpillIfEligibleLocked(SessionRecord* r) {
-  if (r->spilled || r->accessor_pinned) return;
+  if (r->spilled) return;
   WireBuffer buf;
   const bool final = r->final_result != nullptr;
   size_t next_t = 0;

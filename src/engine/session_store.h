@@ -30,7 +30,7 @@
 // the one the depth-first scheduler will reach *last*; compacted finals are
 // spilled first (FIFO) since nothing reads them before the drain. A record
 // enters the index when it becomes a resident live candidate and leaves it
-// when it is spilled, compacted or pinned; its events do not touch it.
+// when it is spilled or compacted; its events do not touch it.
 //
 // Locking: the store mutex is a strict leaf — it is acquired with record
 // mutexes (and the scheduler's stats mutex) held, and no record mutex is
@@ -86,16 +86,16 @@ class SessionStore {
   /// path); the store mutex is acquired inside.
   void CompactFinalizedLocked(SessionRecord* r);
 
-  /// Rehydrates a spilled record (no-op when resident). With `pin` the
-  /// record is additionally excluded from future spilling — used by the
-  /// legacy by-reference accessors whose pointers must stay valid.
-  /// Caller holds r->mu.
-  void EnsureResidentLocked(SessionRecord* r, bool pin = false);
+  /// Rehydrates a spilled record before its next event runs (no-op when
+  /// resident). Caller holds r->mu.
+  void EnsureResidentLocked(SessionRecord* r);
 
-  /// Streams the record's result fields to `fn` without pinning and — for
-  /// spilled records — without rehydrating: the snapshot is decoded into
-  /// a stack-local that dies with the call. For a spilled *live* session
-  /// the advance_seconds trace carries only the processed prefix.
+  /// Streams the record's result fields to `fn` — the one way a session's
+  /// result is read. A spilled record is never rehydrated: the snapshot is
+  /// decoded into a stack-local that dies with the call, so reading every
+  /// session keeps residency and the spill counters where they were. For a
+  /// spilled *live* session the advance_seconds trace carries only the
+  /// processed prefix.
   void WithResult(SessionRecord* r,
                   const std::function<void(const SessionFinalResult&)>& fn);
 

@@ -46,7 +46,9 @@ struct JobSlot {
 /// (`spilled`; the serialized snapshot lives in the store's external list
 /// and `cached_next_t` keeps the scheduler able to re-arm it). The id,
 /// trajectory group and tuning stay on the record so the store can rebuild
-/// the state machine on rehydration.
+/// the state machine on rehydration. Only the store's budget decides
+/// whether a record is resident: reads stream through
+/// SessionStore::WithResult and never rehydrate or hold a record in.
 struct SessionRecord {
   SessionRecord(uint32_t session_id, std::vector<const Trajectory*> g,
                 const SessionTuning& t, std::unique_ptr<GroupSession> s)
@@ -75,9 +77,6 @@ struct SessionRecord {
   /// Distilled result of a finalized session (session itself destroyed).
   std::unique_ptr<SessionFinalResult> final_result;
   bool spilled = false;         ///< state lives in the store's spill file
-  /// A legacy by-reference accessor handed out pointers into this record's
-  /// state: it must stay resident for the rest of the run.
-  bool accessor_pinned = false;
   /// The record sits in the store's spill-candidate index (guarded by the
   /// *store* mutex, not `mu` — it is bookkeeping for the store).
   bool store_indexed = false;

@@ -79,10 +79,11 @@ inline Vec2 UnitFromAngle(double radians) {
   return {std::cos(radians), std::sin(radians)};
 }
 
-/// Normalizes an angle to (-pi, pi].
+/// Normalizes an angle to (-pi, pi]; NaN for a non-finite input.
 double NormalizeAngle(double radians);
 
-/// Absolute angular difference between two headings, in [0, pi].
+/// Absolute angular difference between two headings, in [0, pi] (NaN when
+/// either is not finite).
 double AngleDiff(double a, double b);
 
 }  // namespace mpn

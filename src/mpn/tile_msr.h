@@ -112,6 +112,23 @@ struct MsrStats {
   VerifyStats verify;              ///< verifier counters
   CandidateStats candidates;       ///< candidate-source counters
   uint64_t rtree_node_accesses = 0;  ///< R-tree nodes touched
+
+  /// Adds another computation's counters into these (inline: the server
+  /// folds one per recomputation).
+  void Merge(const MsrStats& s) {
+    tiles_tried += s.tiles_tried;
+    tiles_added += s.tiles_added;
+    divide_calls += s.divide_calls;
+    verify.calls += s.verify.calls;
+    verify.accepted += s.verify.accepted;
+    verify.tile_groups += s.verify.tile_groups;
+    verify.focal_evals += s.verify.focal_evals;
+    verify.memo_hits += s.verify.memo_hits;
+    candidates.retrievals += s.candidates.retrievals;
+    candidates.candidates_total += s.candidates.candidates_total;
+    candidates.rejected_by_buffer += s.candidates.rejected_by_buffer;
+    rtree_node_accesses += s.rtree_node_accesses;
+  }
 };
 
 /// Result of one safe-region computation.

@@ -7,25 +7,6 @@
 
 namespace mpn {
 
-namespace {
-
-void Accumulate(MsrStats* into, const MsrStats& s) {
-  into->tiles_tried += s.tiles_tried;
-  into->tiles_added += s.tiles_added;
-  into->divide_calls += s.divide_calls;
-  into->verify.calls += s.verify.calls;
-  into->verify.accepted += s.verify.accepted;
-  into->verify.tile_groups += s.verify.tile_groups;
-  into->verify.focal_evals += s.verify.focal_evals;
-  into->verify.memo_hits += s.verify.memo_hits;
-  into->candidates.retrievals += s.candidates.retrievals;
-  into->candidates.candidates_total += s.candidates.candidates_total;
-  into->candidates.rejected_by_buffer += s.candidates.rejected_by_buffer;
-  into->rtree_node_accesses += s.rtree_node_accesses;
-}
-
-}  // namespace
-
 const char* MethodName(Method method) {
   switch (method) {
     case Method::kCircle: return "Circle";
@@ -67,7 +48,7 @@ MsrResult MpnServer::Recompute(const std::vector<Point>& locations,
   }
   compute_seconds_ += timer.ElapsedSeconds();
   ++recompute_count_;
-  Accumulate(&stats_, result.stats);
+  stats_.Merge(result.stats);
   return result;
 }
 

@@ -1,26 +1,21 @@
-// Continuous-query simulation of one user group (Fig. 3 protocol).
+// What one run of the Fig. 3 protocol reports, and how it is configured.
 //
 // At every timestamp all clients advance along their trajectories. When a
 // client leaves its safe region, it reports its location to the server
 // (step 1); the server probes the remaining clients (step 2), recomputes
 // the meeting point and per-user safe regions, and ships them back
-// (step 3). Tile regions travel through the lossless codec so the client's
-// view is exactly what the wire carries. The metrics are the three the
-// paper reports: update frequency, communication cost (packets) and server
-// running time, plus per-algorithm counters.
-//
-// Since the engine layer landed (src/engine), the per-timestamp state
-// machine lives in engine/group_session.h; Simulator and RunGroups are thin
-// fronts that drive a single-threaded Engine so the historical single-group
-// API (and every test built on it) keeps working unchanged.
+// (step 3). The per-timestamp state machine lives in
+// engine/group_session.h and runs as a session on an Engine (or inside a
+// ClusterEngine's workers); this file holds the two plain types every such
+// run shares: the options a session is built with, and the metrics it
+// reports — the paper's update frequency, communication cost (packets) and
+// server running time, plus per-algorithm counters.
 #pragma once
 
-#include <vector>
+#include <cstddef>
 
 #include "net/message.h"
-#include "sim/client.h"
 #include "sim/server.h"
-#include "traj/trajectory.h"
 
 namespace mpn {
 
@@ -47,7 +42,14 @@ struct SimMetrics {
   }
 
   /// Merges another run (for averaging across groups).
-  void Merge(const SimMetrics& other);
+  void Merge(const SimMetrics& other) {
+    timestamps += other.timestamps;
+    updates += other.updates;
+    result_changes += other.result_changes;
+    comm.Merge(other.comm);
+    server_seconds += other.server_seconds;
+    msr.Merge(other.msr);
+  }
 };
 
 /// Simulation options.
@@ -58,30 +60,5 @@ struct SimOptions {
   /// O(n*m) per update).
   bool check_correctness = false;
 };
-
-/// Runs the protocol for one group over its trajectories (a thin Engine
-/// with one session and one thread).
-class Simulator {
- public:
-  /// All referenced data must outlive the simulator. All trajectories must
-  /// be at least as long as the simulated horizon.
-  Simulator(const std::vector<Point>* pois, const PackedRTree* tree,
-            std::vector<const Trajectory*> group, const SimOptions& options);
-
-  /// Runs to completion and returns the metrics.
-  SimMetrics Run();
-
- private:
-  const std::vector<Point>* pois_;
-  const PackedRTree* tree_;
-  std::vector<const Trajectory*> group_;
-  SimOptions options_;
-};
-
-/// Convenience: runs every group and returns the group-averaged metrics
-/// (the paper reports averages over 10 groups).
-SimMetrics RunGroups(const std::vector<Point>& pois, const PackedRTree* tree,
-                     const std::vector<std::vector<const Trajectory*>>& groups,
-                     const SimOptions& options);
 
 }  // namespace mpn

@@ -16,6 +16,7 @@
 #include "engine/cluster.h"
 #include "engine/engine.h"
 #include "engine/ipc.h"
+#include "engine_fuzz_util.h"
 #include "traj/generators.h"
 #include "util/rng.h"
 
@@ -198,7 +199,7 @@ TEST(ClusterRecoveryTest, KillBetweenWaitsRestoresFinalsFromSnapshot) {
   cluster.Start();
   for (size_t g = 0; g < 3; ++g) cluster.AdmitSession(GroupOf(w, g));
   cluster.Wait();
-  const uint64_t wave1_updates = cluster.session_metrics(1).updates;
+  const uint64_t wave1_updates = fuzz::ResultOf(cluster, 1).metrics.updates;
 
   // Shard 1 dies between Waits. Its wave-1 session (global id 1) is final
   // — the supervisor must restore it from the coordinator snapshot, not
@@ -209,7 +210,7 @@ TEST(ClusterRecoveryTest, KillBetweenWaitsRestoresFinalsFromSnapshot) {
   cluster.Wait();
 
   EXPECT_EQ(cluster.ResultDigest(), ref_digest);
-  EXPECT_EQ(cluster.session_metrics(1).updates, wave1_updates);
+  EXPECT_EQ(fuzz::ResultOf(cluster, 1).metrics.updates, wave1_updates);
   // Round stats must re-aggregate to the uninterrupted totals: id 1's
   // per-timestamp contribution comes from the dead incarnation's drained
   // history (slot_base), ids 3/5's from the replacement's recomputation.
@@ -258,11 +259,11 @@ TEST(ClusterRecoveryTest, ExhaustedRestartsDegradeToErrorNamingLostGroups) {
   EXPECT_EQ(stats.shards_lost, 1u);
 
   // Healthy shard 0 drained and stays fully readable.
-  EXPECT_EQ(cluster.session_metrics(0).timestamps, 80u);
-  EXPECT_EQ(cluster.session_metrics(2).timestamps, 80u);
-  EXPECT_TRUE(cluster.session_has_result(0));
+  EXPECT_EQ(fuzz::ResultOf(cluster, 0).metrics.timestamps, 80u);
+  EXPECT_EQ(fuzz::ResultOf(cluster, 2).metrics.timestamps, 80u);
+  EXPECT_TRUE(fuzz::ResultOf(cluster, 0).has_result);
   // Lost sessions degrade to empty results instead of hanging or lying.
-  EXPECT_FALSE(cluster.session_has_result(1));
+  EXPECT_FALSE(fuzz::ResultOf(cluster, 1).has_result);
 
   // Admissions keep working for healthy shards (id 4 -> shard 0) and
   // throw the shard's degradation error for the lost one (id 5 -> 1).
@@ -277,7 +278,7 @@ TEST(ClusterRecoveryTest, ExhaustedRestartsDegradeToErrorNamingLostGroups) {
   // while still refreshing the healthy shards — and never hangs
   // (implicitly checked by the ctest timeout).
   EXPECT_THROW(cluster.Wait(), std::runtime_error);
-  EXPECT_EQ(cluster.session_metrics(4).timestamps, 80u);
+  EXPECT_EQ(fuzz::ResultOf(cluster, 4).metrics.timestamps, 80u);
   EXPECT_THROW(cluster.Shutdown(), std::runtime_error);  // still graceful
 }
 
@@ -290,7 +291,8 @@ TEST(ClusterRecoveryTest, EnvCrashPlanArmsTheSameDeterministicKill) {
     Engine engine(&w.pois, &w.tree, MakeEngineOptions(1));
     engine.AdmitSession(GroupOf(w, 0));
     engine.AdmitSession(GroupOf(w, 1));
-    engine.Run();
+    engine.Start();
+    engine.Shutdown();
     ref_digest = engine.ResultDigest();
   }
 
@@ -299,7 +301,8 @@ TEST(ClusterRecoveryTest, EnvCrashPlanArmsTheSameDeterministicKill) {
   unsetenv("MPN_FAULT_PLAN");  // consumed by the constructor
   cluster.AdmitSession(GroupOf(w, 0));
   cluster.AdmitSession(GroupOf(w, 1));
-  cluster.Run();
+  cluster.Start();
+  cluster.Shutdown();
   EXPECT_EQ(cluster.ResultDigest(), ref_digest);
   EXPECT_EQ(cluster.recovery_stats().restarts, 1u);
 }

@@ -11,6 +11,7 @@
 
 #include "engine/cluster.h"
 #include "engine/engine.h"
+#include "engine_fuzz_util.h"
 #include "traj/generators.h"
 #include "util/rng.h"
 
@@ -61,6 +62,18 @@ ClusterOptions MakeClusterOptions(size_t workers, size_t threads) {
   return opt;
 }
 
+// Every deterministic field of one session's result: the metrics but
+// server_seconds, the final meeting point and whether there is one (the
+// mailbox marks and advance stamps are wall-clock dependent).
+void ExpectSameDeterministicResult(const SessionFinalResult& got,
+                                   const SessionFinalResult& want,
+                                   uint32_t id) {
+  SCOPED_TRACE("session " + std::to_string(id));
+  fuzz::ExpectSameDeterministicMetrics(got.metrics, want.metrics);
+  EXPECT_EQ(got.has_result, want.has_result);
+  EXPECT_EQ(got.po, want.po);
+}
+
 TEST(ClusterTest, DigestBitIdenticalToSingleProcessForAnyShardCount) {
   const size_t kGroups = 8;
   const World w = MakeWorld(300, kGroups, 120, 0xC1057E);
@@ -69,17 +82,18 @@ TEST(ClusterTest, DigestBitIdenticalToSingleProcessForAnyShardCount) {
   // thread-pool workers are alive when the cluster forks).
   uint64_t ref_digest = 0;
   SimMetrics ref_total;
-  std::vector<SimMetrics> ref_sessions;
+  std::vector<SessionFinalResult> ref_sessions;
   double ref_messages_sum = 0.0, ref_recomputes_sum = 0.0;
   size_t ref_rounds = 0;
   {
     Engine engine(&w.pois, &w.tree, MakeEngineOptions(2));
     for (size_t g = 0; g < kGroups; ++g) engine.AdmitSession(GroupOf(w, g));
-    engine.Run();
+    engine.Start();
+    engine.Shutdown();
     ref_digest = engine.ResultDigest();
     ref_total = engine.TotalMetrics();
     for (uint32_t g = 0; g < kGroups; ++g) {
-      ref_sessions.push_back(engine.session_metrics(g));
+      ref_sessions.push_back(fuzz::ResultOf(engine, g));
     }
     ref_messages_sum = engine.round_stats().messages_per_round.Sum();
     ref_recomputes_sum = engine.round_stats().recomputes_per_round.Sum();
@@ -91,7 +105,8 @@ TEST(ClusterTest, DigestBitIdenticalToSingleProcessForAnyShardCount) {
     for (size_t g = 0; g < kGroups; ++g) {
       cluster.AdmitSession(GroupOf(w, g));
     }
-    cluster.Run();
+    cluster.Start();
+    cluster.Shutdown();
     EXPECT_EQ(cluster.ResultDigest(), ref_digest)
         << "cluster digest diverged at " << workers << " worker(s)";
     EXPECT_EQ(cluster.session_count(), kGroups);
@@ -101,10 +116,8 @@ TEST(ClusterTest, DigestBitIdenticalToSingleProcessForAnyShardCount) {
     EXPECT_EQ(total.comm.TotalPackets(), ref_total.comm.TotalPackets());
     EXPECT_EQ(total.msr.tiles_added, ref_total.msr.tiles_added);
     for (uint32_t g = 0; g < kGroups; ++g) {
-      EXPECT_EQ(cluster.session_metrics(g).updates, ref_sessions[g].updates)
-          << "group " << g;
-      EXPECT_EQ(cluster.session_metrics(g).comm.TotalPackets(),
-                ref_sessions[g].comm.TotalPackets());
+      ExpectSameDeterministicResult(fuzz::ResultOf(cluster, g),
+                                    ref_sessions[g], g);
     }
     // Cluster round-stat counters re-aggregate to the same per-timestamp
     // totals the single process computed.
@@ -132,7 +145,8 @@ TEST(ClusterTest, ServingLoopDrainsAcrossAdmissionWaves) {
                                         : g == 5 ? tiny
                                                  : SessionTuning());
     }
-    engine.Run();
+    engine.Start();
+    engine.Shutdown();
     ref_digest = engine.ResultDigest();
   }
 
@@ -143,8 +157,8 @@ TEST(ClusterTest, ServingLoopDrainsAcrossAdmissionWaves) {
   cluster.Wait();
   EXPECT_EQ(cluster.session_count(), 3u);
   for (uint32_t g = 0; g < 3; ++g) {
-    EXPECT_EQ(cluster.session_metrics(g).timestamps, 100u);
-    EXPECT_GT(cluster.session_metrics(g).updates, 0u);
+    EXPECT_EQ(fuzz::ResultOf(cluster, g).metrics.timestamps, 100u);
+    EXPECT_GT(fuzz::ResultOf(cluster, g).metrics.updates, 0u);
   }
   // Wave 2: the workers are still serving — admit three more (one retiring
   // early, one on a capacity-1 mailbox) and drain again.
@@ -153,7 +167,7 @@ TEST(ClusterTest, ServingLoopDrainsAcrossAdmissionWaves) {
   cluster.AdmitSession(GroupOf(w, 5), tiny);
   cluster.Wait();
   EXPECT_EQ(cluster.session_count(), kGroups);
-  EXPECT_EQ(cluster.session_metrics(4).timestamps, 40u);
+  EXPECT_EQ(fuzz::ResultOf(cluster, 4).metrics.timestamps, 40u);
   EXPECT_EQ(cluster.ResultDigest(), ref_digest);
   cluster.Shutdown();
   EXPECT_EQ(cluster.ResultDigest(), ref_digest);  // frozen, still valid
@@ -172,7 +186,8 @@ TEST(ClusterTest, PreStartRetirementsRouteDeterministically) {
       engine.AdmitSession(GroupOf(w, g), g == 2 ? zero : SessionTuning());
     }
     engine.RetireSession(1, 30);
-    engine.Run();
+    engine.Start();
+    engine.Shutdown();
     ref_digest = engine.ResultDigest();
   }
 
@@ -183,10 +198,11 @@ TEST(ClusterTest, PreStartRetirementsRouteDeterministically) {
       cluster.AdmitSession(GroupOf(w, g), g == 2 ? zero : SessionTuning());
     }
     cluster.RetireSession(1, 30);  // queued pre-start, flushed in order
-    cluster.Run();
-    EXPECT_EQ(cluster.session_metrics(1).timestamps, 30u);
-    EXPECT_EQ(cluster.session_metrics(2).timestamps, 0u);
-    EXPECT_FALSE(cluster.session_has_result(2));
+    cluster.Start();
+    cluster.Shutdown();
+    EXPECT_EQ(fuzz::ResultOf(cluster, 1).metrics.timestamps, 30u);
+    EXPECT_EQ(fuzz::ResultOf(cluster, 2).metrics.timestamps, 0u);
+    EXPECT_FALSE(fuzz::ResultOf(cluster, 2).has_result);
     EXPECT_EQ(cluster.ResultDigest(), ref_digest)
         << "digest diverged at " << workers << " worker(s)";
   }
@@ -206,21 +222,23 @@ TEST(ClusterTest, ShipsDeterministicCapacityZeroStallCounts) {
     Engine engine(&w.pois, &w.tree, MakeEngineOptions(2));
     engine.AdmitSession(GroupOf(w, 0), unbuffered);
     engine.AdmitSession(GroupOf(w, 1), unbuffered);
-    engine.Run();
+    engine.Start();
+    engine.Shutdown();
     ref_digest = engine.ResultDigest();
-    ref_stalls = {engine.session_stall_count(0),
-                  engine.session_stall_count(1)};
+    ref_stalls = {fuzz::ResultOf(engine, 0).stall_count,
+                  fuzz::ResultOf(engine, 1).stall_count};
     EXPECT_GT(ref_stalls[0], 0u);
   }
 
   ClusterEngine cluster(&w.pois, &w.tree, MakeClusterOptions(2, 2));
   cluster.AdmitSession(GroupOf(w, 0), unbuffered);
   cluster.AdmitSession(GroupOf(w, 1), unbuffered);
-  cluster.Run();
+  cluster.Start();
+  cluster.Shutdown();
   EXPECT_EQ(cluster.ResultDigest(), ref_digest);
-  EXPECT_EQ(cluster.session_stall_count(0), ref_stalls[0]);
-  EXPECT_EQ(cluster.session_stall_count(1), ref_stalls[1]);
-  EXPECT_EQ(cluster.session_mailbox_peak(0), 0u);
+  EXPECT_EQ(fuzz::ResultOf(cluster, 0).stall_count, ref_stalls[0]);
+  EXPECT_EQ(fuzz::ResultOf(cluster, 1).stall_count, ref_stalls[1]);
+  EXPECT_EQ(fuzz::ResultOf(cluster, 0).mailbox_peak, 0u);
   EXPECT_EQ(cluster.round_stats().mailbox_stalls_per_session.Sum(),
             static_cast<double>(ref_stalls[0] + ref_stalls[1]));
 }
@@ -282,8 +300,9 @@ TEST(ClusterLifecycleTest, DoubleStartIsAHardError) {
   const World w = MakeWorld(150, 1, 30, 0xC10584);
   ClusterEngine cluster(&w.pois, &w.tree, MakeClusterOptions(2, 1));
   cluster.Start();
-  EXPECT_THROW(cluster.Start(), std::logic_error);
-  EXPECT_THROW(cluster.Run(), std::logic_error);
+  EXPECT_THROW(cluster.Start(), std::logic_error);  // while serving
+  cluster.Shutdown();
+  EXPECT_THROW(cluster.Start(), std::logic_error);  // after the run
 }
 
 TEST(ClusterLifecycleTest, WaitBeforeStartIsAHardError) {
@@ -296,12 +315,13 @@ TEST(ClusterLifecycleTest, AdmitAfterShutdownIsAHardError) {
   const World w = MakeWorld(150, 2, 30, 0xC10586);
   ClusterEngine cluster(&w.pois, &w.tree, MakeClusterOptions(2, 1));
   cluster.AdmitSession(GroupOf(w, 0));
-  cluster.Run();
+  cluster.Start();
+  cluster.Shutdown();
   EXPECT_THROW(cluster.AdmitSession(GroupOf(w, 1)), std::logic_error);
   EXPECT_THROW(cluster.RetireSession(0, 10), std::logic_error);
   // Shutdown stays idempotent and results stay readable.
   cluster.Shutdown();
-  EXPECT_EQ(cluster.session_metrics(0).timestamps, 30u);
+  EXPECT_EQ(fuzz::ResultOf(cluster, 0).metrics.timestamps, 30u);
 }
 
 TEST(ClusterLifecycleTest, UnknownSessionIdsAreRejected) {
@@ -309,10 +329,21 @@ TEST(ClusterLifecycleTest, UnknownSessionIdsAreRejected) {
   ClusterEngine cluster(&w.pois, &w.tree, MakeClusterOptions(2, 1));
   EXPECT_THROW(cluster.RetireSession(0, 10), std::out_of_range);
   cluster.AdmitSession(GroupOf(w, 0));
-  EXPECT_THROW(cluster.session_metrics(0), std::out_of_range);  // pre-Wait
-  cluster.Run();
-  EXPECT_NO_THROW(cluster.session_metrics(0));
+  // Before the first Wait no result exists yet.
+  EXPECT_THROW(fuzz::ResultOf(cluster, 0), std::out_of_range);
+  EXPECT_THROW(cluster.session_metrics(0), std::out_of_range);
+  EXPECT_THROW(cluster.session_po(0), std::out_of_range);
+  EXPECT_THROW(cluster.session_has_result(0), std::out_of_range);
+  cluster.Start();
+  cluster.Shutdown();
+  EXPECT_NO_THROW(fuzz::ResultOf(cluster, 0));
+  EXPECT_EQ(cluster.session_metrics(0).timestamps, 30u);
+  EXPECT_TRUE(fuzz::ResultOf(cluster, 0).advance_seconds.empty());
+  // An id past the end.
+  EXPECT_THROW(fuzz::ResultOf(cluster, 1), std::out_of_range);
   EXPECT_THROW(cluster.session_metrics(1), std::out_of_range);
+  EXPECT_THROW(cluster.session_po(1), std::out_of_range);
+  EXPECT_THROW(cluster.session_has_result(1), std::out_of_range);
 }
 
 }  // namespace

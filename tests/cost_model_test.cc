@@ -3,6 +3,7 @@
 // factor of the simulated circle method.
 #include <gtest/gtest.h>
 
+#include "engine_fuzz_util.h"
 #include "mpn/cost_model.h"
 #include "sim/simulator.h"
 #include "traj/generators.h"
@@ -37,8 +38,7 @@ TEST(PacketsPerUpdateTest, AgreesWithSimulatedAccounting) {
   std::vector<const Trajectory*> group = {&fleet[0], &fleet[1], &fleet[2]};
   SimOptions opt;
   opt.server.method = Method::kCircle;
-  Simulator sim(&pois, &tree, group, opt);
-  const SimMetrics metrics = sim.Run();
+  const SimMetrics metrics = fuzz::RunSingleGroup(&pois, &tree, group, opt);
   ASSERT_GT(metrics.updates, 0u);
   EXPECT_DOUBLE_EQ(
       static_cast<double>(metrics.comm.TotalPackets()) /
@@ -69,8 +69,7 @@ TEST(CostModelTest, FrequencyEstimateWithinConstantFactor) {
                                             &fleet[3 * g + 2]};
     SimOptions opt;
     opt.server.method = Method::kCircle;
-    Simulator sim(&pois, &tree, group, opt);
-    sim_total.Merge(sim.Run());
+    sim_total.Merge(fuzz::RunSingleGroup(&pois, &tree, group, opt));
     // Model inputs: configurations sampled uniformly over the horizon.
     for (size_t t = 0; t < 1500; t += 50) {
       configs.push_back({group[0]->at(t), group[1]->at(t), group[2]->at(t)});

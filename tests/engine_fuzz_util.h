@@ -4,12 +4,18 @@
 // kernel_differential_test.cc (scalar vs SoA verification kernels) and
 // session_store_test.cc (budgeted vs unbudgeted engines);
 // all of them assert digest bit-identity over the same seed-derived plans.
+// Also the helpers every engine-driving test shares: a one-group run
+// (RunSingleGroup), a session result copied out of either engine
+// (ResultOf) and a field-by-field comparison of the deterministic metrics
+// (ExpectSameDeterministicMetrics).
 #pragma once
 
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -190,6 +196,60 @@ uint64_t Replay(EngineLike* engine, const World& w, const FuzzPlan& plan) {
   }
   engine->Shutdown();
   return engine->ResultDigest();
+}
+
+/// Expects every deterministic metrics field equal: all but the
+/// wall-clock server_seconds.
+inline void ExpectSameDeterministicMetrics(const SimMetrics& a,
+                                           const SimMetrics& b) {
+  EXPECT_EQ(a.timestamps, b.timestamps);
+  EXPECT_EQ(a.updates, b.updates);
+  EXPECT_EQ(a.result_changes, b.result_changes);
+  for (size_t t = 0; t < kMessageTypeCount; ++t) {
+    const MessageType mt = static_cast<MessageType>(t);
+    EXPECT_EQ(a.comm.messages(mt), b.comm.messages(mt));
+    EXPECT_EQ(a.comm.packets(mt), b.comm.packets(mt));
+    EXPECT_EQ(a.comm.values(mt), b.comm.values(mt));
+  }
+  EXPECT_EQ(a.msr.tiles_tried, b.msr.tiles_tried);
+  EXPECT_EQ(a.msr.tiles_added, b.msr.tiles_added);
+  EXPECT_EQ(a.msr.divide_calls, b.msr.divide_calls);
+  EXPECT_EQ(a.msr.verify.calls, b.msr.verify.calls);
+  EXPECT_EQ(a.msr.verify.accepted, b.msr.verify.accepted);
+  EXPECT_EQ(a.msr.verify.tile_groups, b.msr.verify.tile_groups);
+  EXPECT_EQ(a.msr.verify.focal_evals, b.msr.verify.focal_evals);
+  EXPECT_EQ(a.msr.verify.memo_hits, b.msr.verify.memo_hits);
+  EXPECT_EQ(a.msr.candidates.retrievals, b.msr.candidates.retrievals);
+  EXPECT_EQ(a.msr.candidates.candidates_total,
+            b.msr.candidates.candidates_total);
+  EXPECT_EQ(a.msr.candidates.rejected_by_buffer,
+            b.msr.candidates.rejected_by_buffer);
+  EXPECT_EQ(a.msr.rtree_node_accesses, b.msr.rtree_node_accesses);
+}
+
+/// Copies session `id`'s result out of either engine's streaming read.
+template <typename EngineLike>
+SessionFinalResult ResultOf(const EngineLike& engine, uint32_t id) {
+  SessionFinalResult out;
+  engine.WithSessionResult(
+      id, [&out](const SessionFinalResult& fr) { out = fr; });
+  return out;
+}
+
+/// Runs one group through the Fig. 3 protocol to completion on a
+/// one-thread engine and returns its metrics.
+inline SimMetrics RunSingleGroup(const std::vector<Point>* pois,
+                                 const PackedRTree* tree,
+                                 std::vector<const Trajectory*> group,
+                                 const SimOptions& options) {
+  EngineOptions opt;
+  opt.threads = 1;
+  opt.sim = options;
+  Engine engine(pois, tree, opt);
+  const uint32_t id = engine.AdmitSession(std::move(group));
+  engine.Start();
+  engine.Shutdown();
+  return ResultOf(engine, id).metrics;
 }
 
 inline uint64_t RunEnginePlan(const World& w, const FuzzPlan& plan,

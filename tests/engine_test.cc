@@ -1,7 +1,8 @@
 // Engine-layer tests: thread-pool primitives, multi-group determinism
-// across thread counts, engine/simulator equivalence, per-round stats, and
-// a 64-group integration run (suites named *Integration* are registered
-// under the `integration` ctest label; everything else is `unit`).
+// across thread counts, multi-session vs one-session equivalence,
+// per-round stats, and a 64-group integration run (suites named
+// *Integration* are registered under the `integration` ctest label;
+// everything else is `unit`).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -12,6 +13,7 @@
 #include <vector>
 
 #include "engine/engine.h"
+#include "engine_fuzz_util.h"
 #include "sim/simulator.h"
 #include "traj/generators.h"
 #include "util/rng.h"
@@ -229,12 +231,13 @@ uint64_t RunEngine(const World& w, size_t n_groups, size_t threads,
     engine.AdmitSession({&w.trajs[3 * g], &w.trajs[3 * g + 1],
                          &w.trajs[3 * g + 2]});
   }
-  engine.Run();
+  engine.Start();
+  engine.Shutdown();
   if (total != nullptr) *total = engine.TotalMetrics();
   if (per_session != nullptr) {
     per_session->clear();
     for (uint32_t id = 0; id < n_groups; ++id) {
-      per_session->push_back(engine.session_metrics(id));
+      per_session->push_back(fuzz::ResultOf(engine, id).metrics);
     }
   }
   return engine.ResultDigest();
@@ -301,28 +304,27 @@ TEST(EngineTest, ParallelVerifyPreservesProtocolBehavior) {
 
 TEST(EngineTest, MatchesIndependentSimulatorRuns) {
   // A multi-session engine must produce exactly the merged metrics of the
-  // groups simulated one at a time through the legacy front.
+  // groups run one at a time, each on its own one-session engine.
   const World w = MakeWorld(250, 3, 150, 0xBEEF01);
   SimMetrics engine_total;
   RunEngine(w, 3, 2, false, &engine_total);
   SimOptions opt;
   opt.server = MakeEngineOptions(1, false).sim.server;
-  SimMetrics legacy;
+  SimMetrics separate;
   for (size_t g = 0; g < 3; ++g) {
-    Simulator sim(&w.pois, &w.tree,
-                  {&w.trajs[3 * g], &w.trajs[3 * g + 1], &w.trajs[3 * g + 2]},
-                  opt);
-    legacy.Merge(sim.Run());
+    separate.Merge(fuzz::RunSingleGroup(
+        &w.pois, &w.tree,
+        {&w.trajs[3 * g], &w.trajs[3 * g + 1], &w.trajs[3 * g + 2]}, opt));
   }
-  EXPECT_EQ(engine_total.timestamps, legacy.timestamps);
-  EXPECT_EQ(engine_total.updates, legacy.updates);
-  EXPECT_EQ(engine_total.result_changes, legacy.result_changes);
-  EXPECT_EQ(engine_total.comm.TotalMessages(), legacy.comm.TotalMessages());
-  EXPECT_EQ(engine_total.comm.TotalPackets(), legacy.comm.TotalPackets());
-  EXPECT_EQ(engine_total.msr.tiles_added, legacy.msr.tiles_added);
-  EXPECT_EQ(engine_total.msr.verify.calls, legacy.msr.verify.calls);
+  EXPECT_EQ(engine_total.timestamps, separate.timestamps);
+  EXPECT_EQ(engine_total.updates, separate.updates);
+  EXPECT_EQ(engine_total.result_changes, separate.result_changes);
+  EXPECT_EQ(engine_total.comm.TotalMessages(), separate.comm.TotalMessages());
+  EXPECT_EQ(engine_total.comm.TotalPackets(), separate.comm.TotalPackets());
+  EXPECT_EQ(engine_total.msr.tiles_added, separate.msr.tiles_added);
+  EXPECT_EQ(engine_total.msr.verify.calls, separate.msr.verify.calls);
   EXPECT_EQ(engine_total.msr.rtree_node_accesses,
-            legacy.msr.rtree_node_accesses);
+            separate.msr.rtree_node_accesses);
 }
 
 TEST(EngineTest, RoundStatsAccountForAllWork) {
@@ -332,7 +334,8 @@ TEST(EngineTest, RoundStatsAccountForAllWork) {
     engine.AdmitSession({&w.trajs[3 * g], &w.trajs[3 * g + 1],
                          &w.trajs[3 * g + 2]});
   }
-  engine.Run();
+  engine.Start();
+  engine.Shutdown();
   const EngineRoundStats& rs = engine.round_stats();
   const SimMetrics total = engine.TotalMetrics();
   EXPECT_EQ(rs.rounds, 180u);  // all horizons equal -> one round per ts
@@ -360,9 +363,10 @@ TEST(EngineTest, SessionsWithDifferentHorizonsFinishIndependently) {
     short_trajs.push_back(std::move(t));
   }
   engine.AdmitSession({&short_trajs[0], &short_trajs[1], &short_trajs[2]});
-  engine.Run();
-  EXPECT_EQ(engine.session_metrics(0).timestamps, 120u);
-  EXPECT_EQ(engine.session_metrics(1).timestamps, 60u);
+  engine.Start();
+  engine.Shutdown();
+  EXPECT_EQ(fuzz::ResultOf(engine, 0).metrics.timestamps, 120u);
+  EXPECT_EQ(fuzz::ResultOf(engine, 1).metrics.timestamps, 60u);
   EXPECT_EQ(engine.round_stats().rounds, 120u);
 }
 
@@ -372,9 +376,22 @@ TEST(EngineLifecycleTest, RunTwiceIsAHardError) {
   const World w = MakeWorld(150, 1, 40, 0x2E0);
   Engine engine(&w.pois, &w.tree, MakeEngineOptions(1, false));
   engine.AdmitSession({&w.trajs[0], &w.trajs[1], &w.trajs[2]});
-  engine.Run();
-  EXPECT_THROW(engine.Run(), std::logic_error);
-  EXPECT_THROW(engine.Start(), std::logic_error);
+  engine.Start();
+  EXPECT_THROW(engine.Start(), std::logic_error);  // while serving
+  engine.Shutdown();
+  EXPECT_THROW(engine.Start(), std::logic_error);  // after the run
+}
+
+TEST(EngineLifecycleTest, UnknownSessionIdsAreRejected) {
+  const World w = MakeWorld(150, 1, 30, 0x2E9);
+  Engine engine(&w.pois, &w.tree, MakeEngineOptions(1, false));
+  EXPECT_THROW(engine.RetireSession(0, 10), std::out_of_range);
+  engine.AdmitSession({&w.trajs[0], &w.trajs[1], &w.trajs[2]});
+  engine.Start();
+  engine.Shutdown();
+  EXPECT_NO_THROW(fuzz::ResultOf(engine, 0));
+  EXPECT_THROW(fuzz::ResultOf(engine, 1), std::out_of_range);
+  EXPECT_THROW(engine.RetireSession(1), std::out_of_range);
 }
 
 TEST(EngineLifecycleTest, WaitBeforeStartIsAHardError) {
@@ -392,11 +409,12 @@ TEST(EngineLifecycleTest, ZeroHorizonSessionFinishesWithNoWork) {
       {&w.trajs[0], &w.trajs[1], &w.trajs[2]}, zero);
   const uint32_t live = engine.AdmitSession(
       {&w.trajs[3], &w.trajs[4], &w.trajs[5]});
-  engine.Run();
-  EXPECT_EQ(engine.session_metrics(z).timestamps, 0u);
-  EXPECT_EQ(engine.session_metrics(z).updates, 0u);
-  EXPECT_EQ(engine.session_metrics(live).timestamps, 40u);
-  EXPECT_GT(engine.session_metrics(live).updates, 0u);
+  engine.Start();
+  engine.Shutdown();
+  EXPECT_EQ(fuzz::ResultOf(engine, z).metrics.timestamps, 0u);
+  EXPECT_EQ(fuzz::ResultOf(engine, z).metrics.updates, 0u);
+  EXPECT_EQ(fuzz::ResultOf(engine, live).metrics.timestamps, 40u);
+  EXPECT_GT(fuzz::ResultOf(engine, live).metrics.updates, 0u);
 }
 
 TEST(EngineLifecycleTest, SingleUserGroupRunsTheProtocol) {
@@ -405,8 +423,9 @@ TEST(EngineLifecycleTest, SingleUserGroupRunsTheProtocol) {
   for (size_t threads : {1u, 2u, 4u}) {
     Engine engine(&w.pois, &w.tree, MakeEngineOptions(threads, false));
     engine.AdmitSession({&w.trajs[0]});
-    engine.Run();
-    const SimMetrics& m = engine.session_metrics(0);
+    engine.Start();
+    engine.Shutdown();
+    const SimMetrics m = fuzz::ResultOf(engine, 0).metrics;
     EXPECT_EQ(m.timestamps, 60u);
     EXPECT_GT(m.updates, 0u);
     // m = 1: one location update + one result message per round, no probes.
@@ -430,7 +449,8 @@ TEST(EngineLifecycleTest, MidRunAdmissionMatchesUpfrontAdmission) {
       engine.AdmitSession({&w.trajs[3 * g], &w.trajs[3 * g + 1],
                            &w.trajs[3 * g + 2]});
     }
-    engine.Run();
+    engine.Start();
+    engine.Shutdown();
     upfront = engine.ResultDigest();
   }
   Engine engine(&w.pois, &w.tree, MakeEngineOptions(2, false));
@@ -463,9 +483,9 @@ TEST(EngineLifecycleTest, RetireWhileRecomputingCompletesCleanly) {
   engine.RetireSession(straggler);  // asap — lands mid-recompute
   hold.Reset();
   engine.Wait();
-  EXPECT_LE(engine.session_metrics(straggler).timestamps, 150u);
-  EXPECT_EQ(engine.session_metrics(normal).timestamps, 150u);
-  EXPECT_GT(engine.session_metrics(normal).updates, 0u);
+  EXPECT_LE(fuzz::ResultOf(engine, straggler).metrics.timestamps, 150u);
+  EXPECT_EQ(fuzz::ResultOf(engine, normal).metrics.timestamps, 150u);
+  EXPECT_GT(fuzz::ResultOf(engine, normal).metrics.updates, 0u);
 }
 
 TEST(EngineLifecycleTest, ChurnDigestBitIdenticalAcrossThreadCounts) {
@@ -496,9 +516,9 @@ TEST(EngineLifecycleTest, ChurnDigestBitIdenticalAcrossThreadCounts) {
     engine.AdmitSession({&w.trajs[15], &w.trajs[16], &w.trajs[17]});
     hold.Reset();
     engine.Wait();
-    EXPECT_EQ(engine.session_metrics(0).timestamps, 70u);
-    EXPECT_EQ(engine.session_metrics(3).timestamps, 40u);
-    EXPECT_EQ(engine.session_metrics(4).timestamps, 0u);
+    EXPECT_EQ(fuzz::ResultOf(engine, 0).metrics.timestamps, 70u);
+    EXPECT_EQ(fuzz::ResultOf(engine, 3).metrics.timestamps, 40u);
+    EXPECT_EQ(fuzz::ResultOf(engine, 4).metrics.timestamps, 0u);
     return engine.ResultDigest();
   };
   const uint64_t d1 = run(1);
@@ -518,7 +538,8 @@ TEST(EngineLifecycleTest, BoundedMailboxStallsButStaysDeterministic) {
     tuning.mailbox_capacity = capacity;
     engine.AdmitSession({&w.trajs[0], &w.trajs[1], &w.trajs[2]}, tuning);
     engine.AdmitSession({&w.trajs[3], &w.trajs[4], &w.trajs[5]}, tuning);
-    engine.Run();
+    engine.Start();
+    engine.Shutdown();
     digests[i++] = engine.ResultDigest();
   }
   EXPECT_EQ(digests[0], digests[1]);
@@ -538,7 +559,8 @@ TEST(EngineServingLoopTest, WaitServesMultipleAdmissionWaves) {
       engine.AdmitSession({&w.trajs[3 * g], &w.trajs[3 * g + 1],
                            &w.trajs[3 * g + 2]});
     }
-    engine.Run();
+    engine.Start();
+    engine.Shutdown();
     oneshot = engine.ResultDigest();
   }
   Engine engine(&w.pois, &w.tree, MakeEngineOptions(2, false));
@@ -566,8 +588,8 @@ TEST(EngineServingLoopTest, WaitServesMultipleAdmissionWaves) {
   engine.AdmitSession({&w.trajs[3], &w.trajs[4], &w.trajs[5]}, unbuffered);
   engine.Wait();
   // First wave fully drained; results already consistent.
-  EXPECT_EQ(engine.session_metrics(0).timestamps, 100u);
-  EXPECT_EQ(engine.session_metrics(1).timestamps, 100u);
+  EXPECT_EQ(fuzz::ResultOf(engine, 0).metrics.timestamps, 100u);
+  EXPECT_EQ(fuzz::ResultOf(engine, 1).metrics.timestamps, 100u);
   EXPECT_EQ(engine.round_stats().rounds, 100u);
   expect_mailbox_marks_cover_every_session();
   EXPECT_GT(engine.round_stats().mailbox_stalls_per_session.Sum(), 0.0);
@@ -601,7 +623,8 @@ TEST(EngineMailboxStatsTest, CapacityZeroStallCountIsDeterministic) {
   {
     Engine engine(&w.pois, &w.tree, MakeEngineOptions(2, false));
     engine.AdmitSession({&w.trajs[0], &w.trajs[1], &w.trajs[2]});
-    engine.Run();
+    engine.Start();
+    engine.Shutdown();
     default_digest = engine.ResultDigest();
   }
   size_t stalls_1thread = 0;
@@ -610,15 +633,17 @@ TEST(EngineMailboxStatsTest, CapacityZeroStallCountIsDeterministic) {
     SessionTuning unbuffered;
     unbuffered.mailbox_capacity = 0;
     engine.AdmitSession({&w.trajs[0], &w.trajs[1], &w.trajs[2]}, unbuffered);
-    engine.Run();
+    engine.Start();
+    engine.Shutdown();
     EXPECT_EQ(engine.ResultDigest(), default_digest)
         << "capacity must not change the digest (threads=" << threads << ")";
-    EXPECT_GT(engine.session_stall_count(0), 0u);
-    EXPECT_EQ(engine.session_mailbox_peak(0), 0u);
+    const SessionFinalResult result = fuzz::ResultOf(engine, 0);
+    EXPECT_GT(result.stall_count, 0u);
+    EXPECT_EQ(result.mailbox_peak, 0u);
     if (threads == 1) {
-      stalls_1thread = engine.session_stall_count(0);
+      stalls_1thread = result.stall_count;
     } else {
-      EXPECT_EQ(engine.session_stall_count(0), stalls_1thread);
+      EXPECT_EQ(result.stall_count, stalls_1thread);
     }
   }
 }
@@ -633,7 +658,8 @@ TEST(EngineMailboxStatsTest, CapacityOneReportsStallsWithoutChangingDigest) {
   {
     Engine engine(&w.pois, &w.tree, MakeEngineOptions(2, false));
     engine.AdmitSession({&w.trajs[0], &w.trajs[1], &w.trajs[2]});
-    engine.Run();
+    engine.Start();
+    engine.Shutdown();
     default_digest = engine.ResultDigest();
   }
   Engine engine(&w.pois, &w.tree, MakeEngineOptions(2, false));
@@ -641,12 +667,13 @@ TEST(EngineMailboxStatsTest, CapacityOneReportsStallsWithoutChangingDigest) {
   tiny.mailbox_capacity = 1;
   tiny.recompute_cost_factor = 10.0;  // widen the buffering window
   engine.AdmitSession({&w.trajs[0], &w.trajs[1], &w.trajs[2]}, tiny);
-  engine.Run();
+  engine.Start();
+  engine.Shutdown();
   EXPECT_EQ(engine.ResultDigest(), default_digest);
   const EngineRoundStats& rs = engine.round_stats();
   EXPECT_GT(rs.mailbox_stalls_per_session.Sum(), 0.0);
   EXPECT_EQ(rs.mailbox_peak_per_session.Max(), 1.0);
-  EXPECT_EQ(engine.session_mailbox_peak(0), 1u);
+  EXPECT_EQ(fuzz::ResultOf(engine, 0).mailbox_peak, 1u);
   // The marks are surfaced in the rendered stats table.
   const std::string table = rs.ToTable().ToString();
   EXPECT_NE(table.find("mailbox_peak/session"), std::string::npos);

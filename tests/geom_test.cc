@@ -20,6 +20,12 @@ namespace {
 
 constexpr double kPi = 3.14159265358979323846;
 
+uint64_t BitsOf(double d) {
+  uint64_t u = 0;
+  std::memcpy(&u, &d, sizeof(u));
+  return u;
+}
+
 TEST(Vec2Test, Arithmetic) {
   const Vec2 a{1.0, 2.0}, b{3.0, -4.0};
   EXPECT_EQ(a + b, Vec2(4.0, -2.0));
@@ -72,6 +78,57 @@ TEST(AngleTest, AngleDiffSymmetricAndBounded) {
     EXPECT_LE(d, kPi + 1e-12);
     EXPECT_NEAR(d, AngleDiff(b, a), 1e-12);
   }
+}
+
+// NormalizeAngle as it was before its input was bounded: the reference for
+// every angle at or below the bound.
+double LoopNormalizeAngle(double radians) {
+  constexpr double kTwoPi = 2.0 * kPi;
+  while (radians > kPi) radians -= kTwoPi;
+  while (radians <= -kPi) radians += kTwoPi;
+  return radians;
+}
+
+TEST(AngleTest, NormalizeAngleTerminatesOnEveryDouble) {
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_TRUE(std::isnan(NormalizeAngle(inf)));
+  EXPECT_TRUE(std::isnan(NormalizeAngle(-inf)));
+  EXPECT_TRUE(std::isnan(NormalizeAngle(std::nan(""))));
+  EXPECT_TRUE(std::isnan(AngleDiff(0.5, inf)));
+  // Past 2^56, x - 2 pi rounds back to x: a plain 2 pi loop never ends.
+  for (const double big : {0x1p56, 1e300, std::numeric_limits<double>::max()}) {
+    for (const double x : {big, -big}) {
+      const double n = NormalizeAngle(x);
+      EXPECT_GT(n, -kPi) << x;
+      EXPECT_LE(n, kPi) << x;
+    }
+  }
+  // At or below 64 pi every result is the loop's, bit for bit: a dense
+  // sweep plus both neighbours of every multiple of pi, where the loops'
+  // comparisons flip.
+  const double bound = 64.0 * kPi;
+  std::vector<double> xs;
+  const int kSteps = 1 << 18;
+  for (int i = 0; i <= kSteps; ++i) {
+    xs.push_back(-bound + 2.0 * bound * static_cast<double>(i) / kSteps);
+  }
+  for (int k = -64; k <= 64; ++k) {
+    const double m = k * kPi;
+    xs.push_back(std::nextafter(m, -inf));
+    xs.push_back(m);
+    xs.push_back(std::nextafter(m, inf));
+  }
+  xs.push_back(-0.0);
+  size_t mismatches = 0;
+  for (const double x : xs) {
+    if (std::fabs(x) > bound) continue;
+    if (BitsOf(NormalizeAngle(x)) != BitsOf(LoopNormalizeAngle(x))) {
+      ++mismatches;
+      ADD_FAILURE() << "x=" << x;
+      if (mismatches > 8) break;
+    }
+  }
+  EXPECT_EQ(mismatches, 0u);
 }
 
 TEST(RectTest, EmptyAndContainment) {
@@ -368,12 +425,6 @@ double NextafterSqrtLtThreshold(double y) {
   if (!(y > 0.0)) return -1.0;
   if (std::isinf(y)) return std::numeric_limits<double>::max();
   return NextafterSqrtLeqThreshold(std::nextafter(y, 0.0));
-}
-
-uint64_t BitsOf(double d) {
-  uint64_t u = 0;
-  std::memcpy(&u, &d, sizeof(u));
-  return u;
 }
 
 TEST(LanesTest, UlpStepsMatchNextafter) {

@@ -7,6 +7,7 @@
 
 #include <string>
 
+#include "engine_fuzz_util.h"
 #include "sim/simulator.h"
 #include "traj/generators.h"
 #include "util/rng.h"
@@ -63,8 +64,8 @@ TEST_P(KnobGridTest, ProtocolStaysCorrectUnderKnobs) {
   opt.server.split_level = kc.split_level;
   opt.server.buffer_b = kc.buffer_b;
   opt.check_correctness = true;  // brute-force validated every timestamp
-  Simulator sim(&w.pois, &w.tree, group, opt);
-  const SimMetrics metrics = sim.Run();
+  const SimMetrics metrics =
+      fuzz::RunSingleGroup(&w.pois, &w.tree, group, opt);
   EXPECT_EQ(metrics.timestamps, 350u);
   EXPECT_GT(metrics.updates, 0u);
   // Protocol arithmetic must hold for any knob setting.
@@ -100,8 +101,8 @@ TEST(KnobRelationTest, LargerAlphaNeverHurtsUpdateFrequency) {
     SimOptions opt;
     opt.server.method = Method::kTileD;
     opt.server.alpha = alpha;
-    Simulator sim(&w.pois, &w.tree, group, opt);
-    const size_t updates = sim.Run().updates;
+    const size_t updates =
+        fuzz::RunSingleGroup(&w.pois, &w.tree, group, opt).updates;
     // Bigger tile budgets grow regions monotonically per session; across a
     // whole run the frequency should not get *meaningfully* worse (10%
     // slack for trajectory-dependent session boundaries).
@@ -118,13 +119,13 @@ TEST(KnobRelationTest, BufferedFrequencyConvergesToUnbuffered) {
   SimOptions plain;
   plain.server.method = Method::kTileD;
   plain.server.alpha = 15;
-  Simulator s0(&w.pois, &w.tree, group, plain);
-  const size_t unbuffered = s0.Run().updates;
+  const size_t unbuffered =
+      fuzz::RunSingleGroup(&w.pois, &w.tree, group, plain).updates;
   SimOptions buffered = plain;
   buffered.server.method = Method::kTileDBuffered;
   buffered.server.buffer_b = 200;
-  Simulator s1(&w.pois, &w.tree, group, buffered);
-  const size_t with_buffer = s1.Run().updates;
+  const size_t with_buffer =
+      fuzz::RunSingleGroup(&w.pois, &w.tree, group, buffered).updates;
   // At large b the buffered run should be within ~15% of unbuffered.
   EXPECT_NEAR(static_cast<double>(with_buffer),
               static_cast<double>(unbuffered),
@@ -151,7 +152,7 @@ TEST(KnobRelationTest, SplitLevelRecoversTiles) {
 }
 
 TEST(KnobRelationTest, WireCodecDoesNotChangeBehaviour) {
-  // Two identical runs must produce identical update counts: the simulator
+  // Two identical runs must produce identical update counts: a session
   // routes tile regions through encode/decode, so this also pins down codec
   // determinism end to end.
   const SharedWorld& w = SharedWorld::Get();
@@ -159,10 +160,8 @@ TEST(KnobRelationTest, WireCodecDoesNotChangeBehaviour) {
                                           &w.trajs[2]};
   SimOptions opt;
   opt.server.method = Method::kTileD;
-  Simulator a(&w.pois, &w.tree, group, opt);
-  Simulator b(&w.pois, &w.tree, group, opt);
-  const SimMetrics ma = a.Run();
-  const SimMetrics mb = b.Run();
+  const SimMetrics ma = fuzz::RunSingleGroup(&w.pois, &w.tree, group, opt);
+  const SimMetrics mb = fuzz::RunSingleGroup(&w.pois, &w.tree, group, opt);
   EXPECT_EQ(ma.updates, mb.updates);
   EXPECT_EQ(ma.comm.TotalPackets(), mb.comm.TotalPackets());
   EXPECT_EQ(ma.result_changes, mb.result_changes);

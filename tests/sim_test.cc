@@ -4,6 +4,7 @@
 // every timestamp).
 #include <gtest/gtest.h>
 
+#include "engine_fuzz_util.h"
 #include "net/message.h"
 #include "sim/simulator.h"
 #include "traj/generators.h"
@@ -132,8 +133,8 @@ TEST_P(SimulationInvariantTest, MeetingPointNeverGoesStale) {
   opt.server.alpha = 10;
   opt.server.buffer_b = 30;
   opt.check_correctness = true;
-  Simulator sim(&w.pois, &w.tree, group, opt);
-  const SimMetrics metrics = sim.Run();
+  const SimMetrics metrics =
+      fuzz::RunSingleGroup(&w.pois, &w.tree, group, opt);
   EXPECT_EQ(metrics.timestamps, 400u);
   EXPECT_GT(metrics.updates, 0u);
   EXPECT_GT(metrics.comm.TotalPackets(), 0u);
@@ -162,11 +163,14 @@ TEST(SimulationTest, TileRegionsReduceUpdatesVsCircle) {
   const auto groups = MakeGroups(w.trajs, 3, 3);
   SimOptions circle_opt;
   circle_opt.server.method = Method::kCircle;
-  const SimMetrics circle = RunGroups(w.pois, &w.tree, groups, circle_opt);
   SimOptions tile_opt;
   tile_opt.server.method = Method::kTileD;
   tile_opt.server.alpha = 20;
-  const SimMetrics tile = RunGroups(w.pois, &w.tree, groups, tile_opt);
+  SimMetrics circle, tile;
+  for (const auto& group : groups) {
+    circle.Merge(fuzz::RunSingleGroup(&w.pois, &w.tree, group, circle_opt));
+    tile.Merge(fuzz::RunSingleGroup(&w.pois, &w.tree, group, tile_opt));
+  }
   EXPECT_LT(tile.updates, circle.updates);
   EXPECT_LT(tile.comm.TotalPackets(), circle.comm.TotalPackets());
 }
@@ -178,8 +182,8 @@ TEST(SimulationTest, ProtocolMessageArithmetic) {
                                           &w.trajs[2]};
   SimOptions opt;
   opt.server.method = Method::kCircle;
-  Simulator sim(&w.pois, &w.tree, group, opt);
-  const SimMetrics metrics = sim.Run();
+  const SimMetrics metrics =
+      fuzz::RunSingleGroup(&w.pois, &w.tree, group, opt);
   const size_t u = metrics.updates;
   EXPECT_EQ(metrics.comm.messages(MessageType::kLocationUpdate), u);
   EXPECT_EQ(metrics.comm.messages(MessageType::kProbe), 2 * u);
@@ -198,10 +202,9 @@ TEST(SimulationTest, BufferingCutsIndexAccesses) {
   SimOptions buffered = plain;
   buffered.server.method = Method::kTileDBuffered;
   buffered.server.buffer_b = 50;
-  Simulator s1(&w.pois, &w.tree, group, plain);
-  const SimMetrics m1 = s1.Run();
-  Simulator s2(&w.pois, &w.tree, group, buffered);
-  const SimMetrics m2 = s2.Run();
+  const SimMetrics m1 = fuzz::RunSingleGroup(&w.pois, &w.tree, group, plain);
+  const SimMetrics m2 =
+      fuzz::RunSingleGroup(&w.pois, &w.tree, group, buffered);
   ASSERT_GT(m1.updates, 0u);
   ASSERT_GT(m2.updates, 0u);
   EXPECT_LT(
@@ -222,9 +225,8 @@ TEST(SimulationTest, FasterUsersUpdateMoreOften) {
   opt.server.alpha = 10;
   std::vector<const Trajectory*> gs = {&slow[0], &slow[1], &slow[2]};
   std::vector<const Trajectory*> gf = {&fast[0], &fast[1], &fast[2]};
-  Simulator s1(&w.pois, &w.tree, gs, opt);
-  Simulator s2(&w.pois, &w.tree, gf, opt);
-  EXPECT_LE(s1.Run().updates, s2.Run().updates);
+  EXPECT_LE(fuzz::RunSingleGroup(&w.pois, &w.tree, gs, opt).updates,
+            fuzz::RunSingleGroup(&w.pois, &w.tree, gf, opt).updates);
 }
 
 TEST(SimulationTest, MetricsMergeAddsFields) {
