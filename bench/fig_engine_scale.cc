@@ -86,11 +86,10 @@ void AppendAdvanceGapsMs(const Engine& engine, uint32_t id,
 RunResult RunEngineOnce(const std::vector<Point>& pois, const PackedRTree& tree,
                         const std::vector<std::vector<const Trajectory*>>&
                             groups,
-                        size_t n_groups, size_t threads, bool parallel_verify,
+                        size_t n_groups, size_t threads,
                         const ServerConfig& server) {
   EngineOptions opt;
   opt.threads = threads;
-  opt.parallel_verify = parallel_verify;
   opt.sim.server = server;
   Engine engine(&pois, &tree, opt);
   for (size_t g = 0; g < n_groups; ++g) engine.AdmitSession(groups[g]);
@@ -124,8 +123,8 @@ void RunScaleTable(const std::vector<Point>& pois, const PackedRTree& tree,
     double base_throughput = 0.0;
     uint64_t base_digest = 0;
     for (size_t threads : thread_counts) {
-      const RunResult r = RunEngineOnce(pois, tree, groups, n_groups,
-                                        threads, false, server);
+      const RunResult r =
+          RunEngineOnce(pois, tree, groups, n_groups, threads, server);
       if (threads == thread_counts.front()) {
         base_throughput = r.throughput;
         base_digest = r.digest;
@@ -246,8 +245,7 @@ void RunClusterTable(const std::vector<Point>& pois, const PackedRTree& tree,
   // fork so no thread-pool workers are alive across fork()).
   uint64_t ref_digest = 0;
   {
-    const RunResult r = RunEngineOnce(pois, tree, groups, n_groups, 1, false,
-                                      server);
+    const RunResult r = RunEngineOnce(pois, tree, groups, n_groups, 1, server);
     ref_digest = r.digest;
   }
   Table table({"shards", "groups", "seconds", "rounds/sec", "deterministic"});
@@ -284,8 +282,7 @@ void RunRecoveryTable(const std::vector<Point>& pois, const PackedRTree& tree,
   // in the results, so every killed-worker run is checked against it.
   uint64_t ref_digest = 0;
   {
-    const RunResult r = RunEngineOnce(pois, tree, groups, n_groups, 1, false,
-                                      server);
+    const RunResult r = RunEngineOnce(pois, tree, groups, n_groups, 1, server);
     ref_digest = r.digest;
   }
   Table table({"shards", "groups", "kills", "faults", "restarts",
@@ -351,9 +348,9 @@ void RunKernelTable(const std::vector<Point>& pois, const PackedRTree& tree,
   soa_cfg.kernel = KernelKind::kSoA;
   for (size_t n_groups : group_counts) {
     const RunResult rs =
-        RunEngineOnce(pois, tree, groups, n_groups, 1, false, scalar_cfg);
+        RunEngineOnce(pois, tree, groups, n_groups, 1, scalar_cfg);
     const RunResult rv =
-        RunEngineOnce(pois, tree, groups, n_groups, 1, false, soa_cfg);
+        RunEngineOnce(pois, tree, groups, n_groups, 1, soa_cfg);
     const bool identical =
         rs.digest == rv.digest && rs.verify_calls == rv.verify_calls;
     table.AddRow({std::to_string(n_groups), FormatDouble(rs.seconds, 3),
@@ -628,25 +625,6 @@ void Run() {
   RunKernelTable(pois, tree, groups, {1, std::min<size_t>(16, max_groups)},
                  server);
   RunSpillTable(pois, tree);
-
-  // Per-user verification fan-out on one group: same results, candidate
-  // scans spread across the pool. Buffered retrieval keeps candidate lists
-  // long enough for the fan-out to engage.
-  const ServerConfig buffered = MakeServerConfig(Method::kTileDBuffered,
-                                                 Objective::kMax);
-  Table fan({"threads", "seconds", "rounds/sec", "deterministic"});
-  uint64_t fan_base_digest = 0;
-  for (size_t threads : thread_counts) {
-    const RunResult r = RunEngineOnce(pois, tree, groups, 1, threads, true,
-                                      buffered);
-    if (threads == 1) fan_base_digest = r.digest;
-    fan.AddRow({std::to_string(threads), FormatDouble(r.seconds, 3),
-                FormatDouble(r.throughput, 0),
-                r.digest == fan_base_digest ? "yes" : "NO"});
-  }
-  fan.Print("Engine scale — per-user verification fan-out (1 group, "
-            "Tile-D-b)");
-  fan.WriteCsv(CsvPath("fig_engine_scale_fanout.csv"));
 }
 
 }  // namespace

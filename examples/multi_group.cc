@@ -41,12 +41,10 @@ int main() {
   const std::vector<Trajectory> trajs = gen.GenerateGroupedFleet(
       kGroups * kGroupSize, kGroupSize, 1000.0, kTimestamps, &rng);
 
-  // The engine: Tile-D safe regions, as many workers as the machine
-  // offers, and the per-user verification fan-out enabled inside each
-  // recomputation.
+  // The engine: Tile-D safe regions and as many workers as the machine
+  // offers; each recomputation runs on one of them.
   EngineOptions opt;
   opt.threads = 0;  // hardware concurrency
-  opt.parallel_verify = true;
   opt.sim.server.method = Method::kTileD;
   Engine engine(&pois, &tree, opt);
   const auto groups = MakeGroups(trajs, kGroupSize, kGroupSize);

@@ -11,22 +11,6 @@
 
 namespace mpn {
 
-/// Adapts the thread pool to the core's VerifyExecutor interface.
-/// ThreadPool::ParallelFor already guarantees the worker-count-independent
-/// chunk layout the interface demands.
-class Engine::PoolExecutor : public VerifyExecutor {
- public:
-  explicit PoolExecutor(ThreadPool* pool) : pool_(pool) {}
-
-  void Run(size_t n, size_t grain,
-           const std::function<void(size_t, size_t)>& body) override {
-    pool_->ParallelFor(n, grain, body);
-  }
-
- private:
-  ThreadPool* pool_;
-};
-
 EngineRoundStats EngineRoundStats::FromSlots(
     const std::vector<Scheduler::Slot>& slots) {
   EngineRoundStats stats;
@@ -62,9 +46,6 @@ Engine::Engine(const std::vector<Point>* pois, const PackedRTree* tree,
       options_.threads == 0 ? ThreadPool::HardwareThreads() : options_.threads;
   table_ = std::make_unique<SessionTable>();
   pool_ = std::make_unique<ThreadPool>(threads);
-  executor_ = std::make_unique<PoolExecutor>(pool_.get());
-  scheduler_ = std::make_shared<Scheduler>(pool_.get(), table_.get());
-  scheduler_->set_crash_at_timestamp(options_.crash_at_timestamp);
   // An explicit cap wins; otherwise the MPN_MEMORY_BUDGET environment
   // variable arms spilling (so existing binaries/tests can cross the
   // out-of-core path unmodified).
@@ -72,21 +53,19 @@ Engine::Engine(const std::vector<Point>* pois, const PackedRTree* tree,
     options_.budget.bytes_cap =
         ParseMemoryBudgetBytes(std::getenv("MPN_MEMORY_BUDGET"));
   }
-  session_sim_options_ = options_.sim;
-  if (options_.parallel_verify) {
-    session_sim_options_.server.verify_fanout.executor = executor_.get();
-    session_sim_options_.server.verify_fanout.min_candidates =
-        options_.verify_min_candidates;
-  }
+  // The factory reads options_.sim, so mid-run rehydration rebuilds
+  // sessions with exactly the admission-time options.
   store_ = std::make_unique<SessionStore>(
       options_.budget,
       [this](uint32_t id, const std::vector<const Trajectory*>& group,
              const SessionTuning& tuning) {
         return std::make_unique<GroupSession>(id, pois_, tree_, group,
-                                              session_sim_options_, tuning,
+                                              options_.sim, tuning,
                                               &run_timer_);
       });
-  scheduler_->set_store(store_.get());
+  scheduler_ =
+      std::make_shared<Scheduler>(pool_.get(), table_.get(), store_.get());
+  scheduler_->set_crash_at_timestamp(options_.crash_at_timestamp);
   // Under a budget, run each session to completion before the next one
   // rehydrates — digest-neutral (sessions are independent), but it turns
   // the spill pattern from one round trip per (session, timestamp) into
@@ -117,7 +96,7 @@ uint32_t Engine::AdmitSession(std::vector<const Trajectory*> group,
   }
   const uint32_t id = table_->ReserveId();
   auto session = std::make_unique<GroupSession>(
-      id, pois_, tree_, group, session_sim_options_, tuning, &run_timer_);
+      id, pois_, tree_, group, options_.sim, tuning, &run_timer_);
   auto record = std::make_unique<SessionRecord>(id, std::move(group), tuning,
                                                 std::move(session));
   SessionRecord* r = table_->Insert(std::move(record));

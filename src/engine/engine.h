@@ -57,11 +57,6 @@ struct EngineOptions {
   size_t threads = 1;
   /// Per-session simulation options (server method, horizon, checks).
   SimOptions sim;
-  /// Fan per-user Tile-MSR candidate verification out across the pool
-  /// inside each recomputation (in addition to the per-session parallelism).
-  bool parallel_verify = false;
-  /// Minimum candidate-list size before the fan-out engages.
-  size_t verify_min_candidates = 32;
   /// Crash-injection test hook: the process _Exit(134)s the first time any
   /// session is about to advance to this virtual timestamp (deterministic
   /// in virtual time). SIZE_MAX disables. Set by the cluster supervisor
@@ -239,8 +234,6 @@ class Engine {
   uint64_t ResultDigest() const;
 
  private:
-  class PoolExecutor;  // VerifyExecutor adapter over the thread pool
-
   /// The record of session `id`; std::out_of_range when never admitted.
   SessionRecord* FindChecked(uint32_t id) const;
   /// Rebuilds round_stats_ from the scheduler's slots and mailbox marks.
@@ -250,10 +243,6 @@ class Engine {
   const std::vector<Point>* pois_;
   const PackedRTree* tree_;
   EngineOptions options_;
-  /// Per-session SimOptions with the parallel-verify executor wired in —
-  /// computed once so mid-run rehydration rebuilds sessions with exactly
-  /// the admission-time options.
-  SimOptions session_sim_options_;
   Timer run_timer_;
   EngineRoundStats round_stats_;
   // Atomic: AdmitSession/RetireSession read these from arbitrary threads
@@ -271,7 +260,6 @@ class Engine {
   // shared_ptr so outstanding Holds keep the Scheduler object (whose
   // Release() only touches its own mutex/cv) alive past ~Engine.
   std::shared_ptr<Scheduler> scheduler_;
-  std::unique_ptr<PoolExecutor> executor_;
   std::unique_ptr<ThreadPool> pool_;
 };
 

@@ -208,8 +208,10 @@ class GroupSession {
   /// is wall-clock dependent. Observability only, excluded from digests.
   size_t stall_count() const { return stall_count_; }
 
-  /// Distills the finalized session into the fields the engine keeps
-  /// serving after compaction. Requires Finish() to have run.
+  /// Distills the session into the fields the engine keeps serving after
+  /// compaction. After Finish() that is the final result. Read mid-run,
+  /// every field is current except `metrics.msr`: the server's algorithm
+  /// counters are folded into metrics() only at Finish().
   SessionFinalResult ExtractFinalResult() const {
     SessionFinalResult fr;
     fr.metrics = metrics_;

@@ -4,6 +4,7 @@
 #include <cstdlib>
 #include <cstring>
 
+#include "util/decimal.h"
 #include "util/macros.h"
 #include "util/rng.h"
 
@@ -149,16 +150,17 @@ FaultPlan FaultPlan::Parse(const std::string& spec) {
       throw std::runtime_error(
           "mpn ipc: malformed fault plan entry (want shard:at:kind): " + tok);
     }
-    char* end = nullptr;
-    Event ev;
-    ev.shard = std::strtoull(tok.c_str(), &end, 10);
-    if (end != tok.c_str() + c1) {
+    const char* field = tok.c_str();
+    uint64_t shard = 0, at = 0;
+    if (!ParseDecimal(field, field + c1, &shard)) {
       throw std::runtime_error("mpn ipc: malformed fault plan shard: " + tok);
     }
-    ev.at = std::strtoull(tok.c_str() + c1 + 1, &end, 10);
-    if (end != tok.c_str() + c2) {
+    if (!ParseDecimal(field + c1 + 1, field + c2, &at)) {
       throw std::runtime_error("mpn ipc: malformed fault plan index: " + tok);
     }
+    Event ev;
+    ev.shard = static_cast<size_t>(shard);
+    ev.at = static_cast<size_t>(at);
     ev.kind = ParseFaultKind(tok.substr(c2 + 1));
     plan.events.push_back(ev);
   }
@@ -191,14 +193,21 @@ FaultPlan FaultPlan::FromEnv(size_t shards) {
   if (env == nullptr || *env == '\0') return FaultPlan();
   const std::string spec(env);
   if (spec.rfind("seed:", 0) == 0) {
-    char* end = nullptr;
-    const uint64_t seed = std::strtoull(spec.c_str() + 5, &end, 10);
-    if (end != spec.c_str() + spec.size()) {
+    uint64_t seed = 0;
+    if (!ParseDecimal(spec.c_str() + 5, spec.c_str() + spec.size(), &seed)) {
       throw std::runtime_error("mpn ipc: malformed fault plan seed: " + spec);
     }
     return FromSeed(seed, shards);
   }
-  return Parse(spec);
+  FaultPlan plan = Parse(spec);
+  for (const Event& ev : plan.events) {
+    if (ev.shard >= shards) {
+      throw std::runtime_error("mpn ipc: fault plan shard " +
+                               std::to_string(ev.shard) + " out of range (" +
+                               std::to_string(shards) + " workers): " + spec);
+    }
+  }
+  return plan;
 }
 
 void IpcChannel::MakePair(IpcChannel* a, IpcChannel* b) {

@@ -181,11 +181,12 @@ struct FaultPlan {
   /// Returns an empty vector when the shard has no events left.
   std::vector<Event> TakeIncarnation(size_t shard);
 
-  /// Parses "shard:at:kind[,shard:at:kind...]" where kind is a
-  /// FaultKindName ("short", "eintr", "corrupt", "trunc", "stall",
-  /// "reset", "crash"); spaces allowed around tokens. Throws
-  /// std::runtime_error on a malformed spec — a typo in a plan must fail
-  /// loudly, not silently disarm the fuzz run.
+  /// Parses "shard:at:kind[,shard:at:kind...]" where shard and at are
+  /// unsigned decimals (digits only) and kind is a FaultKindName ("short",
+  /// "eintr", "corrupt", "trunc", "stall", "reset", "crash"); spaces
+  /// allowed around tokens. Throws std::runtime_error on a malformed spec
+  /// — a typo in a plan must fail loudly, not silently disarm the fuzz
+  /// run.
   static FaultPlan Parse(const std::string& spec);
 
   /// Derives a small random plan (1-2 frame-fault events over `shards`
@@ -196,8 +197,8 @@ struct FaultPlan {
 
   /// Reads the MPN_FAULT_PLAN environment variable: empty plan when
   /// unset or empty, FromSeed when the value is "seed:N", Parse
-  /// otherwise. Events naming a shard >= `shards` are kept but never
-  /// taken — a plan written for a larger cluster degrades gracefully.
+  /// otherwise. An event naming a shard >= `shards` could never fire, so
+  /// it throws std::runtime_error like a malformed entry.
   static FaultPlan FromEnv(size_t shards);
 };
 

@@ -12,8 +12,11 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <cstdlib>
+#include <cstring>
+#include <limits>
 #include <string>
+
+#include "util/decimal.h"
 
 namespace mpn {
 
@@ -40,25 +43,22 @@ struct MemoryStats {
 
 /// Parses a byte-count spec with an optional k/m/g suffix ("64k", "256M",
 /// "1g", "12345"). Returns 0 for null/empty/garbage — i.e. "no budget".
+/// Garbage is anything but digits and one optional suffix (so no
+/// whitespace or sign), and any value whose byte count exceeds SIZE_MAX.
 /// Used for the MPN_MEMORY_BUDGET environment override.
 inline size_t ParseMemoryBudgetBytes(const char* spec) {
   if (spec == nullptr || *spec == '\0') return 0;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(spec, &end, 10);
-  if (end == spec) return 0;
-  size_t mult = 1;
-  if (*end == 'k' || *end == 'K') {
-    mult = 1024;
-    ++end;
-  } else if (*end == 'm' || *end == 'M') {
-    mult = 1024ull * 1024;
-    ++end;
-  } else if (*end == 'g' || *end == 'G') {
-    mult = 1024ull * 1024 * 1024;
-    ++end;
-  }
-  if (*end != '\0') return 0;  // trailing junk ("64kb") is garbage, not 64k
-  return static_cast<size_t>(v) * mult;
+  const char* end = spec + std::strlen(spec);
+  const char suffix = end[-1];
+  uint64_t mult = 1;
+  if (suffix == 'k' || suffix == 'K') mult = uint64_t{1} << 10;
+  if (suffix == 'm' || suffix == 'M') mult = uint64_t{1} << 20;
+  if (suffix == 'g' || suffix == 'G') mult = uint64_t{1} << 30;
+  if (mult != 1) --end;
+  uint64_t v = 0;
+  if (!ParseDecimal(spec, end, &v)) return 0;
+  if (v > std::numeric_limits<size_t>::max() / mult) return 0;
+  return static_cast<size_t>(v * mult);
 }
 
 }  // namespace mpn

@@ -11,9 +11,10 @@
 
 namespace mpn {
 
-Scheduler::Scheduler(ThreadPool* pool, SessionTable* table)
-    : pool_(pool), table_(table) {
-  MPN_ASSERT(pool_ != nullptr && table_ != nullptr);
+Scheduler::Scheduler(ThreadPool* pool, SessionTable* table,
+                     SessionStore* store)
+    : pool_(pool), table_(table), store_(store) {
+  MPN_ASSERT(pool_ != nullptr && table_ != nullptr && store_ != nullptr);
 }
 
 void Scheduler::Start() {
@@ -29,7 +30,7 @@ void Scheduler::Admit(SessionRecord* r) {
   std::lock_guard<std::mutex> lock(r->mu);
   ScheduleNextLocked(r);  // no-op before Start, which schedules it then
   // Charge the session before its first event, posted above, can run.
-  if (store_ != nullptr) store_->AccountLocked(r);
+  store_->AccountLocked(r);
 }
 
 void Scheduler::WaitIdle(bool ignore_holds) {
@@ -160,7 +161,7 @@ void Scheduler::FinalizeLocked(SessionRecord* r) {
     mailbox_.stalls.Add(static_cast<double>(s->stall_count()));
   }
   // Compact: the state machine collapses to its SessionFinalResult.
-  if (store_ != nullptr) store_->CompactFinalizedLocked(r);
+  store_->CompactFinalizedLocked(r);
 }
 
 void Scheduler::RunEvent(SessionRecord* r) {
@@ -170,7 +171,7 @@ void Scheduler::RunEvent(SessionRecord* r) {
   {
     std::lock_guard<std::mutex> lock(r->mu);
     // The event may belong to a spilled session — bring it back first.
-    if (store_ != nullptr) store_->EnsureResidentLocked(r);
+    store_->EnsureResidentLocked(r);
     r->event_queued = false;
     r->event_running = true;
     if (r->result_ready) {
@@ -225,7 +226,7 @@ void Scheduler::RunEvent(SessionRecord* r) {
     // Re-account the (grown) session while the next event, posted above,
     // still waits for r->mu: after a violation that event is a buffer
     // tick, which advances the very clients the estimate reads.
-    if (store_ != nullptr) store_->AccountLocked(r);
+    store_->AccountLocked(r);
   }
   if (post_job) {
     AddOutstanding();
@@ -233,7 +234,7 @@ void Scheduler::RunEvent(SessionRecord* r) {
                 EventPriority(job_t, r->id));
   }
   // Spill whatever the budget no longer covers, outside every lock.
-  if (store_ != nullptr) store_->Rebalance();
+  store_->Rebalance();
 }
 
 void Scheduler::RunJob(SessionRecord* r) {

@@ -54,7 +54,10 @@ class SessionStore;
 /// Drives session events and async recomputations over a thread pool.
 class Scheduler {
  public:
-  Scheduler(ThreadPool* pool, SessionTable* table);
+  /// `store` is the engine's session store: Admit charges new sessions to
+  /// it, RunEvent rehydrates spilled sessions through it and re-accounts/
+  /// rebalances after every event, and finalization compacts through it.
+  Scheduler(ThreadPool* pool, SessionTable* table, SessionStore* store);
 
   Scheduler(const Scheduler&) = delete;
   Scheduler& operator=(const Scheduler&) = delete;
@@ -70,12 +73,6 @@ class Scheduler {
   /// crash_at_timestamp (a FaultPlan `crash` event). Must be set before
   /// Start (no synchronization). SIZE_MAX (the default) disables the hook.
   void set_crash_at_timestamp(size_t t) { crash_at_timestamp_ = t; }
-
-  /// Wires the engine's session store: Admit charges new sessions to it,
-  /// RunEvent rehydrates spilled sessions through it and re-accounts/
-  /// rebalances after every event, and finalization compacts through it.
-  /// Must be set before the first Admit or Start.
-  void set_store(SessionStore* store) { store_ = store; }
 
   /// Switches the ready ordering from time-major (t, id) to id-major
   /// (id, t): each session runs its whole timeline before the next
@@ -176,7 +173,7 @@ class Scheduler {
 
   ThreadPool* pool_;
   SessionTable* table_;
-  SessionStore* store_ = nullptr;    ///< set by the engine before Start
+  SessionStore* store_;
   bool locality_priority_ = false;   ///< id-major ready ordering
   std::atomic<bool> started_{false};
   std::atomic<uint64_t> events_processed_{0};

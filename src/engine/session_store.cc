@@ -118,15 +118,7 @@ void SessionStore::WithResult(
     return;
   }
   if (r->session != nullptr) {
-    const GroupSession& s = *r->session;
-    SessionFinalResult tmp;
-    tmp.metrics = s.metrics();
-    tmp.has_result = s.has_result();
-    tmp.po = s.current_po();
-    tmp.mailbox_peak = s.mailbox_peak();
-    tmp.stall_count = s.stall_count();
-    tmp.advance_seconds = s.advance_seconds();
-    fn(tmp);
+    fn(r->session->ExtractFinalResult());
     return;
   }
   MPN_ASSERT(r->spilled);

@@ -17,55 +17,6 @@ constexpr double kMaxDelta = 1e14;
 // deviation: 60 degrees, in radians.
 constexpr double kDefaultTheta = 1.0471975511965976;
 
-// Fans the candidate scan out over the executor in fixed-size chunks.
-// Every chunk early-exits on its first failure; chunk statistics merge into
-// the verifier in chunk order, so for the fixed grain the counters do not
-// depend on how many workers ran the chunks. With `lanes` non-null the
-// chunks run the SoA kernel over the shared snapshot (read-only; workers
-// never touch the arena).
-bool ParallelVerifyScan(const std::vector<TileRegion>& regions, size_t user_i,
-                        const Rect& rect,
-                        const std::vector<Candidate>& candidates,
-                        const Point& po, TileVerifier* verifier,
-                        const VerifyFanout& fanout, const TileLanes* lanes,
-                        VerifyStats* chunk_stats, uint8_t* chunk_ok,
-                        size_t chunk_count) {
-  const size_t grain = VerifyFanout::kGrain;
-  for (size_t c = 0; c < chunk_count; ++c) {
-    chunk_stats[c] = VerifyStats{};
-    chunk_ok[c] = 1;
-  }
-  fanout.executor->Run(
-      candidates.size(), grain, [&](size_t begin, size_t end) {
-        const size_t chunk = begin / grain;
-        if (lanes != nullptr) {
-          for (size_t k = begin; k < end; ++k) {
-            if (!verifier->VerifyTileLanes(*lanes, user_i, rect,
-                                           candidates[k],
-                                           &chunk_stats[chunk])) {
-              chunk_ok[chunk] = 0;
-              break;
-            }
-          }
-        } else {
-          for (size_t k = begin; k < end; ++k) {
-            if (!verifier->VerifyTileThreadSafe(regions, user_i, rect,
-                                                candidates[k], po,
-                                                &chunk_stats[chunk])) {
-              chunk_ok[chunk] = 0;
-              break;
-            }
-          }
-        }
-      });
-  bool ok = true;
-  for (size_t c = 0; c < chunk_count; ++c) {
-    verifier->MergeStats(chunk_stats[c]);
-    if (!chunk_ok[c]) ok = false;
-  }
-  return ok;
-}
-
 // A scratch's snapshot may still hold another computation's regions.
 void InvalidateTileSnapshot(MsrScratch* scratch) {
   if (scratch->tiles != nullptr) scratch->tiles->Invalidate();
@@ -74,8 +25,8 @@ void InvalidateTileSnapshot(MsrScratch* scratch) {
 bool DivideVerifyImpl(std::vector<TileRegion>* regions, size_t user_i,
                       const GridTile& tile, const Point& po,
                       CandidateSource* source, TileVerifier* verifier,
-                      int level, MsrStats* stats, const VerifyFanout& fanout,
-                      KernelKind kernel, MsrScratch* scratch) {
+                      int level, MsrStats* stats, KernelKind kernel,
+                      MsrScratch* scratch) {
   ++stats->divide_calls;
   TileRegion& region = (*regions)[user_i];
   const Rect rect = region.TileRect(tile);
@@ -83,32 +34,12 @@ bool DivideVerifyImpl(std::vector<TileRegion>* regions, size_t user_i,
   std::vector<Candidate>& candidates = scratch->candidates;
   bool ok = source->GetCandidates(*regions, user_i, rect, &candidates);
   if (ok && !candidates.empty()) {
-    const bool use_lanes =
-        kernel == KernelKind::kSoA && verifier->lanes_capable();
-    const bool use_fanout = fanout.executor != nullptr &&
-                            verifier->parallel_safe() &&
-                            candidates.size() >= fanout.min_candidates;
-    TileLanes lanes;
-    if (use_lanes) {
+    if (kernel == KernelKind::kSoA && verifier->lanes_capable()) {
       if (scratch->tiles == nullptr) {
         scratch->tiles = std::make_unique<TileSnapshot>();
       }
       scratch->tiles->Sync(*regions, po);
-      lanes = scratch->tiles->Lanes(rect);
-    }
-    if (use_fanout) {
-      // Chunk state lives until the scan ends; a recursion into sub-tiles
-      // only starts after that, so resetting here frees nothing live.
-      Arena& arena = scratch->arena;
-      arena.Reset();
-      const size_t grain = VerifyFanout::kGrain;
-      const size_t chunk_count = (candidates.size() + grain - 1) / grain;
-      auto* chunk_stats = arena.AllocateArray<VerifyStats>(chunk_count);
-      auto* chunk_ok = arena.AllocateArray<uint8_t>(chunk_count);
-      ok = ParallelVerifyScan(*regions, user_i, rect, candidates, po,
-                              verifier, fanout, use_lanes ? &lanes : nullptr,
-                              chunk_stats, chunk_ok, chunk_count);
-    } else if (use_lanes) {
+      const TileLanes lanes = scratch->tiles->Lanes(rect);
       VerifyStats scan_stats;
       for (const Candidate& c : candidates) {
         if (!verifier->VerifyTileLanes(lanes, user_i, rect, c,
@@ -140,7 +71,7 @@ bool DivideVerifyImpl(std::vector<TileRegion>* regions, size_t user_i,
   bool flag = false;
   for (const GridTile& child : children) {
     if (DivideVerifyImpl(regions, user_i, child, po, source, verifier,
-                         level - 1, stats, fanout, kernel, scratch)) {
+                         level - 1, stats, kernel, scratch)) {
       flag = true;
     }
   }
@@ -152,13 +83,12 @@ bool DivideVerifyImpl(std::vector<TileRegion>* regions, size_t user_i,
 bool DivideVerify(std::vector<TileRegion>* regions, size_t user_i,
                   const GridTile& tile, const Point& po,
                   CandidateSource* source, TileVerifier* verifier, int level,
-                  MsrStats* stats, const VerifyFanout& fanout,
-                  KernelKind kernel, MsrScratch* scratch) {
+                  MsrStats* stats, KernelKind kernel, MsrScratch* scratch) {
   MsrScratch local;
   if (scratch == nullptr) scratch = &local;
   InvalidateTileSnapshot(scratch);
   return DivideVerifyImpl(regions, user_i, tile, po, source, verifier, level,
-                          stats, fanout, kernel, scratch);
+                          stats, kernel, scratch);
 }
 
 MsrResult ComputeTileMsr(const PackedRTree* tree,
@@ -182,7 +112,7 @@ MsrResult ComputeTileMsr(const PackedRTree* tree,
   // thread: the delta below covers this setup phase, and each candidate
   // source accumulates its own traversal deltas (see
   // CandidateSource::node_accesses) — so the total is a per-recompute sum
-  // that no fan-out worker can skew, whatever the thread count.
+  // that other sessions' recomputes on the same pool cannot skew.
   const uint64_t setup_before = tree->node_accesses();
   std::unique_ptr<CandidateSource> source;
   double rmax = 0.0;
@@ -266,7 +196,7 @@ MsrResult ComputeTileMsr(const PackedRTree* tree,
         ++out.stats.tiles_tried;
         if (DivideVerifyImpl(&regions, i, *cell, out.po, source.get(),
                              verifier.get(), config.split_level, &out.stats,
-                             config.fanout, config.kernel, scratch)) {
+                             config.kernel, scratch)) {
           orderings[i].MarkInserted();
           break;
         }

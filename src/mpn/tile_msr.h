@@ -5,7 +5,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -15,7 +14,6 @@
 #include "mpn/safe_region.h"
 #include "mpn/tile_ordering.h"
 #include "mpn/tile_verify.h"
-#include "util/arena.h"
 
 namespace mpn {
 
@@ -39,7 +37,6 @@ enum class KernelKind {
 /// state recomputes perform no allocator traffic; ComputeTileMsr falls back
 /// to a local one when the config carries none. Lifetimes:
 ///  - `candidates` holds one Divide-Verify call's candidate list;
-///  - `arena` holds one scan's fan-out chunk state and is reset per scan;
 ///  - `tiles` is the SoA snapshot of the regions, allocated on the first
 ///    lanes scan and kept for a whole computation: each scan syncs it,
 ///    which copies tiles only after a region grew. ComputeTileMsr and
@@ -48,37 +45,8 @@ enum class KernelKind {
 /// Not thread-safe — callers must serialize recomputes sharing a scratch
 /// (GroupSession already serializes its own).
 struct MsrScratch {
-  Arena arena;
   std::vector<Candidate> candidates;
   std::unique_ptr<TileSnapshot> tiles;
-};
-
-/// Abstract parallel executor for the per-user candidate fan-out inside
-/// Divide-Verify. Implementations (the engine wraps util/thread_pool.h)
-/// must partition [0, n) into chunks of exactly `grain` indices (last chunk
-/// may be short), run body(begin, end) for each — possibly concurrently —
-/// and return only after every chunk finished. The chunk layout must never
-/// depend on the worker count; that is what keeps verification statistics
-/// bit-identical across thread counts.
-class VerifyExecutor {
- public:
-  virtual ~VerifyExecutor() = default;
-  virtual void Run(size_t n, size_t grain,
-                   const std::function<void(size_t begin, size_t end)>& body) = 0;
-};
-
-/// Knobs of the optional parallel candidate fan-out inside Divide-Verify.
-/// With a null executor the scan is the sequential legacy loop (stops at
-/// the first failing candidate). With an executor, chunks of kGrain
-/// candidates are verified concurrently — each chunk still early-exits, so
-/// counters stay deterministic: the chunk layout is fixed.
-struct VerifyFanout {
-  /// Candidates per fan-out chunk.
-  static constexpr size_t kGrain = 16;
-  VerifyExecutor* executor = nullptr;
-  /// Below this many candidates the scan stays sequential (fan-out
-  /// overhead would dominate).
-  size_t min_candidates = 32;
 };
 
 /// Configuration of the tile-based safe-region computation.
@@ -92,15 +60,12 @@ struct TileMsrConfig {
   /// Theorem-3/6 index pruning during candidate retrieval. Disable only for
   /// the ablation benchmarks (full scans are drastically slower).
   bool index_pruning = true;
-  /// Parallel per-user verification fan-out (engine integration; defaults
-  /// to sequential).
-  VerifyFanout fanout;
   /// Candidate-scan kernel. kSoA batches the scan through the lane kernels
   /// of geom/lanes.h; kScalar keeps the reference AoS walk selectable for
   /// differential testing. Results are bit-identical either way.
   KernelKind kernel = KernelKind::kSoA;
-  /// Optional caller-owned scratch (arena + candidate buffer) reused
-  /// across computations; null allocates per call.
+  /// Optional caller-owned scratch (candidate buffer + tile snapshot)
+  /// reused across computations; null allocates per call.
   MsrScratch* scratch = nullptr;
 };
 
@@ -151,16 +116,15 @@ struct MotionHint {
 /// Algorithm 2 (Divide-Verify), exposed for testing. Attempts to add grid
 /// tile `tile` (or sub-tiles down to `level` more splits) to
 /// (*regions)[user_i]. Returns true when at least one tile was inserted.
-/// `fanout` optionally parallelizes the candidate scan (see VerifyFanout);
-/// `kernel` selects the scan kernel (SoA requires a lanes-capable
-/// verifier, otherwise the scalar walk runs); `scratch` may be null, and
-/// its tile snapshot is invalidated on entry. Calls that share `source`
-/// must pass the same, only-growing regions (mpn/candidates.h).
+/// The candidate scan stops at the first failing candidate. `kernel`
+/// selects the scan kernel (SoA requires a lanes-capable verifier,
+/// otherwise the scalar walk runs); `scratch` may be null, and its tile
+/// snapshot is invalidated on entry. Calls that share `source` must pass
+/// the same, only-growing regions (mpn/candidates.h).
 bool DivideVerify(std::vector<TileRegion>* regions, size_t user_i,
                   const GridTile& tile, const Point& po,
                   CandidateSource* source, TileVerifier* verifier, int level,
-                  MsrStats* stats, const VerifyFanout& fanout = {},
-                  KernelKind kernel = KernelKind::kSoA,
+                  MsrStats* stats, KernelKind kernel = KernelKind::kSoA,
                   MsrScratch* scratch = nullptr);
 
 /// Algorithm 3 (Tile-MSR). `hints` may be empty (undirected behaviour) or

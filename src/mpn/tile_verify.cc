@@ -114,20 +114,6 @@ const char* LaneIsaName() {
   return PickedFold() == &FoldUserLanesBaseline ? "sse2" : "avx2";
 }
 
-bool TileVerifier::VerifyTileThreadSafe(const std::vector<TileRegion>& regions,
-                                        size_t user_i, const Rect& s,
-                                        const Candidate& cand, const Point& po,
-                                        VerifyStats* stats) const {
-  (void)regions;
-  (void)user_i;
-  (void)s;
-  (void)cand;
-  (void)po;
-  (void)stats;
-  MPN_ASSERT_MSG(false, "VerifyTileThreadSafe on a sequential-only verifier");
-  return false;
-}
-
 bool TileVerifier::VerifyTileLanes(const TileLanes& lanes, size_t user_i,
                                    const Rect& s, const Candidate& cand,
                                    VerifyStats* stats) const {
@@ -399,14 +385,7 @@ bool MaxGtVerifier::VerifyTileLanes(const TileLanes& lanes, size_t user_i,
 bool MaxItVerifier::VerifyTile(const std::vector<TileRegion>& regions,
                                size_t user_i, const Rect& s,
                                const Candidate& cand, const Point& po) {
-  return VerifyTileThreadSafe(regions, user_i, s, cand, po, &stats_);
-}
-
-bool MaxItVerifier::VerifyTileThreadSafe(const std::vector<TileRegion>& regions,
-                                         size_t user_i, const Rect& s,
-                                         const Candidate& cand, const Point& po,
-                                         VerifyStats* stats) const {
-  ++stats->calls;
+  ++stats_.calls;
   const Point& p = cand.p;
   const size_t m = regions.size();
 
@@ -423,7 +402,7 @@ bool MaxItVerifier::VerifyTileThreadSafe(const std::vector<TileRegion>& regions,
   const double s_max_po = s.MaxDist(po);
   const double s_min_p = s.MinDist(p);
   for (;;) {
-    ++stats->tile_groups;
+    ++stats_.tile_groups;
     double top = s_max_po, bot = s_min_p;
     for (size_t j = 0; j < m; ++j) {
       if (j == user_i) continue;
@@ -441,7 +420,7 @@ bool MaxItVerifier::VerifyTileThreadSafe(const std::vector<TileRegion>& regions,
     }
     if (j >= m) break;
   }
-  ++stats->accepted;
+  ++stats_.accepted;
   return true;
 }
 

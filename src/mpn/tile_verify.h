@@ -100,35 +100,22 @@ class TileVerifier {
                           size_t user_i, const Rect& s, const Candidate& cand,
                           const Point& po) = 0;
 
-  /// True when VerifyTileThreadSafe may run concurrently from several
-  /// threads (the engine's per-user candidate fan-out). Back-ends with
-  /// mutable cross-call state (memo tables) return false and are always
-  /// driven sequentially.
-  virtual bool parallel_safe() const { return false; }
-
-  /// Re-entrant verification core: identical decision to VerifyTile but
-  /// accumulates counters into `stats` instead of the member state. Only
-  /// called when parallel_safe() is true.
-  virtual bool VerifyTileThreadSafe(const std::vector<TileRegion>& regions,
-                                    size_t user_i, const Rect& s,
-                                    const Candidate& cand, const Point& po,
-                                    VerifyStats* stats) const;
-
   /// True when the back-end has a lane (SoA) kernel: Divide-Verify then
   /// scans through a TileSnapshot and drives VerifyTileLanes instead of
-  /// the AoS walk. Implies parallel_safe().
+  /// the AoS walk.
   virtual bool lanes_capable() const { return false; }
 
   /// SoA verification core: decision and counters bit-identical to
-  /// VerifyTileThreadSafe, but reading the prebuilt snapshot. The lane loop
-  /// runs entirely in the squared-distance domain (no per-lane sqrt; see
-  /// SqrtLtThreshold for the exactness argument), which is where the SoA
-  /// kernel's throughput comes from.
+  /// VerifyTile, but reading the prebuilt snapshot and counting into
+  /// `stats` (Divide-Verify folds one scan's counters in with MergeStats).
+  /// The lane loop runs entirely in the squared-distance domain (no
+  /// per-lane sqrt; see SqrtLtThreshold for the exactness argument), which
+  /// is where the SoA kernel's throughput comes from.
   virtual bool VerifyTileLanes(const TileLanes& lanes, size_t user_i,
                                const Rect& s, const Candidate& cand,
                                VerifyStats* stats) const;
 
-  /// Folds externally accumulated counters (one fan-out chunk) into the
+  /// Folds externally accumulated counters (one lanes scan) into the
   /// member statistics.
   void MergeStats(const VerifyStats& s) {
     stats_.calls += s.calls;
@@ -155,19 +142,20 @@ class TileVerifier {
 };
 
 /// GT-Verify for the MAX objective (Algorithm 4, Theorem 2). Stateless
-/// between calls, so the parallel fan-out is safe.
+/// between calls.
 class MaxGtVerifier : public TileVerifier {
  public:
   bool VerifyTile(const std::vector<TileRegion>& regions, size_t user_i,
                   const Rect& s, const Candidate& cand,
                   const Point& po) override;
 
-  bool parallel_safe() const override { return true; }
-
+  /// The AoS walk behind VerifyTile, counting into `stats` instead of the
+  /// member statistics: the scalar oracle the lane kernel is checked and
+  /// measured against (gt_verify_test, micro_verify_bench).
   bool VerifyTileThreadSafe(const std::vector<TileRegion>& regions,
                             size_t user_i, const Rect& s,
                             const Candidate& cand, const Point& po,
-                            VerifyStats* stats) const override;
+                            VerifyStats* stats) const;
 
   bool lanes_capable() const override { return true; }
 
@@ -187,13 +175,6 @@ class MaxItVerifier : public TileVerifier {
   bool VerifyTile(const std::vector<TileRegion>& regions, size_t user_i,
                   const Rect& s, const Candidate& cand,
                   const Point& po) override;
-
-  bool parallel_safe() const override { return true; }
-
-  bool VerifyTileThreadSafe(const std::vector<TileRegion>& regions,
-                            size_t user_i, const Rect& s,
-                            const Candidate& cand, const Point& po,
-                            VerifyStats* stats) const override;
 
  private:
   uint64_t max_groups_;

@@ -41,7 +41,6 @@ MsrResult MpnServer::Recompute(const std::vector<Point>& locations,
     tc.buffer_b = config_.buffer_b;
     tc.directed = config_.method != Method::kTile;
     tc.buffered = config_.method == Method::kTileDBuffered;
-    tc.fanout = config_.verify_fanout;
     tc.kernel = config_.kernel;
     tc.scratch = &scratch_;
     result = ComputeTileMsr(tree_, locations, config_.objective, tc, hints);

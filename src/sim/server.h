@@ -28,9 +28,6 @@ struct ServerConfig {
   int alpha = 30;      ///< Table 2 default
   int split_level = 2; ///< Table 2 default
   int buffer_b = 100;  ///< Section 5.4 recommendation
-  /// Per-user verification fan-out; the engine installs its thread pool
-  /// here (see engine/engine.h). Null executor = sequential.
-  VerifyFanout verify_fanout;
   /// Candidate-scan kernel (bit-identical either way; kScalar is the
   /// reference path for differential testing — see mpn/tile_msr.h).
   KernelKind kernel = KernelKind::kSoA;
@@ -60,7 +57,7 @@ class MpnServer {
   /// Aggregated per-call statistics.
   const MsrStats& stats() const { return stats_; }
 
-  /// Plain-data snapshot of the accumulated counters (the scratch arena is
+  /// Plain-data snapshot of the accumulated counters (the scratch is
   /// transient and rebuilt on demand, so it is not part of the state). Wire
   /// encoding lives in engine/session_codec.h.
   struct State {
@@ -90,12 +87,11 @@ class MpnServer {
   double compute_seconds_ = 0.0;
   size_t recompute_count_ = 0;
   MsrStats stats_;
-  /// Candidate buffer, fan-out arena and tile snapshot reused across
-  /// Recompute calls, so a steady-state recompute allocates nothing (see
-  /// MsrScratch for their lifetimes). Safe because a server belongs to one
-  /// session and the session serializes its recomputes
-  /// (engine/group_session.h); fan-out workers only read the snapshot and
-  /// read/write buffers the recompute thread carved out of the arena.
+  /// Candidate buffer and tile snapshot reused across Recompute calls, so
+  /// a steady-state recompute allocates nothing (see MsrScratch for their
+  /// lifetimes). Safe because a server belongs to one session and the
+  /// session serializes its recomputes (engine/group_session.h), each on
+  /// one thread.
   MsrScratch scratch_;
 };
 

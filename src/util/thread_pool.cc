@@ -84,8 +84,7 @@ void ThreadPool::DrainChunks(const std::shared_ptr<ForState>& state) {
 }
 
 void ThreadPool::ParallelFor(size_t n, size_t grain,
-                             const std::function<void(size_t, size_t)>& body,
-                             bool caller_participates) {
+                             const std::function<void(size_t, size_t)>& body) {
   MPN_ASSERT(grain >= 1);
   if (n == 0) return;
   auto state = std::make_shared<ForState>();
@@ -95,23 +94,20 @@ void ThreadPool::ParallelFor(size_t n, size_t grain,
   state->body = &body;
   state->errors.resize(state->chunk_count);
 
-  // One chunk: no sharing worth the synchronization (and only one executor
-  // ever runs, so inline execution cannot oversubscribe).
+  // One chunk: no sharing worth the synchronization.
   if (state->chunk_count == 1) {
     body(0, n);
     return;
   }
 
-  // Helper tasks race (the caller and) each other for chunks; late-running
-  // ones no-op. Urgent priority: the fan-out is sub-work of a job that is
-  // already executing, so it must not queue behind unrelated events.
-  const size_t helpers = std::min(
-      workers_.size(),
-      caller_participates ? state->chunk_count - 1 : state->chunk_count);
+  // Helper tasks race the caller and each other for chunks; late-running
+  // ones no-op. Urgent priority: the chunks are sub-work of a caller that
+  // is already executing, so they must not queue behind unrelated tasks.
+  const size_t helpers = std::min(workers_.size(), state->chunk_count - 1);
   for (size_t i = 0; i < helpers; ++i) {
     PostBoxed([state]() { DrainChunks(state); }, kUrgentPriority);
   }
-  if (caller_participates) DrainChunks(state);
+  DrainChunks(state);
   {
     std::unique_lock<std::mutex> lock(state->mu);
     state->done_cv.wait(

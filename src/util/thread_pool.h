@@ -17,12 +17,12 @@
 //    body over each, using the pool AND the calling thread. The chunk
 //    layout depends only on (n, grain), never on the worker count, so any
 //    per-chunk accumulation a caller merges in chunk order is bit-identical
-//    across thread counts — the property the engine's determinism guarantee
-//    rests on. The caller claims chunks itself while it waits, so nested
-//    ParallelFor calls from inside pool tasks cannot deadlock even when
-//    every worker is busy: a saturated pool degrades to the caller running
-//    all chunks inline. Helper tasks run at kUrgentPriority so a fan-out
-//    issued from inside a running job is never starved by queued events.
+//    across thread counts. The caller claims chunks itself while it waits,
+//    so nested ParallelFor calls from inside pool tasks cannot deadlock
+//    even when every worker is busy: a saturated pool degrades to the
+//    caller running all chunks inline. Helper tasks run at kUrgentPriority
+//    so a ParallelFor issued from inside a running task is never starved
+//    by queued work.
 //
 // Submit and the ParallelFor helpers box their callable in one heap object
 // each and post a trampoline that runs and frees it.
@@ -93,20 +93,12 @@ class ThreadPool {
 
   /// Runs body(begin, end) over every chunk [k*grain, min(n, (k+1)*grain))
   /// of [0, n). Blocks until all chunks completed. The first exception
-  /// (lowest chunk index) is rethrown here. `grain` must be >= 1.
-  ///
-  /// With `caller_participates` (the default) the calling thread claims
-  /// chunks alongside the workers — mandatory when calling from inside a
-  /// pool task (it is what makes nested calls deadlock-free, and the
-  /// calling worker would otherwise idle-block a pool slot). Pass false
-  /// from threads *outside* the pool that must not add an extra executor,
-  /// so that "N threads" means exactly N threads doing work. Exception: a
-  /// single-chunk call still runs inline on the caller (there is never
-  /// more than one executor active, so nothing is oversubscribed and the
-  /// handoff latency is saved).
+  /// (lowest chunk index) is rethrown here. `grain` must be >= 1. The
+  /// calling thread claims chunks alongside the workers, which is what
+  /// makes calls from inside a pool task (nested ones included)
+  /// deadlock-free.
   void ParallelFor(size_t n, size_t grain,
-                   const std::function<void(size_t, size_t)>& body,
-                   bool caller_participates = true);
+                   const std::function<void(size_t, size_t)>& body);
 
  private:
   struct ForState;  // shared chunk-claiming state of one ParallelFor

@@ -244,7 +244,7 @@ TEST_P(ReuseExactnessTest, EveryListMatchesBruteForce) {
     MsrScratch scratch;
     const auto divide_verify = [&](size_t i, const GridTile& tile) {
       DivideVerify(&regions, i, tile, circle.po, &source, verifier.get(), 2,
-                   &stats, {}, KernelKind::kSoA, &scratch);
+                   &stats, KernelKind::kSoA, &scratch);
     };
     const GridTile ring[] = {{0, 1, 0},  {0, 1, 1},   {0, 0, 1},
                              {0, -1, 1}, {0, -1, 0},  {0, -1, -1},

@@ -158,11 +158,9 @@ inline std::vector<const Trajectory*> GroupOf(const World& w, size_t g) {
 }
 
 inline EngineOptions MakeEngineOptions(
-    size_t threads, KernelKind kernel = KernelKind::kSoA,
-    bool parallel_verify = false) {
+    size_t threads, KernelKind kernel = KernelKind::kSoA) {
   EngineOptions opt;
   opt.threads = threads;
-  opt.parallel_verify = parallel_verify;
   opt.sim.server.method = Method::kTileD;
   opt.sim.server.alpha = 10;
   opt.sim.server.kernel = kernel;
@@ -254,10 +252,8 @@ inline SimMetrics RunSingleGroup(const std::vector<Point>* pois,
 
 inline uint64_t RunEnginePlan(const World& w, const FuzzPlan& plan,
                               size_t threads,
-                              KernelKind kernel = KernelKind::kSoA,
-                              bool parallel_verify = false) {
-  Engine engine(&w.pois, &w.tree,
-                MakeEngineOptions(threads, kernel, parallel_verify));
+                              KernelKind kernel = KernelKind::kSoA) {
+  Engine engine(&w.pois, &w.tree, MakeEngineOptions(threads, kernel));
   return Replay(&engine, w, plan);
 }
 

@@ -97,6 +97,17 @@ TEST(MemoryBudgetTest, ParseSpec) {
   EXPECT_EQ(ParseMemoryBudgetBytes("k64"), 0u);
   EXPECT_EQ(ParseMemoryBudgetBytes("64kb"), 0u);
   EXPECT_EQ(ParseMemoryBudgetBytes("lots"), 0u);
+  EXPECT_EQ(ParseMemoryBudgetBytes("k"), 0u);
+  // Only digits lead: no whitespace, no sign (strtoull would wrap "-64k").
+  EXPECT_EQ(ParseMemoryBudgetBytes("-64k"), 0u);
+  EXPECT_EQ(ParseMemoryBudgetBytes("+64k"), 0u);
+  EXPECT_EQ(ParseMemoryBudgetBytes(" 64k"), 0u);
+  // A number or a byte count past SIZE_MAX is garbage, not a wrapped cap.
+  EXPECT_EQ(ParseMemoryBudgetBytes("99999999999999999999"), 0u);
+  EXPECT_EQ(ParseMemoryBudgetBytes("18014398509481985k"), 0u);
+  EXPECT_EQ(ParseMemoryBudgetBytes("17179869185g"), 0u);
+  // The largest gigabyte count that still fits: 2^64 - 2^30 bytes.
+  EXPECT_EQ(ParseMemoryBudgetBytes("17179869183g"), size_t{17179869183} << 30);
 }
 
 // --- codec round trips at the engine boundary ------------------------------

@@ -189,7 +189,18 @@ TEST(FaultPlanTest, MalformedSpecsFailLoudly) {
   EXPECT_THROW(FaultPlan::Parse("0:x:corrupt"), std::runtime_error);
   EXPECT_THROW(FaultPlan::Parse(":1:corrupt"), std::runtime_error);
   EXPECT_THROW(FaultPlan::Parse("0:1:"), std::runtime_error);
+  // Digits only: strtoull would wrap a sign to a shard or index near 2^64.
+  EXPECT_THROW(FaultPlan::Parse("-1:3:crash"), std::runtime_error);
+  EXPECT_THROW(FaultPlan::Parse("0:-5:crash"), std::runtime_error);
+  EXPECT_THROW(FaultPlan::Parse("+1:3:crash"), std::runtime_error);
+  EXPECT_THROW(FaultPlan::Parse("0:99999999999999999999:crash"),
+               std::runtime_error);
   EXPECT_TRUE(FaultPlan::Parse("").empty());
+  // Shard 5 of a 2-worker cluster is never handed out, so the plan would
+  // arm nothing and a soak would pass without its fault.
+  setenv("MPN_FAULT_PLAN", "5:3:crash", /*overwrite=*/1);
+  EXPECT_THROW(FaultPlan::FromEnv(2), std::runtime_error);
+  unsetenv("MPN_FAULT_PLAN");
 }
 
 TEST(FaultPlanTest, SeededPlansAreDeterministicAndInBounds) {
