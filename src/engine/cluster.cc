@@ -236,7 +236,9 @@ ClusterEngine::ClusterEngine(const std::vector<Point>* pois,
                              const ClusterOptions& options)
     : pois_(pois), tree_(tree), options_(options) {
   MPN_ASSERT(pois_ != nullptr && tree_ != nullptr);
-  MPN_ASSERT_MSG(options_.workers >= 1, "cluster needs at least one worker");
+  if (options_.workers == 0) {
+    throw std::invalid_argument("ClusterEngine: workers must be >= 1");
+  }
   fault_plan_ = FaultPlan::FromEnv(options_.workers);
 }
 
@@ -273,7 +275,7 @@ uint32_t ClusterEngine::AdmitSession(
     const std::vector<const Trajectory*>& group, const SessionTuning& tuning) {
   std::lock_guard<std::mutex> lock(mu_);
   RequireServing();
-  MPN_ASSERT(!group.empty());
+  ValidateAdmission(group, tuning);
   const size_t shard = next_id_ % options_.workers;
   if (started_ && workers_[shard].lost) {
     throw std::runtime_error(workers_[shard].lost_reason);
@@ -282,10 +284,7 @@ uint32_t ClusterEngine::AdmitSession(
   // The snapshot keeps this frame for the session's lifetime: size it
   // exactly rather than to the next growth step.
   size_t bytes = 1 + 4 + 8 + 8 + 8 + 4;
-  for (const Trajectory* t : group) {
-    MPN_ASSERT(t != nullptr);
-    bytes += 4 + 16 * t->positions.size();
-  }
+  for (const Trajectory* t : group) bytes += 4 + 16 * t->positions.size();
   WireBuffer frame;
   frame.Reserve(bytes);
   frame.PutU8(kAdmit);
@@ -477,11 +476,6 @@ IoStatus ClusterEngine::RecvReplySliced(size_t shard,
                                         std::vector<uint8_t>* payload) {
   Worker& w = workers_[shard];
   const TransportTuning& tt = options_.transport;
-  if (!tt.heartbeats || !w.heartbeat.valid()) {
-    // Pre-hardening behaviour: block until the reply or EOF. A hung
-    // worker blocks forever — that is what heartbeats are for.
-    return w.channel.RecvFrame(payload, 0);
-  }
   size_t misses = 0;
   uint64_t progress_mark = w.last_progress;
   Timer since_progress;
@@ -804,10 +798,8 @@ void ClusterEngine::Shutdown() {
       // result already crossed).
       const TransportTuning& tt = options_.transport;
       const double ack_deadline_ms =
-          tt.heartbeats ? (tt.heartbeat_interval_ms +
-                           tt.heartbeat_timeout_ms) *
-                              static_cast<double>(tt.heartbeat_miss_budget)
-                        : kIoDeadlineMs;
+          (tt.heartbeat_interval_ms + tt.heartbeat_timeout_ms) *
+          static_cast<double>(tt.heartbeat_miss_budget);
       for (size_t shard = 0; shard < workers_.size(); ++shard) {
         Worker& w = workers_[shard];
         if (w.lost) continue;

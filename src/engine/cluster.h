@@ -108,9 +108,7 @@ struct TransportTuning {
   /// worker's heartbeat channel and waits heartbeat_timeout_ms for the
   /// pong; heartbeat_miss_budget *consecutive* unanswered probes declare
   /// the worker hung — it is SIGKILLed and recovered via snapshot
-  /// replay. Disable with heartbeats = false (a hung worker then blocks
-  /// Wait forever, as before this layer existed).
-  bool heartbeats = true;
+  /// replay.
   double heartbeat_interval_ms = 500.0;
   double heartbeat_timeout_ms = 1'000.0;
   size_t heartbeat_miss_budget = 3;
@@ -164,7 +162,8 @@ class ClusterEngine {
 
   /// `pois` and `tree` must be fully built before Start() forks the
   /// workers and must outlive the cluster (workers inherit them
-  /// copy-on-write).
+  /// copy-on-write). Throws std::invalid_argument when options.workers
+  /// is 0.
   ClusterEngine(const std::vector<Point>* pois, const PackedRTree* tree,
                 const ClusterOptions& options);
   ~ClusterEngine();
@@ -176,8 +175,10 @@ class ClusterEngine {
   /// admission order). The trajectories are serialized into the admit
   /// frame (which the coordinator also snapshots for recovery replay), so
   /// they only need to stay alive for the duration of the call. Throws
-  /// std::logic_error after Shutdown() and std::runtime_error when the
-  /// group routes to a lost shard.
+  /// std::logic_error after Shutdown(), std::runtime_error when the
+  /// group routes to a lost shard, and std::invalid_argument for a
+  /// malformed group or tuning (ValidateAdmission) — all before an id is
+  /// taken or a frame is snapshotted.
   uint32_t AdmitSession(const std::vector<const Trajectory*>& group,
                         const SessionTuning& tuning = SessionTuning());
 

@@ -94,6 +94,7 @@ uint32_t Engine::AdmitSession(std::vector<const Trajectory*> group,
         "Engine::AdmitSession on a finished engine (Shutdown already "
         "returned)");
   }
+  ValidateAdmission(group, tuning);
   const uint32_t id = table_->ReserveId();
   auto session = std::make_unique<GroupSession>(
       id, pois_, tree_, group, options_.sim, tuning, &run_timer_);

@@ -1,6 +1,6 @@
 // Multi-group concurrent server engine (event-driven).
 //
-// The Engine owns a sharded session table, a fixed-size thread pool, and an
+// The Engine owns a session table, a fixed-size thread pool, and an
 // event-driven scheduler (engine/scheduler.h): every session advances on
 // its own virtual clock, ordered by (next_timestamp, session_id) in the
 // pool's priority queue, so a lagging session delays only itself — there is
@@ -9,7 +9,8 @@
 // location updates in a bounded mailbox and re-enters the ready queue when
 // its fresh regions arrive. Groups can be admitted and retired mid-run:
 // AdmitSession / RetireSession are callable from any thread while the
-// engine drains, and only ever touch one shard of the session table.
+// engine drains; the session table's one lock serves only them and result
+// reads, never the scheduler.
 //
 // Since the cluster layer landed (engine/cluster.h) the engine is a
 // persistent server: Wait() drains the sessions admitted so far but keeps
@@ -145,7 +146,9 @@ class Engine {
   /// Registers one group; returns its session id (dense, in admission
   /// order). All trajectories must outlive the engine. Callable from any
   /// thread, before Start or while the engine drains; throws
-  /// std::logic_error once the engine has finished.
+  /// std::logic_error once the engine has finished and
+  /// std::invalid_argument for a malformed group or tuning
+  /// (ValidateAdmission), in both cases without reserving an id.
   uint32_t AdmitSession(std::vector<const Trajectory*> group,
                         const SessionTuning& tuning = SessionTuning());
 

@@ -1,12 +1,31 @@
 #include "engine/group_session.h"
 
 #include <algorithm>
+#include <cmath>
+#include <stdexcept>
 #include <utility>
 
 #include "index/gnn.h"
 #include "util/macros.h"
 
 namespace mpn {
+
+void ValidateAdmission(const std::vector<const Trajectory*>& group,
+                       const SessionTuning& tuning) {
+  if (group.empty()) {
+    throw std::invalid_argument("AdmitSession: empty group");
+  }
+  for (const Trajectory* t : group) {
+    if (t == nullptr || t->positions.empty()) {
+      throw std::invalid_argument("AdmitSession: null or empty trajectory");
+    }
+  }
+  const double f = tuning.recompute_cost_factor;
+  if (!(std::isfinite(f) && f >= 1.0)) {
+    throw std::invalid_argument(
+        "AdmitSession: recompute_cost_factor must be finite and >= 1");
+  }
+}
 
 GroupSession::GroupSession(uint32_t id, const std::vector<Point>* pois,
                            const PackedRTree* tree,

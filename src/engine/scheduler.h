@@ -140,8 +140,8 @@ class Scheduler {
   /// Priority of a session event. Default: virtual time first, session id
   /// as the tie-break — the (next_timestamp, session_id) ready ordering.
   /// Under locality mode the fields swap (id-major, timestamp clamped to
-  /// 32 bits; ids are dense from 0, so realistic keys stay well below the
-  /// pool's kDefaultPriority).
+  /// 32 bits). The pool runs nothing else, so the key alone orders its
+  /// queue.
   uint64_t EventPriority(size_t t, uint32_t id) const {
     if (locality_priority_) {
       const uint64_t clamped =

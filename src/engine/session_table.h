@@ -1,13 +1,12 @@
-// Sharded session table of the event-driven engine.
+// Session table of the event-driven engine.
 //
-// Admission and retirement must never contend with the hot scheduling
-// path, so sessions live in a fixed number of shards, each guarded by its
-// own mutex: an AdmitSession call locks exactly one shard (id % shards)
-// while the scheduler's per-event lookups touch a different shard with
-// probability (shards-1)/shards. Ids come from a single atomic counter, so
-// they are dense and globally ordered — the digest and the metrics
-// iteration read sessions in admission order regardless of which thread
-// admitted them.
+// One mutex over one vector indexed by session id: an AdmitSession call
+// takes it once, to insert its record. The scheduler never takes it —
+// every posted event and job carries its SessionRecord* — so the lock
+// serves only admissions, RetireSession and result reads. Ids come from a
+// single atomic counter, so they are dense and globally ordered — the
+// digest and the metrics iteration read sessions in admission order
+// regardless of which thread admitted them.
 //
 // A SessionRecord bundles the GroupSession with the scheduler's per-session
 // flags. The record mutex serializes only the *scheduling decisions* (who
@@ -16,7 +15,6 @@
 // meeting point for the digest.
 #pragma once
 
-#include <array>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
@@ -91,19 +89,14 @@ struct SessionRecord {
   size_t accounted_bytes = 0;   ///< resident estimate charged to the budget
 };
 
-/// Fixed-shard concurrent map id -> SessionRecord.
+/// Concurrent map id -> SessionRecord, callable from any thread.
 class SessionTable {
  public:
-  /// Shards of the table (admission locks one shard, never the scheduling
-  /// hot path).
-  static constexpr size_t kShards = 16;
-
   SessionTable() = default;
   SessionTable(const SessionTable&) = delete;
   SessionTable& operator=(const SessionTable&) = delete;
 
-  /// Inserts a record for the next dense id (returned via record->session's
-  /// id, which the caller must construct with ReserveId()).
+  /// The next dense id; the caller builds its record's session with it.
   uint32_t ReserveId() {
     return next_id_.fetch_add(1, std::memory_order_relaxed);
   }
@@ -129,13 +122,9 @@ class SessionTable {
   }
 
  private:
-  struct Shard {
-    mutable std::mutex mu;
-    /// Record for id sits at slot id / kShards (dense per shard).
-    std::vector<std::unique_ptr<SessionRecord>> records;
-  };
-
-  std::array<Shard, kShards> shards_;
+  mutable std::mutex mu_;
+  /// Record for id sits at index id (null while reserved, not inserted).
+  std::vector<std::unique_ptr<SessionRecord>> records_;
   std::atomic<uint32_t> next_id_{0};
 };
 

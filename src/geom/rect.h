@@ -17,9 +17,6 @@ struct Rect {
   Rect() : lo{0, 0}, hi{-1, -1} {}  // default: empty
   Rect(const Point& l, const Point& h) : lo(l), hi(h) {}
 
-  /// Rectangle containing a single point.
-  static Rect FromPoint(const Point& p) { return Rect(p, p); }
-
   /// Square of side `side` centered at `c`.
   static Rect CenteredSquare(const Point& c, double side) {
     const double h = side / 2.0;

@@ -7,7 +7,6 @@
 #include <utility>
 
 #include "util/macros.h"
-#include "util/thread_pool.h"
 
 namespace mpn {
 
@@ -15,6 +14,9 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 constexpr uint32_t kNoNode = 0xFFFFFFFFu;
+/// Max settled nodes per witness search. Smaller is faster to build but
+/// inserts more (still correct) shortcuts.
+constexpr size_t kWitnessSettleLimit = 128;
 
 /// One adjacency entry of the dynamic "core" graph during contraction.
 struct CoreArc {
@@ -23,8 +25,7 @@ struct CoreArc {
   uint32_t arc;  ///< arc-pool index
 };
 
-/// Stamped scratch for the bounded witness Dijkstras. One per thread so the
-/// initial-priority pass can run under ParallelFor.
+/// Stamped scratch for the bounded witness Dijkstras of one build.
 struct WitnessScratch {
   std::vector<double> dist;
   std::vector<uint32_t> stamp;
@@ -49,8 +50,6 @@ struct WitnessScratch {
     dist[v] = d;
   }
 };
-
-thread_local WitnessScratch g_witness_scratch;
 
 }  // namespace
 
@@ -135,11 +134,10 @@ CHIndex CHIndex::Build(size_t node_count, const std::vector<InputEdge>& edges,
 
   // Bounded Dijkstra from `src` over the remaining core, skipping
   // `excluded` (the node being contracted). Tentative distances are left in
-  // the thread-local scratch; reading a tentative (over-)estimate is safe
-  // because it can only *fail* to certify a witness, never fake one.
-  const size_t settle_limit = options.witness_settle_limit;
+  // `ws`; reading a tentative (over-)estimate is safe because it can only
+  // *fail* to certify a witness, never fake one.
+  WitnessScratch ws;
   auto witness_search = [&](uint32_t src, uint32_t excluded, double cap) {
-    WitnessScratch& ws = g_witness_scratch;
     ws.Prepare(n);
     ws.Set(src, 0.0);
     ws.heap.push_back({0.0, src});
@@ -150,7 +148,7 @@ CHIndex CHIndex::Build(size_t node_count, const std::vector<InputEdge>& edges,
       const auto [d, u] = ws.heap.back();
       ws.heap.pop_back();
       if (d > ws.Get(u)) continue;  // stale entry
-      if (d > cap || ++settles > settle_limit) break;
+      if (d > cap || ++settles > kWitnessSettleLimit) break;
       for (const CoreArc& e : out[u]) {
         if (contracted[e.node] || e.node == excluded) continue;
         const double nd = d + e.weight;
@@ -192,7 +190,7 @@ CHIndex CHIndex::Build(size_t node_count, const std::vector<InputEdge>& edges,
       for (const CoreArc& oa : out[v]) {
         if (contracted[oa.node] || oa.node == u) continue;
         const double via = ia.weight + oa.weight;
-        if (g_witness_scratch.Get(oa.node) <= via) continue;  // witness found
+        if (ws.Get(oa.node) <= via) continue;  // witness found
         plan->push_back({u, oa.node, via, ia.arc, oa.arc});
       }
     }
@@ -210,31 +208,14 @@ CHIndex CHIndex::Build(size_t node_count, const std::vector<InputEdge>& edges,
            deleted_neighbors[v];
   };
 
-  // Initial priorities: per-node pure functions of the input graph, so the
-  // parallel pass is bit-deterministic for any thread count.
-  std::vector<int64_t> prio(n, 0);
-  if (options.pool != nullptr && n >= 4096) {
-    options.pool->ParallelFor(n, 512, [&](size_t lo, size_t hi) {
-      std::vector<Shortcut> plan;
-      for (size_t v = lo; v < hi; ++v) {
-        prio[v] = priority(static_cast<uint32_t>(v), &plan);
-      }
-    });
-  } else {
-    std::vector<Shortcut> plan;
-    for (size_t v = 0; v < n; ++v) {
-      prio[v] = priority(static_cast<uint32_t>(v), &plan);
-    }
-  }
-
   // Lazy-update contraction loop: pop the cheapest node, re-evaluate, and
   // contract it unless something else became cheaper. Ties resolve to the
   // smaller node id via the pair ordering — fully deterministic.
   using PQE = std::pair<int64_t, uint32_t>;
   std::priority_queue<PQE, std::vector<PQE>, std::greater<PQE>> pq;
-  for (uint32_t v = 0; v < n; ++v) pq.push({prio[v], v});
-  std::vector<uint32_t> neighbor_set;
   std::vector<Shortcut> plan;
+  for (uint32_t v = 0; v < n; ++v) pq.push({priority(v, &plan), v});
+  std::vector<uint32_t> neighbor_set;
   uint32_t next_rank = 0;
   while (!pq.empty()) {
     const auto [p, v] = pq.top();
@@ -628,51 +609,44 @@ std::vector<uint32_t> CHIndex::Path(uint32_t src, uint32_t dst) const {
 // Bucket-based many-to-many
 // ---------------------------------------------------------------------------
 
-CHIndex::TargetSet CHIndex::MakeTargetSet(const std::vector<uint32_t>& targets,
-                                          ThreadPool* pool) const {
+CHIndex::TargetSet CHIndex::MakeTargetSet(
+    const std::vector<uint32_t>& targets) const {
   TargetSet ts;
   ts.per_target_.resize(targets.size());
   ts.per_target_weights_.resize(targets.size());
-  auto run_target = [&](size_t lo, size_t hi) {
-    static thread_local std::vector<uint32_t> expansion;
-    for (size_t j = lo; j < hi; ++j) {
-      MPN_ASSERT(targets[j] < NodeCount());
-      SearchScratch& s = TlsBwd();
-      s.Prepare(NodeCount());
-      const Seed seed{perm_[targets[j]], 0.0};
-      UpwardSearch(up_bwd_, BwdStallGraph(), &seed, 1, &s);
-      std::vector<TargetSet::Entry>& entries = ts.per_target_[j];
-      std::vector<double>& weights = ts.per_target_weights_[j];
-      entries.reserve(s.settled.size());
-      for (uint32_t idx = 0; idx < s.settled.size(); ++idx) {
-        const uint32_t v = s.settled[idx];
-        uint32_t parent_entry = TargetSet::kNoEntry;
-        uint32_t arc = kNoArc;
-        uint32_t unpack_off = 0;
-        uint32_t unpack_len = 0;
-        if (s.label[v].parent != kNoArc) {
-          arc = s.label[v].parent;
-          // The parent settles before the child, so its position is known.
-          parent_entry = s.pos[arcs_[arc].to];
-          // Refold cache: expand the (possibly shortcut) arc into original
-          // arcs once, at build time, and keep only their weights in path
-          // order — queries then fold slices instead of recursing.
-          expansion.clear();
-          AppendOriginalArcs(arc, &expansion);
-          unpack_off = static_cast<uint32_t>(weights.size());
-          unpack_len = static_cast<uint32_t>(expansion.size());
-          for (uint32_t a : expansion) weights.push_back(arcs_[a].weight);
-        }
-        s.pos[v] = idx;
-        entries.push_back(
-            {v, parent_entry, arc, s.label[v].dist, unpack_off, unpack_len});
+  std::vector<uint32_t> expansion;
+  for (size_t j = 0; j < targets.size(); ++j) {
+    MPN_ASSERT(targets[j] < NodeCount());
+    SearchScratch& s = TlsBwd();
+    s.Prepare(NodeCount());
+    const Seed seed{perm_[targets[j]], 0.0};
+    UpwardSearch(up_bwd_, BwdStallGraph(), &seed, 1, &s);
+    std::vector<TargetSet::Entry>& entries = ts.per_target_[j];
+    std::vector<double>& weights = ts.per_target_weights_[j];
+    entries.reserve(s.settled.size());
+    for (uint32_t idx = 0; idx < s.settled.size(); ++idx) {
+      const uint32_t v = s.settled[idx];
+      uint32_t parent_entry = TargetSet::kNoEntry;
+      uint32_t arc = kNoArc;
+      uint32_t unpack_off = 0;
+      uint32_t unpack_len = 0;
+      if (s.label[v].parent != kNoArc) {
+        arc = s.label[v].parent;
+        // The parent settles before the child, so its position is known.
+        parent_entry = s.pos[arcs_[arc].to];
+        // Refold cache: expand the (possibly shortcut) arc into original
+        // arcs once, at build time, and keep only their weights in path
+        // order — queries then fold slices instead of recursing.
+        expansion.clear();
+        AppendOriginalArcs(arc, &expansion);
+        unpack_off = static_cast<uint32_t>(weights.size());
+        unpack_len = static_cast<uint32_t>(expansion.size());
+        for (uint32_t a : expansion) weights.push_back(arcs_[a].weight);
       }
+      s.pos[v] = idx;
+      entries.push_back(
+          {v, parent_entry, arc, s.label[v].dist, unpack_off, unpack_len});
     }
-  };
-  if (pool != nullptr && targets.size() >= 32) {
-    pool->ParallelFor(targets.size(), 8, run_target);
-  } else {
-    run_target(0, targets.size());
   }
 
   // Bucket CSR: every settled (node, target) pair, sorted by node id.

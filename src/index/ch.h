@@ -26,9 +26,8 @@
 // (any graph with continuous random weights), the selected path is the
 // Dijkstra path and the refold reproduces its distance bit-for-bit; the
 // property tests in tests/ch_test.cc assert this across randomized graphs.
-// Preprocessing is deterministic for a fixed input regardless of the
-// thread count used for the initial-priority pass (per-node priorities are
-// pure functions; the contraction loop is sequential).
+// Preprocessing is sequential and deterministic for a fixed input: ties in
+// the contraction order resolve to the smaller node id.
 #pragma once
 
 #include <cstddef>
@@ -36,8 +35,6 @@
 #include <vector>
 
 namespace mpn {
-
-class ThreadPool;
 
 /// Contraction Hierarchies index over a static weighted graph.
 class CHIndex {
@@ -52,12 +49,6 @@ class CHIndex {
 
   struct Options {
     bool directed = false;
-    /// Max settled nodes per witness search. Smaller is faster to build but
-    /// inserts more (still correct) shortcuts.
-    size_t witness_settle_limit = 128;
-    /// Optional pool for the initial-priority pass (the only parallel
-    /// build phase; results are identical with or without it).
-    ThreadPool* pool = nullptr;
   };
 
   /// Seed of a forward search: a start node with an initial distance (for
@@ -121,7 +112,6 @@ class CHIndex {
   static CHIndex Build(size_t node_count, const std::vector<InputEdge>& edges);
 
   size_t NodeCount() const { return rank_.size(); }
-  size_t OriginalArcCount() const { return original_arcs_; }
   size_t ShortcutCount() const { return arcs_.size() - original_arcs_; }
   /// Contraction order of `node` (0 = contracted first / least important).
   uint32_t Rank(uint32_t node) const { return rank_[node]; }
@@ -143,9 +133,7 @@ class CHIndex {
   std::vector<uint32_t> Path(uint32_t src, uint32_t dst) const;
 
   /// Precomputes the backward searches and buckets for `targets`.
-  /// With `pool`, targets are processed in parallel (identical result).
-  TargetSet MakeTargetSet(const std::vector<uint32_t>& targets,
-                          ThreadPool* pool = nullptr) const;
+  TargetSet MakeTargetSet(const std::vector<uint32_t>& targets) const;
 
   /// out[j] = min over seeds of fold(seed.dist; shortest path seed.node ->
   /// target j) — bit-identical to one Dijkstra seeded with all of `seeds`

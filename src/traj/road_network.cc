@@ -78,7 +78,7 @@ double RoadNetwork::ShortestPathDistance(uint32_t src, uint32_t dst) const {
   return dist[dst];
 }
 
-CHIndex RoadNetwork::BuildCHIndex(ThreadPool* pool) const {
+CHIndex RoadNetwork::BuildCHIndex() const {
   std::vector<CHIndex::InputEdge> edges;
   edges.reserve(edge_count_);
   for (uint32_t a = 0; a < nodes_.size(); ++a) {
@@ -86,10 +86,7 @@ CHIndex RoadNetwork::BuildCHIndex(ThreadPool* pool) const {
       if (a < b) edges.push_back({a, b, w});
     }
   }
-  CHIndex::Options options;
-  options.directed = false;
-  options.pool = pool;
-  return CHIndex::Build(nodes_.size(), edges, options);
+  return CHIndex::Build(nodes_.size(), edges);
 }
 
 bool RoadNetwork::IsConnected() const {

@@ -17,8 +17,6 @@
 
 namespace mpn {
 
-class ThreadPool;
-
 /// Undirected weighted graph embedded in the plane.
 class RoadNetwork {
  public:
@@ -55,8 +53,7 @@ class RoadNetwork {
   /// Builds a Contraction Hierarchies index over this network. Preprocess
   /// once per scenario, then answer point-to-point / many-to-many queries
   /// orders of magnitude faster than per-query Dijkstra (see index/ch.h).
-  /// `pool` parallelizes the initial-priority pass (identical result).
-  CHIndex BuildCHIndex(ThreadPool* pool = nullptr) const;
+  CHIndex BuildCHIndex() const;
 
   /// True when the graph is connected (BFS reachability).
   bool IsConnected() const;

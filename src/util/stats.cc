@@ -25,24 +25,6 @@ double RunningStat::Variance() const {
 
 double RunningStat::Stddev() const { return std::sqrt(Variance()); }
 
-void RunningStat::Merge(const RunningStat& other) {
-  if (other.n_ == 0) return;
-  if (n_ == 0) {
-    *this = other;
-    return;
-  }
-  const double delta = other.mean_ - mean_;
-  const size_t total = n_ + other.n_;
-  m2_ += other.m2_ + delta * delta * static_cast<double>(n_) *
-                         static_cast<double>(other.n_) /
-                         static_cast<double>(total);
-  mean_ += delta * static_cast<double>(other.n_) / static_cast<double>(total);
-  sum_ += other.sum_;
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
-  n_ = total;
-}
-
 double Quantile(std::vector<double> values, double q) {
   if (values.empty()) return 0.0;
   MPN_ASSERT(q >= 0.0 && q <= 1.0);

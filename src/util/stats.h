@@ -34,9 +34,6 @@ class RunningStat {
   /// Sum of all observations.
   double Sum() const { return sum_; }
 
-  /// Merges another accumulator into this one.
-  void Merge(const RunningStat& other);
-
  private:
   size_t n_ = 0;
   double mean_ = 0.0;

@@ -35,33 +35,4 @@ class Timer {
   Clock::time_point start_;
 };
 
-/// Accumulates total time across many timed sections.
-class TimeAccumulator {
- public:
-  /// RAII scope that adds its lifetime to the accumulator.
-  class Scope {
-   public:
-    explicit Scope(TimeAccumulator* acc) : acc_(acc) {}
-    ~Scope() { acc_->total_seconds_ += timer_.ElapsedSeconds(); }
-    Scope(const Scope&) = delete;
-    Scope& operator=(const Scope&) = delete;
-
-   private:
-    TimeAccumulator* acc_;
-    Timer timer_;
-  };
-
-  /// Total accumulated seconds.
-  double TotalSeconds() const { return total_seconds_; }
-
-  /// Adds raw seconds (for merging measurements).
-  void AddSeconds(double s) { total_seconds_ += s; }
-
-  /// Clears the accumulated total.
-  void Reset() { total_seconds_ = 0.0; }
-
- private:
-  double total_seconds_ = 0.0;
-};
-
 }  // namespace mpn

@@ -322,6 +322,7 @@ TEST(ClusterRecoveryTest, UninterruptedRunReportsZeroRecoveryStats) {
   EXPECT_EQ(stats.sessions_restored, 0u);
   EXPECT_EQ(stats.frames_replayed, 0u);
   EXPECT_EQ(stats.shards_lost, 0u);
+  EXPECT_EQ(stats.checksum_failures, 0u);
   EXPECT_EQ(stats.recovery_seconds, 0.0);
   EXPECT_FALSE(cluster.shard_lost(0));
   EXPECT_FALSE(cluster.shard_lost(1));

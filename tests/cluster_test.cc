@@ -2,9 +2,11 @@
 // bit-identity against the single-process engine for any shard count,
 // serving-loop drains across admission waves, cluster-level round-stat
 // aggregation, mailbox-mark shipping, and the death/robustness paths
-// (worker killed mid-run, double Start, admit after Shutdown).
+// (worker killed mid-run, double Start, admit after Shutdown, malformed
+// admissions).
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -344,6 +346,80 @@ TEST(ClusterLifecycleTest, UnknownSessionIdsAreRejected) {
   EXPECT_THROW(cluster.session_metrics(1), std::out_of_range);
   EXPECT_THROW(cluster.session_po(1), std::out_of_range);
   EXPECT_THROW(cluster.session_has_result(1), std::out_of_range);
+}
+
+// A malformed admission throws std::invalid_argument on the coordinator,
+// before an id is taken or an admit frame enters the recovery snapshot: the
+// session count does not move, no worker ever sees it, and a valid
+// admission after it gets id 0 and the single-process digest.
+void ExpectClusterAdmissionRejected(
+    const World& w, const std::vector<const Trajectory*>& bad_group,
+    const SessionTuning& bad_tuning) {
+  uint64_t reference = 0;
+  {
+    // Destroyed (its pool joined) before the cluster forks.
+    Engine engine(&w.pois, &w.tree, MakeEngineOptions(1));
+    engine.AdmitSession(GroupOf(w, 0));
+    engine.Start();
+    engine.Shutdown();
+    reference = engine.ResultDigest();
+  }
+  ClusterEngine cluster(&w.pois, &w.tree, MakeClusterOptions(2, 1));
+  cluster.Start();
+  EXPECT_THROW(cluster.AdmitSession(bad_group, bad_tuning),
+               std::invalid_argument);
+  EXPECT_EQ(cluster.session_count(), 0u);
+  EXPECT_EQ(cluster.AdmitSession(GroupOf(w, 0)), 0u);
+  cluster.Shutdown();
+  EXPECT_EQ(cluster.session_count(), 1u);
+  EXPECT_EQ(cluster.ResultDigest(), reference);
+  EXPECT_EQ(cluster.recovery_stats().restarts, 0u);
+}
+
+SessionTuning CostFactor(double factor) {
+  SessionTuning tuning;
+  tuning.recompute_cost_factor = factor;
+  return tuning;
+}
+
+TEST(ClusterLifecycleTest, RejectsEmptyGroup) {
+  const World w = MakeWorld(150, 1, 30, 0xC10588);
+  ExpectClusterAdmissionRejected(w, {}, SessionTuning());
+}
+
+TEST(ClusterLifecycleTest, RejectsNullTrajectory) {
+  const World w = MakeWorld(150, 1, 30, 0xC10588);
+  ExpectClusterAdmissionRejected(w, {&w.trajs[0], nullptr, &w.trajs[2]},
+                                 SessionTuning());
+}
+
+TEST(ClusterLifecycleTest, RejectsEmptyTrajectory) {
+  const World w = MakeWorld(150, 1, 30, 0xC10588);
+  const Trajectory empty;
+  ExpectClusterAdmissionRejected(w, {&w.trajs[0], &empty}, SessionTuning());
+}
+
+TEST(ClusterLifecycleTest, RejectsCostFactorBelowOne) {
+  const World w = MakeWorld(150, 1, 30, 0xC10588);
+  ExpectClusterAdmissionRejected(w, GroupOf(w, 0), CostFactor(0.5));
+}
+
+TEST(ClusterLifecycleTest, RejectsNanCostFactor) {
+  const World w = MakeWorld(150, 1, 30, 0xC10588);
+  ExpectClusterAdmissionRejected(
+      w, GroupOf(w, 0), CostFactor(std::numeric_limits<double>::quiet_NaN()));
+}
+
+TEST(ClusterLifecycleTest, RejectsInfiniteCostFactor) {
+  const World w = MakeWorld(150, 1, 30, 0xC10588);
+  ExpectClusterAdmissionRejected(
+      w, GroupOf(w, 0), CostFactor(std::numeric_limits<double>::infinity()));
+}
+
+TEST(ClusterLifecycleTest, RejectsZeroWorkers) {
+  const World w = MakeWorld(150, 1, 30, 0xC10589);
+  EXPECT_THROW(ClusterEngine(&w.pois, &w.tree, MakeClusterOptions(0, 1)),
+               std::invalid_argument);
 }
 
 }  // namespace

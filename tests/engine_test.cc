@@ -6,8 +6,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
+#include <limits>
 #include <mutex>
 #include <stdexcept>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -23,92 +27,25 @@ namespace {
 
 // --- Thread pool ------------------------------------------------------------
 
-TEST(ThreadPoolTest, SubmitRunsTaskAndReturnsValue) {
-  ThreadPool pool(2);
-  EXPECT_EQ(pool.thread_count(), 2u);
-  auto future = pool.Submit([]() { return 6 * 7; });
-  EXPECT_EQ(future.get(), 42);
-}
-
-TEST(ThreadPoolTest, SubmitManyTasksAllComplete) {
-  ThreadPool pool(4);
-  std::atomic<int> sum{0};
-  std::vector<std::future<void>> futures;
-  for (int i = 1; i <= 100; ++i) {
-    futures.push_back(pool.Submit([&sum, i]() { sum += i; }));
-  }
-  for (auto& f : futures) f.get();
-  EXPECT_EQ(sum.load(), 5050);
-}
-
-TEST(ThreadPoolTest, SubmitPropagatesExceptions) {
-  ThreadPool pool(2);
-  auto future = pool.Submit(
-      []() -> int { throw std::runtime_error("task failed"); });
-  EXPECT_THROW(future.get(), std::runtime_error);
-  // The pool survives a throwing task.
-  EXPECT_EQ(pool.Submit([]() { return 1; }).get(), 1);
-}
-
 TEST(ThreadPoolTest, DestructorDrainsQueuedTasks) {
   std::atomic<int> ran{0};
   {
     ThreadPool pool(1);
+    // The first task holds the single worker, so the other 32 are still
+    // queued when the destructor starts.
+    pool.Post(
+        [](void*, void*) noexcept {
+          std::this_thread::sleep_for(std::chrono::milliseconds(20));
+        },
+        nullptr, nullptr, 0);
     for (int i = 0; i < 32; ++i) {
-      pool.Submit([&ran]() { ++ran; });
+      pool.Post(
+          [](void* a, void*) noexcept { ++*static_cast<std::atomic<int>*>(a); },
+          &ran, nullptr, 1);
     }
     // Destructor must wait for all 32, not drop queued ones.
   }
   EXPECT_EQ(ran.load(), 32);
-}
-
-TEST(ThreadPoolTest, ParallelForCoversEveryIndexExactlyOnce) {
-  ThreadPool pool(4);
-  const size_t n = 1237;
-  std::vector<std::atomic<int>> hits(n);
-  pool.ParallelFor(n, 10, [&hits](size_t begin, size_t end) {
-    for (size_t i = begin; i < end; ++i) ++hits[i];
-  });
-  for (size_t i = 0; i < n; ++i) EXPECT_EQ(hits[i].load(), 1) << i;
-}
-
-TEST(ThreadPoolTest, ParallelForChunkLayoutIsGrainAligned) {
-  ThreadPool pool(3);
-  std::mutex mu;
-  std::vector<std::pair<size_t, size_t>> chunks;
-  pool.ParallelFor(105, 16, [&](size_t begin, size_t end) {
-    std::lock_guard<std::mutex> lock(mu);
-    chunks.emplace_back(begin, end);
-  });
-  ASSERT_EQ(chunks.size(), 7u);  // ceil(105/16)
-  for (const auto& [begin, end] : chunks) {
-    EXPECT_EQ(begin % 16, 0u);
-    EXPECT_EQ(end, std::min<size_t>(105, begin + 16));
-  }
-}
-
-TEST(ThreadPoolTest, ParallelForPropagatesException) {
-  ThreadPool pool(2);
-  EXPECT_THROW(pool.ParallelFor(100, 8,
-                                [](size_t begin, size_t) {
-                                  if (begin == 32) {
-                                    throw std::logic_error("chunk failed");
-                                  }
-                                }),
-               std::logic_error);
-}
-
-TEST(ThreadPoolTest, NestedParallelForDoesNotDeadlock) {
-  // Saturate the pool with outer chunks that each fan out again; the
-  // caller-participates design must make progress regardless.
-  ThreadPool pool(2);
-  std::atomic<size_t> total{0};
-  pool.ParallelFor(8, 1, [&pool, &total](size_t, size_t) {
-    pool.ParallelFor(50, 4, [&total](size_t begin, size_t end) {
-      total += end - begin;
-    });
-  });
-  EXPECT_EQ(total.load(), 400u);
 }
 
 TEST(ThreadPoolTest, HardwareThreadsIsPositive) {
@@ -130,37 +67,36 @@ TEST(ThreadPoolTest, PostRunsInPriorityOrder) {
     Log* log;
     int tag;
   };
-  ThreadPool pool(1);
   Log log;
-  pool.Post(
-      [](void* a, void*) noexcept {
-        Log* l = static_cast<Log*>(a);
-        std::unique_lock<std::mutex> lock(l->mu);
-        l->cv.wait(lock, [l]() { return l->gate_open; });
-      },
-      &log, nullptr);
   // {tag, priority}: tags 10, 11, 12 share priority 1 and 20, 21 share 2.
   const std::vector<std::pair<int, uint64_t>> posted = {
       {3, 3}, {10, 1}, {20, 2}, {11, 1}, {21, 2}, {12, 1}};
   std::vector<Entry> entries;
   for (const auto& [tag, priority] : posted) entries.push_back({&log, tag});
-  for (size_t i = 0; i < entries.size(); ++i) {
+  {
+    ThreadPool pool(1);
     pool.Post(
         [](void* a, void*) noexcept {
-          const Entry* e = static_cast<const Entry*>(a);
-          std::lock_guard<std::mutex> lock(e->log->mu);
-          e->log->order.push_back(e->tag);
+          Log* l = static_cast<Log*>(a);
+          std::unique_lock<std::mutex> lock(l->mu);
+          l->cv.wait(lock, [l]() { return l->gate_open; });
         },
-        &entries[i], nullptr, posted[i].second);
-  }
-  auto last = pool.Submit([]() {});  // default priority: runs after all
-  {
-    std::lock_guard<std::mutex> lock(log.mu);
-    log.gate_open = true;
-  }
-  log.cv.notify_all();
-  last.get();
-  std::lock_guard<std::mutex> lock(log.mu);
+        &log, nullptr, 0);
+    for (size_t i = 0; i < entries.size(); ++i) {
+      pool.Post(
+          [](void* a, void*) noexcept {
+            const Entry* e = static_cast<const Entry*>(a);
+            std::lock_guard<std::mutex> lock(e->log->mu);
+            e->log->order.push_back(e->tag);
+          },
+          &entries[i], nullptr, posted[i].second);
+    }
+    {
+      std::lock_guard<std::mutex> lock(log.mu);
+      log.gate_open = true;
+    }
+    log.cv.notify_all();
+  }  // the destructor drains the queue
   EXPECT_EQ(log.order, (std::vector<int>{10, 11, 12, 20, 21, 3}));
 }
 
@@ -346,6 +282,135 @@ TEST(EngineLifecycleTest, UnknownSessionIdsAreRejected) {
   EXPECT_NO_THROW(fuzz::ResultOf(engine, 0));
   EXPECT_THROW(fuzz::ResultOf(engine, 1), std::out_of_range);
   EXPECT_THROW(engine.RetireSession(1), std::out_of_range);
+}
+
+// A malformed admission throws std::invalid_argument before an id is
+// reserved: the session count does not move, and a valid admission after it
+// gets id 0 and the digest of an engine that never saw the bad one. The
+// engine is started, so a bad session that got in would run at once.
+void ExpectAdmissionRejected(const World& w,
+                             const std::vector<const Trajectory*>& bad_group,
+                             const SessionTuning& bad_tuning) {
+  const std::vector<const Trajectory*> good = {&w.trajs[0], &w.trajs[1],
+                                               &w.trajs[2]};
+  Engine clean(&w.pois, &w.tree, MakeEngineOptions(2));
+  clean.AdmitSession(good);
+  clean.Start();
+  clean.Shutdown();
+
+  Engine engine(&w.pois, &w.tree, MakeEngineOptions(2));
+  Engine::Hold hold = engine.AcquireHold();
+  engine.Start();
+  EXPECT_THROW(engine.AdmitSession(bad_group, bad_tuning),
+               std::invalid_argument);
+  EXPECT_EQ(engine.session_count(), 0u);
+  EXPECT_EQ(engine.AdmitSession(good), 0u);
+  hold.Reset();
+  engine.Shutdown();
+  EXPECT_EQ(engine.session_count(), 1u);
+  EXPECT_EQ(engine.ResultDigest(), clean.ResultDigest());
+}
+
+SessionTuning CostFactor(double factor) {
+  SessionTuning tuning;
+  tuning.recompute_cost_factor = factor;
+  return tuning;
+}
+
+TEST(EngineLifecycleTest, RejectsEmptyGroup) {
+  const World w = MakeWorld(150, 1, 40, 0x2EA);
+  ExpectAdmissionRejected(w, {}, SessionTuning());
+}
+
+TEST(EngineLifecycleTest, RejectsNullTrajectory) {
+  const World w = MakeWorld(150, 1, 40, 0x2EA);
+  ExpectAdmissionRejected(w, {&w.trajs[0], nullptr, &w.trajs[2]},
+                          SessionTuning());
+}
+
+TEST(EngineLifecycleTest, RejectsEmptyTrajectory) {
+  const World w = MakeWorld(150, 1, 40, 0x2EA);
+  const Trajectory empty;
+  ExpectAdmissionRejected(w, {&w.trajs[0], &empty}, SessionTuning());
+}
+
+TEST(EngineLifecycleTest, RejectsCostFactorBelowOne) {
+  const World w = MakeWorld(150, 1, 40, 0x2EA);
+  ExpectAdmissionRejected(w, {&w.trajs[0], &w.trajs[1]}, CostFactor(0.5));
+}
+
+TEST(EngineLifecycleTest, RejectsNanCostFactor) {
+  const World w = MakeWorld(150, 1, 40, 0x2EA);
+  ExpectAdmissionRejected(
+      w, {&w.trajs[0], &w.trajs[1]},
+      CostFactor(std::numeric_limits<double>::quiet_NaN()));
+}
+
+TEST(EngineLifecycleTest, RejectsInfiniteCostFactor) {
+  const World w = MakeWorld(150, 1, 40, 0x2EA);
+  ExpectAdmissionRejected(
+      w, {&w.trajs[0], &w.trajs[1]},
+      CostFactor(std::numeric_limits<double>::infinity()));
+}
+
+TEST(EngineLifecycleTest, ConcurrentAdmissionsGetDenseIds) {
+  // The session table is callable from any thread: four threads admitting
+  // 16 groups each into a started engine get exactly the ids 0-63, and the
+  // digest equals a serial engine's that admits the same groups in id
+  // order (the digest reads sessions in id order).
+  constexpr size_t kThreads = 4;
+  constexpr size_t kPerThread = 16;
+  constexpr size_t kGroups = kThreads * kPerThread;
+  const World w = MakeWorld(200, kGroups, 30, 0x2EC);
+  EngineOptions opt = MakeEngineOptions(2);
+  opt.sim.server.method = Method::kCircle;  // cheap recomputes
+  const auto group_of = [&w](size_t g) {
+    return std::vector<const Trajectory*>{&w.trajs[3 * g], &w.trajs[3 * g + 1],
+                                          &w.trajs[3 * g + 2]};
+  };
+
+  std::vector<size_t> group_by_id(kGroups, kGroups);
+  uint64_t concurrent = 0;
+  {
+    Engine engine(&w.pois, &w.tree, opt);
+    Engine::Hold hold = engine.AcquireHold();
+    engine.Start();
+    std::atomic<bool> go{false};
+    std::vector<std::vector<uint32_t>> ids(kThreads);
+    std::vector<std::thread> admitters;
+    for (size_t k = 0; k < kThreads; ++k) {
+      admitters.emplace_back([&, k]() {
+        while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
+        for (size_t i = 0; i < kPerThread; ++i) {
+          ids[k].push_back(engine.AdmitSession(group_of(k * kPerThread + i)));
+        }
+      });
+    }
+    go.store(true, std::memory_order_release);
+    for (std::thread& t : admitters) t.join();
+    hold.Reset();
+    engine.Shutdown();
+    for (size_t k = 0; k < kThreads; ++k) {
+      for (size_t i = 0; i < kPerThread; ++i) {
+        const uint32_t id = ids[k][i];
+        ASSERT_LT(id, kGroups);
+        EXPECT_EQ(group_by_id[id], kGroups) << "id " << id << " given twice";
+        group_by_id[id] = k * kPerThread + i;
+      }
+    }
+    EXPECT_EQ(engine.session_count(), kGroups);
+    concurrent = engine.ResultDigest();
+  }
+
+  EngineOptions serial_opt = opt;
+  serial_opt.threads = 1;
+  Engine serial(&w.pois, &w.tree, serial_opt);
+  for (size_t id = 0; id < kGroups; ++id) {
+    EXPECT_EQ(serial.AdmitSession(group_of(group_by_id[id])), id);
+  }
+  serial.Start();
+  serial.Shutdown();
+  EXPECT_EQ(serial.ResultDigest(), concurrent);
 }
 
 TEST(EngineLifecycleTest, WaitBeforeStartIsAHardError) {

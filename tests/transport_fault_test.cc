@@ -561,23 +561,6 @@ TEST_P(ClusterFaultTest, FailStopSurfacesTheTransportErrorText) {
   }
 }
 
-TEST_P(ClusterFaultTest, HeartbeatsDisabledStillDrainsCleanly) {
-  const World w = MakeWorld(200, kGroups, 60, 0xFA000A);
-  const uint64_t ref = ReferenceDigest(w);
-  ClusterOptions opt = FastOptions();
-  opt.transport.heartbeats = false;  // pre-hardening blocking waits
-  ClusterEngine cluster(&w.pois, &w.tree, opt);
-  cluster.Start();
-  for (size_t g = 0; g < kGroups; ++g) cluster.AdmitSession(GroupOf(w, g));
-  cluster.Wait();
-  EXPECT_EQ(cluster.ResultDigest(), ref);
-  const ClusterEngine::RecoveryStats stats = cluster.recovery_stats();
-  EXPECT_EQ(stats.restarts, 0u);
-  EXPECT_EQ(stats.heartbeat_misses, 0u);
-  EXPECT_EQ(stats.checksum_failures, 0u);
-  cluster.Shutdown();
-}
-
 INSTANTIATE_TEST_SUITE_P(Backends, ClusterFaultTest,
                          testing::Values(Backend::kSocketPair), BackendName);
 

@@ -111,22 +111,6 @@ TEST(RunningStatTest, EmptyAndSingle) {
   EXPECT_DOUBLE_EQ(s.Variance(), 0.0);
 }
 
-TEST(RunningStatTest, MergeEqualsBulk) {
-  Rng rng(12);
-  RunningStat a, b, bulk;
-  for (int i = 0; i < 1000; ++i) {
-    const double x = rng.Gaussian(3.0, 1.5);
-    (i % 2 == 0 ? a : b).Add(x);
-    bulk.Add(x);
-  }
-  a.Merge(b);
-  EXPECT_EQ(a.count(), bulk.count());
-  EXPECT_NEAR(a.Mean(), bulk.Mean(), 1e-9);
-  EXPECT_NEAR(a.Variance(), bulk.Variance(), 1e-9);
-  EXPECT_DOUBLE_EQ(a.Min(), bulk.Min());
-  EXPECT_DOUBLE_EQ(a.Max(), bulk.Max());
-}
-
 TEST(QuantileTest, InterpolatesOrderStatistics) {
   std::vector<double> v = {1, 2, 3, 4, 5};
   EXPECT_DOUBLE_EQ(Quantile(v, 0.0), 1.0);
@@ -172,25 +156,6 @@ TEST(TimerTest, MeasuresElapsedTime) {
   EXPECT_GE(t.ElapsedMicros(), 0.0);
   t.Reset();
   EXPECT_LT(t.ElapsedSeconds(), 1.0);
-}
-
-TEST(TimeAccumulatorTest, ScopesAccumulate) {
-  TimeAccumulator acc;
-  {
-    TimeAccumulator::Scope scope(&acc);
-    volatile double sink = 0.0;
-    for (int i = 0; i < 100000; ++i) sink += i;
-  }
-  const double first = acc.TotalSeconds();
-  EXPECT_GT(first, 0.0);
-  {
-    TimeAccumulator::Scope scope(&acc);
-    volatile double sink = 0.0;
-    for (int i = 0; i < 100000; ++i) sink += i;
-  }
-  EXPECT_GT(acc.TotalSeconds(), first);
-  acc.Reset();
-  EXPECT_DOUBLE_EQ(acc.TotalSeconds(), 0.0);
 }
 
 }  // namespace
