@@ -10,7 +10,6 @@
 #include <deque>
 #include <stdexcept>
 #include <thread>
-#include <unordered_map>
 #include <utility>
 
 #include "engine/digest.h"
@@ -68,12 +67,17 @@ uint64_t ReadAdmitRetireAt(const WireBuffer& frame) {
 /// frames until the coordinator shuts it down or closes the pipe. Runs in
 /// the forked child; must not touch the coordinator's state or stdio.
 /// Retire frames carry *global* ids (a replacement worker's local ids
-/// restart from 0 while global ids do not), so the worker keeps the
-/// global->local map.
+/// restart from 0 while global ids do not), so the worker keeps each local
+/// session's global id.
 int WorkerMain(IpcChannel* ch, IpcChannel* hb,
                const std::vector<Point>* pois, const PackedRTree* tree,
                const EngineOptions& options) {
   try {
+    // Decoded trajectories of the sessions not yet shipped in a drain
+    // reply: sessions keep pointers into it, so entries must never move
+    // (deque). Declared before the engine so it outlives it: on an error
+    // or EOF exit ~Engine drains the sessions still in flight over them.
+    std::deque<std::vector<Trajectory>> storage;
     Engine engine(pois, tree, options);
     engine.Start();
     // Heartbeat responder: a dedicated thread answers coordinator pings
@@ -109,11 +113,9 @@ int WorkerMain(IpcChannel* ch, IpcChannel* hb,
                     }
                   }
                 })};
-    // Owned backing store for deserialized trajectories: sessions keep
-    // pointers into it, so entries must never move (deque).
-    std::deque<std::vector<Trajectory>> storage;
+    // Global id of each local session. Ascending within an incarnation:
+    // a shard's ids ascend, the pipe is FIFO, and a replay ascends too.
     std::vector<uint32_t> global_ids;
-    std::unordered_map<uint32_t, uint32_t> local_of;
     std::vector<uint8_t> payload;
     // Transport retries already shipped in an earlier drain reply (the
     // coordinator folds the per-drain delta into its RecoveryStats).
@@ -149,17 +151,18 @@ int WorkerMain(IpcChannel* ch, IpcChannel* hb,
             throw std::runtime_error("cluster worker: local id out of sync");
           }
           global_ids.push_back(global_id);
-          local_of.emplace(global_id, local);
           break;
         }
         case kRetire: {
           const uint32_t global_id = r.GetU32();
           const uint64_t at = r.GetU64();
-          const auto it = local_of.find(global_id);
-          if (it == local_of.end()) {
+          const auto it =
+              std::lower_bound(global_ids.begin(), global_ids.end(), global_id);
+          if (it == global_ids.end() || *it != global_id) {
             throw std::runtime_error("cluster worker: retire for unknown id");
           }
-          engine.RetireSession(it->second, static_cast<size_t>(at));
+          engine.RetireSession(static_cast<uint32_t>(it - global_ids.begin()),
+                               static_cast<size_t>(at));
           break;
         }
         case kDrain: {
@@ -200,6 +203,11 @@ int WorkerMain(IpcChannel* ch, IpcChannel* hb,
           out.PutU64(mem.spilled_bytes);
           out.PutU64(mem.peak_resident_bytes);
           if (!ch->Send(out)) return 1;
+          // The shipped sessions are final (Wait drained them) and their
+          // results crossed: nothing reads their trajectories again.
+          storage.erase(storage.begin(),
+                        storage.begin() + static_cast<std::ptrdiff_t>(
+                                              sessions - shipped));
           shipped = sessions;
           break;
         }
@@ -240,6 +248,7 @@ ClusterEngine::ClusterEngine(const std::vector<Point>* pois,
     throw std::invalid_argument("ClusterEngine: workers must be >= 1");
   }
   fault_plan_ = FaultPlan::FromEnv(options_.workers);
+  workers_.resize(options_.workers);
 }
 
 ClusterEngine::~ClusterEngine() { TeardownWorkers(); }
@@ -281,8 +290,8 @@ uint32_t ClusterEngine::AdmitSession(
     throw std::runtime_error(workers_[shard].lost_reason);
   }
   const uint32_t id = next_id_++;
-  // The snapshot keeps this frame for the session's lifetime: size it
-  // exactly rather than to the next growth step.
+  // The snapshot keeps this frame until the session's first drain: size
+  // it exactly rather than to the next growth step.
   size_t bytes = 1 + 4 + 8 + 8 + 8 + 4;
   for (const Trajectory* t : group) bytes += 4 + 16 * t->positions.size();
   WireBuffer frame;
@@ -303,10 +312,9 @@ uint32_t ClusterEngine::AdmitSession(
   // Record intent in the snapshot BEFORE the first send: if the worker is
   // already dead, the recovery replay delivers this very frame — a second
   // send would duplicate it.
-  SessionState state;
-  state.admit_frame = std::move(frame);
-  snapshot_.push_back(std::move(state));
-  if (started_ && !SendToShard(shard, snapshot_[id].admit_frame)) {
+  std::deque<SessionState>& pending = workers_[shard].pending;
+  pending.emplace_back().admit_frame = std::move(frame);
+  if (started_ && !SendToShard(shard, pending.back().admit_frame)) {
     RecoverShard(shard);  // replay includes the new admit frame
   }
   return id;
@@ -319,16 +327,21 @@ void ClusterEngine::RetireSession(uint32_t id, size_t at_timestamp) {
     throw std::out_of_range("ClusterEngine::RetireSession: unknown id");
   }
   const size_t shard = id % options_.workers;
-  Worker* w = started_ ? &workers_[shard] : nullptr;
-  if (w != nullptr && w->lost) throw std::runtime_error(w->lost_reason);
-  // Snapshot first (see AdmitSession).
-  snapshot_[id].retire_ats.push_back(static_cast<uint64_t>(at_timestamp));
-  if (w == nullptr) return;
   const size_t shard_index = id / options_.workers;
-  // Sessions final as of the shard's last drain are restored from the
-  // coordinator snapshot, not re-admitted: retiring one is a no-op (its
-  // timestamps are all processed already).
-  if (shard_index < w->restored_below) return;
+  Worker& w = workers_[shard];
+  if (started_ && w.lost) throw std::runtime_error(w.lost_reason);
+  // Snapshot first (see AdmitSession). A drained session is final and
+  // never replayed, so there is nothing to record for it.
+  if (shard_index >= w.drained_through) {
+    w.pending[shard_index - w.drained_through].retire_ats.push_back(
+        static_cast<uint64_t>(at_timestamp));
+  }
+  if (!started_) return;
+  // Sessions final as of the shard's last drain before its current
+  // incarnation were restored, not re-admitted: the incarnation does not
+  // hold them, and retiring one is a no-op anyway (its timestamps are all
+  // processed already).
+  if (shard_index < w.restored_below) return;
   WireBuffer frame;
   frame.PutU8(kRetire);
   frame.PutU32(id);
@@ -396,12 +409,11 @@ void ClusterEngine::ForkWorker(size_t shard) {
 
 bool ClusterEngine::ReplayShardSnapshot(size_t shard, bool count_stats) {
   Worker& w = workers_[shard];
-  const size_t shard_sessions = ShardSessionCount(shard);
+  // The queue starts at drained_through, and so does the replay: both are
+  // 0 at Start, and RecoverShard sets restored_below just before.
+  MPN_ASSERT(w.restored_below == w.drained_through);
   if (count_stats) stats_.sessions_restored += w.restored_below;
-  for (size_t k = w.restored_below; k < shard_sessions; ++k) {
-    const uint32_t id =
-        static_cast<uint32_t>(shard + k * options_.workers);
-    const SessionState& state = snapshot_[id];
+  for (const SessionState& state : w.pending) {
     // Recorded retirements ride INSIDE the admit frame (folded into the
     // tuning's retire_at, which RequestRetire min-merges with anyway): a
     // worker's engine starts advancing a session the moment it is
@@ -525,6 +537,7 @@ void ClusterEngine::MarkShardLost(size_t shard) {
     if (!ids.empty()) ids += ", ";
     ids += std::to_string(shard + k * options_.workers);
   }
+  w.pending.clear();  // a lost shard is never replayed
   w.lost = true;
   w.lost_reason = ShardError(
       shard, "lost after " + std::to_string(w.restarts) +
@@ -597,14 +610,13 @@ void ClusterEngine::Start() {
     throw std::logic_error("ClusterEngine::Start may be called once");
   }
   started_ = true;
-  workers_.resize(options_.workers);
   for (size_t shard = 0; shard < options_.workers; ++shard) {
     ForkWorker(shard);
   }
-  // Initial delivery shares the recovery replay path (restored_below is 0,
-  // so the full snapshot goes out); stats stay zero for it — only real
-  // recoveries count. A worker dying this early (e.g. a crash armed at
-  // t=0) is recovered like any other death.
+  // Initial delivery shares the recovery replay path (nothing is drained
+  // yet, so every queued admission goes out); stats stay zero for it —
+  // only real recoveries count. A worker dying this early (e.g. a crash
+  // armed at t=0) is recovered like any other death.
   for (size_t shard = 0; shard < options_.workers; ++shard) {
     if (!ReplayShardSnapshot(shard, /*count_stats=*/false)) {
       RecoverShard(shard);  // loops until replayed, lost, or poisoned
@@ -717,7 +729,11 @@ void ClusterEngine::ParseDrainReply(size_t shard,
   w.last_mem.rehydrated_sessions = r.GetU64();
   w.last_mem.spilled_bytes = r.GetU64();
   w.last_mem.peak_resident_bytes = r.GetU64();
-  // Every session admitted so far is final now (Engine::Wait drains all).
+  // Every session admitted so far is final now (Engine::Wait drains all),
+  // so none of them can be replayed again. Popped only here, with the
+  // whole reply parsed.
+  w.pending.erase(w.pending.begin(),
+                  w.pending.begin() + static_cast<std::ptrdiff_t>(sessions));
   w.drained_through = shard_sessions;
 }
 

@@ -27,19 +27,23 @@
 // shutdown — so a cluster supports repeated AdmitSession/Wait() cycles
 // exactly like the single-process serving loop.
 //
-// Elastic recovery: the coordinator keeps a session snapshot — every
-// group's serialized admit frame and retirement timestamps, plus each
-// session's last drained result — so a worker death (EOF / EPIPE /
-// kWorkerError on any interaction) is survivable. The supervisor forks a
-// replacement, re-admits the dead shard's *non-final* groups from the
-// snapshot (sessions final as of the shard's last successful drain keep
-// their coordinator-held results and are not recomputed), and resumes the
-// interrupted operation. Replayed sessions recompute deterministically
-// from timestamp 0, so the post-recovery ResultDigest() is bit-identical
-// to an uninterrupted run; per-timestamp round stats stay bit-identical
-// too because each shard's slot totals split into the dead incarnations'
-// drained history (slot_base) plus the replacement's recomputed timeline,
-// and per-slot integer sums are commutative. Restarts are bounded per
+// Elastic recovery: the coordinator keeps a session snapshot — each
+// undrained group's serialized admit frame and retirement timestamps, in
+// one queue per shard, plus every session's last drained result — so a
+// worker death (EOF / EPIPE / kWorkerError on any interaction) is
+// survivable. The supervisor forks a replacement, re-admits the dead
+// shard's *non-final* groups from its queue (sessions final as of the
+// shard's last successful drain keep their coordinator-held results, are
+// not recomputed, and left the queue with that drain), and resumes the
+// interrupted operation. Workers likewise free a session's decoded
+// trajectories once the drain reply carrying its result has been sent, so
+// neither side of the pipe grows with the sessions it has finished.
+// Replayed sessions recompute deterministically from timestamp 0, so the
+// post-recovery ResultDigest() is bit-identical to an uninterrupted run;
+// per-timestamp round stats stay bit-identical too because each shard's
+// slot totals split into the dead incarnations' drained history
+// (slot_base) plus the replacement's recomputed timeline, and per-slot
+// integer sums are commutative. Restarts are bounded per
 // shard (RecoveryOptions::max_restarts); exhausting the budget degrades
 // gracefully — the shard is marked lost, the error names every group lost
 // with it, and the healthy shards keep serving and draining.
@@ -82,6 +86,7 @@
 #include <sys/types.h>
 
 #include <cstdint>
+#include <deque>
 #include <mutex>
 #include <string>
 #include <utility>
@@ -173,8 +178,9 @@ class ClusterEngine {
 
   /// Registers one group; returns its global session id (dense, in
   /// admission order). The trajectories are serialized into the admit
-  /// frame (which the coordinator also snapshots for recovery replay), so
-  /// they only need to stay alive for the duration of the call. Throws
+  /// frame (which the coordinator also keeps for recovery replay until
+  /// the session's first drain), so they only need to stay alive for the
+  /// duration of the call. Throws
   /// std::logic_error after Shutdown(), std::runtime_error when the
   /// group routes to a lost shard, and std::invalid_argument for a
   /// malformed group or tuning (ValidateAdmission) — all before an id is
@@ -185,7 +191,9 @@ class ClusterEngine {
   /// Deterministically truncates session `id`'s horizon at `at_timestamp`
   /// (see Engine::RetireSession; Engine::kRetireNow asks for the next
   /// event boundary instead, which is wall-clock dependent). Recorded in
-  /// the recovery snapshot, so replayed sessions retire identically —
+  /// the recovery snapshot while the session is undrained, so replayed
+  /// sessions retire identically (a drained session is final and never
+  /// replayed, so nothing is recorded for it) —
   /// and delivered *inside* the admit frame when recorded before the
   /// session's admission ships (pre-Start, or before a recovery replay):
   /// a worker's engine advances sessions the moment they are admitted,
@@ -284,6 +292,13 @@ class ClusterEngine {
   void InjectFaultAt(size_t shard, size_t at, FaultKind kind);
 
  private:
+  /// Coordinator-side snapshot of one session: everything needed to
+  /// re-admit it to a replacement worker, bit-identically.
+  struct SessionState {
+    WireBuffer admit_frame;            ///< full serialized kAdmit frame
+    std::vector<uint64_t> retire_ats;  ///< RetireSession timestamps, in order
+  };
+
   struct Worker {
     pid_t pid = -1;
     IpcChannel channel;
@@ -305,14 +320,21 @@ class ClusterEngine {
     bool lost = false;
     std::string lost_reason;
     /// Shard-local indices below this are final (drained) sessions whose
-    /// results live in the coordinator snapshot; they are not re-admitted
-    /// to the current incarnation.
+    /// results live in the coordinator's results_; they are not
+    /// re-admitted to the current incarnation.
     size_t restored_below = 0;
     /// Shard-local session count at this shard's last successful drain —
     /// everything below it was final then (Engine::Wait drains every
     /// admitted session to completion). The next drain reply carries the
     /// sessions from this index on.
     size_t drained_through = 0;
+    /// Recovery snapshot of the shard's undrained sessions: shard-local
+    /// index k (global id shard + k * workers), for k in
+    /// [drained_through, shard sessions), sits at position
+    /// k - drained_through. Appended *before* an admission's first send,
+    /// so a replay can never miss a session; popped once a drain reply
+    /// carrying the sessions has parsed.
+    std::deque<SessionState> pending;
     /// Per-timestamp slot totals owned by dead incarnations' drained
     /// history; the current incarnation's drain adds on top.
     std::vector<Scheduler::Slot> slot_base;
@@ -324,13 +346,6 @@ class ClusterEngine {
     MemoryStats mem_base;
     /// Counters reported by the current incarnation's last drain.
     MemoryStats last_mem;
-  };
-
-  /// Coordinator-side snapshot of one session: everything needed to
-  /// re-admit it to a replacement worker, bit-identically.
-  struct SessionState {
-    WireBuffer admit_frame;            ///< full serialized kAdmit frame
-    std::vector<uint64_t> retire_ats;  ///< RetireSession timestamps, in order
   };
 
   void RequireStarted() const;
@@ -347,7 +362,7 @@ class ClusterEngine {
   /// Forks one worker for `shard` (arming the shard's next fault batch)
   /// and installs its channel. Caller holds mu_.
   void ForkWorker(size_t shard);
-  /// Replays the snapshot to shard's current incarnation: the admit frame
+  /// Replays shard's queue to its current incarnation: the admit frame
   /// of every non-final session, ascending, with recorded retirements
   /// folded into each frame's retire_at tuning (a trailing retire frame
   /// would race the session finishing on the live worker). Returns false
@@ -388,7 +403,9 @@ class ClusterEngine {
   /// recovering and re-draining through worker deaths. Returns false when
   /// the shard degraded to lost. Caller holds mu_.
   bool RecvDrainRecovering(size_t shard);
-  /// Parses one kDrainedOk payload. Throws on protocol violations.
+  /// Parses one kDrainedOk payload, then pops the sessions it carried
+  /// from shard's queue — only once the whole payload has parsed. Throws
+  /// on protocol violations.
   void ParseDrainReply(size_t shard, const std::vector<uint8_t>& payload);
   /// Reaps shard's process if still outstanding (blocking, EINTR-safe).
   void Reap(size_t shard);
@@ -406,10 +423,9 @@ class ClusterEngine {
   bool stopped_ = false;
   bool failed_ = false;  ///< poison latch (see RequireHealthy)
   uint32_t next_id_ = 0;
+  /// One per shard from construction: the undrained-session queues take
+  /// admissions before Start forks the workers.
   std::vector<Worker> workers_;
-  /// Recovery snapshot, indexed by global session id (admit frame recorded
-  /// *before* the first send, so a replay can never miss a session).
-  std::vector<SessionState> snapshot_;
   FaultPlan fault_plan_;
   RecoveryStats stats_;
   /// Last drained result per global id; persists across Waits so final

@@ -144,8 +144,12 @@ class Engine {
   Engine& operator=(const Engine&) = delete;
 
   /// Registers one group; returns its session id (dense, in admission
-  /// order). All trajectories must outlive the engine. Callable from any
-  /// thread, before Start or while the engine drains; throws
+  /// order). The trajectories must stay alive until a Wait() (or
+  /// Shutdown()) called after this admission returns — every session
+  /// admitted before it is final then, and a final session holds no
+  /// pointer into them — or else until the engine is destroyed, since
+  /// ~Engine drains what is still in flight. Callable from any thread,
+  /// before Start or while the engine drains; throws
   /// std::logic_error once the engine has finished and
   /// std::invalid_argument for a malformed group or tuning
   /// (ValidateAdmission), in both cases without reserving an id.

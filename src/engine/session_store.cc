@@ -65,6 +65,9 @@ void SessionStore::CompactFinalizedLocked(SessionRecord* r) {
   r->final_result =
       std::make_unique<SessionFinalResult>(r->session->ExtractFinalResult());
   r->session.reset();
+  // A final is never rebuilt: drop the pointers into the caller's
+  // trajectories, which only have to outlive the drain (Engine::Wait).
+  std::vector<const Trajectory*>().swap(r->group);
   const size_t est = FinalBytesEstimate(*r->final_result);
   std::lock_guard<std::mutex> sl(mu_);
   EraseActiveLocked(r);

@@ -82,8 +82,9 @@ class SessionStore {
   void AccountLocked(SessionRecord* r);
 
   /// Destroys a finalized record's GroupSession, keeping only its
-  /// SessionFinalResult. Caller holds r->mu (the scheduler's finalize
-  /// path); the store mutex is acquired inside.
+  /// SessionFinalResult, and releases its trajectory pointers. Caller
+  /// holds r->mu (the scheduler's finalize path); the store mutex is
+  /// acquired inside.
   void CompactFinalizedLocked(SessionRecord* r);
 
   /// Rehydrates a spilled record before its next event runs (no-op when

@@ -44,7 +44,9 @@ struct JobSlot {
 /// (`spilled`; the serialized snapshot lives in the store's external list
 /// and `cached_next_t` keeps the scheduler able to re-arm it). The id,
 /// trajectory group and tuning stay on the record so the store can rebuild
-/// the state machine on rehydration. Only the store's budget decides
+/// the state machine on rehydration; compaction releases the group, so a
+/// finished record points into no caller-owned memory. Only the store's
+/// budget decides
 /// whether a record is resident: reads stream through
 /// SessionStore::WithResult and never rehydrate or hold a record in.
 struct SessionRecord {
@@ -56,7 +58,9 @@ struct SessionRecord {
   std::unique_ptr<GroupSession> session;
 
   const uint32_t id;                        ///< dense global session id
-  const std::vector<const Trajectory*> group;  ///< for rehydration
+  /// The caller's trajectories, for rehydration; emptied when the session
+  /// is compacted to its final result (guarded by mu).
+  std::vector<const Trajectory*> group;
   const SessionTuning tuning;               ///< admission-time tuning
 
   /// Guards the flags below (never held while a session phase runs).

@@ -93,9 +93,15 @@ FoldFn PickedFold() {
 
 }  // namespace
 
-UserLaneAgg FoldUserLanesBaseline(const RectLanes& r, const double* max_po,
-                                  size_t begin, size_t end, double px,
-                                  double py, double d_o, double t_lt) {
+// Both builds start on a 64-byte boundary, so unrelated code linked
+// before them cannot move their loops across cache lines. Without it,
+// deleting 1,264 bytes of engine code moved FoldUserLanesAvx2 from
+// offset 0 to 16 mod 64, and max_tiled read +4.2 % and +4.7 %
+// server_ms_per_update (3/10 pairs better in each of two sets) with no
+// change to the code it runs.
+__attribute__((aligned(64))) UserLaneAgg FoldUserLanesBaseline(
+    const RectLanes& r, const double* max_po, size_t begin, size_t end,
+    double px, double py, double d_o, double t_lt) {
   return FoldUserLanesBody(r, max_po, begin, end, px, py, d_o, t_lt);
 }
 
@@ -103,7 +109,7 @@ UserLaneAgg FoldUserLanesBaseline(const RectLanes& r, const double* max_po,
 // A per-function target (no global -mavx2), so the binary still runs on
 // baseline x86-64. AVX2 only, not FMA; with -ffp-contract=off as well,
 // dx*dx + dy*dy is never fused.
-__attribute__((target("avx2"))) UserLaneAgg FoldUserLanesAvx2(
+__attribute__((target("avx2"), aligned(64))) UserLaneAgg FoldUserLanesAvx2(
     const RectLanes& r, const double* max_po, size_t begin, size_t end,
     double px, double py, double d_o, double t_lt) {
   return FoldUserLanesBody(r, max_po, begin, end, px, py, d_o, t_lt);

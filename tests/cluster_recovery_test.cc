@@ -226,6 +226,94 @@ TEST(ClusterRecoveryTest, KillBetweenWaitsRestoresFinalsFromSnapshot) {
   cluster.Shutdown();
 }
 
+TEST(ClusterRecoveryTest, ReplayAfterDrainsSendsOnlyUndrainedSessions) {
+  // The coordinator keeps a shard's admit frames only until a drain reply
+  // carries their sessions. Shard 1 is killed after three drained waves,
+  // and again after a fourth: each replacement must be sent only the
+  // sessions admitted since the last drain, and the drained ones must keep
+  // their results. Retiring a drained session records nothing to replay
+  // (a retirement misapplied to a live session would move the digest).
+  const size_t kWave = 4;
+  const size_t kWaves = 5;
+  const World w = MakeWorld(250, kWave * kWaves, 60, 0xEC0006);
+  const uint32_t kWave1Id = 1;  // shard 1, shard-local index 0
+  const uint32_t kWave3Id = 9;  // shard 1, shard-local index 4
+  const size_t kRetireAt = 10;
+  const auto admit_wave = [&w](auto* engine, size_t k) {
+    for (size_t g = k * kWave; g < (k + 1) * kWave; ++g) {
+      engine->AdmitSession(GroupOf(w, g));
+    }
+  };
+
+  uint64_t ref_digest = 0;
+  double ref_messages_sum = 0.0, ref_recomputes_sum = 0.0;
+  {
+    Engine engine(&w.pois, &w.tree, MakeEngineOptions(2));
+    engine.Start();
+    for (size_t k = 0; k < kWaves; ++k) {
+      admit_wave(&engine, k);
+      engine.Wait();
+      if (k == 2) {
+        engine.RetireSession(kWave1Id, kRetireAt);
+        engine.RetireSession(kWave3Id, kRetireAt);
+      }
+    }
+    engine.Shutdown();
+    ref_digest = engine.ResultDigest();
+    ref_messages_sum = engine.round_stats().messages_per_round.Sum();
+    ref_recomputes_sum = engine.round_stats().recomputes_per_round.Sum();
+  }
+
+  ClusterEngine cluster(&w.pois, &w.tree, MakeClusterOptions(2, 2));
+  cluster.Start();
+  for (size_t k = 0; k < 3; ++k) {
+    admit_wave(&cluster, k);
+    cluster.Wait();
+  }
+  const uint64_t wave3_updates =
+      fuzz::ResultOf(cluster, kWave3Id).metrics.updates;
+  // Both sessions are drained, so neither has a queue entry left.
+  EXPECT_NO_THROW(cluster.RetireSession(kWave1Id, kRetireAt));
+  EXPECT_NO_THROW(cluster.RetireSession(kWave3Id, kRetireAt));
+
+  // First recovery: shard 1's six drained sessions (ids 1, 3, ..., 11)
+  // are restored, and only wave 4's ids 13 and 15 can be replayed — one
+  // of them when the death surfaces at the first of their admit sends.
+  cluster.KillWorkerForTest(1);
+  admit_wave(&cluster, 3);
+  cluster.Wait();
+  ClusterEngine::RecoveryStats stats = cluster.recovery_stats();
+  EXPECT_EQ(stats.restarts, 1u);
+  EXPECT_EQ(stats.sessions_restored, 6u);
+  EXPECT_GE(stats.sessions_readmitted, 1u);
+  EXPECT_LE(stats.sessions_readmitted, 2u);
+  EXPECT_GE(stats.frames_replayed, 1u);
+  EXPECT_LE(stats.frames_replayed, 2u);
+  EXPECT_EQ(fuzz::ResultOf(cluster, kWave3Id).metrics.updates,
+            wave3_updates);
+
+  // Second recovery: the replacement's own drain popped wave 4, so only
+  // wave 5's ids 17 and 19 can be replayed, and eight are restored.
+  cluster.KillWorkerForTest(1);
+  admit_wave(&cluster, 4);
+  cluster.Wait();
+  stats = cluster.recovery_stats();
+  EXPECT_EQ(stats.restarts, 2u);
+  EXPECT_EQ(stats.sessions_restored, 6u + 8u);
+  EXPECT_GE(stats.sessions_readmitted, 2u);
+  EXPECT_LE(stats.sessions_readmitted, 4u);
+  EXPECT_GE(stats.frames_replayed, 2u);
+  EXPECT_LE(stats.frames_replayed, 4u);
+  EXPECT_EQ(stats.shards_lost, 0u);
+
+  EXPECT_EQ(cluster.ResultDigest(), ref_digest);
+  EXPECT_EQ(cluster.round_stats().messages_per_round.Sum(), ref_messages_sum);
+  EXPECT_EQ(cluster.round_stats().recomputes_per_round.Sum(),
+            ref_recomputes_sum);
+  cluster.Shutdown();
+  EXPECT_EQ(cluster.ResultDigest(), ref_digest);
+}
+
 // --- Graceful degradation ----------------------------------------------------
 
 TEST(ClusterRecoveryTest, ExhaustedRestartsDegradeToErrorNamingLostGroups) {

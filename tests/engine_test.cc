@@ -9,8 +9,10 @@
 #include <chrono>
 #include <condition_variable>
 #include <limits>
+#include <memory>
 #include <mutex>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -628,6 +630,61 @@ TEST(EngineServingLoopTest, WaitServesMultipleAdmissionWaves) {
   EXPECT_EQ(engine.ResultDigest(), oneshot);
   EXPECT_THROW(engine.AdmitSession({&w.trajs[0], &w.trajs[1], &w.trajs[2]}),
                std::logic_error);
+}
+
+TEST(EngineServingLoopTest, FinishedSessionsNeedNoTrajectories) {
+  // AdmitSession's lifetime contract: a group's trajectories need to
+  // outlive only the first Wait() after its admission, because every
+  // session admitted before it is final then and holds no pointer into
+  // them. Wave 1's trajectories are overwritten and freed right after that
+  // Wait; a later read of them would move the results below (and is a
+  // heap-use-after-free under ASan). The reference keeps every trajectory
+  // alive throughout.
+  const World w = MakeWorld(250, 4, 100, 0x5E73);
+  const auto group_of = [](const std::vector<Trajectory>& trajs, size_t g) {
+    return std::vector<const Trajectory*>{&trajs[3 * g], &trajs[3 * g + 1],
+                                          &trajs[3 * g + 2]};
+  };
+  uint64_t ref_digest = 0;
+  SimMetrics ref_total;
+  std::vector<SessionFinalResult> ref_results;
+  {
+    Engine ref(&w.pois, &w.tree, MakeEngineOptions(2));
+    ref.Start();
+    for (size_t g = 0; g < 2; ++g) ref.AdmitSession(group_of(w.trajs, g));
+    ref.Wait();
+    for (size_t g = 2; g < 4; ++g) ref.AdmitSession(group_of(w.trajs, g));
+    ref.Shutdown();
+    ref_digest = ref.ResultDigest();
+    ref_total = ref.TotalMetrics();
+    for (uint32_t id = 0; id < 4; ++id) {
+      ref_results.push_back(fuzz::ResultOf(ref, id));
+    }
+  }
+
+  Engine engine(&w.pois, &w.tree, MakeEngineOptions(2));
+  engine.Start();
+  auto wave1 = std::make_unique<std::vector<Trajectory>>(
+      w.trajs.begin(), w.trajs.begin() + 6);
+  for (size_t g = 0; g < 2; ++g) engine.AdmitSession(group_of(*wave1, g));
+  engine.Wait();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (Trajectory& t : *wave1) {
+    for (Point& p : t.positions) p = Point{nan, nan};
+  }
+  wave1.reset();
+  for (size_t g = 2; g < 4; ++g) engine.AdmitSession(group_of(w.trajs, g));
+  engine.Shutdown();
+
+  EXPECT_EQ(engine.ResultDigest(), ref_digest);
+  fuzz::ExpectSameDeterministicMetrics(engine.TotalMetrics(), ref_total);
+  for (uint32_t id = 0; id < 4; ++id) {
+    SCOPED_TRACE("session " + std::to_string(id));
+    const SessionFinalResult got = fuzz::ResultOf(engine, id);
+    fuzz::ExpectSameDeterministicMetrics(got.metrics, ref_results[id].metrics);
+    EXPECT_EQ(got.has_result, ref_results[id].has_result);
+    EXPECT_EQ(got.po, ref_results[id].po);
+  }
 }
 
 // --- Mailbox high-water marks ------------------------------------------------
