@@ -90,7 +90,7 @@ void GroupSession::RecordViolation(size_t t) {
 }
 
 bool GroupSession::AdvanceAndCheck(Snapshot* snap) {
-  MPN_ASSERT(mailbox_.empty());
+  MPN_ASSERT(MailboxEmpty());
   // Re-checked (not asserted): a concurrent RetireSession may truncate the
   // horizon between the scheduler's readiness check and this call.
   if (AdvancesExhausted()) return false;
@@ -126,10 +126,16 @@ void GroupSession::BufferAdvance() {
   const Timer timer;  // also the tick's advance stamp
   const size_t t = next_t_++;
   AdvanceClients(t, timer);
+  if (mailbox_head_ > 0 && mailbox_.size() == mailbox_.capacity()) {
+    // A replay violated with updates still queued and the flight refills
+    // the mailbox: drop the replayed prefix instead of growing the vector.
+    mailbox_.erase(mailbox_.begin(), mailbox_.begin() + mailbox_head_);
+    mailbox_head_ = 0;
+  }
   mailbox_.emplace_back();
   CaptureSnapshot(t, &mailbox_.back());
-  mailbox_peak_ = std::max(mailbox_peak_, mailbox_.size());
-  if (mailbox_.size() >= tuning_.mailbox_capacity) flight_saturated_ = true;
+  mailbox_peak_ = std::max(mailbox_peak_, MailboxSize());
+  if (MailboxSize() >= tuning_.mailbox_capacity) flight_saturated_ = true;
   seconds_at_[t] += timer.ElapsedSeconds();
 }
 
@@ -207,10 +213,13 @@ void GroupSession::InstallResult(RecomputeOutcome outcome) {
 }
 
 GroupSession::Replay GroupSession::ReplayOne(Snapshot* snap) {
-  if (mailbox_.empty()) return Replay::kEmpty;
+  if (MailboxEmpty()) return Replay::kEmpty;
   Timer timer;
-  Snapshot entry = std::move(mailbox_.front());
-  mailbox_.pop_front();
+  Snapshot entry = std::move(mailbox_[mailbox_head_++]);
+  if (MailboxEmpty()) {
+    mailbox_.clear();
+    mailbox_head_ = 0;
+  }
   // Retirement landed below an already-buffered timestamp (asap mode):
   // drop the update unchecked — the session is past its horizon.
   if (entry.t >= effective_horizon()) return Replay::kClean;
@@ -237,7 +246,7 @@ GroupSession::State GroupSession::ExportState() const {
   // Spill boundary: between events, mailbox drained, no recompute in
   // flight (the scheduler's flags guarantee the latter). Under those
   // conditions flight_saturated_ is provably false, so it need not travel.
-  MPN_ASSERT(mailbox_.empty());
+  MPN_ASSERT(MailboxEmpty());
   State state;
   state.next_t = next_t_;
   state.retire_at = retire_at_;
@@ -259,7 +268,7 @@ GroupSession::State GroupSession::ExportState() const {
 }
 
 void GroupSession::ImportState(const State& state) {
-  MPN_ASSERT(mailbox_.empty());
+  MPN_ASSERT(MailboxEmpty());
   MPN_ASSERT(state.clients.size() == clients_.size());
   MPN_ASSERT(state.next_t <= horizon_);
   next_t_ = state.next_t;

@@ -42,7 +42,6 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <limits>
 #include <vector>
 
@@ -148,17 +147,17 @@ class GroupSession {
 
   /// True when every advanced timestamp has also been region-checked (or
   /// dropped by retirement) — i.e. nothing is buffered.
-  bool MailboxEmpty() const { return mailbox_.empty(); }
+  bool MailboxEmpty() const { return MailboxSize() == 0; }
 
   /// True while a recomputation is in flight and another location update
   /// can land in the mailbox; a full mailbox stalls the clock instead.
   bool CanBuffer() const {
-    return !AdvancesExhausted() && mailbox_.size() < tuning_.mailbox_capacity;
+    return !AdvancesExhausted() && MailboxSize() < tuning_.mailbox_capacity;
   }
 
   /// True once every timestamp has been processed (the scheduler must also
   /// see no recomputation in flight before finalizing).
-  bool done() const { return AdvancesExhausted() && mailbox_.empty(); }
+  bool done() const { return AdvancesExhausted() && MailboxEmpty(); }
 
   /// Fast path: advance clients one timestamp and check containment.
   /// Returns true on a safe-region violation, with `snap` filled for the
@@ -265,6 +264,10 @@ class GroupSession {
 
   /// Deterministic resident-byte estimate: a pure function of the logical
   /// state, identical across runs/machines for the engine's accounting.
+  /// The budget charges these bytes, not heap bytes: a fresh two-member
+  /// Circle session of horizon 16 (fleet_spill's shape) is charged 1,024 B
+  /// and takes 1,760 B of glibc heap chunks, the object and five blocks
+  /// (GroupSessionFootprintTest pins the blocks).
   size_t StateBytesEstimate() const;
 
   // --- per-timestamp traces (engine round stats + latency percentiles) ---
@@ -296,6 +299,8 @@ class GroupSession {
   /// check_correctness mode: the last reported meeting point must still be
   /// optimal for `locations` while every user is inside their region.
   void CheckInvariantAt(const std::vector<Point>& locations) const;
+  /// Buffered updates not yet replayed.
+  size_t MailboxSize() const { return mailbox_.size() - mailbox_head_; }
 
   uint32_t id_;
   const std::vector<Point>* pois_;
@@ -310,7 +315,11 @@ class GroupSession {
   size_t horizon_ = 0;
   size_t next_t_ = 0;
   std::atomic<size_t> retire_at_{std::numeric_limits<size_t>::max()};
-  std::deque<Snapshot> mailbox_;
+  /// Buffered updates, oldest at mailbox_head_; entries before it were
+  /// replayed. A replay that drains the mailbox clears it (keeping its
+  /// capacity), so a session that never buffers allocates nothing here.
+  std::vector<Snapshot> mailbox_;
+  size_t mailbox_head_ = 0;
   size_t mailbox_peak_ = 0;
   size_t stall_count_ = 0;
   /// The in-flight recomputation filled the mailbox; counted as one stall

@@ -19,11 +19,37 @@ Scheduler::Scheduler(ThreadPool* pool, SessionTable* table,
 
 void Scheduler::Start() {
   MPN_ASSERT_MSG(!started(), "Scheduler::Start called twice");
-  started_.store(true, std::memory_order_release);
-  table_->ForEachOrdered([this](SessionRecord* r) {
-    std::lock_guard<std::mutex> lock(r->mu);
-    ScheduleNextLocked(r);
-  });
+  // Sequentially consistent with ReserveId and started(): an id the table
+  // has not handed out when link_end_ is read belongs to an admission whose
+  // Admit sees started() and schedules the session itself.
+  started_.store(true, std::memory_order_seq_cst);
+  link_end_ = static_cast<uint32_t>(table_->size());
+  if (link_end_ == 0) return;
+  AddOutstanding();
+  pool_->Post(&StartLinkTask, this, nullptr, EventPriority(0, 0));
+}
+
+void Scheduler::StartLinkTask(void* self, void* /*unused*/) noexcept {
+  auto* scheduler = static_cast<Scheduler*>(self);
+  const uint32_t id = scheduler->link_id_;
+  try {
+    scheduler->StartSession(id);
+  } catch (...) {
+    scheduler->RecordError(id);
+  }
+  scheduler->SubOutstanding();
+}
+
+void Scheduler::StartSession(uint32_t id) {
+  if (id + 1 < link_end_) {
+    link_id_ = id + 1;  // the next link reads it after the pool's lock
+    AddOutstanding();
+    pool_->Post(&StartLinkTask, this, nullptr, EventPriority(0, id + 1));
+  }
+  SessionRecord* r = table_->Find(id);
+  if (r == nullptr) return;
+  std::lock_guard<std::mutex> lock(r->mu);
+  ScheduleNextLocked(r);
 }
 
 void Scheduler::Admit(SessionRecord* r) {
@@ -72,7 +98,7 @@ void Scheduler::SubOutstanding() {
   if (--outstanding_ == 0 && holds_ == 0) idle_cv_.notify_all();
 }
 
-void Scheduler::RecordError(const SessionRecord* r) {
+void Scheduler::RecordError(uint32_t id) {
   std::string what = "unknown exception";
   try {
     throw;
@@ -82,7 +108,7 @@ void Scheduler::RecordError(const SessionRecord* r) {
   }
   std::lock_guard<std::mutex> lock(idle_mu_);
   if (error_.empty()) {
-    error_ = "mpn engine: session " + std::to_string(r->id) + ": " + what;
+    error_ = "mpn engine: session " + std::to_string(id) + ": " + what;
   }
 }
 
@@ -98,7 +124,7 @@ void Scheduler::StepTask(void* self, void* record) noexcept {
   try {
     (scheduler->*Step)(r);
   } catch (...) {
-    scheduler->RecordError(r);
+    scheduler->RecordError(r->id);
   }
   scheduler->SubOutstanding();
 }

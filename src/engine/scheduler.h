@@ -20,6 +20,14 @@
 // only server state — see group_session.h). Both post as plain (function,
 // scheduler, record) pool entries — nothing is allocated per event.
 //
+// Start: the sessions admitted before Start do not all enter the ready
+// heap at once. Start posts one *start link*, a pool task at the priority
+// of session 0's first event; each link posts the link for the next id and
+// then schedules its own session's first event. On one thread the events
+// pop in the order a heap holding every first event would pop them, but
+// under id-major ordering the heap holds one unstarted session instead of
+// every admitted one.
+//
 // Failures: an exception from an event or a job (a spill file that cannot
 // be written, a snapshot that does not decode) is caught in the task, the
 // first one is kept with its session id, and Engine::Wait rethrows it. The
@@ -62,8 +70,9 @@ class Scheduler {
   Scheduler(const Scheduler&) = delete;
   Scheduler& operator=(const Scheduler&) = delete;
 
-  /// Begins dispatching: schedules the first event of every session
-  /// admitted so far. Sessions admitted later self-schedule via Admit.
+  /// Begins dispatching: posts the start link that schedules, one id at a
+  /// time, the first event of every session admitted so far. Sessions
+  /// admitted later self-schedule via Admit.
   void Start();
 
   /// Crash-injection test hook (cluster recovery harness): the process
@@ -84,7 +93,7 @@ class Scheduler {
   void set_locality_priority(bool on) { locality_priority_ = on; }
 
   /// True after Start().
-  bool started() const { return started_.load(std::memory_order_acquire); }
+  bool started() const { return started_.load(std::memory_order_seq_cst); }
 
   /// Monotone count of session events dispatched so far — a cheap
   /// liveness signal: a worker whose scheduler is making progress keeps
@@ -140,8 +149,9 @@ class Scheduler {
   /// Priority of a session event. Default: virtual time first, session id
   /// as the tie-break — the (next_timestamp, session_id) ready ordering.
   /// Under locality mode the fields swap (id-major, timestamp clamped to
-  /// 32 bits). The pool runs nothing else, so the key alone orders its
-  /// queue.
+  /// 32 bits). The pool runs only session steps and start links, and a
+  /// link takes its session's first-event priority, so the key alone
+  /// orders its queue.
   uint64_t EventPriority(size_t t, uint32_t id) const {
     if (locality_priority_) {
       const uint64_t clamped =
@@ -156,12 +166,19 @@ class Scheduler {
   /// step's outstanding count either way.
   template <void (Scheduler::*Step)(SessionRecord*)>
   static void StepTask(void* self, void* record) noexcept;
+  /// Pool entry point of a start link (self = this): starts the session
+  /// link_id_ names and releases the link's outstanding count.
+  static void StartLinkTask(void* self, void* unused) noexcept;
+  /// Posts the link for id + 1 (while below link_end_), then schedules
+  /// session `id`'s first event — or finalizes a zero-horizon session. An
+  /// id reserved but not yet inserted is skipped: its Admit schedules it.
+  void StartSession(uint32_t id);
   void RunEvent(SessionRecord* r);
   /// Recomputes into r->job and re-arms the session.
   void RunJob(SessionRecord* r);
-  /// Called from a catch block: keeps the exception being handled as the
-  /// error unless an earlier one is kept.
-  void RecordError(const SessionRecord* r);
+  /// Called from a catch block: keeps the exception being handled as
+  /// session `id`'s error unless an earlier one is kept.
+  void RecordError(uint32_t id);
   /// Decides and schedules the session's next step. Caller holds r->mu.
   void ScheduleNextLocked(SessionRecord* r);
   void ScheduleEventLocked(SessionRecord* r, uint64_t priority);
@@ -178,10 +195,15 @@ class Scheduler {
   std::atomic<bool> started_{false};
   std::atomic<uint64_t> events_processed_{0};
   size_t crash_at_timestamp_ = static_cast<size_t>(-1);
+  /// The start links' id range: link_end_ is fixed by Start, and link_id_
+  /// is the session the queued link starts. Only the running link reads
+  /// or advances link_id_; the pool's lock hands it to the next link.
+  uint32_t link_id_ = 0;
+  uint32_t link_end_ = 0;
 
   mutable std::mutex idle_mu_;
   std::condition_variable idle_cv_;
-  size_t outstanding_ = 0;  ///< queued/running events + jobs (idle_mu_)
+  size_t outstanding_ = 0;  ///< queued/running events, jobs, links (idle_mu_)
   size_t holds_ = 0;        ///< outstanding admission holds (idle_mu_)
   std::string error_;       ///< first event/job failure (idle_mu_)
 

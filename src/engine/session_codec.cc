@@ -175,8 +175,12 @@ MpnClient::State ReadClientState(WireReader* r) {
   c.moved = r->GetU8() != 0;
   c.heading = r->GetDouble();
   const uint32_t n = r->GetU32();
-  // Counts come off the wire: reserve no more than the payload can hold.
-  c.recent_headings.reserve(std::min<size_t>(n, r->remaining() / 8));
+  // The client's ring holds at most kHeadingWindow headings; a longer
+  // window is corrupt and must not reach MpnClient::ImportState.
+  if (n > MpnClient::kHeadingWindow) {
+    throw FrameError("client heading window exceeds kHeadingWindow");
+  }
+  c.recent_headings.reserve(n);
   for (uint32_t i = 0; i < n; ++i) c.recent_headings.push_back(r->GetDouble());
   c.has_region = r->GetU8() != 0;
   if (c.has_region) c.region = ReadSafeRegion(r);

@@ -101,8 +101,10 @@ class SessionTable {
   SessionTable& operator=(const SessionTable&) = delete;
 
   /// The next dense id; the caller builds its record's session with it.
+  /// Sequentially consistent, like size(): Scheduler::Start relies on it
+  /// (see there).
   uint32_t ReserveId() {
-    return next_id_.fetch_add(1, std::memory_order_relaxed);
+    return next_id_.fetch_add(1, std::memory_order_seq_cst);
   }
 
   /// Registers the record under its session's id (from ReserveId).
@@ -112,7 +114,7 @@ class SessionTable {
   SessionRecord* Find(uint32_t id) const;
 
   /// Sessions admitted so far.
-  size_t size() const { return next_id_.load(std::memory_order_acquire); }
+  size_t size() const { return next_id_.load(std::memory_order_seq_cst); }
 
   /// Visits every admitted record in ascending id order. Not synchronized
   /// with concurrent admissions — call after the engine drained.

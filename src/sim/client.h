@@ -6,7 +6,9 @@
 // consumes (Section 5.2).
 #pragma once
 
-#include <deque>
+#include <array>
+#include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "mpn/safe_region.h"
@@ -18,20 +20,14 @@ namespace mpn {
 /// One moving user.
 class MpnClient {
  public:
-  struct Options {
-    /// Recent headings used to learn theta.
-    int heading_window = 8;
-    /// Clamp bounds for the learned deviation (radians).
-    double theta_min = 0.26179938779914941;  // 15 degrees
-    double theta_max = 3.14159265358979312;  // 180 degrees
-  };
-
-  /// The trajectory must outlive the client (default options).
-  explicit MpnClient(const Trajectory* trajectory)
-      : MpnClient(trajectory, Options()) {}
+  /// Recent headings used to learn theta.
+  static constexpr size_t kHeadingWindow = 8;
+  /// Clamp bounds for the learned deviation (radians).
+  static constexpr double kThetaMin = 0.26179938779914941;  // 15 degrees
+  static constexpr double kThetaMax = 3.14159265358979312;  // 180 degrees
 
   /// The trajectory must outlive the client.
-  MpnClient(const Trajectory* trajectory, Options options);
+  explicit MpnClient(const Trajectory* trajectory);
 
   /// Moves to timestamp `t` and updates motion statistics.
   void Advance(size_t t);
@@ -57,18 +53,19 @@ class MpnClient {
 
   /// Motion hint shipped with location reports: current heading and the
   /// maximum deviation observed over the recent window, clamped to
-  /// [theta_min, theta_max]. has_heading is false until the client has
+  /// [kThetaMin, kThetaMax]. has_heading is false until the client has
   /// moved.
   MotionHint Hint() const;
 
   /// Plain-data snapshot of the client's evolving state (everything except
-  /// the trajectory pointer and options, which the owner re-supplies on
-  /// rehydration). Wire encoding lives in engine/session_codec.h so the sim
-  /// layer stays free of IPC dependencies.
+  /// the trajectory pointer, which the owner re-supplies on rehydration).
+  /// Wire encoding lives in engine/session_codec.h so the sim layer stays
+  /// free of IPC dependencies.
   struct State {
     Point location{0, 0};
     bool moved = false;
     double heading = 0.0;
+    /// The heading window, oldest first; at most kHeadingWindow entries.
     std::vector<double> recent_headings;
     bool has_region = false;
     SafeRegion region;
@@ -78,23 +75,31 @@ class MpnClient {
   State ExportState() const;
 
   /// Restores a captured state into a freshly constructed client (same
-  /// trajectory, same options).
+  /// trajectory). `state.recent_headings` must hold at most kHeadingWindow
+  /// entries (asserted; the session codec rejects longer windows).
   void ImportState(const State& state);
 
   /// Deterministic resident-byte estimate: a pure function of the logical
   /// state (never of container capacities), so the engine's memory
-  /// accounting is identical across runs and machines.
+  /// accounting is identical across runs and machines. The budget charges
+  /// these bytes, not heap bytes: a circle-region client is charged 128 B
+  /// plus 8 per heading, while the client itself, heading ring included,
+  /// sits in its session's client vector and owns no heap block.
   size_t StateBytesEstimate() const;
 
  private:
   const Trajectory* trajectory_;
-  Options options_;
   Point location_;
   SafeRegion region_;
   bool has_region_ = false;
   bool moved_ = false;
+  /// Heading window as a ring: the window_count_ newest headings, oldest
+  /// at window_head_. The head moves only once the ring is full, so a
+  /// partial window fills slots [0, window_count_).
+  uint8_t window_head_ = 0;
+  uint8_t window_count_ = 0;
   double heading_ = 0.0;
-  std::deque<double> recent_headings_;
+  std::array<double, kHeadingWindow> window_{};
 };
 
 }  // namespace mpn

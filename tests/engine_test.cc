@@ -5,6 +5,7 @@
 // everything else is `unit`).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -17,7 +18,9 @@
 #include <utility>
 #include <vector>
 
+#include "engine/digest.h"
 #include "engine/engine.h"
+#include "engine/session_codec.h"
 #include "engine_fuzz_util.h"
 #include "sim/simulator.h"
 #include "traj/generators.h"
@@ -415,6 +418,82 @@ TEST(EngineLifecycleTest, ConcurrentAdmissionsGetDenseIds) {
   EXPECT_EQ(serial.ResultDigest(), concurrent);
 }
 
+TEST(EngineLifecycleTest, AdmissionsRacingStartAllRun) {
+  // Four threads admit 16 groups each while the main thread calls Start:
+  // an id reserved before Start but inserted after it is the start links'
+  // skip path, and its own Admit must schedule it. Every session serves
+  // its whole horizon, and the digest equals a serial engine's that
+  // admits the same groups in id order.
+  constexpr size_t kThreads = 4;
+  constexpr size_t kPerThread = 16;
+  constexpr size_t kGroups = kThreads * kPerThread;
+  const World w = MakeWorld(200, kGroups, 30, 0x57A2);
+  const auto group_of = [&w](size_t g) {
+    return std::vector<const Trajectory*>{&w.trajs[3 * g], &w.trajs[3 * g + 1],
+                                          &w.trajs[3 * g + 2]};
+  };
+  const auto horizon_of = [&group_of](size_t g) {
+    size_t h = std::numeric_limits<size_t>::max();
+    for (const Trajectory* t : group_of(g)) h = std::min(h, t->size());
+    return h;
+  };
+
+  for (const size_t threads : {size_t{1}, size_t{2}}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    EngineOptions opt = MakeEngineOptions(threads);
+    opt.sim.server.method = Method::kCircle;  // cheap recomputes
+    std::vector<size_t> group_by_id(kGroups, kGroups);
+    uint64_t racing = 0;
+    {
+      Engine engine(&w.pois, &w.tree, opt);
+      Engine::Hold hold = engine.AcquireHold();
+      std::atomic<size_t> begun{0};
+      std::vector<std::vector<uint32_t>> ids(kThreads);
+      std::vector<std::thread> admitters;
+      for (size_t k = 0; k < kThreads; ++k) {
+        admitters.emplace_back([&, k]() {
+          begun.fetch_add(1, std::memory_order_acq_rel);
+          for (size_t i = 0; i < kPerThread; ++i) {
+            ids[k].push_back(engine.AdmitSession(group_of(k * kPerThread + i)));
+          }
+        });
+      }
+      while (begun.load(std::memory_order_acquire) < kThreads) {
+        std::this_thread::yield();
+      }
+      engine.Start();
+      for (std::thread& t : admitters) t.join();
+      hold.Reset();
+      engine.Shutdown();
+      for (size_t k = 0; k < kThreads; ++k) {
+        for (size_t i = 0; i < kPerThread; ++i) {
+          const uint32_t id = ids[k][i];
+          ASSERT_LT(id, kGroups);
+          EXPECT_EQ(group_by_id[id], kGroups) << "id " << id << " given twice";
+          group_by_id[id] = k * kPerThread + i;
+        }
+      }
+      ASSERT_EQ(engine.session_count(), kGroups);
+      for (uint32_t id = 0; id < kGroups; ++id) {
+        EXPECT_EQ(fuzz::ResultOf(engine, id).metrics.timestamps,
+                  horizon_of(group_by_id[id]))
+            << "session " << id << " did not serve its horizon";
+      }
+      racing = engine.ResultDigest();
+    }
+
+    EngineOptions serial_opt = opt;
+    serial_opt.threads = 1;
+    Engine serial(&w.pois, &w.tree, serial_opt);
+    for (size_t id = 0; id < kGroups; ++id) {
+      EXPECT_EQ(serial.AdmitSession(group_of(group_by_id[id])), id);
+    }
+    serial.Start();
+    serial.Shutdown();
+    EXPECT_EQ(serial.ResultDigest(), racing);
+  }
+}
+
 TEST(EngineLifecycleTest, WaitBeforeStartIsAHardError) {
   const World w = MakeWorld(120, 1, 20, 0x2E2);
   Engine engine(&w.pois, &w.tree, MakeEngineOptions(1));
@@ -754,6 +833,90 @@ TEST(EngineMailboxStatsTest, CapacityOneReportsStallsWithoutChangingDigest) {
   const std::string table = rs.ToTable().ToString();
   EXPECT_NE(table.find("mailbox_peak/session"), std::string::npos);
   EXPECT_NE(table.find("mailbox_stalls/session"), std::string::npos);
+}
+
+// --- A bare GroupSession, phase by phase ------------------------------------
+
+// Encodes the session's state at a drained boundary, decodes it into a
+// fresh session and checks that its export encodes to the same bytes.
+void ExpectStateRoundTrips(const GroupSession& s, const World& w,
+                           const std::vector<const Trajectory*>& group,
+                           const SimOptions& opt, const SessionTuning& tuning) {
+  WireBuffer first;
+  EncodeLiveSession(s.ExportState(), &first);
+  WireReader r(first.data());
+  ASSERT_EQ(ReadSnapshotHeader(&r), SnapshotKind::kLive);
+  GroupSession fresh(s.id(), &w.pois, &w.tree, group, opt, tuning);
+  fresh.ImportState(DecodeLiveSession(&r));
+  WireBuffer second;
+  EncodeLiveSession(fresh.ExportState(), &second);
+  EXPECT_EQ(second.data(), first.data()) << "t " << s.next_timestamp();
+}
+
+uint64_t SessionDigest(const GroupSession& s) {
+  Fnv1a fnv;
+  AddSessionResultToDigest(&fnv, s.metrics(), s.has_result(),
+                           s.current_po());
+  return fnv.hash;
+}
+
+TEST(GroupSessionTest, BufferedDriveMatchesUnbufferedDrive) {
+  // One thread drives the phases the scheduler would: after every
+  // violation the flight buffers until the mailbox is full, then the
+  // recompute, the install and the replay run until the mailbox drains or
+  // a replayed update violates; such a violation buffers again (behind the
+  // updates still queued) before its own install. The logical step order
+  // equals the unbuffered drive's, so every digested field and trace must
+  // too, and the session must export and re-import exactly whenever the
+  // mailbox is drained.
+  const World w = MakeWorld(120, 1, 160, 0x6B0F);
+  const std::vector<const Trajectory*> group = {&w.trajs[0], &w.trajs[1]};
+  SimOptions opt;
+  opt.server.method = Method::kCircle;
+  opt.server.objective = Objective::kMax;
+  SessionTuning tuning;
+  tuning.mailbox_capacity = 3;
+
+  GroupSession plain(0, &w.pois, &w.tree, group, opt, tuning);
+  GroupSession::Snapshot snap;
+  while (!plain.AdvancesExhausted()) {
+    if (!plain.AdvanceAndCheck(&snap)) continue;
+    plain.InstallResult(plain.Recompute(snap));
+    ASSERT_EQ(plain.ReplayOne(&snap), GroupSession::Replay::kEmpty);
+  }
+  plain.Finish();
+
+  GroupSession buffered(0, &w.pois, &w.tree, group, opt, tuning);
+  size_t flights = 0;
+  size_t queued_violations = 0;  // replay violations with updates left
+  while (!buffered.AdvancesExhausted()) {
+    ASSERT_TRUE(buffered.MailboxEmpty());
+    ExpectStateRoundTrips(buffered, w, group, opt, tuning);
+    if (!buffered.AdvanceAndCheck(&snap)) continue;
+    for (bool violated = true; violated;) {
+      ++flights;
+      while (buffered.CanBuffer()) buffered.BufferAdvance();
+      buffered.InstallResult(buffered.Recompute(snap));
+      GroupSession::Replay rr;
+      do {
+        rr = buffered.ReplayOne(&snap);
+      } while (rr == GroupSession::Replay::kClean);
+      violated = rr == GroupSession::Replay::kViolation;
+      if (violated && !buffered.MailboxEmpty()) ++queued_violations;
+    }
+  }
+  ASSERT_TRUE(buffered.done());
+  ExpectStateRoundTrips(buffered, w, group, opt, tuning);
+  buffered.Finish();
+
+  EXPECT_GT(flights, 3u);
+  EXPECT_GT(queued_violations, 0u) << "the walk never violated mid-replay";
+  EXPECT_EQ(buffered.mailbox_peak(), 3u);
+  EXPECT_EQ(plain.mailbox_peak(), 0u);
+  EXPECT_EQ(SessionDigest(buffered), SessionDigest(plain));
+  EXPECT_EQ(buffered.current_po(), plain.current_po());
+  EXPECT_EQ(buffered.messages_at(), plain.messages_at());
+  EXPECT_EQ(buffered.violated_at(), plain.violated_at());
 }
 
 // --- 64-group integration run (labeled `integration` in ctest) --------------

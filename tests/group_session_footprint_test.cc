@@ -1,0 +1,122 @@
+// Heap footprint of a session's state: the blocks a GroupSession and its
+// clients take from operator new, counted by a replacement operator new.
+//
+// The budget charges sessions by StateBytesEstimate, not by heap bytes, so
+// nothing else notices a container that allocates behind the estimate's
+// back (a std::deque allocates its map and first node even when empty).
+// Counting is thread-local and off outside a CountingScope, so the
+// replacement is a plain malloc/free for gtest itself and for the
+// sanitizer builds.
+#include <gtest/gtest.h>
+
+#include <cstddef>
+#include <cstdlib>
+#include <new>
+#include <vector>
+
+#include "engine/group_session.h"
+#include "geom/vec2.h"
+#include "index/packed_rtree.h"
+#include "sim/client.h"
+#include "traj/trajectory.h"
+
+namespace {
+
+thread_local bool tl_counting = false;
+thread_local size_t tl_blocks = 0;
+thread_local size_t tl_bytes = 0;
+
+void* CountedAlloc(size_t n) {
+  if (tl_counting) {
+    ++tl_blocks;
+    tl_bytes += n;
+  }
+  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
+  throw std::bad_alloc();
+}
+
+}  // namespace
+
+void* operator new(size_t n) { return CountedAlloc(n); }
+void* operator new[](size_t n) { return CountedAlloc(n); }
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, size_t) noexcept { std::free(p); }
+void operator delete[](void* p, size_t) noexcept { std::free(p); }
+
+namespace mpn {
+namespace {
+
+/// Counts this thread's operator new calls while alive.
+class CountingScope {
+ public:
+  CountingScope() {
+    tl_blocks = 0;
+    tl_bytes = 0;
+    tl_counting = true;
+  }
+  ~CountingScope() { tl_counting = false; }
+  CountingScope(const CountingScope&) = delete;
+  CountingScope& operator=(const CountingScope&) = delete;
+
+  size_t blocks() const { return tl_blocks; }
+  size_t bytes() const { return tl_bytes; }
+};
+
+/// A walk of `steps` steps whose heading turns every step; every fifth
+/// step stands still.
+Trajectory Walk(Point start, size_t steps) {
+  Trajectory traj;
+  traj.positions.push_back(start);
+  for (size_t i = 1; i <= steps; ++i) {
+    if (i % 5 != 0) start = start + UnitFromAngle(0.7 * i) * 3.0;
+    traj.positions.push_back(start);
+  }
+  return traj;
+}
+
+TEST(GroupSessionFootprintTest, ClientWalkAllocatesNothing) {
+  const Trajectory traj = Walk({50.0, 50.0}, 40);
+  size_t blocks = 0;
+  bool inside = false;
+  {
+    CountingScope scope;
+    MpnClient client(&traj);
+    client.SetRegion(SafeRegion::MakeCircle(Circle({50.0, 50.0}, 40.0)));
+    for (size_t t = 0; t < traj.size(); ++t) {
+      client.Advance(t);
+      inside |= client.InsideRegion();
+      EXPECT_TRUE(client.Hint().has_heading || t == 0);
+    }
+    blocks = scope.blocks();
+  }
+  EXPECT_TRUE(inside);
+  EXPECT_EQ(blocks, 0u) << "an MpnClient owns no heap block of its own";
+}
+
+TEST(GroupSessionFootprintTest, FreshPairSessionAllocatesClientsAndTraces) {
+  // A two-member Circle session of horizon 16, fleet_spill's shape: the
+  // client vector and the four per-timestamp traces, nothing else — no
+  // mailbox before the first buffered update, no heading window block.
+  constexpr size_t kHorizon = 16;
+  const std::vector<Point> pois = {{0, 0}, {100, 0}, {0, 100}, {100, 100}};
+  const PackedRTree tree = PackedRTree::Build(pois);
+  const Trajectory a = Walk({10.0, 10.0}, kHorizon - 1);
+  const Trajectory b = Walk({90.0, 90.0}, kHorizon - 1);
+  const std::vector<const Trajectory*> group = {&a, &b};
+  SimOptions opt;
+  opt.server.method = Method::kCircle;
+
+  CountingScope scope;
+  const GroupSession session(0, &pois, &tree, group, opt);
+  const size_t blocks = scope.blocks();
+  const size_t bytes = scope.bytes();
+  EXPECT_EQ(session.horizon(), kHorizon);
+  EXPECT_EQ(blocks, 5u);
+  EXPECT_EQ(bytes, 2 * sizeof(MpnClient) +
+                       kHorizon * (sizeof(uint32_t) + sizeof(uint8_t) +
+                                   2 * sizeof(double)));
+}
+
+}  // namespace
+}  // namespace mpn

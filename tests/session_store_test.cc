@@ -469,6 +469,46 @@ TEST(SessionCodecTest, RejectsTraceLengthMismatch) {
   EXPECT_THROW(DecodeLiveSession(&r), FrameError);
 }
 
+TEST(SessionCodecTest, RejectsOverfullHeadingWindow) {
+  // A client's heading window is a ring of MpnClient::kHeadingWindow
+  // slots: a snapshot carrying more headings is corrupt and must throw
+  // before it can reach MpnClient::ImportState. A full window round-trips
+  // bit for bit.
+  const auto encode_with = [](size_t headings) {
+    GroupSession::State s;
+    MpnClient::State c;
+    c.moved = true;
+    c.heading = 0.5;
+    for (size_t i = 0; i < headings; ++i) {
+      c.recent_headings.push_back(i % 2 == 0 ? -0.0 : 0.125 * i);
+    }
+    c.recent_headings.front() = kDenormal;
+    s.clients = {c};
+    WireBuffer out;
+    EncodeLiveSession(s, &out);
+    return out.data();
+  };
+
+  const std::vector<uint8_t> nine =
+      encode_with(MpnClient::kHeadingWindow + 1);
+  WireReader bad(nine);
+  ASSERT_EQ(ReadSnapshotHeader(&bad), SnapshotKind::kLive);
+  EXPECT_THROW(DecodeLiveSession(&bad), FrameError);
+
+  const std::vector<uint8_t> eight = encode_with(MpnClient::kHeadingWindow);
+  WireReader good(eight);
+  ASSERT_EQ(ReadSnapshotHeader(&good), SnapshotKind::kLive);
+  const GroupSession::State back = DecodeLiveSession(&good);
+  EXPECT_TRUE(good.AtEnd());
+  ASSERT_EQ(back.clients.size(), 1u);
+  const std::vector<double>& got = back.clients[0].recent_headings;
+  ASSERT_EQ(got.size(), MpnClient::kHeadingWindow);
+  EXPECT_SAME_BITS(got[0], kDenormal);
+  for (size_t i = 1; i < got.size(); ++i) {
+    EXPECT_SAME_BITS(got[i], i % 2 == 0 ? -0.0 : 0.125 * i);
+  }
+}
+
 // --- budgeted engine: digest neutrality + spill accounting ------------------
 
 struct BudgetRun {

@@ -4,6 +4,14 @@
 // every timestamp).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <cstring>
+#include <deque>
+#include <memory>
+#include <string>
+#include <vector>
+
 #include "engine_fuzz_util.h"
 #include "net/message.h"
 #include "sim/simulator.h"
@@ -91,7 +99,7 @@ TEST(ClientTest, TracksHeadingAndTheta) {
   const MotionHint h = client.Hint();
   EXPECT_TRUE(h.has_heading);
   EXPECT_NEAR(h.heading, 0.0, 1e-12);       // moving east
-  EXPECT_GT(h.theta, 0.0);                  // clamped to theta_min
+  EXPECT_GT(h.theta, 0.0);                  // clamped to kThetaMin
 }
 
 TEST(ClientTest, RegionContainmentDrivesViolation) {
@@ -106,6 +114,82 @@ TEST(ClientTest, RegionContainmentDrivesViolation) {
   EXPECT_TRUE(client.InsideRegion());
   client.Advance(2);
   EXPECT_FALSE(client.InsideRegion());
+}
+
+uint64_t BitsOf(double v) {
+  uint64_t bits = 0;
+  std::memcpy(&bits, &v, sizeof(bits));
+  return bits;
+}
+
+void ExpectSameBits(const std::vector<double>& got,
+                    const std::vector<double>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(BitsOf(got[i]), BitsOf(want[i])) << "entry " << i;
+  }
+}
+
+TEST(ClientTest, HeadingWindowMatchesTheLastEightHeadings) {
+  // A 40-step walk whose headings are all distinct, spread so the learned
+  // deviation lands both below and inside the clamp range; every fifth
+  // step stands still and pushes no heading.
+  Trajectory traj;
+  Point p{100.0, 100.0};
+  traj.positions.push_back(p);
+  for (int i = 1; i <= 40; ++i) {
+    if (i % 5 != 0) {
+      const double angle = 0.05 * i * (i % 3 == 0 ? -7.0 : 1.0);
+      p = p + UnitFromAngle(angle) * (1.0 + 0.1 * i);
+    }
+    traj.positions.push_back(p);
+  }
+
+  MpnClient client(&traj);
+  std::unique_ptr<MpnClient> imported;  // from an export taken mid-wrap
+  std::deque<double> model;             // the last eight headings
+  size_t pushed = 0;
+  client.Advance(0);
+  for (size_t t = 1; t < traj.size(); ++t) {
+    SCOPED_TRACE("t " + std::to_string(t));
+    const Vec2 step = traj.at(t) - traj.at(t - 1);
+    if (step.Norm2() > 0.0) {
+      model.push_back(step.Angle());
+      if (model.size() > MpnClient::kHeadingWindow) model.pop_front();
+      ++pushed;
+    }
+    client.Advance(t);
+    if (imported != nullptr) imported->Advance(t);
+
+    const MpnClient::State state = client.ExportState();
+    ExpectSameBits(state.recent_headings,
+                   std::vector<double>(model.begin(), model.end()));
+    const MotionHint hint = client.Hint();
+    ASSERT_TRUE(hint.has_heading);
+    double dev = 0.0;
+    for (const double h : model) {
+      dev = std::max(dev, AngleDiff(h, hint.heading));
+    }
+    EXPECT_EQ(BitsOf(hint.theta),
+              BitsOf(std::clamp(dev, MpnClient::kThetaMin,
+                                MpnClient::kThetaMax)));
+
+    if (imported != nullptr) {
+      ExpectSameBits(imported->ExportState().recent_headings,
+                     state.recent_headings);
+      const MotionHint other = imported->Hint();
+      EXPECT_EQ(other.has_heading, hint.has_heading);
+      EXPECT_EQ(BitsOf(other.heading), BitsOf(hint.heading));
+      EXPECT_EQ(BitsOf(other.theta), BitsOf(hint.theta));
+    } else if (pushed == MpnClient::kHeadingWindow + 3) {
+      // Three headings past full: the ring's oldest entry sits at slot 3,
+      // not at slot 0, while the import starts its ring at slot 0.
+      imported = std::make_unique<MpnClient>(&traj);
+      imported->ImportState(state);
+    }
+  }
+  EXPECT_NE(imported, nullptr);
+  EXPECT_GT(pushed, 30u);
 }
 
 // --- End-to-end simulation ---------------------------------------------------

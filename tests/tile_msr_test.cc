@@ -15,6 +15,7 @@
 #include "mpn/tile_msr.h"
 #include "mpn/verify.h"
 #include "msr_test_util.h"
+#include "sim/client.h"
 #include "util/rng.h"
 
 namespace mpn {
@@ -504,7 +505,6 @@ TEST(TileOrderingTest, WideConeBehavesLikeUndirected) {
 
 using Cell = std::pair<int, int>;
 
-constexpr double kTheta15 = 0.26179938779914941;      // MpnClient's theta_min
 constexpr double kThetaDefault = 1.0471975511965976;  // pi/3
 constexpr double kHalfPi = 1.5707963267948966;
 constexpr double kPiD = 3.141592653589793;
@@ -665,7 +665,7 @@ TEST_P(OrderingEdgeTest, HeadingsAtTheConeEdgeMatchTheExactTest) {
   const OrderingFrame& frame = GetParam();
   const TileRegion region = TileRegion::FromOrigin(frame.origin, frame.delta);
   for (const double theta :
-       {kTheta15, kThetaDefault, std::nextafter(kHalfPi, 0.0)}) {
+       {MpnClient::kThetaMin, kThetaDefault, std::nextafter(kHalfPi, 0.0)}) {
     for (int k = 1; k <= 20; ++k) {
       for (const auto& [ix, iy] : EdgeTargets(k)) {
         for (const double heading : EdgeHeadings(region, theta, ix, iy, 2)) {
@@ -679,7 +679,7 @@ TEST_P(OrderingEdgeTest, HeadingsAtTheConeEdgeMatchTheExactTest) {
 TEST_P(OrderingEdgeTest, HeadingsAtPlusMinusPiMatchTheExactTest) {
   const OrderingFrame& frame = GetParam();
   const TileRegion region = TileRegion::FromOrigin(frame.origin, frame.delta);
-  for (const double theta : {kTheta15, kThetaDefault}) {
+  for (const double theta : {MpnClient::kThetaMin, kThetaDefault}) {
     for (const double heading : {kPiD, -kPiD, std::nextafter(kPiD, 0.0),
                                  std::nextafter(-kPiD, 0.0)}) {
       if (!SameWalk(region, heading, theta, 20)) return;
@@ -739,12 +739,12 @@ TEST(TileOrderingTest, RandomGridsMatchTheExactTest) {
     const TileRegion region =
         TileRegion::FromOrigin({coordinate(), coordinate()}, delta);
     const double thetas[] = {
-        kTheta15,
+        MpnClient::kThetaMin,
         kThetaDefault,
         std::nextafter(kHalfPi, 0.0),
         kPiD,
-        rng.Uniform(0.0, kTheta15),
-        rng.Uniform(kTheta15, kHalfPi),
+        rng.Uniform(0.0, MpnClient::kThetaMin),
+        rng.Uniform(MpnClient::kThetaMin, kHalfPi),
         rng.Uniform(kHalfPi, kPiD),
     };
     const double theta = thetas[rng.UniformInt(0, 6)];
