@@ -39,8 +39,9 @@ enum FrameType : uint8_t {
 };
 
 /// Byte offset of the SessionTuning::retire_at u64 inside a kAdmit frame
-/// (tag u8 + id u32 + recompute_cost_factor double). The snapshot replay
-/// patches this field in place — see ReplayShardSnapshot.
+/// (tag u8 + id u32 + recompute_cost_factor double). RetireSession
+/// min-merges retirements into this field of the stored frame — see
+/// ReplayShardSnapshot.
 constexpr size_t kAdmitRetireAtOffset = 1 + 4 + 8;
 
 /// Coordinator-side per-operation I/O deadline (ms): bounds every send and
@@ -312,9 +313,9 @@ uint32_t ClusterEngine::AdmitSession(
   // Record intent in the snapshot BEFORE the first send: if the worker is
   // already dead, the recovery replay delivers this very frame — a second
   // send would duplicate it.
-  std::deque<SessionState>& pending = workers_[shard].pending;
-  pending.emplace_back().admit_frame = std::move(frame);
-  if (started_ && !SendToShard(shard, pending.back().admit_frame)) {
+  std::deque<WireBuffer>& pending = workers_[shard].pending;
+  pending.push_back(std::move(frame));
+  if (started_ && !SendToShard(shard, pending.back())) {
     RecoverShard(shard);  // replay includes the new admit frame
   }
   return id;
@@ -330,11 +331,14 @@ void ClusterEngine::RetireSession(uint32_t id, size_t at_timestamp) {
   const size_t shard_index = id / options_.workers;
   Worker& w = workers_[shard];
   if (started_ && w.lost) throw std::runtime_error(w.lost_reason);
-  // Snapshot first (see AdmitSession). A drained session is final and
-  // never replayed, so there is nothing to record for it.
+  // Snapshot first (see AdmitSession): min-merged into the stored frame,
+  // as the worker's RequestRetire min-merges it. A drained session is
+  // final and never replayed, so there is nothing to record for it.
   if (shard_index >= w.drained_through) {
-    w.pending[shard_index - w.drained_through].retire_ats.push_back(
-        static_cast<uint64_t>(at_timestamp));
+    WireBuffer& frame = w.pending[shard_index - w.drained_through];
+    frame.PatchU64(kAdmitRetireAtOffset,
+                   std::min(ReadAdmitRetireAt(frame),
+                            static_cast<uint64_t>(at_timestamp)));
   }
   if (!started_) return;
   // Sessions final as of the shard's last drain before its current
@@ -413,22 +417,14 @@ bool ClusterEngine::ReplayShardSnapshot(size_t shard, bool count_stats) {
   // 0 at Start, and RecoverShard sets restored_below just before.
   MPN_ASSERT(w.restored_below == w.drained_through);
   if (count_stats) stats_.sessions_restored += w.restored_below;
-  for (const SessionState& state : w.pending) {
-    // Recorded retirements ride INSIDE the admit frame (folded into the
-    // tuning's retire_at, which RequestRetire min-merges with anyway): a
-    // worker's engine starts advancing a session the moment it is
-    // admitted, so a separate kRetire frame behind the admit could lose
-    // the race against the session finishing — the retirement would be a
-    // no-op and the digest would diverge from the single-process run.
-    if (state.retire_ats.empty()) {
-      if (!SendToShard(shard, state.admit_frame)) return false;
-    } else {
-      WireBuffer patched = state.admit_frame;
-      uint64_t at = ReadAdmitRetireAt(patched);
-      for (const uint64_t r : state.retire_ats) at = std::min(at, r);
-      patched.PatchU64(kAdmitRetireAtOffset, at);
-      if (!SendToShard(shard, patched)) return false;
-    }
+  for (const WireBuffer& frame : w.pending) {
+    // Recorded retirements ride INSIDE the admit frame (RetireSession
+    // folded them into the tuning's retire_at): a worker's engine starts
+    // advancing a session the moment it is admitted, so a separate
+    // kRetire frame behind the admit could lose the race against the
+    // session finishing — the retirement would be a no-op and the digest
+    // would diverge from the single-process run.
+    if (!SendToShard(shard, frame)) return false;
     if (count_stats) {
       ++stats_.sessions_readmitted;
       ++stats_.frames_replayed;

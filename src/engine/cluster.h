@@ -292,13 +292,6 @@ class ClusterEngine {
   void InjectFaultAt(size_t shard, size_t at, FaultKind kind);
 
  private:
-  /// Coordinator-side snapshot of one session: everything needed to
-  /// re-admit it to a replacement worker, bit-identically.
-  struct SessionState {
-    WireBuffer admit_frame;            ///< full serialized kAdmit frame
-    std::vector<uint64_t> retire_ats;  ///< RetireSession timestamps, in order
-  };
-
   struct Worker {
     pid_t pid = -1;
     IpcChannel channel;
@@ -328,13 +321,15 @@ class ClusterEngine {
     /// admitted session to completion). The next drain reply carries the
     /// sessions from this index on.
     size_t drained_through = 0;
-    /// Recovery snapshot of the shard's undrained sessions: shard-local
-    /// index k (global id shard + k * workers), for k in
-    /// [drained_through, shard sessions), sits at position
-    /// k - drained_through. Appended *before* an admission's first send,
-    /// so a replay can never miss a session; popped once a drain reply
-    /// carrying the sessions has parsed.
-    std::deque<SessionState> pending;
+    /// Recovery snapshot of the shard's undrained sessions, one serialized
+    /// kAdmit frame each, with every RetireSession since min-merged into
+    /// its retire_at: re-sent as is, it re-admits the session to a
+    /// replacement worker bit-identically. Shard-local index k (global id
+    /// shard + k * workers), for k in [drained_through, shard sessions),
+    /// sits at position k - drained_through. Appended *before* an
+    /// admission's first send, so a replay can never miss a session;
+    /// popped once a drain reply carrying the sessions has parsed.
+    std::deque<WireBuffer> pending;
     /// Per-timestamp slot totals owned by dead incarnations' drained
     /// history; the current incarnation's drain adds on top.
     std::vector<Scheduler::Slot> slot_base;

@@ -56,7 +56,7 @@ namespace mpn {
 struct EngineOptions {
   /// Worker threads in the pool (0 = hardware concurrency).
   size_t threads = 1;
-  /// Per-session simulation options (server method, horizon, checks).
+  /// Per-session simulation options (the server configuration).
   SimOptions sim;
   /// Crash-injection test hook: the process _Exit(134)s the first time any
   /// session is about to advance to this virtual timestamp (deterministic
@@ -210,7 +210,8 @@ class Engine {
       const std::function<void(const SessionFinalResult&)>& fn) const;
 
   /// Spill/rehydrate counters and resident accounting of the session
-  /// store (zeros when no budget is configured). Counters are
+  /// store. Resident and peak bytes are charged with or without a budget;
+  /// the spill counters stay zero without one. Counters are
   /// deterministic at threads == 1 under a fixed budget; with more
   /// threads the victim timing is wall-clock dependent.
   MemoryStats memory_stats() const;

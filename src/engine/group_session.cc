@@ -5,7 +5,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "index/gnn.h"
 #include "util/macros.h"
 
 namespace mpn {
@@ -33,9 +32,6 @@ GroupSession::GroupSession(uint32_t id, const std::vector<Point>* pois,
                            const SimOptions& options,
                            const SessionTuning& tuning, const Timer* run_timer)
     : id_(id),
-      pois_(pois),
-      tree_(tree),
-      options_(options),
       tuning_(tuning),
       run_timer_(run_timer),
       server_(pois, tree, options.server) {
@@ -109,11 +105,6 @@ bool GroupSession::AdvanceAndCheck(Snapshot* snap) {
   if (violated) {
     RecordViolation(t);
     CaptureSnapshot(t, snap);
-  } else if (options_.check_correctness && has_result_) {
-    std::vector<Point> locations;
-    locations.reserve(clients_.size());
-    for (const MpnClient& c : clients_) locations.push_back(c.location());
-    CheckInvariantAt(locations);
   }
   seconds_at_[t] += timer.ElapsedSeconds();
   return violated;
@@ -146,22 +137,6 @@ GroupSession::RecomputeOutcome GroupSession::Recompute(const Snapshot& snap) {
   const double before = server_.compute_seconds();
   outcome.result = server_.Recompute(snap.locations, snap.hints);
   outcome.compute_seconds = server_.compute_seconds() - before;
-
-  if (options_.check_correctness) {
-    // The reported optimum must match brute force (ties by distance allowed).
-    const auto best = FindGnnBruteForce(*pois_, snap.locations,
-                                        options_.server.objective, 1);
-    MPN_ASSERT(!best.empty());
-    const double reported = AggDist(outcome.result.po, snap.locations,
-                                    options_.server.objective);
-    MPN_ASSERT_MSG(reported <= best[0].agg + 1e-7 * (1.0 + best[0].agg),
-                   "server reported a non-optimal meeting point");
-    // Every client must be inside its fresh region.
-    for (size_t i = 0; i < snap.locations.size(); ++i) {
-      MPN_ASSERT_MSG(outcome.result.regions[i].Contains(snap.locations[i]),
-                     "fresh safe region excludes the user's location");
-    }
-  }
 
   // Straggler injection: pad the recomputation to cost_factor times its
   // real duration. Pure wall-clock — results and digest are unaffected.
@@ -237,7 +212,6 @@ GroupSession::Replay GroupSession::ReplayOne(Snapshot* snap) {
     seconds_at_[snap->t] += timer.ElapsedSeconds();
     return Replay::kViolation;
   }
-  if (options_.check_correctness) CheckInvariantAt(entry.locations);
   seconds_at_[entry.t] += timer.ElapsedSeconds();
   return Replay::kClean;
 }
@@ -303,18 +277,6 @@ size_t GroupSession::StateBytesEstimate() const {
   size_t bytes = 256 + horizon_ * 32;
   for (const MpnClient& c : clients_) bytes += c.StateBytesEstimate();
   return bytes;
-}
-
-void GroupSession::CheckInvariantAt(
-    const std::vector<Point>& locations) const {
-  // Safe-region invariant: while everyone is inside, the last reported
-  // meeting point must still be optimal.
-  const auto best = FindGnnBruteForce(*pois_, locations,
-                                      options_.server.objective, 1);
-  const double reported =
-      AggDist((*pois_)[current_po_], locations, options_.server.objective);
-  MPN_ASSERT_MSG(reported <= best[0].agg + 1e-7 * (1.0 + best[0].agg),
-                 "stale meeting point while all users inside regions");
 }
 
 }  // namespace mpn

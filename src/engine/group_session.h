@@ -266,7 +266,7 @@ class GroupSession {
   /// state, identical across runs/machines for the engine's accounting.
   /// The budget charges these bytes, not heap bytes: a fresh two-member
   /// Circle session of horizon 16 (fleet_spill's shape) is charged 1,024 B
-  /// and takes 1,760 B of glibc heap chunks, the object and five blocks
+  /// and takes 1,712 B of glibc heap chunks, the object and five blocks
   /// (GroupSessionFootprintTest pins the blocks).
   size_t StateBytesEstimate() const;
 
@@ -296,16 +296,10 @@ class GroupSession {
   void CaptureSnapshot(size_t t, Snapshot* snap) const;
   /// Step 1/2 message accounting + update counters for a violation at t.
   void RecordViolation(size_t t);
-  /// check_correctness mode: the last reported meeting point must still be
-  /// optimal for `locations` while every user is inside their region.
-  void CheckInvariantAt(const std::vector<Point>& locations) const;
   /// Buffered updates not yet replayed.
   size_t MailboxSize() const { return mailbox_.size() - mailbox_head_; }
 
   uint32_t id_;
-  const std::vector<Point>* pois_;
-  const PackedRTree* tree_;
-  SimOptions options_;
   SessionTuning tuning_;
   const Timer* run_timer_;
   MpnServer server_;

@@ -181,7 +181,6 @@ void Scheduler::FinalizeLocked(SessionRecord* r) {
       slots_[t].messages += s->messages_at()[t];
       slots_[t].recomputes += s->violated_at()[t];
       slots_[t].seconds += s->work_seconds_at()[t];
-      ++slots_[t].sessions;
     }
     mailbox_.peak.Add(static_cast<double>(s->mailbox_peak()));
     mailbox_.stalls.Add(static_cast<double>(s->stall_count()));

@@ -130,7 +130,6 @@ class Scheduler {
     size_t messages = 0;    ///< protocol messages attributed to this ts
     size_t recomputes = 0;  ///< safe-region violations at this ts
     double seconds = 0.0;   ///< processing seconds attributed to this ts
-    size_t sessions = 0;    ///< sessions that advanced through this ts
   };
   /// Copies the slot totals under the stats lock — safe against sessions
   /// finalizing concurrently (the serving loop allows admissions while a

@@ -17,6 +17,16 @@ const char* MethodName(Method method) {
   return "?";
 }
 
+TileMsrConfig TileMsrConfigFor(const ServerConfig& config) {
+  TileMsrConfig tc;
+  tc.alpha = config.alpha;
+  tc.split_level = config.split_level;
+  tc.buffer_b = config.buffer_b;
+  tc.directed = config.method != Method::kTile;
+  tc.buffered = config.method == Method::kTileDBuffered;
+  return tc;
+}
+
 MpnServer::MpnServer(const std::vector<Point>* pois, const PackedRTree* tree,
                      const ServerConfig& config)
     : pois_(pois), tree_(tree), config_(config) {
@@ -35,13 +45,7 @@ MsrResult MpnServer::Recompute(const std::vector<Point>& locations,
     result.po_agg = c.po_agg;
     result.regions = std::move(c.regions);
   } else {
-    TileMsrConfig tc;
-    tc.alpha = config_.alpha;
-    tc.split_level = config_.split_level;
-    tc.buffer_b = config_.buffer_b;
-    tc.directed = config_.method != Method::kTile;
-    tc.buffered = config_.method == Method::kTileDBuffered;
-    tc.kernel = config_.kernel;
+    TileMsrConfig tc = TileMsrConfigFor(config_);
     tc.scratch = &scratch_;
     result = ComputeTileMsr(tree_, locations, config_.objective, tc, hints);
   }

@@ -28,10 +28,12 @@ struct ServerConfig {
   int alpha = 30;      ///< Table 2 default
   int split_level = 2; ///< Table 2 default
   int buffer_b = 100;  ///< Section 5.4 recommendation
-  /// Candidate-scan kernel (bit-identical either way; kScalar is the
-  /// reference path for differential testing — see mpn/tile_msr.h).
-  KernelKind kernel = KernelKind::kSoA;
 };
+
+/// The Tile-MSR configuration a server with `config` runs (meaningless for
+/// Method::kCircle): the one mapping, so a replay of a served recompute
+/// cannot drift from it. The scratch is left null for the caller to set.
+TileMsrConfig TileMsrConfigFor(const ServerConfig& config);
 
 /// The application server: owns nothing, computes safe regions on demand.
 class MpnServer {

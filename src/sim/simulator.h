@@ -55,10 +55,6 @@ struct SimMetrics {
 /// Simulation options.
 struct SimOptions {
   ServerConfig server;
-  /// Verify after every recomputation that the reported meeting point is
-  /// the true optimum for the current locations (integration-test mode;
-  /// O(n*m) per update).
-  bool check_correctness = false;
 };
 
 }  // namespace mpn

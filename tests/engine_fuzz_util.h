@@ -1,19 +1,25 @@
 // Shared infrastructure for the seeded lifecycle replays: a deterministic
 // world + plan generator and replay drivers over Engine / ClusterEngine.
-// Used by engine_fuzz_test.cc (scheduling-invariance fuzzing),
-// kernel_differential_test.cc (scalar vs SoA verification kernels) and
-// session_store_test.cc (budgeted vs unbudgeted engines);
-// all of them assert digest bit-identity over the same seed-derived plans.
+// Used by engine_fuzz_test.cc (scheduling-invariance fuzzing) and
+// session_store_test.cc (budgeted vs unbudgeted engines), which assert
+// digest bit-identity over the same seed-derived plans, and by
+// kernel_differential_test.cc, which replays the plans' recomputes under
+// both verification kernels.
 // Also the helpers every engine-driving test shares: a one-group run
 // (RunSingleGroup), a session result copied out of either engine
-// (ResultOf) and a field-by-field comparison of the deterministic metrics
-// (ExpectSameDeterministicMetrics).
+// (ResultOf), a field-by-field comparison of the deterministic metrics
+// (ExpectSameDeterministicMetrics), and the in-order driver
+// (DriveInOrder) that hands a session's every recompute to a test: the
+// paper's invariant is checked through it (InvariantChecks,
+// RunCheckedGroup), never inside a serving session.
 #pragma once
 
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <functional>
+#include <limits>
 #include <string>
 #include <utility>
 #include <vector>
@@ -22,6 +28,8 @@
 
 #include "engine/cluster.h"
 #include "engine/engine.h"
+#include "engine/group_session.h"
+#include "index/gnn.h"
 #include "index/packed_rtree.h"
 #include "traj/generators.h"
 #include "util/rng.h"
@@ -157,13 +165,11 @@ inline std::vector<const Trajectory*> GroupOf(const World& w, size_t g) {
   return group;
 }
 
-inline EngineOptions MakeEngineOptions(
-    size_t threads, KernelKind kernel = KernelKind::kSoA) {
+inline EngineOptions MakeEngineOptions(size_t threads) {
   EngineOptions opt;
   opt.threads = threads;
   opt.sim.server.method = Method::kTileD;
   opt.sim.server.alpha = 10;
-  opt.sim.server.kernel = kernel;
   return opt;
 }
 
@@ -251,19 +257,16 @@ inline SimMetrics RunSingleGroup(const std::vector<Point>* pois,
 }
 
 inline uint64_t RunEnginePlan(const World& w, const FuzzPlan& plan,
-                              size_t threads,
-                              KernelKind kernel = KernelKind::kSoA) {
-  Engine engine(&w.pois, &w.tree, MakeEngineOptions(threads, kernel));
+                              size_t threads) {
+  Engine engine(&w.pois, &w.tree, MakeEngineOptions(threads));
   return Replay(&engine, w, plan);
 }
 
 inline uint64_t RunClusterPlan(const World& w, const FuzzPlan& plan,
-                               size_t workers, size_t threads,
-                               KernelKind kernel = KernelKind::kSoA,
-                               bool with_faults = true) {
+                               size_t workers, size_t threads) {
   ClusterOptions opt;
   opt.workers = workers;
-  opt.engine = MakeEngineOptions(threads, kernel);
+  opt.engine = MakeEngineOptions(threads);
   // Two planned crashes plus two fatal transport faults can all fold onto
   // one shard; keep the budget above that so every seeded death recovers.
   opt.recovery.max_restarts = 6;
@@ -274,12 +277,115 @@ inline uint64_t RunClusterPlan(const World& w, const FuzzPlan& plan,
   opt.transport.heartbeat_timeout_ms = 500;
   opt.transport.heartbeat_miss_budget = 3;
   ClusterEngine cluster(&w.pois, &w.tree, opt);
-  if (with_faults) {
-    for (const PlannedFault& fault : plan.faults) {
-      cluster.InjectFaultAt(fault.shard_slot % workers, fault.at, fault.kind);
-    }
+  for (const PlannedFault& fault : plan.faults) {
+    cluster.InjectFaultAt(fault.shard_slot % workers, fault.at, fault.kind);
   }
   return Replay(&cluster, w, plan);
+}
+
+/// No pre-Start retirement (DriveInOrder's `retire_at`).
+inline constexpr size_t kNoRetire = std::numeric_limits<size_t>::max();
+
+/// A recompute the in-order driver met: the snapshot it ran on and its
+/// result, before the install.
+using RecomputeFn =
+    std::function<void(const GroupSession::Snapshot&, const MsrResult&)>;
+/// A tick that stayed inside the regions: the group's locations (`hints`
+/// empty) and the meeting point in force.
+using CleanTickFn =
+    std::function<void(const GroupSession::Snapshot&, uint32_t po)>;
+
+/// Steps one session through the engine's logical order on the calling
+/// thread: AdvanceAndCheck, and on a violation Recompute, `on_recompute`
+/// and InstallResult, with no buffering (a session's results do not depend
+/// on it, engine/group_session.h). It applies `tuning` and a pre-Start
+/// RetireSession at `retire_at` as the engine does, so it meets exactly
+/// the recomputes the engine runs. Returns the final metrics.
+inline SimMetrics DriveInOrder(const std::vector<Point>* pois,
+                               const PackedRTree* tree,
+                               const std::vector<const Trajectory*>& group,
+                               const SimOptions& options,
+                               const SessionTuning& tuning, size_t retire_at,
+                               const RecomputeFn& on_recompute,
+                               const CleanTickFn& on_clean = nullptr) {
+  GroupSession session(0, pois, tree, group, options, tuning);
+  session.RequestRetire(retire_at);
+  while (!session.AdvancesExhausted()) {
+    const size_t t = session.next_timestamp();
+    GroupSession::Snapshot snap;
+    if (session.AdvanceAndCheck(&snap)) {
+      GroupSession::RecomputeOutcome outcome = session.Recompute(snap);
+      on_recompute(snap, outcome.result);
+      session.InstallResult(std::move(outcome));
+    } else if (on_clean) {
+      snap.t = t;
+      for (const Trajectory* traj : group) {
+        snap.locations.push_back(traj->at(t));
+      }
+      on_clean(snap, session.current_po());
+    }
+  }
+  session.Finish();
+  return session.metrics();
+}
+
+/// The paper's invariant over an in-order run, as gtest failures (ties
+/// within a 1e-7 relative tolerance): after every recompute po is the
+/// brute-force optimum and every user lies in its fresh region; at every
+/// clean tick the meeting point in force is still optimal.
+class InvariantChecks {
+ public:
+  InvariantChecks(const std::vector<Point>* pois, Objective objective)
+      : pois_(pois), objective_(objective) {}
+
+  void OnRecompute(const GroupSession::Snapshot& snap,
+                   const MsrResult& result) const {
+    ExpectOptimal(snap, result.po_id, "non-optimal meeting point reported");
+    ASSERT_EQ(result.regions.size(), snap.locations.size());
+    for (size_t i = 0; i < snap.locations.size(); ++i) {
+      EXPECT_TRUE(result.regions[i].Contains(snap.locations[i]))
+          << "fresh safe region excludes user " << i << " at t " << snap.t;
+    }
+  }
+
+  void OnClean(const GroupSession::Snapshot& snap, uint32_t po) const {
+    ExpectOptimal(snap, po, "stale meeting point while all users inside");
+  }
+
+ private:
+  void ExpectOptimal(const GroupSession::Snapshot& snap, uint32_t po,
+                     const char* what) const {
+    const auto best = FindGnnBruteForce(*pois_, snap.locations, objective_, 1);
+    ASSERT_FALSE(best.empty());
+    const double reported = AggDist((*pois_)[po], snap.locations, objective_);
+    EXPECT_LE(reported, best[0].agg + 1e-7 * (1.0 + best[0].agg))
+        << what << " at t " << snap.t << ": po " << po << ", optimum "
+        << best[0].id;
+  }
+
+  const std::vector<Point>* pois_;
+  Objective objective_;
+};
+
+/// RunSingleGroup with the invariant checked: the group also runs through
+/// DriveInOrder under InvariantChecks, and its deterministic metrics must
+/// equal the engine run's, which are returned.
+inline SimMetrics RunCheckedGroup(const std::vector<Point>* pois,
+                                  const PackedRTree* tree,
+                                  const std::vector<const Trajectory*>& group,
+                                  const SimOptions& options) {
+  const InvariantChecks checks(pois, options.server.objective);
+  const SimMetrics driven = DriveInOrder(
+      pois, tree, group, options, SessionTuning(), kNoRetire,
+      [&checks](const GroupSession::Snapshot& snap, const MsrResult& r) {
+        checks.OnRecompute(snap, r);
+      },
+      [&checks](const GroupSession::Snapshot& snap, uint32_t po) {
+        checks.OnClean(snap, po);
+      });
+  const SimMetrics served = RunSingleGroup(pois, tree, group, options);
+  ExpectSameDeterministicMetrics(driven, served);
+  return served;
 }
 
 /// Seed list: `fallback` is the fixed ctest set, widened via the given

@@ -1,6 +1,6 @@
 // Cross-module integration sweeps: the full protocol under a grid of
-// engine knobs (alpha, L, b, orderings, objectives), checked with
-// brute-force correctness enabled, plus consistency relations between the
+// engine knobs (alpha, L, b, orderings, objectives), checked against brute
+// force at every timestamp, plus consistency relations between the
 // knobs (more tiles -> no worse update frequency; buffering never breaks
 // convergence; codec on the wire preserves behaviour).
 #include <gtest/gtest.h>
@@ -63,9 +63,8 @@ TEST_P(KnobGridTest, ProtocolStaysCorrectUnderKnobs) {
   opt.server.alpha = kc.alpha;
   opt.server.split_level = kc.split_level;
   opt.server.buffer_b = kc.buffer_b;
-  opt.check_correctness = true;  // brute-force validated every timestamp
   const SimMetrics metrics =
-      fuzz::RunSingleGroup(&w.pois, &w.tree, group, opt);
+      fuzz::RunCheckedGroup(&w.pois, &w.tree, group, opt);
   EXPECT_EQ(metrics.timestamps, 350u);
   EXPECT_GT(metrics.updates, 0u);
   // Protocol arithmetic must hold for any knob setting.

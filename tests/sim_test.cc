@@ -1,7 +1,8 @@
 // Protocol and end-to-end simulation tests, including the global system
 // invariant: whenever all users are inside their safe regions, the last
 // reported meeting point is still optimal (checked against brute force at
-// every timestamp).
+// every timestamp through fuzz::InvariantChecks, engine_fuzz_util.h).
+#include <gtest/gtest-spi.h>
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -202,10 +203,10 @@ struct SimCase {
 
 class SimulationInvariantTest : public ::testing::TestWithParam<SimCase> {};
 
-// The headline integration test: run the full protocol with brute-force
-// checking enabled. MPN_ASSERTs inside the simulator abort on any stale or
-// non-optimal meeting point, any user outside a freshly assigned region,
-// or a codec mismatch.
+// The headline integration test: run the full protocol in order with
+// brute-force checks. Any stale or non-optimal meeting point, or any user
+// outside a freshly assigned region, is a test failure; the engine run of
+// the same group must report the same deterministic metrics.
 TEST_P(SimulationInvariantTest, MeetingPointNeverGoesStale) {
   const SimCase& sc = GetParam();
   const World w = MakeWorld(300, 3, 400, 0xB0B + static_cast<int>(sc.method));
@@ -216,9 +217,8 @@ TEST_P(SimulationInvariantTest, MeetingPointNeverGoesStale) {
   opt.server.objective = sc.obj;
   opt.server.alpha = 10;
   opt.server.buffer_b = 30;
-  opt.check_correctness = true;
   const SimMetrics metrics =
-      fuzz::RunSingleGroup(&w.pois, &w.tree, group, opt);
+      fuzz::RunCheckedGroup(&w.pois, &w.tree, group, opt);
   EXPECT_EQ(metrics.timestamps, 400u);
   EXPECT_GT(metrics.updates, 0u);
   EXPECT_GT(metrics.comm.TotalPackets(), 0u);
@@ -239,6 +239,47 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<SimCase>& info) {
       return info.param.name;
     });
+
+// The invariant checks are not vacuous. Handed the meeting point a session
+// held until the recompute that replaced it, against that recompute's
+// locations, InvariantChecks reports a stale meeting point; a fresh region
+// moved off its user and a reported po that is not the optimum fail too.
+// Each is one gtest failure, not an abort.
+TEST(InvariantCheckTest, StaleMeetingPointIsATestFailure) {
+  const World w = MakeWorld(300, 3, 400, 0xB0B);
+  const std::vector<const Trajectory*> group = {&w.trajs[0], &w.trajs[1],
+                                                &w.trajs[2]};
+  SimOptions opt;
+  opt.server.method = Method::kCircle;
+  const fuzz::InvariantChecks checks(&w.pois, opt.server.objective);
+  bool has_po = false;
+  uint32_t held = 0;
+  size_t replaced = 0;
+  fuzz::DriveInOrder(
+      &w.pois, &w.tree, group, opt, SessionTuning(), fuzz::kNoRetire,
+      [&](const GroupSession::Snapshot& snap, const MsrResult& result) {
+        checks.OnRecompute(snap, result);
+        if (has_po && result.po_id != held && replaced++ == 0) {
+          EXPECT_NONFATAL_FAILURE(checks.OnClean(snap, held),
+                                  "stale meeting point");
+          MsrResult wrong_po = result;
+          wrong_po.po_id = held;
+          EXPECT_NONFATAL_FAILURE(checks.OnRecompute(snap, wrong_po),
+                                  "non-optimal meeting point");
+          MsrResult moved = result;
+          const Point away{snap.locations[0].x + 1e6, snap.locations[0].y};
+          moved.regions[0] = SafeRegion::MakeCircle(Circle(away, 1.0));
+          EXPECT_NONFATAL_FAILURE(checks.OnRecompute(snap, moved),
+                                  "excludes user 0");
+        }
+        has_po = true;
+        held = result.po_id;
+      },
+      [&](const GroupSession::Snapshot& snap, uint32_t po) {
+        checks.OnClean(snap, po);
+      });
+  EXPECT_GT(replaced, 0u);
+}
 
 TEST(SimulationTest, TileRegionsReduceUpdatesVsCircle) {
   // The paper's headline claim (Fig. 13): tile-based safe regions cut the
