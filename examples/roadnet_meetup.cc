@@ -55,8 +55,7 @@ int main() {
 
   // Continuous monitoring for both objectives.
   for (Objective obj : {Objective::kMax, Objective::kSum}) {
-    const NetworkSimMetrics metrics =
-        SimulateNetworkMpn(space, engine, group, obj);
+    const NetworkSimMetrics metrics = SimulateNetworkMpn(engine, group, obj);
     std::printf(
         "\n[%s objective] %zu timestamps: %zu server contacts (%.2f%%), "
         "%zu rendezvous changes, %zu region values shipped\n",

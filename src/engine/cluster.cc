@@ -248,7 +248,6 @@ ClusterEngine::ClusterEngine(const std::vector<Point>* pois,
   if (options_.workers == 0) {
     throw std::invalid_argument("ClusterEngine: workers must be >= 1");
   }
-  fault_plan_ = FaultPlan::FromEnv(options_.workers);
   workers_.resize(options_.workers);
 }
 
@@ -273,6 +272,15 @@ void ClusterEngine::RequireHealthy() const {
     throw std::runtime_error(
         "ClusterEngine: a worker failed earlier; the cluster is poisoned "
         "(results of the last successful Wait remain readable)");
+  }
+}
+
+void ClusterEngine::RequireShard(size_t shard, const char* what) const {
+  if (shard >= options_.workers) {
+    throw std::out_of_range(std::string("ClusterEngine::") + what +
+                            ": shard " + std::to_string(shard) +
+                            " out of range (" +
+                            std::to_string(options_.workers) + " workers)");
   }
 }
 
@@ -923,14 +931,14 @@ MemoryStats ClusterEngine::memory_stats() const {
 
 bool ClusterEngine::shard_lost(size_t shard) const {
   std::lock_guard<std::mutex> lock(mu_);
-  MPN_ASSERT(shard < options_.workers);
+  RequireShard(shard, "shard_lost");
   return started_ && workers_[shard].lost;
 }
 
 void ClusterEngine::KillWorkerForTest(size_t shard) {
   std::lock_guard<std::mutex> lock(mu_);
   RequireStarted();
-  MPN_ASSERT(shard < workers_.size());
+  RequireShard(shard, "KillWorkerForTest");
   if (!workers_[shard].reaped && workers_[shard].pid > 0) {
     kill(workers_[shard].pid, SIGKILL);
   }
@@ -939,7 +947,7 @@ void ClusterEngine::KillWorkerForTest(size_t shard) {
 void ClusterEngine::StopWorkerForTest(size_t shard) {
   std::lock_guard<std::mutex> lock(mu_);
   RequireStarted();
-  MPN_ASSERT(shard < workers_.size());
+  RequireShard(shard, "StopWorkerForTest");
   if (!workers_[shard].reaped && workers_[shard].pid > 0) {
     kill(workers_[shard].pid, SIGSTOP);
   }
@@ -951,7 +959,7 @@ void ClusterEngine::InjectFaultAt(size_t shard, size_t at, FaultKind kind) {
     throw std::logic_error(
         "ClusterEngine::InjectFaultAt must be called before Start");
   }
-  MPN_ASSERT(shard < options_.workers);
+  RequireShard(shard, "InjectFaultAt");
   FaultPlan::Event event;
   event.shard = shard;
   event.at = at;

@@ -61,10 +61,10 @@
 // contract holds for hangs exactly as it does for crashes. Corrupt or
 // torn frames surface as the typed FrameError and take the same restart
 // path. Deterministic fault injection for tests and benches, one plan for
-// both failure classes: InjectFaultAt / MPN_FAULT_PLAN (engine/ipc.h
-// FaultPlan) arm per-frame transport faults and virtual-timestamp worker
-// crashes (the `crash` kind, EngineOptions::crash_at_timestamp) in each
-// worker incarnation.
+// both failure classes: InjectFaultAt (engine/ipc.h FaultPlan) arms
+// per-frame transport faults and virtual-timestamp worker crashes (the
+// `crash` kind, EngineOptions::crash_at_timestamp) in each worker
+// incarnation.
 //
 // The coordinator keeps each session's result as the SessionFinalResult a
 // worker's Engine::WithSessionResult streamed to it, minus the wall-clock
@@ -261,23 +261,24 @@ class ClusterEngine {
   /// spilled bytes are sums over every incarnation; peak_resident_bytes
   /// sums each shard's per-incarnation maximum (shards run concurrently).
   /// resident_bytes is not meaningful coordinator-side and stays zero.
-  /// The budget itself flows to workers via ClusterOptions::engine (or
-  /// the MPN_MEMORY_BUDGET environment variable they inherit).
+  /// The budget itself flows to workers via ClusterOptions::engine.
   MemoryStats memory_stats() const;
 
   /// True once `shard` exhausted its restart budget and degraded to lost.
+  /// Throws std::out_of_range for a shard >= worker_count().
   bool shard_lost(size_t shard) const;
 
   /// Test hook: SIGKILLs shard's worker process so the recovery paths
   /// (Send failure, EOF instead of a drain reply) can be exercised at a
   /// wall-clock instant. For a deterministic kill inject a
-  /// FaultKind::kCrash.
+  /// FaultKind::kCrash. Throws std::out_of_range for a shard >=
+  /// worker_count().
   void KillWorkerForTest(size_t shard);
 
   /// Test hook: SIGSTOPs shard's worker — hung, not dead. The kernel
   /// keeps its pipes open, so only the heartbeat machinery (not EOF) can
   /// detect it; the next Wait must kill and recover it via the miss
-  /// budget.
+  /// budget. Throws std::out_of_range for a shard >= worker_count().
   void StopWorkerForTest(size_t shard);
 
   /// Deterministic fault injection: appends `kind` at `at` for `shard` to
@@ -286,9 +287,9 @@ class ClusterEngine {
   /// timestamp at which the incarnation _Exit(134)s. Events are consumed
   /// FIFO per shard, one batch per incarnation (initial worker first,
   /// then each replacement), each batch ending at its first fatal kind.
-  /// The MPN_FAULT_PLAN environment variable ("shard:at:kind,..." or
-  /// "seed:N") prepends events at construction. Must be called before
-  /// Start (std::logic_error afterwards).
+  /// The plan starts empty; this is the only way to fill it. Must be
+  /// called before Start (std::logic_error afterwards); throws
+  /// std::out_of_range for a shard >= worker_count().
   void InjectFaultAt(size_t shard, size_t at, FaultKind kind);
 
  private:
@@ -351,6 +352,8 @@ class ClusterEngine {
   /// subsequent admit/retire/drain throws; results from the last
   /// *successful* Wait stay readable.
   void RequireHealthy() const;
+  /// Throws std::out_of_range naming `what` for a shard >= workers.
+  void RequireShard(size_t shard, const char* what) const;
   const SessionFinalResult& ResultChecked(uint32_t id) const;
   /// Shard-local session count (groups routed to `shard` so far).
   size_t ShardSessionCount(size_t shard) const;

@@ -1,6 +1,5 @@
 #include "engine/engine.h"
 
-#include <cstdlib>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -46,13 +45,6 @@ Engine::Engine(const std::vector<Point>* pois, const PackedRTree* tree,
       options_.threads == 0 ? ThreadPool::HardwareThreads() : options_.threads;
   table_ = std::make_unique<SessionTable>();
   pool_ = std::make_unique<ThreadPool>(threads);
-  // An explicit cap wins; otherwise the MPN_MEMORY_BUDGET environment
-  // variable arms spilling (so existing binaries/tests can cross the
-  // out-of-core path unmodified).
-  if (options_.budget.bytes_cap == 0) {
-    options_.budget.bytes_cap =
-        ParseMemoryBudgetBytes(std::getenv("MPN_MEMORY_BUDGET"));
-  }
   // The factory reads options_.sim, so mid-run rehydration rebuilds
   // sessions with exactly the admission-time options.
   store_ = std::make_unique<SessionStore>(

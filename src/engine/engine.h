@@ -64,11 +64,9 @@ struct EngineOptions {
   /// when a worker incarnation's fault batch holds a `crash` event
   /// (FaultPlan, engine/ipc.h); never use it in-process.
   size_t crash_at_timestamp = static_cast<size_t>(-1);
-  /// Resident-session byte budget (engine/memory_budget.h). bytes_cap == 0
-  /// defers to the MPN_MEMORY_BUDGET environment variable ("64m", "1g",
-  /// ...; unset/empty keeps spilling off). Any cap produces bit-identical
-  /// digests to an unbudgeted run — only memory_stats() and wall time
-  /// change.
+  /// Resident-session byte budget (engine/memory_budget.h); bytes_cap == 0
+  /// turns spilling off. Any cap produces bit-identical digests to an
+  /// unbudgeted run — only memory_stats() and wall time change.
   MemoryBudget budget;
 };
 

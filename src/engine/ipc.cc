@@ -1,12 +1,9 @@
 #include "engine/ipc.h"
 
 #include <csignal>
-#include <cstdlib>
 #include <cstring>
 
-#include "util/decimal.h"
 #include "util/macros.h"
-#include "util/rng.h"
 
 namespace mpn {
 
@@ -25,13 +22,6 @@ uint32_t GetLe32(const uint8_t* p) {
   uint32_t v = 0;
   for (int i = 0; i < 4; ++i) v |= static_cast<uint32_t>(p[i]) << (8 * i);
   return v;
-}
-
-std::string TrimToken(const std::string& tok) {
-  const size_t b = tok.find_first_not_of(" \t");
-  if (b == std::string::npos) return std::string();
-  const size_t e = tok.find_last_not_of(" \t");
-  return tok.substr(b, e - b + 1);
 }
 
 }  // namespace
@@ -131,83 +121,6 @@ std::vector<FaultPlan::Event> FaultPlan::TakeIncarnation(size_t shard) {
     if (IsFatal(batch.back().kind)) break;
   }
   return batch;
-}
-
-FaultPlan FaultPlan::Parse(const std::string& spec) {
-  FaultPlan plan;
-  size_t pos = 0;
-  while (pos < spec.size()) {
-    size_t comma = spec.find(',', pos);
-    if (comma == std::string::npos) comma = spec.size();
-    const std::string tok = TrimToken(spec.substr(pos, comma - pos));
-    pos = comma + 1;
-    if (tok.empty()) continue;
-    const size_t c1 = tok.find(':');
-    const size_t c2 = c1 == std::string::npos ? std::string::npos
-                                              : tok.find(':', c1 + 1);
-    if (c1 == std::string::npos || c2 == std::string::npos || c1 == 0 ||
-        c2 == c1 + 1 || c2 + 1 == tok.size()) {
-      throw std::runtime_error(
-          "mpn ipc: malformed fault plan entry (want shard:at:kind): " + tok);
-    }
-    const char* field = tok.c_str();
-    uint64_t shard = 0, at = 0;
-    if (!ParseDecimal(field, field + c1, &shard)) {
-      throw std::runtime_error("mpn ipc: malformed fault plan shard: " + tok);
-    }
-    if (!ParseDecimal(field + c1 + 1, field + c2, &at)) {
-      throw std::runtime_error("mpn ipc: malformed fault plan index: " + tok);
-    }
-    Event ev;
-    ev.shard = static_cast<size_t>(shard);
-    ev.at = static_cast<size_t>(at);
-    ev.kind = ParseFaultKind(tok.substr(c2 + 1));
-    plan.events.push_back(ev);
-  }
-  return plan;
-}
-
-FaultPlan FaultPlan::FromSeed(uint64_t seed, size_t shards) {
-  FaultPlan plan;
-  if (shards == 0) return plan;
-  Rng rng(seed);
-  const size_t count = 1 + static_cast<size_t>(rng.UniformInt(0, 1));
-  for (size_t i = 0; i < count; ++i) {
-    Event ev;
-    ev.shard = static_cast<size_t>(
-        rng.UniformInt(0, static_cast<int64_t>(shards) - 1));
-    // Early frame indices: the first frames of a shard are its admit
-    // receives, so low indices are the ones a small workload reaches.
-    ev.at = static_cast<size_t>(rng.UniformInt(0, 11));
-    static const FaultKind kKinds[] = {
-        FaultKind::kShortIo, FaultKind::kEintrStorm, FaultKind::kCorrupt,
-        FaultKind::kTruncate, FaultKind::kStall, FaultKind::kReset};
-    ev.kind = kKinds[rng.UniformInt(0, 5)];
-    plan.events.push_back(ev);
-  }
-  return plan;
-}
-
-FaultPlan FaultPlan::FromEnv(size_t shards) {
-  const char* env = std::getenv("MPN_FAULT_PLAN");
-  if (env == nullptr || *env == '\0') return FaultPlan();
-  const std::string spec(env);
-  if (spec.rfind("seed:", 0) == 0) {
-    uint64_t seed = 0;
-    if (!ParseDecimal(spec.c_str() + 5, spec.c_str() + spec.size(), &seed)) {
-      throw std::runtime_error("mpn ipc: malformed fault plan seed: " + spec);
-    }
-    return FromSeed(seed, shards);
-  }
-  FaultPlan plan = Parse(spec);
-  for (const Event& ev : plan.events) {
-    if (ev.shard >= shards) {
-      throw std::runtime_error("mpn ipc: fault plan shard " +
-                               std::to_string(ev.shard) + " out of range (" +
-                               std::to_string(shards) + " workers): " + spec);
-    }
-  }
-  return plan;
 }
 
 void IpcChannel::MakePair(IpcChannel* a, IpcChannel* b) {

@@ -180,26 +180,6 @@ struct FaultPlan {
   /// including the first fatal kind, so a crash can only come last.
   /// Returns an empty vector when the shard has no events left.
   std::vector<Event> TakeIncarnation(size_t shard);
-
-  /// Parses "shard:at:kind[,shard:at:kind...]" where shard and at are
-  /// unsigned decimals (digits only) and kind is a FaultKindName ("short",
-  /// "eintr", "corrupt", "trunc", "stall", "reset", "crash"); spaces
-  /// allowed around tokens. Throws std::runtime_error on a malformed spec
-  /// — a typo in a plan must fail loudly, not silently disarm the fuzz
-  /// run.
-  static FaultPlan Parse(const std::string& spec);
-
-  /// Derives a small random plan (1-2 frame-fault events over `shards`
-  /// shards; never a crash) from a seed — the "seed:N" form of
-  /// MPN_FAULT_PLAN, used by the CI fault soak. Deterministic for a given
-  /// (seed, shards).
-  static FaultPlan FromSeed(uint64_t seed, size_t shards);
-
-  /// Reads the MPN_FAULT_PLAN environment variable: empty plan when
-  /// unset or empty, FromSeed when the value is "seed:N", Parse
-  /// otherwise. An event naming a shard >= `shards` could never fire, so
-  /// it throws std::runtime_error like a malformed entry.
-  static FaultPlan FromEnv(size_t shards);
 };
 
 /// One endpoint of a connected pair, speaking checksummed frames over a

@@ -12,11 +12,7 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <cstring>
-#include <limits>
 #include <string>
-
-#include "util/decimal.h"
 
 namespace mpn {
 
@@ -40,25 +36,5 @@ struct MemoryStats {
   uint64_t resident_bytes = 0;       ///< current resident estimate
   uint64_t peak_resident_bytes = 0;  ///< high-water resident estimate
 };
-
-/// Parses a byte-count spec with an optional k/m/g suffix ("64k", "256M",
-/// "1g", "12345"). Returns 0 for null/empty/garbage — i.e. "no budget".
-/// Garbage is anything but digits and one optional suffix (so no
-/// whitespace or sign), and any value whose byte count exceeds SIZE_MAX.
-/// Used for the MPN_MEMORY_BUDGET environment override.
-inline size_t ParseMemoryBudgetBytes(const char* spec) {
-  if (spec == nullptr || *spec == '\0') return 0;
-  const char* end = spec + std::strlen(spec);
-  const char suffix = end[-1];
-  uint64_t mult = 1;
-  if (suffix == 'k' || suffix == 'K') mult = uint64_t{1} << 10;
-  if (suffix == 'm' || suffix == 'M') mult = uint64_t{1} << 20;
-  if (suffix == 'g' || suffix == 'G') mult = uint64_t{1} << 30;
-  if (mult != 1) --end;
-  uint64_t v = 0;
-  if (!ParseDecimal(spec, end, &v)) return 0;
-  if (v > std::numeric_limits<size_t>::max() / mult) return 0;
-  return static_cast<size_t>(v * mult);
-}
 
 }  // namespace mpn

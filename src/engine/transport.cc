@@ -42,36 +42,6 @@ Clock::time_point DeadlineFrom(double deadline_ms) {
 
 }  // namespace
 
-const char* FaultKindName(FaultKind kind) {
-  switch (kind) {
-    case FaultKind::kShortIo:
-      return "short";
-    case FaultKind::kEintrStorm:
-      return "eintr";
-    case FaultKind::kCorrupt:
-      return "corrupt";
-    case FaultKind::kTruncate:
-      return "trunc";
-    case FaultKind::kStall:
-      return "stall";
-    case FaultKind::kReset:
-      return "reset";
-    case FaultKind::kCrash:
-      return "crash";
-  }
-  return "unknown";
-}
-
-FaultKind ParseFaultKind(const std::string& name) {
-  for (const FaultKind k :
-       {FaultKind::kShortIo, FaultKind::kEintrStorm, FaultKind::kCorrupt,
-        FaultKind::kTruncate, FaultKind::kStall, FaultKind::kReset,
-        FaultKind::kCrash}) {
-    if (name == FaultKindName(k)) return k;
-  }
-  throw std::runtime_error("mpn transport: unknown fault kind: " + name);
-}
-
 Transport::Transport(int fd) : fd_(fd) { SetNonBlocking(fd_); }
 
 Transport::Transport(Transport&& other) noexcept

@@ -45,13 +45,6 @@ enum class FaultKind : uint8_t {
   kCrash = 6        ///< The worker _Exit(134)s at a virtual timestamp.
 };
 
-/// Human-readable fault name ("corrupt", "stall", ...), for logs/specs.
-const char* FaultKindName(FaultKind kind);
-
-/// Parses a FaultKindName back into the enum; throws std::runtime_error
-/// on an unknown name.
-FaultKind ParseFaultKind(const std::string& name);
-
 /// Cumulative per-endpoint I/O health counters.
 struct TransportCounters {
   /// EINTR returns (real or injected) plus EAGAIN poll round-trips.

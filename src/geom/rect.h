@@ -38,9 +38,6 @@ struct Rect {
   /// Area; 0 for empty or degenerate rectangles.
   double Area() const { return IsEmpty() ? 0.0 : Width() * Height(); }
 
-  /// Half-perimeter (margin), used by R-tree heuristics.
-  double Margin() const { return IsEmpty() ? 0.0 : Width() + Height(); }
-
   /// Closed containment test.
   bool Contains(const Point& p) const {
     return p.x >= lo.x && p.x <= hi.x && p.y >= lo.y && p.y <= hi.y;
@@ -83,14 +80,6 @@ struct Rect {
     Rect r = a;
     r.ExpandToInclude(b);
     return r;
-  }
-
-  /// Area of the intersection; 0 when disjoint.
-  double IntersectionArea(const Rect& other) const {
-    if (!Intersects(other)) return 0.0;
-    const double w = std::min(hi.x, other.hi.x) - std::max(lo.x, other.lo.x);
-    const double h = std::min(hi.y, other.hi.y) - std::max(lo.y, other.lo.y);
-    return w * h;
   }
 
   /// ||p, R||_min: distance from p to the nearest point of the rectangle

@@ -2,16 +2,6 @@
 
 namespace mpn {
 
-const char* MessageTypeName(MessageType t) {
-  switch (t) {
-    case MessageType::kLocationUpdate: return "location-update";
-    case MessageType::kProbe: return "probe";
-    case MessageType::kProbeReply: return "probe-reply";
-    case MessageType::kResult: return "result";
-  }
-  return "?";
-}
-
 size_t RegionValueCount(const SafeRegion& region, bool compress_tiles) {
   if (region.is_circle()) return kValuesPerCircle;
   if (!compress_tiles) return RawTileValueCount(region.tiles());

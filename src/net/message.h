@@ -28,9 +28,6 @@ enum class MessageType : int {
 /// Number of distinct message types.
 inline constexpr size_t kMessageTypeCount = 4;
 
-/// Human-readable message-type name.
-const char* MessageTypeName(MessageType t);
-
 /// Values (8-byte slots) per shape.
 inline constexpr size_t kValuesPerPoint = 2;
 inline constexpr size_t kValuesPerCircle = 3;

@@ -267,9 +267,8 @@ NetworkTrajectory GenerateNetworkTrajectory(const NetworkSpace& space,
 }
 
 NetworkSimMetrics SimulateNetworkMpn(
-    const NetworkSpace& space, const NetworkMpn& engine,
-    const std::vector<const NetworkTrajectory*>& group, Objective obj,
-    bool check_correctness) {
+    const NetworkMpn& engine,
+    const std::vector<const NetworkTrajectory*>& group, Objective obj) {
   MPN_ASSERT(!group.empty());
   NetworkSimMetrics metrics;
   size_t horizon = group.front()->size();
@@ -307,27 +306,6 @@ NetworkSimMetrics SimulateNetworkMpn(
       for (const NetworkBall& b : regions) {
         metrics.region_values += b.ValueCount();
       }
-      if (check_correctness) {
-        // The fresh ball must contain the user's own location.
-        for (size_t i = 0; i < locations.size(); ++i) {
-          MPN_ASSERT_MSG(regions[i].Contains(locations[i], 1e-6),
-                         "network ball excludes its center");
-        }
-      }
-    } else if (check_correctness) {
-      // Invariant: while everyone is inside, the meeting point is optimal.
-      std::vector<std::vector<double>> nd;
-      for (const EdgePosition& u : locations) {
-        nd.push_back(space.NodeDistancesFrom(u));
-      }
-      double best = 1e300;
-      for (size_t j = 0; j < engine.pois().size(); ++j) {
-        best = std::min(best, engine.AggNetworkDist(j, nd, locations, obj));
-      }
-      const double reported =
-          engine.AggNetworkDist(current_po, nd, locations, obj);
-      MPN_ASSERT_MSG(reported <= best + 1e-6 * (1.0 + best),
-                     "stale network meeting point inside safe balls");
     }
   }
   return metrics;

@@ -119,11 +119,9 @@ struct NetworkSimMetrics {
 };
 
 /// Runs the continuous-notification protocol over network trajectories with
-/// metric-ball safe regions. With `check_correctness` every recomputation is
-/// validated against an exhaustive scan.
+/// metric-ball safe regions.
 NetworkSimMetrics SimulateNetworkMpn(
-    const NetworkSpace& space, const NetworkMpn& engine,
-    const std::vector<const NetworkTrajectory*>& group, Objective obj,
-    bool check_correctness = false);
+    const NetworkMpn& engine,
+    const std::vector<const NetworkTrajectory*>& group, Objective obj);
 
 }  // namespace mpn

@@ -14,55 +14,15 @@
 #include "engine/cluster.h"
 #include "engine/engine.h"
 #include "engine_fuzz_util.h"
-#include "traj/generators.h"
-#include "util/rng.h"
 
 namespace mpn {
 namespace {
 
-const Rect kWorld({0, 0}, {20000, 20000});
-
-struct World {
-  std::vector<Point> pois;
-  PackedRTree tree;
-  std::vector<Trajectory> trajs;
-};
-
-World MakeWorld(size_t n_pois, size_t n_groups, size_t timestamps,
-                uint64_t seed) {
-  World w;
-  Rng rng(seed);
-  PoiOptions popt;
-  popt.world = kWorld;
-  popt.clusters = 12;
-  w.pois = GeneratePois(n_pois, popt, &rng);
-  w.tree = PackedRTree::Build(w.pois);
-  RandomWalkGenerator::Options wopt;
-  wopt.world = kWorld;
-  wopt.mean_speed = 60.0;
-  const RandomWalkGenerator gen(wopt);
-  w.trajs = gen.GenerateGroupedFleet(n_groups * 3, 3, 500.0, timestamps, &rng);
-  return w;
-}
-
-EngineOptions MakeEngineOptions(size_t threads) {
-  EngineOptions opt;
-  opt.threads = threads;
-  opt.sim.server.method = Method::kTileD;
-  opt.sim.server.alpha = 10;
-  return opt;
-}
-
-std::vector<const Trajectory*> GroupOf(const World& w, size_t g) {
-  return {&w.trajs[3 * g], &w.trajs[3 * g + 1], &w.trajs[3 * g + 2]};
-}
-
-ClusterOptions MakeClusterOptions(size_t workers, size_t threads) {
-  ClusterOptions opt;
-  opt.workers = workers;
-  opt.engine = MakeEngineOptions(threads);
-  return opt;
-}
+using fuzz::GroupOf;
+using fuzz::MakeClusterOptions;
+using fuzz::MakeEngineOptions;
+using fuzz::MakeWorld;
+using fuzz::World;
 
 // Every deterministic field of one session's result: the metrics but
 // server_seconds, the final meeting point and whether there is one (the
@@ -346,6 +306,45 @@ TEST(ClusterLifecycleTest, UnknownSessionIdsAreRejected) {
   EXPECT_THROW(cluster.session_metrics(1), std::out_of_range);
   EXPECT_THROW(cluster.session_po(1), std::out_of_range);
   EXPECT_THROW(cluster.session_has_result(1), std::out_of_range);
+}
+
+// A shard the cluster does not have reaches the caller as
+// std::out_of_range, like an unknown session id, and arms or signals
+// nothing: the run that follows restarts no worker.
+TEST(ClusterLifecycleTest, InjectFaultAtRejectsAnUnknownShard) {
+  const World w = MakeWorld(150, 1, 30, 0xC1058A);
+  ClusterEngine cluster(&w.pois, &w.tree, MakeClusterOptions(2, 1));
+  EXPECT_THROW(cluster.InjectFaultAt(2, 0, FaultKind::kCrash),
+               std::out_of_range);
+  cluster.AdmitSession(GroupOf(w, 0));
+  cluster.Start();
+  cluster.Shutdown();
+  EXPECT_EQ(cluster.recovery_stats().restarts, 0u);
+}
+
+TEST(ClusterLifecycleTest, ShardLostRejectsAnUnknownShard) {
+  const World w = MakeWorld(150, 1, 30, 0xC1058B);
+  ClusterEngine cluster(&w.pois, &w.tree, MakeClusterOptions(2, 1));
+  EXPECT_FALSE(cluster.shard_lost(1));
+  EXPECT_THROW(cluster.shard_lost(2), std::out_of_range);
+}
+
+TEST(ClusterLifecycleTest, KillWorkerForTestRejectsAnUnknownShard) {
+  const World w = MakeWorld(150, 1, 30, 0xC1058C);
+  ClusterEngine cluster(&w.pois, &w.tree, MakeClusterOptions(2, 1));
+  cluster.Start();
+  EXPECT_THROW(cluster.KillWorkerForTest(2), std::out_of_range);
+  cluster.Shutdown();
+  EXPECT_EQ(cluster.recovery_stats().restarts, 0u);
+}
+
+TEST(ClusterLifecycleTest, StopWorkerForTestRejectsAnUnknownShard) {
+  const World w = MakeWorld(150, 1, 30, 0xC1058D);
+  ClusterEngine cluster(&w.pois, &w.tree, MakeClusterOptions(2, 1));
+  cluster.Start();
+  EXPECT_THROW(cluster.StopWorkerForTest(2), std::out_of_range);
+  cluster.Shutdown();
+  EXPECT_EQ(cluster.recovery_stats().restarts, 0u);
 }
 
 // A malformed admission throws std::invalid_argument on the coordinator,

@@ -5,10 +5,13 @@
 // digest bit-identity over the same seed-derived plans, and by
 // kernel_differential_test.cc, which replays the plans' recomputes under
 // both verification kernels.
-// Also the helpers every engine-driving test shares: a one-group run
-// (RunSingleGroup), a session result copied out of either engine
-// (ResultOf), a field-by-field comparison of the deterministic metrics
-// (ExpectSameDeterministicMetrics), and the in-order driver
+// Also the helpers every engine-driving test shares: the fixed world of the
+// engine, cluster and transport suites (MakeWorld, GroupOf), the engine and
+// cluster options they run with (MakeEngineOptions, MakeClusterOptions —
+// the one place CI's MPN_MEMORY_BUDGET reaches an engine, test_env.h), a
+// one-group run (RunSingleGroup), a session result copied out of either
+// engine (ResultOf), a field-by-field comparison of the deterministic
+// metrics (ExpectSameDeterministicMetrics), and the in-order driver
 // (DriveInOrder) that hands a session's every recompute to a test: the
 // paper's invariant is checked through it (InvariantChecks,
 // RunCheckedGroup), never inside a serving session.
@@ -31,6 +34,7 @@
 #include "engine/group_session.h"
 #include "index/gnn.h"
 #include "index/packed_rtree.h"
+#include "test_env.h"
 #include "traj/generators.h"
 #include "util/rng.h"
 
@@ -157,6 +161,27 @@ inline FuzzPlan MakeFuzzPlan(Rng* rng, size_t n_groups, size_t horizon) {
   return plan;
 }
 
+/// The fixed world of the engine, cluster and transport suites: `n_pois`
+/// POIs in 12 clusters and `n_groups` groups of three walkers at 60 m per
+/// timestamp, all drawn from `seed`.
+inline World MakeWorld(size_t n_pois, size_t n_groups, size_t timestamps,
+                       uint64_t seed) {
+  World w;
+  w.group_size = 3;
+  Rng rng(seed);
+  PoiOptions popt;
+  popt.world = kWorld;
+  popt.clusters = 12;
+  w.pois = GeneratePois(n_pois, popt, &rng);
+  w.tree = PackedRTree::Build(w.pois);
+  RandomWalkGenerator::Options wopt;
+  wopt.world = kWorld;
+  wopt.mean_speed = 60.0;
+  const RandomWalkGenerator gen(wopt);
+  w.trajs = gen.GenerateGroupedFleet(n_groups * 3, 3, 500.0, timestamps, &rng);
+  return w;
+}
+
 inline std::vector<const Trajectory*> GroupOf(const World& w, size_t g) {
   std::vector<const Trajectory*> group;
   for (size_t i = 0; i < w.group_size; ++i) {
@@ -165,11 +190,22 @@ inline std::vector<const Trajectory*> GroupOf(const World& w, size_t g) {
   return group;
 }
 
-inline EngineOptions MakeEngineOptions(size_t threads) {
+/// Tile-D engine options, with the memory budget every engine-driving test
+/// shares: a nonzero `bytes_cap` wins, and 0 takes MPN_MEMORY_BUDGET
+/// (unset: no spilling), so CI's budgeted steps reach each such engine.
+inline EngineOptions MakeEngineOptions(size_t threads, size_t bytes_cap = 0) {
   EngineOptions opt;
   opt.threads = threads;
   opt.sim.server.method = Method::kTileD;
   opt.sim.server.alpha = 10;
+  opt.budget.bytes_cap = bytes_cap != 0 ? bytes_cap : EnvMemoryBudgetBytes();
+  return opt;
+}
+
+inline ClusterOptions MakeClusterOptions(size_t workers, size_t threads) {
+  ClusterOptions opt;
+  opt.workers = workers;
+  opt.engine = MakeEngineOptions(threads);
   return opt;
 }
 
@@ -246,8 +282,7 @@ inline SimMetrics RunSingleGroup(const std::vector<Point>* pois,
                                  const PackedRTree* tree,
                                  std::vector<const Trajectory*> group,
                                  const SimOptions& options) {
-  EngineOptions opt;
-  opt.threads = 1;
+  EngineOptions opt = MakeEngineOptions(1);
   opt.sim = options;
   Engine engine(pois, tree, opt);
   const uint32_t id = engine.AdmitSession(std::move(group));
@@ -264,9 +299,7 @@ inline uint64_t RunEnginePlan(const World& w, const FuzzPlan& plan,
 
 inline uint64_t RunClusterPlan(const World& w, const FuzzPlan& plan,
                                size_t workers, size_t threads) {
-  ClusterOptions opt;
-  opt.workers = workers;
-  opt.engine = MakeEngineOptions(threads);
+  ClusterOptions opt = MakeClusterOptions(workers, threads);
   // Two planned crashes plus two fatal transport faults can all fold onto
   // one shard; keep the budget above that so every seeded death recovers.
   opt.recovery.max_restarts = 6;

@@ -23,8 +23,6 @@
 #include "engine/session_codec.h"
 #include "engine_fuzz_util.h"
 #include "sim/simulator.h"
-#include "traj/generators.h"
-#include "util/rng.h"
 #include "util/thread_pool.h"
 
 namespace mpn {
@@ -107,38 +105,9 @@ TEST(ThreadPoolTest, PostRunsInPriorityOrder) {
 
 // --- Engine -----------------------------------------------------------------
 
-const Rect kWorld({0, 0}, {20000, 20000});
-
-struct World {
-  std::vector<Point> pois;
-  PackedRTree tree;
-  std::vector<Trajectory> trajs;
-};
-
-World MakeWorld(size_t n_pois, size_t n_groups, size_t timestamps,
-                uint64_t seed) {
-  World w;
-  Rng rng(seed);
-  PoiOptions popt;
-  popt.world = kWorld;
-  popt.clusters = 12;
-  w.pois = GeneratePois(n_pois, popt, &rng);
-  w.tree = PackedRTree::Build(w.pois);
-  RandomWalkGenerator::Options wopt;
-  wopt.world = kWorld;
-  wopt.mean_speed = 60.0;
-  const RandomWalkGenerator gen(wopt);
-  w.trajs = gen.GenerateGroupedFleet(n_groups * 3, 3, 500.0, timestamps, &rng);
-  return w;
-}
-
-EngineOptions MakeEngineOptions(size_t threads) {
-  EngineOptions opt;
-  opt.threads = threads;
-  opt.sim.server.method = Method::kTileD;
-  opt.sim.server.alpha = 10;
-  return opt;
-}
+using fuzz::MakeEngineOptions;
+using fuzz::MakeWorld;
+using fuzz::World;
 
 uint64_t RunEngine(const World& w, size_t n_groups, size_t threads,
                    SimMetrics* total = nullptr,

@@ -145,7 +145,6 @@ TEST(RectTest, EmptyAndContainment) {
 TEST(RectTest, AreaMarginCenter) {
   const Rect r({1, 1}, {4, 3});
   EXPECT_DOUBLE_EQ(r.Area(), 6.0);
-  EXPECT_DOUBLE_EQ(r.Margin(), 5.0);
   EXPECT_EQ(r.Center(), Vec2(2.5, 2.0));
   EXPECT_DOUBLE_EQ(Rect::Empty().Area(), 0.0);
 }
@@ -169,8 +168,6 @@ TEST(RectTest, IntersectionTests) {
   EXPECT_TRUE(a.Intersects(Rect({2, 2}, {3, 3})));  // corner touch
   EXPECT_FALSE(a.Intersects(Rect({2.1, 0}, {3, 1})));
   EXPECT_FALSE(a.Intersects(Rect::Empty()));
-  EXPECT_DOUBLE_EQ(a.IntersectionArea(Rect({1, 1}, {3, 3})), 1.0);
-  EXPECT_DOUBLE_EQ(a.IntersectionArea(Rect({5, 5}, {6, 6})), 0.0);
 }
 
 TEST(RectTest, MinMaxDistInsideAndOutside) {

@@ -1,10 +1,13 @@
 // Road-network MPN extension tests: network metric correctness (symmetry,
 // triangle inequality, same-edge shortcuts), metric-ball materialization,
 // the metric-space Theorem-1/5 soundness property, and the end-to-end
-// network simulation invariant.
+// network simulation invariant, checked by a test-side run of the protocol
+// (RunCheckedNetworkSim), never inside SimulateNetworkMpn.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "netmpn/network_mpn.h"
 #include "util/rng.h"
@@ -25,6 +28,78 @@ struct NetFixture {
         }()),
         space(&network) {}
 };
+
+// SimulateNetworkMpn's protocol, step for step, with the paper's invariant
+// checked as gtest failures: after every recompute each user lies in its
+// fresh ball, and at every tick without a violation the meeting point in
+// force is still the exhaustive-scan optimum (1e-6 relative tolerance).
+NetworkSimMetrics SimulateChecked(
+    const NetworkSpace& space, const NetworkMpn& engine,
+    const std::vector<const NetworkTrajectory*>& group, Objective obj) {
+  NetworkSimMetrics metrics;
+  size_t horizon = group.front()->size();
+  for (const NetworkTrajectory* t : group) {
+    horizon = std::min(horizon, t->size());
+  }
+  std::vector<NetworkBall> regions;
+  bool has_result = false;
+  uint32_t current_po = 0;
+  for (size_t t = 0; t < horizon; ++t) {
+    ++metrics.timestamps;
+    std::vector<EdgePosition> locations;
+    for (const NetworkTrajectory* traj : group) {
+      locations.push_back(traj->positions[t]);
+    }
+    bool violated = !has_result;
+    for (size_t i = 0; has_result && !violated && i < locations.size(); ++i) {
+      violated = !regions[i].Contains(locations[i]);
+    }
+    if (violated) {
+      ++metrics.updates;
+      NetworkMpnResult result = engine.Compute(locations, obj);
+      if (has_result && result.po_index != current_po) {
+        ++metrics.result_changes;
+      }
+      current_po = result.po_index;
+      has_result = true;
+      regions = std::move(result.regions);
+      for (size_t i = 0; i < locations.size(); ++i) {
+        metrics.region_values += regions[i].ValueCount();
+        EXPECT_TRUE(regions[i].Contains(locations[i], 1e-6))
+            << "network ball excludes user " << i << " at t " << t;
+      }
+    } else {
+      std::vector<std::vector<double>> nd;
+      for (const EdgePosition& u : locations) {
+        nd.push_back(space.NodeDistancesFrom(u));
+      }
+      double best = 1e300;
+      for (size_t j = 0; j < engine.pois().size(); ++j) {
+        best = std::min(best, engine.AggNetworkDist(j, nd, locations, obj));
+      }
+      const double reported =
+          engine.AggNetworkDist(current_po, nd, locations, obj);
+      EXPECT_LE(reported, best + 1e-6 * (1.0 + best))
+          << "stale network meeting point inside safe balls at t " << t;
+    }
+  }
+  return metrics;
+}
+
+// SimulateNetworkMpn with the invariant checked: the group also runs
+// through SimulateChecked, whose metrics must equal the library run's,
+// which are returned.
+NetworkSimMetrics RunCheckedNetworkSim(
+    const NetworkSpace& space, const NetworkMpn& engine,
+    const std::vector<const NetworkTrajectory*>& group, Objective obj) {
+  const NetworkSimMetrics checked = SimulateChecked(space, engine, group, obj);
+  const NetworkSimMetrics served = SimulateNetworkMpn(engine, group, obj);
+  EXPECT_EQ(checked.timestamps, served.timestamps);
+  EXPECT_EQ(checked.updates, served.updates);
+  EXPECT_EQ(checked.result_changes, served.result_changes);
+  EXPECT_EQ(checked.region_values, served.region_values);
+  return served;
+}
 
 TEST(NetworkSpaceTest, EdgeTableMatchesNetwork) {
   NetFixture f(1);
@@ -395,11 +470,9 @@ TEST(NetworkSimChTest, SimulationMetricsIdenticalWithAndWithoutIndex) {
                                                        &trajs[2]};
   for (Objective obj : {Objective::kMax, Objective::kSum}) {
     const NetworkSimMetrics a =
-        SimulateNetworkMpn(f.dijkstra_space, dijkstra_engine, group, obj,
-                           /*check_correctness=*/true);
+        RunCheckedNetworkSim(f.dijkstra_space, dijkstra_engine, group, obj);
     const NetworkSimMetrics b =
-        SimulateNetworkMpn(f.ch_space, ch_engine, group, obj,
-                           /*check_correctness=*/true);
+        RunCheckedNetworkSim(f.ch_space, ch_engine, group, obj);
     EXPECT_EQ(a.timestamps, b.timestamps);
     EXPECT_EQ(a.updates, b.updates);
     EXPECT_EQ(a.result_changes, b.result_changes);
@@ -439,8 +512,7 @@ TEST(NetworkSimTest, EndToEndInvariantHolds) {
                                                        &trajs[2]};
   for (Objective obj : {Objective::kMax, Objective::kSum}) {
     const NetworkSimMetrics metrics =
-        SimulateNetworkMpn(f.space, engine, group, obj,
-                           /*check_correctness=*/true);
+        RunCheckedNetworkSim(f.space, engine, group, obj);
     EXPECT_EQ(metrics.timestamps, 250u);
     EXPECT_GT(metrics.updates, 0u);
     EXPECT_LT(metrics.updates, 250u);  // balls must save some updates
@@ -460,7 +532,7 @@ TEST(NetworkSimTest, SafeRegionsBeatPerTickReporting) {
   }
   const std::vector<const NetworkTrajectory*> group = {&trajs[0], &trajs[1]};
   const NetworkSimMetrics metrics =
-      SimulateNetworkMpn(f.space, engine, group, Objective::kMax);
+      SimulateNetworkMpn(engine, group, Objective::kMax);
   EXPECT_LT(metrics.UpdateFrequency(), 0.5);
 }
 

@@ -20,6 +20,7 @@
 #include "engine/memory_budget.h"
 #include "engine/session_codec.h"
 #include "engine_fuzz_util.h"
+#include "test_env.h"
 
 namespace mpn {
 namespace {
@@ -518,9 +519,7 @@ struct BudgetRun {
 
 BudgetRun RunWithBudget(const fuzz::World& w, const fuzz::FuzzPlan& plan,
                         size_t threads, size_t bytes_cap) {
-  EngineOptions opt = fuzz::MakeEngineOptions(threads);
-  opt.budget.bytes_cap = bytes_cap;
-  Engine engine(&w.pois, &w.tree, opt);
+  Engine engine(&w.pois, &w.tree, fuzz::MakeEngineOptions(threads, bytes_cap));
   BudgetRun run;
   run.digest = fuzz::Replay(&engine, w, plan);
   run.mem = engine.memory_stats();
@@ -615,9 +614,8 @@ TEST(SessionStoreTest, SpillFailureInsideAnEventReachesWait) {
       engine->AdmitSession(fuzz::GroupOf(w, g));
     }
   };
-  EngineOptions probe_opt = fuzz::MakeEngineOptions(1);
-  probe_opt.budget.bytes_cap = size_t{1} << 30;  // wins over the env var
-  Engine base(&w.pois, &w.tree, probe_opt);
+  // A cap that never spills, and wins over MPN_MEMORY_BUDGET.
+  Engine base(&w.pois, &w.tree, fuzz::MakeEngineOptions(1, size_t{1} << 30));
   admit_all(&base);
   const size_t admitted_bytes = base.memory_stats().resident_bytes;
   base.Start();
@@ -625,8 +623,7 @@ TEST(SessionStoreTest, SpillFailureInsideAnEventReachesWait) {
   ASSERT_GT(base.memory_stats().peak_resident_bytes, admitted_bytes);
 
   for (const size_t threads : {size_t{1}, size_t{2}}) {
-    EngineOptions opt = fuzz::MakeEngineOptions(threads);
-    opt.budget.bytes_cap = admitted_bytes;
+    EngineOptions opt = fuzz::MakeEngineOptions(threads, admitted_bytes);
     opt.budget.spill_dir = ::testing::TempDir() + "mpn-no-such-dir/spill";
     Engine engine(&w.pois, &w.tree, opt);
     admit_all(&engine);  // fits the cap: no spill, nothing thrown
@@ -682,13 +679,10 @@ TEST(SessionStoreTest, PerSessionAccessorsMatchUnbudgetedRun) {
   plan.drain_before.assign(1, 0);
   for (fuzz::PlannedSession& s : plan.sessions) s.wave = 0;
 
-  EngineOptions base_opt = fuzz::MakeEngineOptions(1);
-  Engine base(&w.pois, &w.tree, base_opt);
+  Engine base(&w.pois, &w.tree, fuzz::MakeEngineOptions(1));
   fuzz::Replay(&base, w, plan);
 
-  EngineOptions opt = fuzz::MakeEngineOptions(1);
-  opt.budget.bytes_cap = 1;
-  Engine budgeted(&w.pois, &w.tree, opt);
+  Engine budgeted(&w.pois, &w.tree, fuzz::MakeEngineOptions(1, 1));
   fuzz::Replay(&budgeted, w, plan);
 
   // The cap spilled every session by the end of the run, and the digest
@@ -714,26 +708,17 @@ TEST(SessionStoreTest, PerSessionAccessorsMatchUnbudgetedRun) {
   EXPECT_EQ(after.resident_bytes, before.resident_bytes);
 }
 
-TEST(SessionStoreTest, EnvVarArmsTheBudget) {
+TEST(SessionStoreTest, ZeroCapSpillsNothingWhateverTheEnvironment) {
+  // bytes_cap == 0 means no spilling; the engine reads no environment
+  // variable (MPN_MEMORY_BUDGET reaches only fuzz::MakeEngineOptions).
   Rng rng(0xE17Aull);
   const fuzz::World w = fuzz::MakeFuzzWorld(&rng, 4, 3, 12);
   const fuzz::FuzzPlan plan = fuzz::MakeFuzzPlan(&rng, 4, 12);
-  const BudgetRun base = RunWithBudget(w, plan, 1, 0);
-
-  ASSERT_EQ(setenv("MPN_MEMORY_BUDGET", "1", /*overwrite=*/1), 0);
-  const BudgetRun env_run = RunWithBudget(w, plan, 1, /*cap=*/0);
-  ASSERT_EQ(unsetenv("MPN_MEMORY_BUDGET"), 0);
-
-  EXPECT_EQ(env_run.digest, base.digest);
-  EXPECT_GT(env_run.mem.spilled_sessions, 0u);
-  EXPECT_GT(env_run.mem.rehydrated_sessions, 0u);
-
-  // An explicit cap wins over the environment.
-  ASSERT_EQ(setenv("MPN_MEMORY_BUDGET", "1", 1), 0);
-  const BudgetRun explicit_run = RunWithBudget(w, plan, 1, size_t{1} << 30);
-  ASSERT_EQ(unsetenv("MPN_MEMORY_BUDGET"), 0);
-  EXPECT_EQ(explicit_run.digest, base.digest);
-  EXPECT_EQ(explicit_run.mem.spilled_sessions, 0u);
+  const ScopedEnv env("MPN_MEMORY_BUDGET", "1");
+  Engine engine(&w.pois, &w.tree, EngineOptions());  // bytes_cap == 0
+  fuzz::Replay(&engine, w, plan);
+  EXPECT_EQ(engine.memory_stats().spilled_sessions, 0u);
+  EXPECT_EQ(engine.memory_stats().rehydrated_sessions, 0u);
 }
 
 TEST(SessionStoreTest, ClusterShardsSpillUnderPerShardBudget) {
@@ -746,8 +731,7 @@ TEST(SessionStoreTest, ClusterShardsSpillUnderPerShardBudget) {
 
   ClusterOptions opt;
   opt.workers = 2;
-  opt.engine = fuzz::MakeEngineOptions(1);
-  opt.engine.budget.bytes_cap = 1;  // per-shard cap
+  opt.engine = fuzz::MakeEngineOptions(1, /*bytes_cap=*/1);  // per shard
   ClusterEngine cluster(&w.pois, &w.tree, opt);
   const uint64_t digest = fuzz::Replay(&cluster, w, plan);
   EXPECT_EQ(digest, base.digest);

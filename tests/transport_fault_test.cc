@@ -1,7 +1,8 @@
 // Hardened-transport tests (ctest label `cluster`): frame integrity
 // (magic/version/CRC32 header, typed FrameError), per-operation deadlines
 // over the AF_UNIX socketpair, deterministic fault injection (FaultPlan /
-// InjectFaultAt / MPN_FAULT_PLAN) and the coordinator's liveness
+// InjectFaultAt, and the test-side MPN_FAULT_PLAN grammar of test_env.h)
+// and the coordinator's liveness
 // machinery — every injected fault kind, and a SIGSTOPped (hung-but-alive)
 // worker caught by the heartbeat miss budget, must recover to a
 // ResultDigest() bit-identical to an uninterrupted single-process Engine,
@@ -9,7 +10,6 @@
 // docs/ARCHITECTURE.md §5d.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -18,48 +18,17 @@
 #include "engine/engine.h"
 #include "engine/ipc.h"
 #include "engine/transport.h"
-#include "traj/generators.h"
-#include "util/rng.h"
+#include "engine_fuzz_util.h"
+#include "test_env.h"
 
 namespace mpn {
 namespace {
 
-const Rect kWorld({0, 0}, {20000, 20000});
-
-struct World {
-  std::vector<Point> pois;
-  PackedRTree tree;
-  std::vector<Trajectory> trajs;
-};
-
-World MakeWorld(size_t n_pois, size_t n_groups, size_t timestamps,
-                uint64_t seed) {
-  World w;
-  Rng rng(seed);
-  PoiOptions popt;
-  popt.world = kWorld;
-  popt.clusters = 12;
-  w.pois = GeneratePois(n_pois, popt, &rng);
-  w.tree = PackedRTree::Build(w.pois);
-  RandomWalkGenerator::Options wopt;
-  wopt.world = kWorld;
-  wopt.mean_speed = 60.0;
-  const RandomWalkGenerator gen(wopt);
-  w.trajs = gen.GenerateGroupedFleet(n_groups * 3, 3, 500.0, timestamps, &rng);
-  return w;
-}
-
-std::vector<const Trajectory*> GroupOf(const World& w, size_t g) {
-  return {&w.trajs[3 * g], &w.trajs[3 * g + 1], &w.trajs[3 * g + 2]};
-}
-
-EngineOptions MakeEngineOptions(size_t threads) {
-  EngineOptions opt;
-  opt.threads = threads;
-  opt.sim.server.method = Method::kTileD;
-  opt.sim.server.alpha = 10;
-  return opt;
-}
+using fuzz::GroupOf;
+using fuzz::MakeClusterOptions;
+using fuzz::MakeEngineOptions;
+using fuzz::MakeWorld;
+using fuzz::World;
 
 // Every frame-level kind (kCrash, the one plan-level kind, is checked on
 // its own).
@@ -133,7 +102,7 @@ TEST(FaultKindTest, FatalKindsAreTheFrameLevelOnes) {
 // --- FaultPlan parsing + per-incarnation batching ----------------------------
 
 TEST(FaultPlanTest, ParsesSpecAndConsumesFifoPerShard) {
-  FaultPlan plan = FaultPlan::Parse(" 0:3:corrupt, 1:5:stall ,0:7:reset,");
+  FaultPlan plan = ParseFaultPlan(" 0:3:corrupt, 1:5:stall ,0:7:reset,");
   ASSERT_EQ(plan.events.size(), 3u);
 
   // Shard 0's first batch ends at its first fatal kind (corrupt).
@@ -155,8 +124,7 @@ TEST(FaultPlanTest, ParsesSpecAndConsumesFifoPerShard) {
 }
 
 TEST(FaultPlanTest, NonFatalKindsRideWithTheirIncarnationsFatal) {
-  FaultPlan plan =
-      FaultPlan::Parse("0:1:short,0:2:eintr,0:3:corrupt,0:4:reset");
+  FaultPlan plan = ParseFaultPlan("0:1:short,0:2:eintr,0:3:corrupt,0:4:reset");
   std::vector<FaultPlan::Event> batch = plan.TakeIncarnation(0);
   ASSERT_EQ(batch.size(), 3u);  // short + eintr + the fatal corrupt
   EXPECT_EQ(batch[0].kind, FaultKind::kShortIo);
@@ -170,7 +138,7 @@ TEST(FaultPlanTest, NonFatalKindsRideWithTheirIncarnationsFatal) {
   // Crashes and frame faults share one FIFO in plan order: a leading crash
   // is its incarnation's whole batch, and the frame faults behind it ride
   // with the replacement.
-  plan = FaultPlan::Parse("0:5:crash,0:2:short,0:3:corrupt");
+  plan = ParseFaultPlan("0:5:crash,0:2:short,0:3:corrupt");
   batch = plan.TakeIncarnation(0);
   ASSERT_EQ(batch.size(), 1u);
   EXPECT_EQ(batch[0].kind, FaultKind::kCrash);
@@ -183,29 +151,32 @@ TEST(FaultPlanTest, NonFatalKindsRideWithTheirIncarnationsFatal) {
 }
 
 TEST(FaultPlanTest, MalformedSpecsFailLoudly) {
-  EXPECT_THROW(FaultPlan::Parse("0:1"), std::runtime_error);
-  EXPECT_THROW(FaultPlan::Parse("0:1:bogus"), std::runtime_error);
-  EXPECT_THROW(FaultPlan::Parse("a:1:stall"), std::runtime_error);
-  EXPECT_THROW(FaultPlan::Parse("0:x:corrupt"), std::runtime_error);
-  EXPECT_THROW(FaultPlan::Parse(":1:corrupt"), std::runtime_error);
-  EXPECT_THROW(FaultPlan::Parse("0:1:"), std::runtime_error);
+  EXPECT_THROW(ParseFaultPlan("0:1"), std::runtime_error);
+  EXPECT_THROW(ParseFaultPlan("0:1:bogus"), std::runtime_error);
+  EXPECT_THROW(ParseFaultPlan("0:5:crsh"), std::runtime_error);
+  EXPECT_THROW(ParseFaultPlan("a:1:stall"), std::runtime_error);
+  EXPECT_THROW(ParseFaultPlan("0:x:corrupt"), std::runtime_error);
+  EXPECT_THROW(ParseFaultPlan("0:5x:crash"), std::runtime_error);
+  EXPECT_THROW(ParseFaultPlan(":1:corrupt"), std::runtime_error);
+  EXPECT_THROW(ParseFaultPlan("0:1:"), std::runtime_error);
   // Digits only: strtoull would wrap a sign to a shard or index near 2^64.
-  EXPECT_THROW(FaultPlan::Parse("-1:3:crash"), std::runtime_error);
-  EXPECT_THROW(FaultPlan::Parse("0:-5:crash"), std::runtime_error);
-  EXPECT_THROW(FaultPlan::Parse("+1:3:crash"), std::runtime_error);
-  EXPECT_THROW(FaultPlan::Parse("0:99999999999999999999:crash"),
+  EXPECT_THROW(ParseFaultPlan("-1:3:crash"), std::runtime_error);
+  EXPECT_THROW(ParseFaultPlan("0:-5:crash"), std::runtime_error);
+  EXPECT_THROW(ParseFaultPlan("+1:3:crash"), std::runtime_error);
+  EXPECT_THROW(ParseFaultPlan("0:99999999999999999999:crash"),
                std::runtime_error);
-  EXPECT_TRUE(FaultPlan::Parse("").empty());
+  EXPECT_TRUE(ParseFaultPlan("").empty());
   // Shard 5 of a 2-worker cluster is never handed out, so the plan would
   // arm nothing and a soak would pass without its fault.
-  setenv("MPN_FAULT_PLAN", "5:3:crash", /*overwrite=*/1);
-  EXPECT_THROW(FaultPlan::FromEnv(2), std::runtime_error);
-  unsetenv("MPN_FAULT_PLAN");
+  const World w = MakeWorld(50, 1, 10, 0xFA0000);
+  ClusterEngine cluster(&w.pois, &w.tree, MakeClusterOptions(2, 1));
+  EXPECT_THROW(InjectFaultPlan(&cluster, ParseFaultPlan("5:3:crash")),
+               std::out_of_range);
 }
 
 TEST(FaultPlanTest, SeededPlansAreDeterministicAndInBounds) {
-  const FaultPlan a = FaultPlan::FromSeed(42, 4);
-  const FaultPlan b = FaultPlan::FromSeed(42, 4);
+  const FaultPlan a = SeededFaultPlan(42, 4);
+  const FaultPlan b = SeededFaultPlan(42, 4);
   ASSERT_EQ(a.events.size(), b.events.size());
   ASSERT_GE(a.events.size(), 1u);
   ASSERT_LE(a.events.size(), 2u);
@@ -230,7 +201,7 @@ TEST(FaultPlanTest, SeededPlansAreDeterministicAndInBounds) {
   };
   for (const Golden& g : goldens) {
     SCOPED_TRACE("seed " + std::to_string(g.seed));
-    const FaultPlan plan = FaultPlan::FromSeed(g.seed, 2);
+    const FaultPlan plan = SeededFaultPlan(g.seed, 2);
     ASSERT_EQ(plan.events.size(), g.events.size());
     for (size_t i = 0; i < plan.events.size(); ++i) {
       EXPECT_EQ(plan.events[i].shard, g.events[i].shard);
@@ -241,18 +212,22 @@ TEST(FaultPlanTest, SeededPlansAreDeterministicAndInBounds) {
 }
 
 TEST(FaultPlanTest, EnvVariableFeedsBothSpecForms) {
-  setenv("MPN_FAULT_PLAN", "1:2:trunc", /*overwrite=*/1);
-  const FaultPlan explicit_plan = FaultPlan::FromEnv(2);
-  unsetenv("MPN_FAULT_PLAN");
+  FaultPlan explicit_plan;
+  {
+    const ScopedEnv env("MPN_FAULT_PLAN", "1:2:trunc");
+    explicit_plan = FaultPlanFromEnv(2);
+  }
   ASSERT_EQ(explicit_plan.events.size(), 1u);
   EXPECT_EQ(explicit_plan.events[0].shard, 1u);
   EXPECT_EQ(explicit_plan.events[0].at, 2u);
   EXPECT_EQ(explicit_plan.events[0].kind, FaultKind::kTruncate);
 
-  setenv("MPN_FAULT_PLAN", "seed:7", /*overwrite=*/1);
-  const FaultPlan seeded = FaultPlan::FromEnv(3);
-  unsetenv("MPN_FAULT_PLAN");
-  const FaultPlan reference = FaultPlan::FromSeed(7, 3);
+  FaultPlan seeded;
+  {
+    const ScopedEnv env("MPN_FAULT_PLAN", "seed:7");
+    seeded = FaultPlanFromEnv(3);
+  }
+  const FaultPlan reference = SeededFaultPlan(7, 3);
   ASSERT_EQ(seeded.events.size(), reference.events.size());
   for (size_t i = 0; i < seeded.events.size(); ++i) {
     EXPECT_EQ(seeded.events[i].shard, reference.events[i].shard);
@@ -260,7 +235,14 @@ TEST(FaultPlanTest, EnvVariableFeedsBothSpecForms) {
     EXPECT_EQ(seeded.events[i].kind, reference.events[i].kind);
   }
 
-  EXPECT_TRUE(FaultPlan::FromEnv(2).empty());  // unset -> empty plan
+  {
+    const ScopedEnv env("MPN_FAULT_PLAN", "seed:x");
+    EXPECT_THROW(FaultPlanFromEnv(2), std::runtime_error);
+  }
+  // Unset: the caller's spec, empty by default.
+  const ScopedEnv env("MPN_FAULT_PLAN", nullptr);
+  EXPECT_TRUE(FaultPlanFromEnv(2).empty());
+  EXPECT_EQ(FaultPlanFromEnv(2, "0:4:reset").events.size(), 1u);
 }
 
 // --- Frame layer -------------------------------------------------------------
@@ -421,9 +403,7 @@ class ClusterFaultTest : public testing::TestWithParam<Backend> {
   }
 
   ClusterOptions FastOptions() const {
-    ClusterOptions opt;
-    opt.workers = 2;
-    opt.engine = MakeEngineOptions(1);
+    ClusterOptions opt = MakeClusterOptions(2, 1);
     opt.transport.heartbeat_interval_ms = 100;
     opt.transport.heartbeat_timeout_ms = 500;
     opt.transport.heartbeat_miss_budget = 3;
@@ -570,7 +550,7 @@ TEST(FaultSoakTest, RandomizedPlanKeepsTheDigestBitIdentical) {
   const size_t kSoakGroups = 8;
   const World w = MakeWorld(200, kSoakGroups, 60, 0xFA0050);
 
-  // Two serving rounds so the plan's frame indices (FromSeed draws 0-11)
+  // Two serving rounds so the plan's frame indices (SeededFaultPlan draws 0-11)
   // reach admits, drains, replies and the shutdown exchange.
   uint64_t ref = 0;
   {
@@ -585,9 +565,7 @@ TEST(FaultSoakTest, RandomizedPlanKeepsTheDigestBitIdentical) {
     ref = engine.ResultDigest();
   }
 
-  ClusterOptions opt;
-  opt.workers = 2;
-  opt.engine = MakeEngineOptions(1);
+  ClusterOptions opt = MakeClusterOptions(2, 1);
   opt.transport.heartbeat_interval_ms = 100;
   opt.transport.heartbeat_timeout_ms = 500;
   opt.transport.heartbeat_miss_budget = 3;
@@ -598,10 +576,8 @@ TEST(FaultSoakTest, RandomizedPlanKeepsTheDigestBitIdentical) {
   // The ctest entry runs the fixed fallback seed; the CI fault soak (and
   // local repros) export MPN_FAULT_PLAN=seed:N to randomize it, or
   // MPN_FAULT_PLAN=shard:t:crash to kill a worker at virtual timestamp t.
-  const bool env_driven = std::getenv("MPN_FAULT_PLAN") != nullptr;
-  if (!env_driven) setenv("MPN_FAULT_PLAN", "seed:1", /*overwrite=*/1);
-  ClusterEngine cluster(&w.pois, &w.tree, opt);  // ctor consumes the plan
-  if (!env_driven) unsetenv("MPN_FAULT_PLAN");
+  ClusterEngine cluster(&w.pois, &w.tree, opt);
+  InjectFaultPlan(&cluster, FaultPlanFromEnv(opt.workers, "seed:1"));
 
   cluster.Start();
   for (size_t g = 0; g < 4; ++g) cluster.AdmitSession(GroupOf(w, g));
