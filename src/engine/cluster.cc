@@ -244,7 +244,7 @@ ClusterEngine::ClusterEngine(const std::vector<Point>* pois,
                              const PackedRTree* tree,
                              const ClusterOptions& options)
     : pois_(pois), tree_(tree), options_(options) {
-  MPN_ASSERT(pois_ != nullptr && tree_ != nullptr);
+  ValidatePoiIndex(pois_, tree_, "ClusterEngine");
   if (options_.workers == 0) {
     throw std::invalid_argument("ClusterEngine: workers must be >= 1");
   }

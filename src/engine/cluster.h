@@ -168,7 +168,7 @@ class ClusterEngine {
   /// `pois` and `tree` must be fully built before Start() forks the
   /// workers and must outlive the cluster (workers inherit them
   /// copy-on-write). Throws std::invalid_argument when options.workers
-  /// is 0.
+  /// is 0 or when `pois` and `tree` do not match (ValidatePoiIndex).
   ClusterEngine(const std::vector<Point>* pois, const PackedRTree* tree,
                 const ClusterOptions& options);
   ~ClusterEngine();

@@ -37,10 +37,24 @@ Table EngineRoundStats::ToTable() const {
   return table;
 }
 
+void ValidatePoiIndex(const std::vector<Point>* pois, const PackedRTree* tree,
+                      const char* engine) {
+  if (pois == nullptr || tree == nullptr) {
+    throw std::invalid_argument(std::string(engine) +
+                                ": pois and tree must be non-null");
+  }
+  if (tree->size() != pois->size()) {
+    throw std::invalid_argument(
+        std::string(engine) + ": tree indexes " +
+        std::to_string(tree->size()) + " points but pois holds " +
+        std::to_string(pois->size()));
+  }
+}
+
 Engine::Engine(const std::vector<Point>* pois, const PackedRTree* tree,
                const EngineOptions& options)
     : pois_(pois), tree_(tree), options_(options) {
-  MPN_ASSERT(pois_ != nullptr && tree_ != nullptr);
+  ValidatePoiIndex(pois_, tree_, "Engine");
   const size_t threads =
       options_.threads == 0 ? ThreadPool::HardwareThreads() : options_.threads;
   table_ = std::make_unique<SessionTable>();
@@ -54,7 +68,8 @@ Engine::Engine(const std::vector<Point>* pois, const PackedRTree* tree,
         return std::make_unique<GroupSession>(id, pois_, tree_, group,
                                               options_.sim, tuning,
                                               &run_timer_);
-      });
+      },
+      table_.get());
   scheduler_ =
       std::make_shared<Scheduler>(pool_.get(), table_.get(), store_.get());
   scheduler_->set_crash_at_timestamp(options_.crash_at_timestamp);
@@ -88,11 +103,10 @@ uint32_t Engine::AdmitSession(std::vector<const Trajectory*> group,
   }
   ValidateAdmission(group, tuning);
   const uint32_t id = table_->ReserveId();
-  auto session = std::make_unique<GroupSession>(
-      id, pois_, tree_, group, options_.sim, tuning, &run_timer_);
-  auto record = std::make_unique<SessionRecord>(id, std::move(group), tuning,
-                                                std::move(session));
-  SessionRecord* r = table_->Insert(std::move(record));
+  SessionRecord* r = table_->Insert(
+      std::make_unique<GroupSession>(id, pois_, tree_, group, options_.sim,
+                                     tuning, &run_timer_),
+      group, tuning);
   // Schedules and charges the new session (a zero-horizon one finalizes
   // and compacts inside Admit instead); then evict whatever no longer fits.
   scheduler_->Admit(r);
@@ -102,7 +116,7 @@ uint32_t Engine::AdmitSession(std::vector<const Trajectory*> group,
 
 void Engine::RetireSession(uint32_t id, size_t at_timestamp) {
   SessionRecord* r = FindChecked(id);
-  std::lock_guard<std::mutex> lock(r->mu);
+  std::lock_guard<std::mutex> lock(table_->MutexOf(r));
   if (r->session != nullptr) {
     r->session->RequestRetire(at_timestamp);
     return;

@@ -70,6 +70,13 @@ struct EngineOptions {
   MemoryBudget budget;
 };
 
+/// Throws std::invalid_argument unless `pois` and `tree` are non-null and
+/// `tree` indexes as many points as `pois` holds. Both engines' constructors
+/// call it (`engine` names the caller in the message), so a tree built from
+/// another POI set fails there rather than at the first admission.
+void ValidatePoiIndex(const std::vector<Point>* pois, const PackedRTree* tree,
+                      const char* engine);
+
 /// Per-timestamp aggregates of one Engine run, built on util/stats. A
 /// "round" is one virtual timestamp slot: since sessions run on their own
 /// clocks, the per-slot totals aggregate each session's timestamp t
@@ -133,7 +140,8 @@ class Engine {
     std::shared_ptr<Scheduler> scheduler_;
   };
 
-  /// `pois` and `tree` are shared, read-only, and must outlive the engine.
+  /// `pois` and `tree` are shared, read-only, and must outlive the engine;
+  /// throws std::invalid_argument when they do not match (ValidatePoiIndex).
   Engine(const std::vector<Point>* pois, const PackedRTree* tree,
          const EngineOptions& options);
   ~Engine();

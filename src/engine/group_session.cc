@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 #include <utility>
 
@@ -13,6 +14,10 @@ void ValidateAdmission(const std::vector<const Trajectory*>& group,
                        const SessionTuning& tuning) {
   if (group.empty()) {
     throw std::invalid_argument("AdmitSession: empty group");
+  }
+  if (group.size() > std::numeric_limits<uint32_t>::max()) {
+    throw std::invalid_argument(
+        "AdmitSession: group larger than UINT32_MAX members");
   }
   for (const Trajectory* t : group) {
     if (t == nullptr || t->positions.empty()) {

@@ -71,10 +71,11 @@ struct SessionTuning {
   size_t mailbox_capacity = 16;
 };
 
-/// Throws std::invalid_argument unless `group` is a non-empty list of
-/// non-null, non-empty trajectories and `tuning.recompute_cost_factor` is
-/// finite and >= 1. Both engines' AdmitSession call it before they reserve an id, so a
-/// malformed admission leaves no trace (and never reaches a worker).
+/// Throws std::invalid_argument unless `group` is a non-empty list of at
+/// most UINT32_MAX non-null, non-empty trajectories and
+/// `tuning.recompute_cost_factor` is finite and >= 1. Both engines'
+/// AdmitSession call it before they reserve an id, so a malformed
+/// admission leaves no trace (and never reaches a worker).
 void ValidateAdmission(const std::vector<const Trajectory*>& group,
                        const SessionTuning& tuning);
 

@@ -48,12 +48,12 @@ void Scheduler::StartSession(uint32_t id) {
   }
   SessionRecord* r = table_->Find(id);
   if (r == nullptr) return;
-  std::lock_guard<std::mutex> lock(r->mu);
+  std::lock_guard<std::mutex> lock(table_->MutexOf(r));
   ScheduleNextLocked(r);
 }
 
 void Scheduler::Admit(SessionRecord* r) {
-  std::lock_guard<std::mutex> lock(r->mu);
+  std::lock_guard<std::mutex> lock(table_->MutexOf(r));
   ScheduleNextLocked(r);  // no-op before Start, which schedules it then
   // Charge the session before its first event, posted above, can run.
   store_->AccountLocked(r);
@@ -194,7 +194,7 @@ void Scheduler::RunEvent(SessionRecord* r) {
   std::unique_ptr<JobSlot> finished;  // set when this event installs
   bool awaiting = false;
   {
-    std::lock_guard<std::mutex> lock(r->mu);
+    std::lock_guard<std::mutex> lock(table_->MutexOf(r));
     // The event may belong to a spilled session — bring it back first.
     store_->EnsureResidentLocked(r);
     r->event_queued = false;
@@ -238,7 +238,7 @@ void Scheduler::RunEvent(SessionRecord* r) {
 
   const size_t job_t = snap.t;
   {
-    std::lock_guard<std::mutex> lock(r->mu);
+    std::lock_guard<std::mutex> lock(table_->MutexOf(r));
     r->event_running = false;
     if (post_job) {
       // A violation during replay reuses the slot the install emptied.
@@ -249,8 +249,8 @@ void Scheduler::RunEvent(SessionRecord* r) {
     }
     ScheduleNextLocked(r);
     // Re-account the (grown) session while the next event, posted above,
-    // still waits for r->mu: after a violation that event is a buffer
-    // tick, which advances the very clients the estimate reads.
+    // still waits for the record lock: after a violation that event is a
+    // buffer tick, which advances the very clients the estimate reads.
     store_->AccountLocked(r);
   }
   if (post_job) {
@@ -266,7 +266,7 @@ void Scheduler::RunJob(SessionRecord* r) {
   // The slot is the job's alone until result_ready is published below.
   JobSlot* slot = r->job.get();
   slot->outcome = r->session->Recompute(slot->snap);
-  std::lock_guard<std::mutex> lock(r->mu);
+  std::lock_guard<std::mutex> lock(table_->MutexOf(r));
   r->job_running = false;
   r->result_ready = true;
   ScheduleNextLocked(r);

@@ -178,11 +178,12 @@ class Scheduler {
   /// Called from a catch block: keeps the exception being handled as
   /// session `id`'s error unless an earlier one is kept.
   void RecordError(uint32_t id);
-  /// Decides and schedules the session's next step. Caller holds r->mu.
+  /// Decides and schedules the session's next step. Caller holds the
+  /// record lock (SessionTable::MutexOf).
   void ScheduleNextLocked(SessionRecord* r);
   void ScheduleEventLocked(SessionRecord* r, uint64_t priority);
   /// Finish + fold the session's traces into the slots and its mailbox
-  /// marks into mailbox_. Caller holds r->mu.
+  /// marks into mailbox_. Caller holds the record lock.
   void FinalizeLocked(SessionRecord* r);
   void AddOutstanding();
   void SubOutstanding();

@@ -5,6 +5,7 @@
 #include <string.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <limits>
 #include <stdexcept>
 #include <string>
@@ -20,8 +21,11 @@ constexpr size_t kMinExtentBytes = 256;
 constexpr size_t kNoRetire = std::numeric_limits<size_t>::max();
 }  // namespace
 
-SessionStore::SessionStore(const MemoryBudget& budget, SessionFactory factory)
-    : budget_(budget), factory_(std::move(factory)) {}
+SessionStore::SessionStore(const MemoryBudget& budget, SessionFactory factory,
+                           const SessionTable* table)
+    : budget_(budget), factory_(std::move(factory)), table_(table) {
+  MPN_ASSERT(table_ != nullptr);
+}
 
 SessionStore::~SessionStore() {
   if (fd_ >= 0) close(fd_);
@@ -32,9 +36,11 @@ size_t SessionStore::FinalBytesEstimate(const SessionFinalResult& fr) {
 }
 
 void SessionStore::SetAccountedLocked(SessionRecord* r, size_t bytes) {
+  const uint32_t charged = static_cast<uint32_t>(
+      std::min<size_t>(bytes, std::numeric_limits<uint32_t>::max()));
   stats_.resident_bytes -= r->accounted_bytes;
-  stats_.resident_bytes += bytes;
-  r->accounted_bytes = bytes;
+  stats_.resident_bytes += charged;
+  r->accounted_bytes = charged;
   if (stats_.resident_bytes > stats_.peak_resident_bytes) {
     stats_.peak_resident_bytes = stats_.resident_bytes;
   }
@@ -65,9 +71,11 @@ void SessionStore::CompactFinalizedLocked(SessionRecord* r) {
   r->final_result =
       std::make_unique<SessionFinalResult>(r->session->ExtractFinalResult());
   r->session.reset();
-  // A final is never rebuilt: drop the pointers into the caller's
-  // trajectories, which only have to outlive the drain (Engine::Wait).
-  std::vector<const Trajectory*>().swap(r->group);
+  // A final is never rebuilt: forget the caller's trajectories, which only
+  // have to outlive the drain (Engine::Wait). Their arena entries stay
+  // behind, never dereferenced again.
+  r->group = nullptr;
+  r->group_size = 0;
   const size_t est = FinalBytesEstimate(*r->final_result);
   std::lock_guard<std::mutex> sl(mu_);
   EraseActiveLocked(r);
@@ -85,8 +93,10 @@ void SessionStore::EnsureResidentLocked(SessionRecord* r) {
   size_t est = 0;
   if (kind == SnapshotKind::kLive) {
     const GroupSession::State state = DecodeLiveSession(&reader);
-    std::unique_ptr<GroupSession> session =
-        factory_(r->id, r->group, r->tuning);
+    std::unique_ptr<GroupSession> session = factory_(
+        r->id,
+        std::vector<const Trajectory*>(r->group, r->group + r->group_size),
+        r->tuning);
     session->ImportState(state);
     if (r->pending_retire_at != kNoRetire) {
       session->RequestRetire(r->pending_retire_at);
@@ -102,7 +112,7 @@ void SessionStore::EnsureResidentLocked(SessionRecord* r) {
   }
   r->spilled = false;
   std::lock_guard<std::mutex> sl(mu_);
-  FreeExtentLocked(r->spill_offset, r->spill_capacity);
+  FreeExtentLocked(r->spill_offset, r->spill_length);
   ++stats_.rehydrated_sessions;
   SetAccountedLocked(r, est);
   if (live) {
@@ -115,36 +125,42 @@ void SessionStore::EnsureResidentLocked(SessionRecord* r) {
 void SessionStore::WithResult(
     SessionRecord* r,
     const std::function<void(const SessionFinalResult&)>& fn) {
-  std::lock_guard<std::mutex> rl(r->mu);
-  if (r->final_result != nullptr) {
-    fn(*r->final_result);
-    return;
+  // Copy under the record lock, call fn after releasing it: fn may read
+  // another session, and that session's lock may be this one's stripe.
+  SessionFinalResult result;
+  std::vector<uint8_t> bytes;
+  bool spilled = false;
+  {
+    std::lock_guard<std::mutex> rl(table_->MutexOf(r));
+    if (r->final_result != nullptr) {
+      result = *r->final_result;
+    } else if (r->session != nullptr) {
+      result = r->session->ExtractFinalResult();
+    } else {
+      MPN_ASSERT(r->spilled);
+      // Read while the lock keeps the extent ours; decode outside it.
+      bytes = ReadExtent(r->spill_offset, r->spill_length);
+      spilled = true;
+    }
   }
-  if (r->session != nullptr) {
-    fn(r->session->ExtractFinalResult());
-    return;
+  if (spilled) {
+    WireReader reader(bytes);
+    if (ReadSnapshotHeader(&reader) == SnapshotKind::kFinal) {
+      result = DecodeFinalSession(&reader);
+    } else {
+      GroupSession::State state = DecodeLiveSession(&reader);
+      result.metrics = state.metrics;
+      result.has_result = state.has_result;
+      result.po = state.current_po;
+      result.mailbox_peak = state.mailbox_peak;
+      result.stall_count = state.stall_count;
+      // Processed prefix only — the tail of a live session's trace is
+      // still zero, and the mid-run readers (drain, digest) never consume
+      // it.
+      result.advance_seconds = std::move(state.advance_at);
+    }
   }
-  MPN_ASSERT(r->spilled);
-  const std::vector<uint8_t> bytes =
-      ReadExtent(r->spill_offset, r->spill_length);
-  WireReader reader(bytes);
-  const SnapshotKind kind = ReadSnapshotHeader(&reader);
-  if (kind == SnapshotKind::kFinal) {
-    const SessionFinalResult tmp = DecodeFinalSession(&reader);
-    fn(tmp);
-    return;
-  }
-  GroupSession::State state = DecodeLiveSession(&reader);
-  SessionFinalResult tmp;
-  tmp.metrics = state.metrics;
-  tmp.has_result = state.has_result;
-  tmp.po = state.current_po;
-  tmp.mailbox_peak = state.mailbox_peak;
-  tmp.stall_count = state.stall_count;
-  // Processed prefix only — the tail of a live session's trace is still
-  // zero, and the mid-run readers (drain, digest) never consume it.
-  tmp.advance_seconds = std::move(state.advance_at);
-  fn(tmp);
+  fn(result);
 }
 
 void SessionStore::Rebalance() {
@@ -168,10 +184,10 @@ void SessionStore::Rebalance() {
         return;
       }
     }
-    // The store mutex is released: lock the victim's record mutex fresh
-    // (never the other way around) and re-check eligibility — the
-    // scheduler may have re-armed it in between.
-    std::lock_guard<std::mutex> rl(victim->mu);
+    // The store mutex is released: lock the victim's record fresh (never
+    // the other way around) and re-check eligibility — the scheduler may
+    // have re-armed it in between.
+    std::lock_guard<std::mutex> rl(table_->MutexOf(victim));
     SpillIfEligibleLocked(victim);
   }
 }
@@ -197,12 +213,17 @@ void SessionStore::SpillIfEligibleLocked(SessionRecord* r) {
     // after its next event.
     return;
   }
+  if (buf.size() > std::numeric_limits<uint32_t>::max()) {
+    throw std::runtime_error("session store: snapshot of session " +
+                             std::to_string(r->id) + " is " +
+                             std::to_string(buf.size()) +
+                             " bytes, over the 4 GiB spill extent limit");
+  }
   size_t offset = 0;
-  size_t capacity = 0;
   {
     std::lock_guard<std::mutex> sl(mu_);
     EnsureFileLocked();
-    offset = AllocExtentLocked(buf.size(), &capacity);
+    offset = AllocExtentLocked(buf.size());
   }
   // The extent is exclusively ours: positioned write needs no lock. The
   // in-memory state goes only once the bytes are written, so a spill that
@@ -211,7 +232,7 @@ void SessionStore::SpillIfEligibleLocked(SessionRecord* r) {
     WriteExtent(offset, buf.data());
   } catch (...) {
     std::lock_guard<std::mutex> sl(mu_);
-    FreeExtentLocked(offset, capacity);
+    FreeExtentLocked(offset, buf.size());
     throw;
   }
   if (final) {
@@ -222,8 +243,7 @@ void SessionStore::SpillIfEligibleLocked(SessionRecord* r) {
   }
   r->spilled = true;
   r->spill_offset = offset;
-  r->spill_length = buf.size();
-  r->spill_capacity = capacity;
+  r->spill_length = static_cast<uint32_t>(buf.size());
   std::lock_guard<std::mutex> sl(mu_);
   ++stats_.spilled_sessions;
   stats_.spilled_bytes += buf.size();
@@ -255,10 +275,14 @@ void SessionStore::EnsureFileLocked() {
   fd_ = fd;
 }
 
-size_t SessionStore::AllocExtentLocked(size_t length, size_t* capacity) {
+size_t SessionStore::ExtentCapacity(size_t length) {
   size_t cap = kMinExtentBytes;
   while (cap < length) cap <<= 1;
-  *capacity = cap;
+  return cap;
+}
+
+size_t SessionStore::AllocExtentLocked(size_t length) {
+  const size_t cap = ExtentCapacity(length);
   auto it = free_lists_.find(cap);
   if (it != free_lists_.end() && !it->second.empty()) {
     const size_t offset = it->second.back();
@@ -270,8 +294,8 @@ size_t SessionStore::AllocExtentLocked(size_t length, size_t* capacity) {
   return offset;
 }
 
-void SessionStore::FreeExtentLocked(size_t offset, size_t capacity) {
-  free_lists_[capacity].push_back(offset);
+void SessionStore::FreeExtentLocked(size_t offset, size_t length) {
+  free_lists_[ExtentCapacity(length)].push_back(offset);
 }
 
 void SessionStore::WriteExtent(size_t offset,

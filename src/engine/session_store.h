@@ -15,9 +15,10 @@
 //     cold sessions — live-but-idle state machines and compacted final
 //     results — are serialized through engine/session_codec.h into a
 //     bounded spill file (anonymous: mkstemp + immediate unlink) and
-//     their in-memory state destroyed. Only the record's fixed-size
-//     scheduling fields stay resident, so the in-memory index over
-//     spilled sessions is O(1) per session and tiny.
+//     their in-memory state destroyed. Only the record stays resident:
+//     fixed-size, in a table-owned block, with no heap block or mutex of
+//     its own (engine/session_table.h), so the in-memory index over
+//     spilled sessions is O(1) per session and small.
 //   - Rehydration is transparent: the scheduler calls
 //     EnsureResidentLocked() before running a spilled session's event,
 //     the store decodes the snapshot and rebuilds the GroupSession via
@@ -32,12 +33,15 @@
 // enters the index when it becomes a resident live candidate and leaves it
 // when it is spilled or compacted; its events do not touch it.
 //
-// Locking: the store mutex is a strict leaf — it is acquired with record
-// mutexes (and the scheduler's stats mutex) held, and no record mutex is
-// ever acquired under it. Rebalance() pops a victim candidate under the
-// store mutex, *releases it*, locks the victim's record mutex, and
-// re-checks eligibility before spilling (the candidate may have been
-// re-armed in between; it re-registers itself on its next event).
+// Locking: a record's lock is its table stripe (SessionTable::MutexOf),
+// which the store reaches through the table it is constructed with. The
+// store mutex is a strict leaf — it is acquired with a record lock (and
+// the scheduler's stats mutex) held, and no record lock is ever acquired
+// under it. Rebalance() pops a victim candidate under the store mutex,
+// *releases it*, locks the victim's record, and re-checks eligibility
+// before spilling (the candidate may have been re-armed in between; it
+// re-registers itself on its next event). No thread holds two record
+// locks: two records may share a stripe.
 #pragma once
 
 #include <cstddef>
@@ -62,7 +66,9 @@ using SessionFactory = std::function<std::unique_ptr<GroupSession>(
 
 class SessionStore {
  public:
-  SessionStore(const MemoryBudget& budget, SessionFactory factory);
+  /// `table` owns the records and their locks; it must outlive the store.
+  SessionStore(const MemoryBudget& budget, SessionFactory factory,
+               const SessionTable* table);
   ~SessionStore();
 
   SessionStore(const SessionStore&) = delete;
@@ -76,34 +82,36 @@ class SessionStore {
   /// the spill-candidate index if it is not there yet: on admission, and
   /// after each of its events (state grew). No-op for finalized or spilled
   /// records — compaction and spilling did their accounting. Caller holds
-  /// r->mu in the same critical section that posted the record's next
-  /// event, so that event cannot run while the session is read. The caller
-  /// follows up with Rebalance() once outside all locks.
+  /// the record lock in the same critical section that posted the record's
+  /// next event, so that event cannot run while the session is read. The
+  /// caller follows up with Rebalance() once outside all locks.
   void AccountLocked(SessionRecord* r);
 
   /// Destroys a finalized record's GroupSession, keeping only its
-  /// SessionFinalResult, and releases its trajectory pointers. Caller
-  /// holds r->mu (the scheduler's finalize path); the store mutex is
+  /// SessionFinalResult, and clears its trajectory group. Caller holds the
+  /// record lock (the scheduler's finalize path); the store mutex is
   /// acquired inside.
   void CompactFinalizedLocked(SessionRecord* r);
 
   /// Rehydrates a spilled record before its next event runs (no-op when
-  /// resident). Caller holds r->mu.
+  /// resident). Caller holds the record lock.
   void EnsureResidentLocked(SessionRecord* r);
 
   /// Streams the record's result fields to `fn` — the one way a session's
-  /// result is read. A spilled record is never rehydrated: the snapshot is
-  /// decoded into a stack-local that dies with the call, so reading every
-  /// session keeps residency and the spill counters where they were. For a
-  /// spilled *live* session the advance_seconds trace carries only the
-  /// processed prefix.
+  /// result is read. The result is copied (or its snapshot read) under the
+  /// record lock and `fn` runs after it is released, so `fn` may read any
+  /// session, one on the same stripe included. A spilled record is never
+  /// rehydrated: the snapshot is decoded into a stack-local that dies with
+  /// the call, so reading every session keeps residency and the spill
+  /// counters where they were. For a spilled *live* session the
+  /// advance_seconds trace carries only the processed prefix.
   void WithResult(SessionRecord* r,
                   const std::function<void(const SessionFinalResult&)>& fn);
 
   /// Spills cold sessions until the resident estimate fits the cap.
-  /// Call with no record mutex held. Throws std::runtime_error when the
-  /// spill file cannot be created or written; the victim then stays
-  /// resident and intact.
+  /// Call with no record lock held. Throws std::runtime_error when the
+  /// spill file cannot be created or written, or when a snapshot is longer
+  /// than UINT32_MAX bytes; the victim then stays resident and intact.
   void Rebalance();
 
   MemoryStats stats() const;
@@ -111,29 +119,34 @@ class SessionStore {
  private:
   static size_t FinalBytesEstimate(const SessionFinalResult& fr);
 
-  /// Updates the record's charged bytes to `bytes` (store mutex held).
+  /// Updates the record's charged bytes to `bytes`, saturated at
+  /// UINT32_MAX (store mutex held).
   void SetAccountedLocked(SessionRecord* r, size_t bytes);
   /// Enter / leave active_ (store mutex held); each is a no-op when the
   /// record is already in / out.
   void InsertActiveLocked(SessionRecord* r);
   void EraseActiveLocked(SessionRecord* r);
 
-  /// Spills `r` if it is still eligible (r->mu held; it was popped from
-  /// the candidate structures already). Ineligible records are left
+  /// Spills `r` if it is still eligible (record lock held; it was popped
+  /// from the candidate structures already). Ineligible records are left
   /// resident — they re-register via AccountLocked after their next event.
   void SpillIfEligibleLocked(SessionRecord* r);
 
   /// Spill-file extent management (store mutex held for alloc/free; the
   /// positioned reads/writes themselves need no lock — extents are
-  /// exclusively owned).
+  /// exclusively owned). An extent's capacity is the size class of the
+  /// snapshot length it was allocated for (ExtentCapacity), so a record
+  /// keeps only the length.
+  static size_t ExtentCapacity(size_t length);
   void EnsureFileLocked();
-  size_t AllocExtentLocked(size_t length, size_t* capacity);
-  void FreeExtentLocked(size_t offset, size_t capacity);
+  size_t AllocExtentLocked(size_t length);
+  void FreeExtentLocked(size_t offset, size_t length);
   void WriteExtent(size_t offset, const std::vector<uint8_t>& bytes);
   std::vector<uint8_t> ReadExtent(size_t offset, size_t length) const;
 
   const MemoryBudget budget_;
   const SessionFactory factory_;
+  const SessionTable* const table_;
 
   mutable std::mutex mu_;
   int fd_ = -1;                ///< unlinked spill file (lazy)

@@ -1,17 +1,24 @@
 #include "netmpn/network_mpn.h"
 
 #include <algorithm>
-
-#include "util/macros.h"
+#include <stdexcept>
+#include <string>
 
 namespace mpn {
 
 NetworkMpn::NetworkMpn(const NetworkSpace* space,
                        std::vector<EdgePosition> pois)
     : space_(space), pois_(std::move(pois)) {
-  MPN_ASSERT(space_ != nullptr);
-  MPN_ASSERT(!pois_.empty());
-  for (const EdgePosition& p : pois_) MPN_ASSERT(space_->IsValid(p));
+  if (space_ == nullptr) {
+    throw std::invalid_argument("NetworkMpn: null space");
+  }
+  if (pois_.empty()) throw std::invalid_argument("NetworkMpn: no POIs");
+  for (size_t j = 0; j < pois_.size(); ++j) {
+    if (!space_->IsValid(pois_[j])) {
+      throw std::invalid_argument("NetworkMpn: POI " + std::to_string(j) +
+                                  " is not on the network");
+    }
+  }
   EnsurePoiTargets();
 }
 
@@ -100,7 +107,7 @@ double AggFromMatrix(const std::vector<std::vector<double>>& matrix,
 
 std::vector<NetworkMpn::PoiRank> NetworkMpn::NearestPOIs(
     const std::vector<EdgePosition>& users, Objective obj, size_t k) const {
-  MPN_ASSERT(!users.empty());
+  if (users.empty()) throw std::invalid_argument("NearestPOIs: no users");
   const std::vector<std::vector<double>> matrix = UserPoiDistances(users);
   std::vector<PoiRank> ranks;
   ranks.reserve(pois_.size());
@@ -130,7 +137,7 @@ double NetworkMpn::AggNetworkDist(
 
 NetworkMpnResult NetworkMpn::Compute(const std::vector<EdgePosition>& users,
                                      Objective obj) const {
-  MPN_ASSERT(!users.empty());
+  if (users.empty()) throw std::invalid_argument("Compute: no users");
   // CH batch when the space has an index, per-user Dijkstra otherwise;
   // the matrix (and so the result) is bit-identical either way.
   const std::vector<std::vector<double>> matrix = UserPoiDistances(users);
@@ -269,7 +276,14 @@ NetworkTrajectory GenerateNetworkTrajectory(const NetworkSpace& space,
 NetworkSimMetrics SimulateNetworkMpn(
     const NetworkMpn& engine,
     const std::vector<const NetworkTrajectory*>& group, Objective obj) {
-  MPN_ASSERT(!group.empty());
+  if (group.empty()) {
+    throw std::invalid_argument("SimulateNetworkMpn: empty group");
+  }
+  for (const NetworkTrajectory* t : group) {
+    if (t == nullptr) {
+      throw std::invalid_argument("SimulateNetworkMpn: null trajectory");
+    }
+  }
   NetworkSimMetrics metrics;
   size_t horizon = group.front()->size();
   for (const NetworkTrajectory* t : group) {

@@ -39,7 +39,9 @@ class NetworkMpn {
   /// The space must outlive the engine; POIs are fixed at construction.
   /// When the space has a CH index attached, the POI edge endpoints are
   /// precomputed into a CH target set once, and every group query becomes
-  /// one many-to-many batch instead of one Dijkstra per user.
+  /// one many-to-many batch instead of one Dijkstra per user. Throws
+  /// std::invalid_argument for a null space, no POIs or a POI that is not
+  /// on the network.
   NetworkMpn(const NetworkSpace* space, std::vector<EdgePosition> pois);
 
   const std::vector<EdgePosition>& pois() const { return pois_; }
@@ -65,12 +67,13 @@ class NetworkMpn {
 
   /// The k POIs with the smallest aggregate network distance (ascending,
   /// ties by index) — the network GNN query, CH-accelerated when an index
-  /// is attached.
+  /// is attached. Throws std::invalid_argument when `users` is empty.
   std::vector<PoiRank> NearestPOIs(const std::vector<EdgePosition>& users,
                                    Objective obj, size_t k) const;
 
   /// Computes the optimal meeting point and metric-ball safe regions
-  /// (exact; scans the POIs via UserPoiDistances).
+  /// (exact; scans the POIs via UserPoiDistances). Throws
+  /// std::invalid_argument when `users` is empty.
   NetworkMpnResult Compute(const std::vector<EdgePosition>& users,
                            Objective obj) const;
 
@@ -119,7 +122,8 @@ struct NetworkSimMetrics {
 };
 
 /// Runs the continuous-notification protocol over network trajectories with
-/// metric-ball safe regions.
+/// metric-ball safe regions. Throws std::invalid_argument for an empty
+/// group or a null trajectory.
 NetworkSimMetrics SimulateNetworkMpn(
     const NetworkMpn& engine,
     const std::vector<const NetworkTrajectory*>& group, Objective obj);

@@ -286,6 +286,19 @@ TEST(ClusterLifecycleTest, AdmitAfterShutdownIsAHardError) {
   EXPECT_EQ(fuzz::ResultOf(cluster, 0).metrics.timestamps, 30u);
 }
 
+TEST(ClusterLifecycleTest, RejectsMismatchedPoisAndTree) {
+  // Checked in the constructor, before any worker forks: a worker would
+  // otherwise abort at its first admission.
+  const World w = MakeWorld(150, 1, 30, 0xC10588);
+  const std::vector<Point> two(w.pois.begin(), w.pois.begin() + 2);
+  const PackedRTree two_tree = PackedRTree::Build(two);
+  const ClusterOptions opt = MakeClusterOptions(2, 1);
+  EXPECT_THROW(ClusterEngine(&w.pois, &two_tree, opt), std::invalid_argument);
+  EXPECT_THROW(ClusterEngine(&two, &w.tree, opt), std::invalid_argument);
+  EXPECT_THROW(ClusterEngine(nullptr, &w.tree, opt), std::invalid_argument);
+  EXPECT_THROW(ClusterEngine(&w.pois, nullptr, opt), std::invalid_argument);
+}
+
 TEST(ClusterLifecycleTest, UnknownSessionIdsAreRejected) {
   const World w = MakeWorld(150, 1, 30, 0xC10587);
   ClusterEngine cluster(&w.pois, &w.tree, MakeClusterOptions(2, 1));

@@ -327,6 +327,24 @@ TEST(EngineLifecycleTest, RejectsInfiniteCostFactor) {
       CostFactor(std::numeric_limits<double>::infinity()));
 }
 
+TEST(EngineLifecycleTest, RejectsMismatchedPoisAndTree) {
+  // A tree built from another POI set used to pass the constructor and
+  // abort the process at the first admission, after an id was reserved.
+  const World w = MakeWorld(150, 1, 40, 0x2EA);
+  const std::vector<Point> two(w.pois.begin(), w.pois.begin() + 2);
+  const PackedRTree two_tree = PackedRTree::Build(two);
+  const EngineOptions opt = MakeEngineOptions(1);
+  EXPECT_THROW(Engine(&w.pois, &two_tree, opt), std::invalid_argument);
+  EXPECT_THROW(Engine(&two, &w.tree, opt), std::invalid_argument);
+  EXPECT_THROW(Engine(nullptr, &w.tree, opt), std::invalid_argument);
+  EXPECT_THROW(Engine(&w.pois, nullptr, opt), std::invalid_argument);
+  Engine engine(&two, &two_tree, opt);
+  EXPECT_EQ(engine.AdmitSession(fuzz::GroupOf(w, 0)), 0u);
+  engine.Start();
+  engine.Shutdown();
+  EXPECT_EQ(fuzz::ResultOf(engine, 0).metrics.timestamps, 40u);
+}
+
 TEST(EngineLifecycleTest, ConcurrentAdmissionsGetDenseIds) {
   // The session table is callable from any thread: four threads admitting
   // 16 groups each into a started engine get exactly the ids 0-63, and the

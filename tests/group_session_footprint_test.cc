@@ -1,9 +1,12 @@
 // Heap footprint of a session's state: the blocks a GroupSession and its
-// clients take from operator new, counted by a replacement operator new.
+// clients take from operator new, counted by a replacement operator new,
+// and what an engine adds per admission on top of them.
 //
 // The budget charges sessions by StateBytesEstimate, not by heap bytes, so
 // nothing else notices a container that allocates behind the estimate's
 // back (a std::deque allocates its map and first node even when empty).
+// Nor does it charge the record every admitted session keeps, resident,
+// spilled or final, so that record must stay small and own no block.
 // Counting is thread-local and off outside a CountingScope, so the
 // replacement is a plain malloc/free for gtest itself and for the
 // sanitizer builds.
@@ -14,7 +17,9 @@
 #include <new>
 #include <vector>
 
+#include "engine/engine.h"
 #include "engine/group_session.h"
+#include "engine/session_table.h"
 #include "geom/vec2.h"
 #include "index/packed_rtree.h"
 #include "sim/client.h"
@@ -116,6 +121,53 @@ TEST(GroupSessionFootprintTest, FreshPairSessionAllocatesClientsAndTraces) {
   EXPECT_EQ(bytes, 2 * sizeof(MpnClient) +
                        kHorizon * (sizeof(uint32_t) + sizeof(uint8_t) +
                                    2 * sizeof(double)));
+}
+
+TEST(GroupSessionFootprintTest, AdmissionAddsNoBlockPerSession) {
+  // Pair sessions of horizon 16 on an unbudgeted engine: each admission
+  // allocates its GroupSession and the session's five blocks (above), and
+  // nothing else of its own — the record is built in a table block, its
+  // lock is a table stripe and its trajectory pointers go to the table's
+  // arena. The table allocates a record block per kBlockRecords sessions,
+  // an arena chunk per kArenaChunk pointers, and at most once per block or
+  // chunk to grow the vectors that hold them.
+  constexpr size_t kHorizon = 16;
+  constexpr size_t kSessions = 2 * SessionTable::kBlockRecords + 1;
+  const std::vector<Point> pois = {{0, 0}, {100, 0}, {0, 100}, {100, 100}};
+  const PackedRTree tree = PackedRTree::Build(pois);
+  const Trajectory a = Walk({10.0, 10.0}, kHorizon - 1);
+  const Trajectory b = Walk({90.0, 90.0}, kHorizon - 1);
+  EngineOptions opt;
+  opt.sim.server.method = Method::kCircle;
+  Engine engine(&pois, &tree, opt);
+  // Built outside the scope: the caller's vector is moved in, not copied.
+  std::vector<std::vector<const Trajectory*>> groups(
+      kSessions, std::vector<const Trajectory*>{&a, &b});
+
+  size_t blocks = 0;
+  {
+    CountingScope scope;
+    for (std::vector<const Trajectory*>& g : groups) {
+      engine.AdmitSession(std::move(g));
+    }
+    blocks = scope.blocks();
+  }
+  const size_t record_blocks =
+      (kSessions + SessionTable::kBlockRecords - 1) /
+      SessionTable::kBlockRecords;
+  const size_t arena_chunks =
+      (2 * kSessions + SessionTable::kArenaChunk - 1) /
+      SessionTable::kArenaChunk;
+  EXPECT_EQ(engine.session_count(), kSessions);
+  EXPECT_GE(blocks, 6 * kSessions);
+  EXPECT_LE(blocks, 6 * kSessions + 2 * (record_blocks + arena_chunks));
+  engine.Start();
+  engine.Shutdown();
+}
+
+TEST(GroupSessionFootprintTest, SessionRecordIsAtMost112Bytes) {
+  if (sizeof(void*) != 8) GTEST_SKIP() << "the bound is for LP64 targets";
+  EXPECT_LE(sizeof(SessionRecord), 112u);
 }
 
 }  // namespace

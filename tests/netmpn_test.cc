@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
 #include <utility>
 
 #include "netmpn/network_mpn.h"
@@ -534,6 +535,50 @@ TEST(NetworkSimTest, SafeRegionsBeatPerTickReporting) {
   const NetworkSimMetrics metrics =
       SimulateNetworkMpn(engine, group, Objective::kMax);
   EXPECT_LT(metrics.UpdateFrequency(), 0.5);
+}
+
+// Caller input the layer cannot serve is an exception, never an abort.
+
+TEST(NetworkMpnInputTest, ConstructorRejectsNullSpaceNoPoisAndOffNetworkPoi) {
+  NetFixture f(16, 4, 4);
+  Rng rng(166);
+  const std::vector<EdgePosition> pois = {RandomEdgePosition(f.space, &rng)};
+  EXPECT_THROW(NetworkMpn(nullptr, pois), std::invalid_argument);
+  EXPECT_THROW(NetworkMpn(&f.space, {}), std::invalid_argument);
+  const uint32_t no_such_edge = static_cast<uint32_t>(f.space.EdgeCount());
+  EXPECT_THROW(NetworkMpn(&f.space, {pois[0], {no_such_edge, 0.0}}),
+               std::invalid_argument);
+  EXPECT_THROW(NetworkMpn(&f.space, {{0, -1.0}}), std::invalid_argument);
+  EXPECT_NO_THROW(NetworkMpn(&f.space, pois));
+}
+
+TEST(NetworkMpnInputTest, NearestPOIsRejectsNoUsers) {
+  NetFixture f(17, 4, 4);
+  Rng rng(177);
+  const NetworkMpn engine(&f.space, {RandomEdgePosition(f.space, &rng)});
+  EXPECT_THROW(engine.NearestPOIs({}, Objective::kMax, 1),
+               std::invalid_argument);
+}
+
+TEST(NetworkMpnInputTest, ComputeRejectsNoUsers) {
+  NetFixture f(18, 4, 4);
+  Rng rng(188);
+  const NetworkMpn engine(&f.space, {RandomEdgePosition(f.space, &rng)});
+  EXPECT_THROW(engine.Compute({}, Objective::kSum), std::invalid_argument);
+}
+
+TEST(NetworkMpnInputTest, SimulateRejectsEmptyGroupAndNullTrajectory) {
+  NetFixture f(19, 4, 4);
+  Rng rng(199);
+  const NetworkMpn engine(&f.space, {RandomEdgePosition(f.space, &rng)});
+  const NetworkTrajectory traj =
+      GenerateNetworkTrajectory(f.space, f.network, 20.0, 10, &rng);
+  EXPECT_THROW(SimulateNetworkMpn(engine, {}, Objective::kMax),
+               std::invalid_argument);
+  EXPECT_THROW(SimulateNetworkMpn(engine, {&traj, nullptr}, Objective::kMax),
+               std::invalid_argument);
+  EXPECT_EQ(SimulateNetworkMpn(engine, {&traj}, Objective::kMax).timestamps,
+            10u);
 }
 
 }  // namespace

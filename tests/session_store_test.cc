@@ -19,6 +19,7 @@
 
 #include "engine/memory_budget.h"
 #include "engine/session_codec.h"
+#include "engine/session_table.h"
 #include "engine_fuzz_util.h"
 #include "test_env.h"
 
@@ -706,6 +707,82 @@ TEST(SessionStoreTest, PerSessionAccessorsMatchUnbudgetedRun) {
   const MemoryStats after = budgeted.memory_stats();
   EXPECT_EQ(after.rehydrated_sessions, before.rehydrated_sessions);
   EXPECT_EQ(after.resident_bytes, before.resident_bytes);
+}
+
+// Sessions share record locks: id i and i + kLockStripes lock one stripe.
+// These tests admit more sessions than there are stripes, cycling over a
+// small world's groups, as Circle sessions to stay cheap under TSan.
+constexpr uint32_t kStripes = SessionTable::kLockStripes;
+
+EngineOptions CircleOptions(size_t threads, size_t bytes_cap) {
+  EngineOptions opt = fuzz::MakeEngineOptions(threads, bytes_cap);
+  opt.sim.server.method = Method::kCircle;
+  return opt;
+}
+
+uint64_t AdmitCyclingAndRun(Engine* engine, const fuzz::World& w,
+                            size_t n_groups, size_t sessions) {
+  for (size_t i = 0; i < sessions; ++i) {
+    engine->AdmitSession(fuzz::GroupOf(w, i % n_groups));
+  }
+  engine->Start();
+  engine->Shutdown();
+  return engine->ResultDigest();
+}
+
+TEST(SessionStoreTest, DigestNeutralWithMoreSessionsThanLockStripes) {
+  // Two workers run sessions that share stripes while the store spills
+  // and rehydrates them; every record lock is taken by events, jobs,
+  // spills and reads of many sessions at once.
+  Rng rng(0x57A1'9E00ull);
+  const size_t n_groups = 6;
+  const fuzz::World w = fuzz::MakeFuzzWorld(&rng, n_groups, 2, 10);
+  const size_t sessions = 2 * kStripes + 7;
+  Engine base(&w.pois, &w.tree, CircleOptions(1, size_t{1} << 30));
+  const uint64_t want = AdmitCyclingAndRun(&base, w, n_groups, sessions);
+  for (const size_t cap : {size_t{1}, size_t{16} * 1024}) {
+    Engine engine(&w.pois, &w.tree, CircleOptions(2, cap));
+    EXPECT_EQ(AdmitCyclingAndRun(&engine, w, n_groups, sessions), want)
+        << "cap=" << cap;
+    EXPECT_GT(engine.memory_stats().spilled_sessions, 0u) << "cap=" << cap;
+    EXPECT_GT(engine.memory_stats().rehydrated_sessions, 0u) << "cap=" << cap;
+  }
+}
+
+TEST(SessionStoreTest, ResultCallbackReadsSessionsOnItsOwnStripe) {
+  // A WithSessionResult callback may read any session: the result is
+  // copied under the record lock and the callback runs after it is
+  // released. Reading session id + kLockStripes (the same stripe) and the
+  // whole digest (session id itself included) from inside the callback
+  // would hang on a lock held across the call. The cap leaves the last
+  // finals resident and the rest spilled, so both read paths nest.
+  Rng rng(0x57A1'9E01ull);
+  const size_t n_groups = 4;
+  const fuzz::World w = fuzz::MakeFuzzWorld(&rng, n_groups, 2, 8);
+  Engine engine(&w.pois, &w.tree, CircleOptions(2, /*bytes_cap=*/16 * 1024));
+  const uint64_t digest =
+      AdmitCyclingAndRun(&engine, w, n_groups, kStripes + n_groups);
+  ASSERT_GT(engine.memory_stats().spilled_sessions, 0u);
+  ASSERT_GT(engine.memory_stats().resident_bytes, 0u);
+  for (uint32_t id = 0; id < n_groups; ++id) {
+    SCOPED_TRACE("session " + std::to_string(id));
+    const SessionFinalResult twin = fuzz::ResultOf(engine, id + kStripes);
+    size_t calls = 0;
+    engine.WithSessionResult(id, [&](const SessionFinalResult& outer) {
+      ++calls;
+      engine.WithSessionResult(id + kStripes,
+                               [&](const SessionFinalResult& inner) {
+                                 ++calls;
+                                 fuzz::ExpectSameDeterministicMetrics(
+                                     inner.metrics, twin.metrics);
+                                 EXPECT_EQ(inner.po, twin.po);
+                               });
+      EXPECT_EQ(engine.ResultDigest(), digest);
+      // Same group, same run: the stripe twin computed the same result.
+      fuzz::ExpectSameDeterministicMetrics(outer.metrics, twin.metrics);
+    });
+    EXPECT_EQ(calls, 2u);
+  }
 }
 
 TEST(SessionStoreTest, ZeroCapSpillsNothingWhateverTheEnvironment) {
