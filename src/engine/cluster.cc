@@ -186,9 +186,9 @@ int WorkerMain(IpcChannel* ch, IpcChannel* hb,
                   out.PutU64(fr.stall_count);
                 });
           }
-          const std::vector<Scheduler::Slot> slots = engine.timeline_slots();
+          const SlotTotals slots = engine.timeline_slots();
           out.PutU32(static_cast<uint32_t>(slots.size()));
-          for (const Scheduler::Slot& slot : slots) {
+          for (const Slot& slot : slots) {
             out.PutU64(slot.messages);
             out.PutU64(slot.recomputes);
             out.PutDouble(slot.seconds);
@@ -715,12 +715,10 @@ void ClusterEngine::ParseDrainReply(size_t shard,
   // incarnation's recomputed timeline (commutative per-slot sums, so the
   // split is invisible to the folded round stats).
   const uint32_t slot_count = r.GetU32();
-  std::vector<Scheduler::Slot> slots = w.slot_base;
-  if (slots.size() < slot_count) slots.resize(slot_count);
+  SlotTotals slots = w.slot_base;
   for (uint32_t t = 0; t < slot_count; ++t) {
-    slots[t].messages += r.GetU64();
-    slots[t].recomputes += r.GetU64();
-    slots[t].seconds += r.GetDouble();
+    // A braced list reads its three fields in order.
+    AddToSlot(&slots, t, {r.GetU64(), r.GetU64(), r.GetDouble()});
   }
   w.last_slots = std::move(slots);
   // The worker ships its transport-retry delta with every drain so the
@@ -765,15 +763,8 @@ void ClusterEngine::Wait() {
   // per-session mailbox marks in global session order. Lost shards
   // contribute their last drained history — consistent with their results_
   // entries staying frozen at the last successful drain.
-  std::vector<Scheduler::Slot> slots;
-  for (const Worker& w : workers_) {
-    if (slots.size() < w.last_slots.size()) slots.resize(w.last_slots.size());
-    for (size_t t = 0; t < w.last_slots.size(); ++t) {
-      slots[t].messages += w.last_slots[t].messages;
-      slots[t].recomputes += w.last_slots[t].recomputes;
-      slots[t].seconds += w.last_slots[t].seconds;
-    }
-  }
+  SlotTotals slots;
+  for (const Worker& w : workers_) AddSlots(w.last_slots, &slots);
   EngineRoundStats stats = EngineRoundStats::FromSlots(slots);
   for (const SessionFinalResult& res : results_) {
     stats.mailbox_peak_per_session.Add(static_cast<double>(res.mailbox_peak));

@@ -333,10 +333,10 @@ class ClusterEngine {
     std::deque<WireBuffer> pending;
     /// Per-timestamp slot totals owned by dead incarnations' drained
     /// history; the current incarnation's drain adds on top.
-    std::vector<Scheduler::Slot> slot_base;
+    SlotTotals slot_base;
     /// slot_base + the last successful drain's reported slots — this
     /// shard's effective contribution to the cluster round stats.
-    std::vector<Scheduler::Slot> last_slots;
+    SlotTotals last_slots;
     /// Session-store counters owned by dead incarnations (sums folded,
     /// peak maxed — see RecoverShard); the replacement restarts at zero.
     MemoryStats mem_base;

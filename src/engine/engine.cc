@@ -10,10 +10,9 @@
 
 namespace mpn {
 
-EngineRoundStats EngineRoundStats::FromSlots(
-    const std::vector<Scheduler::Slot>& slots) {
+EngineRoundStats EngineRoundStats::FromSlots(const SlotTotals& slots) {
   EngineRoundStats stats;
-  for (const Scheduler::Slot& slot : slots) {
+  for (const Slot& slot : slots) {
     stats.messages_per_round.Add(static_cast<double>(slot.messages));
     stats.recomputes_per_round.Add(static_cast<double>(slot.recomputes));
     stats.round_seconds.Add(slot.seconds);

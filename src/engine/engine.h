@@ -98,7 +98,7 @@ struct EngineRoundStats {
   /// Folds per-timestamp slot totals in timestamp order — the fold the
   /// engine and the cluster coordinator share, so their counter columns
   /// are bit-identical. The mailbox marks are left for the caller to add.
-  static EngineRoundStats FromSlots(const std::vector<Scheduler::Slot>& slots);
+  static EngineRoundStats FromSlots(const SlotTotals& slots);
 
   /// Renders the aggregates as a util/table (one row per metric).
   Table ToTable() const;
@@ -181,11 +181,11 @@ class Engine {
 
   /// Serving-loop drain: blocks until every session admitted so far has
   /// finished and no admission hold is outstanding, then refreshes the
-  /// round stats from the totals folded at finalization (O(timestamps),
-  /// not O(sessions)). The engine keeps serving — new sessions may be
-  /// admitted after Wait() returns and drained by another Wait(), so a
-  /// worker built on the engine is a long-lived server rather than a
-  /// one-shot drain.
+  /// round stats from the slots the pool workers added up as the steps ran
+  /// (O(timestamps), not O(sessions)). The engine keeps serving — new
+  /// sessions may be admitted after Wait() returns and drained by another
+  /// Wait(), so a worker built on the engine is a long-lived server rather
+  /// than a one-shot drain.
   /// Results (digest, metrics, stats) are valid after every Wait().
   ///
   /// If a session event or recomputation threw (a spill file that cannot
@@ -217,8 +217,9 @@ class Engine {
 
   /// Spill/rehydrate counters and resident accounting of the session
   /// store. Resident and peak bytes are charged with or without a budget;
-  /// the spill counters stay zero without one. Counters are
-  /// deterministic at threads == 1 under a fixed budget; with more
+  /// the spill counters stay zero without one. Counters are deterministic
+  /// at threads == 1 under a fixed budget for sessions admitted before
+  /// Start (a mid-run admission races the worker's events); with more
   /// threads the victim timing is wall-clock dependent.
   MemoryStats memory_stats() const;
 
@@ -228,11 +229,10 @@ class Engine {
   /// Per-timestamp aggregates (valid after Wait; refreshed by every Wait).
   const EngineRoundStats& round_stats() const { return round_stats_; }
 
-  /// Raw per-timestamp slot totals (valid after Wait; copied under the
-  /// scheduler's stats lock). Exposed so the cluster layer can serialize
-  /// a worker's timeline and re-aggregate it coordinator-side with the
-  /// same commutative per-slot sums.
-  std::vector<Scheduler::Slot> timeline_slots() const {
+  /// Raw per-timestamp slot totals as of the last Wait. Exposed so the
+  /// cluster layer can serialize a worker's timeline and re-aggregate it
+  /// coordinator-side with the same commutative per-slot sums.
+  SlotTotals timeline_slots() const {
     return scheduler_->SnapshotSlots();
   }
 

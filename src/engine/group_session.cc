@@ -31,6 +31,19 @@ void ValidateAdmission(const std::vector<const Trajectory*>& group,
   }
 }
 
+void AddToSlot(SlotTotals* totals, size_t t, const Slot& share) {
+  if (totals == nullptr) return;
+  if (totals->size() <= t) totals->resize(t + 1);
+  Slot& slot = (*totals)[t];
+  slot.messages += share.messages;
+  slot.recomputes += share.recomputes;
+  slot.seconds += share.seconds;
+}
+
+void AddSlots(const SlotTotals& from, SlotTotals* into) {
+  for (size_t t = 0; t < from.size(); ++t) AddToSlot(into, t, from[t]);
+}
+
 GroupSession::GroupSession(uint32_t id, const std::vector<Point>* pois,
                            const PackedRTree* tree,
                            const std::vector<const Trajectory*>& group,
@@ -47,10 +60,7 @@ GroupSession::GroupSession(uint32_t id, const std::vector<Point>* pois,
   horizon_ = group.front()->size();
   for (const Trajectory* t : group) horizon_ = std::min(horizon_, t->size());
   retire_at_ = tuning_.retire_at;
-  messages_at_.assign(horizon_, 0);
-  violated_at_.assign(horizon_, 0);
   advance_at_.assign(horizon_, 0.0);
-  seconds_at_.assign(horizon_, 0.0);
 }
 
 void GroupSession::AdvanceClients(size_t t, const Timer& tick) {
@@ -72,10 +82,9 @@ void GroupSession::CaptureSnapshot(size_t t, Snapshot* snap) const {
   }
 }
 
-void GroupSession::RecordViolation(size_t t) {
+size_t GroupSession::RecordViolation() {
   const size_t m = clients_.size();
   ++metrics_.updates;
-  violated_at_[t] = 1;
 
   // Step 1: the triggering user reports location + motion hint.
   metrics_.comm.Record(MessageType::kLocationUpdate,
@@ -87,10 +96,10 @@ void GroupSession::RecordViolation(size_t t) {
                          kValuesPerPoint + kValuesPerMotionHint,
                          packet_model_);
   }
-  messages_at_[t] += 1 + 2 * (m - 1);
+  return 1 + 2 * (m - 1);
 }
 
-bool GroupSession::AdvanceAndCheck(Snapshot* snap) {
+bool GroupSession::AdvanceAndCheck(Snapshot* snap, SlotTotals* slots) {
   MPN_ASSERT(MailboxEmpty());
   // Re-checked (not asserted): a concurrent RetireSession may truncate the
   // horizon between the scheduler's readiness check and this call.
@@ -107,15 +116,16 @@ bool GroupSession::AdvanceAndCheck(Snapshot* snap) {
       }
     }
   }
+  size_t messages = 0;
   if (violated) {
-    RecordViolation(t);
+    messages = RecordViolation();
     CaptureSnapshot(t, snap);
   }
-  seconds_at_[t] += timer.ElapsedSeconds();
+  AddToSlot(slots, t, {messages, violated ? 1u : 0u, timer.ElapsedSeconds()});
   return violated;
 }
 
-void GroupSession::BufferAdvance() {
+void GroupSession::BufferAdvance(SlotTotals* slots) {
   // Re-checked (not asserted): a concurrent RetireSession may have
   // exhausted the horizon since the event was scheduled.
   if (!CanBuffer()) return;
@@ -132,10 +142,11 @@ void GroupSession::BufferAdvance() {
   CaptureSnapshot(t, &mailbox_.back());
   mailbox_peak_ = std::max(mailbox_peak_, MailboxSize());
   if (MailboxSize() >= tuning_.mailbox_capacity) flight_saturated_ = true;
-  seconds_at_[t] += timer.ElapsedSeconds();
+  AddToSlot(slots, t, {0, 0, timer.ElapsedSeconds()});
 }
 
-GroupSession::RecomputeOutcome GroupSession::Recompute(const Snapshot& snap) {
+GroupSession::RecomputeOutcome GroupSession::Recompute(const Snapshot& snap,
+                                                       SlotTotals* slots) {
   Timer timer;
   RecomputeOutcome outcome;
   outcome.t = snap.t;
@@ -151,11 +162,11 @@ GroupSession::RecomputeOutcome GroupSession::Recompute(const Snapshot& snap) {
     while (timer.ElapsedSeconds() < target) {
     }
   }
-  seconds_at_[snap.t] += timer.ElapsedSeconds();
+  AddToSlot(slots, snap.t, {0, 0, timer.ElapsedSeconds()});
   return outcome;
 }
 
-void GroupSession::InstallResult(RecomputeOutcome outcome) {
+void GroupSession::InstallResult(RecomputeOutcome outcome, SlotTotals* slots) {
   Timer timer;
   // A capacity-0 mailbox cannot buffer at all: every recomputation with
   // timestamps still ahead stalled the clock (deterministically). For
@@ -188,11 +199,11 @@ void GroupSession::InstallResult(RecomputeOutcome outcome) {
       clients_[i].SetRegion(SafeRegion::MakeTiles(DecodeTileRegion(enc)));
     }
   }
-  messages_at_[outcome.t] += m;
-  seconds_at_[outcome.t] += timer.ElapsedSeconds();
+  AddToSlot(slots, outcome.t, {m, 0, timer.ElapsedSeconds()});
 }
 
-GroupSession::Replay GroupSession::ReplayOne(Snapshot* snap) {
+GroupSession::Replay GroupSession::ReplayOne(Snapshot* snap,
+                                             SlotTotals* slots) {
   if (MailboxEmpty()) return Replay::kEmpty;
   Timer timer;
   Snapshot entry = std::move(mailbox_[mailbox_head_++]);
@@ -212,12 +223,11 @@ GroupSession::Replay GroupSession::ReplayOne(Snapshot* snap) {
     }
   }
   if (violated) {
-    RecordViolation(entry.t);
+    AddToSlot(slots, entry.t, {RecordViolation(), 1, timer.ElapsedSeconds()});
     *snap = std::move(entry);
-    seconds_at_[snap->t] += timer.ElapsedSeconds();
     return Replay::kViolation;
   }
-  seconds_at_[entry.t] += timer.ElapsedSeconds();
+  AddToSlot(slots, entry.t, {0, 0, timer.ElapsedSeconds()});
   return Replay::kClean;
 }
 
@@ -239,10 +249,7 @@ GroupSession::State GroupSession::ExportState() const {
   for (const MpnClient& c : clients_) state.clients.push_back(c.ExportState());
   // Entries at t >= next_t_ are still at their ctor-assigned zero, so only
   // the processed prefix travels; ImportState re-zero-fills the tail.
-  state.messages_at.assign(messages_at_.begin(), messages_at_.begin() + next_t_);
-  state.violated_at.assign(violated_at_.begin(), violated_at_.begin() + next_t_);
   state.advance_at.assign(advance_at_.begin(), advance_at_.begin() + next_t_);
-  state.seconds_at.assign(seconds_at_.begin(), seconds_at_.begin() + next_t_);
   return state;
 }
 
@@ -262,23 +269,18 @@ void GroupSession::ImportState(const State& state) {
     clients_[i].ImportState(state.clients[i]);
   }
   flight_saturated_ = false;
-  messages_at_.assign(horizon_, 0);
-  violated_at_.assign(horizon_, 0);
   advance_at_.assign(horizon_, 0.0);
-  seconds_at_.assign(horizon_, 0.0);
-  std::copy(state.messages_at.begin(), state.messages_at.end(),
-            messages_at_.begin());
-  std::copy(state.violated_at.begin(), state.violated_at.end(),
-            violated_at_.begin());
   std::copy(state.advance_at.begin(), state.advance_at.end(),
             advance_at_.begin());
-  std::copy(state.seconds_at.begin(), state.seconds_at.end(),
-            seconds_at_.begin());
 }
 
 size_t GroupSession::StateBytesEstimate() const {
   // Fixed part covers the session object, server counters and metrics; the
-  // variable part is the per-timestamp traces plus each client's region.
+  // variable part is the per-timestamp term plus each client's region. The
+  // session keeps 8 B per timestamp (the advance trace) but is charged 32 B:
+  // over-charging a long session is the safe side for a cap, and it keeps
+  // every spill decision where it was until the advance trace goes and
+  // this term is re-derived.
   size_t bytes = 256 + horizon_ * 32;
   for (const MpnClient& c : clients_) bytes += c.StateBytesEstimate();
   return bytes;

@@ -35,8 +35,8 @@
 // Thread-safety contract: all methods except Recompute must be serialized
 // per session (the scheduler guarantees one session event at a time).
 // Recompute may run concurrently with BufferAdvance on the same session —
-// it touches only the MpnServer and its own outcome. Two Recomputes of the
-// same session never overlap.
+// it touches only the MpnServer, its own outcome and the slot totals it is
+// handed. Two Recomputes of the same session never overlap.
 #pragma once
 
 #include <atomic>
@@ -79,6 +79,21 @@ struct SessionTuning {
 void ValidateAdmission(const std::vector<const Trajectory*>& group,
                        const SessionTuning& tuning);
 
+/// What the sessions' phases attribute to one virtual timestamp.
+struct Slot {
+  size_t messages = 0;    ///< protocol messages attributed to this ts
+  size_t recomputes = 0;  ///< safe-region violations at this ts
+  double seconds = 0.0;   ///< processing seconds attributed to this ts
+};
+/// Per-timestamp totals, slot t for timestamp t; commutative sums.
+using SlotTotals = std::vector<Slot>;
+
+/// Adds `share` to slot t of `*totals`, growing it to t + 1 slots; a null
+/// `totals` records nothing.
+void AddToSlot(SlotTotals* totals, size_t t, const Slot& share);
+/// Adds `from` into `*into` slot by slot, growing it to from's length.
+void AddSlots(const SlotTotals& from, SlotTotals* into);
+
 /// The per-session fields the engine still serves after a finalized
 /// session's state machine has been destroyed (engine/session_store.h
 /// compacts every finalized session down to this, budget or not).
@@ -88,8 +103,8 @@ struct SessionFinalResult {
   uint32_t po = 0;
   size_t mailbox_peak = 0;
   size_t stall_count = 0;
-  /// Full advance-stamp trace (horizon-sized, like advance_seconds()),
-  /// kept so round-latency percentiles survive compaction.
+  /// The session's advance stamps, one per timestamp of its horizon, kept
+  /// so round-latency percentiles survive compaction.
   std::vector<double> advance_seconds;
 };
 
@@ -160,26 +175,32 @@ class GroupSession {
   /// see no recomputation in flight before finalizing).
   bool done() const { return AdvancesExhausted() && MailboxEmpty(); }
 
+  // Each phase adds its share to `slots` (the scheduler passes the running
+  // pool worker's array, so a session keeps no per-timestamp counter): a
+  // violation's step 1/2 messages and recompute at the violating timestamp,
+  // its step-3 messages there too at the install, each phase's seconds at
+  // the timestamp it serves. With no `slots` they record nothing.
+
   /// Fast path: advance clients one timestamp and check containment.
   /// Returns true on a safe-region violation, with `snap` filled for the
   /// recomputation. Requires an empty mailbox; no-op (returns false) when
   /// a concurrent retirement already exhausted the horizon.
-  bool AdvanceAndCheck(Snapshot* snap);
+  bool AdvanceAndCheck(Snapshot* snap, SlotTotals* slots = nullptr);
 
   /// Advance clients one timestamp into the mailbox (recompute in flight).
   /// No-op when a concurrent retirement invalidated CanBuffer().
-  void BufferAdvance();
+  void BufferAdvance(SlotTotals* slots = nullptr);
 
   /// Runs the safe-region recomputation for `snap`. The only method the
   /// scheduler may run concurrently with BufferAdvance.
-  RecomputeOutcome Recompute(const Snapshot& snap);
+  RecomputeOutcome Recompute(const Snapshot& snap, SlotTotals* slots = nullptr);
 
   /// Applies a finished recomputation: result bookkeeping, step-3 messages,
   /// codec round-trip, region installation.
-  void InstallResult(RecomputeOutcome outcome);
+  void InstallResult(RecomputeOutcome outcome, SlotTotals* slots = nullptr);
 
   /// Re-checks the oldest buffered update against the current regions.
-  Replay ReplayOne(Snapshot* snap);
+  Replay ReplayOne(Snapshot* snap, SlotTotals* slots = nullptr);
 
   /// Pulls the server's accumulated algorithm counters into metrics().
   /// Call once after the last phase (no recomputation may be in flight).
@@ -233,8 +254,8 @@ class GroupSession {
   // --- out-of-core snapshotting (engine/session_store.h) -------------------
 
   /// Plain-data snapshot of a live session's evolving state. Everything the
-  /// constructor arguments do not already determine; the per-timestamp
-  /// traces carry only the first next_t entries (later entries are provably
+  /// constructor arguments do not already determine; the advance trace
+  /// carries only the first next_t entries (later entries are provably
   /// still at their initial zero). Wire encoding lives in
   /// engine/session_codec.h so this layer stays IPC-free.
   struct State {
@@ -247,10 +268,7 @@ class GroupSession {
     SimMetrics metrics;
     MpnServer::State server;
     std::vector<MpnClient::State> clients;
-    std::vector<uint32_t> messages_at;
-    std::vector<uint8_t> violated_at;
     std::vector<double> advance_at;
-    std::vector<double> seconds_at;
   };
 
   /// Captures the session's full evolving state. Only valid between events
@@ -267,27 +285,9 @@ class GroupSession {
   /// state, identical across runs/machines for the engine's accounting.
   /// The budget charges these bytes, not heap bytes: a fresh two-member
   /// Circle session of horizon 16 (fleet_spill's shape) is charged 1,024 B
-  /// and takes 1,712 B of glibc heap chunks, the object and five blocks
-  /// (GroupSessionFootprintTest pins the blocks).
+  /// and takes 2 blocks besides the object, the client vector and the
+  /// advance trace (GroupSessionFootprintTest pins them).
   size_t StateBytesEstimate() const;
-
-  // --- per-timestamp traces (engine round stats + latency percentiles) ---
-
-  /// Protocol messages attributed to timestamp t (step 1/2 at the
-  /// violation, step 3 at the install of that violation's result).
-  const std::vector<uint32_t>& messages_at() const { return messages_at_; }
-  /// 1 when timestamp t triggered a recomputation.
-  const std::vector<uint8_t>& violated_at() const { return violated_at_; }
-  /// Wall seconds (against the engine run timer) when the tick that
-  /// advanced to timestamp t started: the phase timer's one clock read
-  /// stamps it, so a tick reads the clock twice (start, stop), not three
-  /// times. The gaps are the per-session round latencies: from the start
-  /// of tick t to the start of tick t + 1 lie one advance, one check, and
-  /// a violation's recompute and install.
-  const std::vector<double>& advance_seconds() const { return advance_at_; }
-  /// Processing seconds attributed to timestamp t (tick + recompute +
-  /// install work).
-  const std::vector<double>& work_seconds_at() const { return seconds_at_; }
 
  private:
   /// Advances the clients to t and stamps advance_at_[t] with the start of
@@ -295,8 +295,8 @@ class GroupSession {
   /// both.
   void AdvanceClients(size_t t, const Timer& tick);
   void CaptureSnapshot(size_t t, Snapshot* snap) const;
-  /// Step 1/2 message accounting + update counters for a violation at t.
-  void RecordViolation(size_t t);
+  /// Step 1/2 messages + update counters of a violation; returns the count.
+  size_t RecordViolation();
   /// Buffered updates not yet replayed.
   size_t MailboxSize() const { return mailbox_.size() - mailbox_head_; }
 
@@ -323,10 +323,10 @@ class GroupSession {
   bool has_result_ = false;
   uint32_t current_po_ = 0;
 
-  std::vector<uint32_t> messages_at_;
-  std::vector<uint8_t> violated_at_;
+  /// Wall seconds (engine run timer) when the tick that advanced to
+  /// timestamp t started; the gaps are the round latencies. Served as
+  /// SessionFinalResult::advance_seconds.
   std::vector<double> advance_at_;
-  std::vector<double> seconds_at_;
 };
 
 }  // namespace mpn

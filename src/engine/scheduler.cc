@@ -15,6 +15,7 @@ Scheduler::Scheduler(ThreadPool* pool, SessionTable* table,
                      SessionStore* store)
     : pool_(pool), table_(table), store_(store) {
   MPN_ASSERT(pool_ != nullptr && table_ != nullptr && store_ != nullptr);
+  worker_slots_.resize(pool_->thread_count());
 }
 
 void Scheduler::Start() {
@@ -64,6 +65,12 @@ void Scheduler::WaitIdle(bool ignore_holds) {
   idle_cv_.wait(lock, [this, ignore_holds]() {
     return outstanding_ == 0 && (ignore_holds || holds_ == 0);
   });
+  // No task runs, and none can be posted while idle_mu_ is held: posting
+  // calls AddOutstanding first.
+  for (SlotTotals& worker : worker_slots_) {
+    AddSlots(worker, &slots_);
+    worker.clear();
+  }
 }
 
 void Scheduler::Hold() {
@@ -77,8 +84,8 @@ void Scheduler::Release() {
   if (--holds_ == 0 && outstanding_ == 0) idle_cv_.notify_all();
 }
 
-std::vector<Scheduler::Slot> Scheduler::SnapshotSlots() const {
-  std::lock_guard<std::mutex> lock(stats_mu_);
+SlotTotals Scheduler::SnapshotSlots() const {
+  std::lock_guard<std::mutex> lock(idle_mu_);
   return slots_;
 }
 
@@ -173,15 +180,8 @@ void Scheduler::FinalizeLocked(SessionRecord* r) {
   GroupSession* s = r->session.get();
   s->Finish();
   r->finalized = true;
-  const size_t n = s->next_timestamp();  // timestamps actually advanced
   {
     std::lock_guard<std::mutex> lock(stats_mu_);
-    if (slots_.size() < n) slots_.resize(n);
-    for (size_t t = 0; t < n; ++t) {
-      slots_[t].messages += s->messages_at()[t];
-      slots_[t].recomputes += s->violated_at()[t];
-      slots_[t].seconds += s->work_seconds_at()[t];
-    }
     mailbox_.peak.Add(static_cast<double>(s->mailbox_peak()));
     mailbox_.stalls.Add(static_cast<double>(s->stall_count()));
   }
@@ -217,10 +217,11 @@ void Scheduler::RunEvent(SessionRecord* r) {
 
   bool post_job = false;
   GroupSession::Snapshot snap;
+  SlotTotals* slots = WorkerSlots();
   if (finished != nullptr) {
-    s->InstallResult(std::move(finished->outcome));
+    s->InstallResult(std::move(finished->outcome), slots);
     for (;;) {
-      const GroupSession::Replay rr = s->ReplayOne(&snap);
+      const GroupSession::Replay rr = s->ReplayOne(&snap, slots);
       if (rr == GroupSession::Replay::kViolation) {
         post_job = true;
         break;
@@ -230,10 +231,10 @@ void Scheduler::RunEvent(SessionRecord* r) {
   } else if (awaiting) {
     // The event was queued as a buffer tick; room may have vanished if a
     // retirement truncated the horizon meanwhile.
-    if (s->CanBuffer()) s->BufferAdvance();
+    if (s->CanBuffer()) s->BufferAdvance(slots);
   } else if (!s->AdvancesExhausted()) {
     MPN_ASSERT(s->MailboxEmpty());
-    post_job = s->AdvanceAndCheck(&snap);
+    post_job = s->AdvanceAndCheck(&snap, slots);
   }
 
   const size_t job_t = snap.t;
@@ -265,7 +266,7 @@ void Scheduler::RunEvent(SessionRecord* r) {
 void Scheduler::RunJob(SessionRecord* r) {
   // The slot is the job's alone until result_ready is published below.
   JobSlot* slot = r->job.get();
-  slot->outcome = r->session->Recompute(slot->snap);
+  slot->outcome = r->session->Recompute(slot->snap, WorkerSlots());
   std::lock_guard<std::mutex> lock(table_->MutexOf(r));
   r->job_running = false;
   r->result_ready = true;

@@ -39,9 +39,9 @@
 // next, never the wall-clock interleaving across sessions — and a
 // session's logical step order is a pure function of its own inputs, so
 // per-session results are bit-identical across thread counts, admission
-// timing, and recomputation latency. Per-timestamp aggregates fold at
-// session finalization with commutative sums, so they are deterministic
-// too.
+// timing, and recomputation latency. Per-timestamp aggregates are
+// commutative sums, added per pool worker as the steps run and merged by
+// WaitIdle, so they are deterministic too.
 #pragma once
 
 #include <condition_variable>
@@ -111,7 +111,8 @@ class Scheduler {
   void Admit(SessionRecord* record);
 
   /// Blocks until no events or jobs are queued/running and no holds are
-  /// outstanding. With `ignore_holds`, returns as soon as the work drains
+  /// outstanding, then merges the workers' slot arrays into the slot
+  /// totals. With `ignore_holds`, returns as soon as the work drains
   /// (engine destruction path).
   void WaitIdle(bool ignore_holds = false);
 
@@ -125,23 +126,16 @@ class Scheduler {
   void Hold();
   void Release();
 
-  /// Per-timestamp aggregates across all finalized sessions.
-  struct Slot {
-    size_t messages = 0;    ///< protocol messages attributed to this ts
-    size_t recomputes = 0;  ///< safe-region violations at this ts
-    double seconds = 0.0;   ///< processing seconds attributed to this ts
-  };
-  /// Copies the slot totals under the stats lock — safe against sessions
-  /// finalizing concurrently (the serving loop allows admissions while a
-  /// Wait() is folding stats).
-  std::vector<Slot> SnapshotSlots() const;
+  /// Copies the per-timestamp slot totals as of the last WaitIdle: every
+  /// step that ran before it, whether or not its session has finished.
+  SlotTotals SnapshotSlots() const;
 
   /// Mailbox marks folded at finalization, one observation per session.
   struct MailboxMarks {
     RunningStat peak;    ///< GroupSession::mailbox_peak
     RunningStat stalls;  ///< GroupSession::stall_count
   };
-  /// Copies the marks under the stats lock (see SnapshotSlots).
+  /// Copies the marks under the stats lock (sessions may be finalizing).
   MailboxMarks SnapshotMailboxMarks() const;
 
  private:
@@ -173,6 +167,8 @@ class Scheduler {
   /// id reserved but not yet inserted is skipped: its Admit schedules it.
   void StartSession(uint32_t id);
   void RunEvent(SessionRecord* r);
+  /// The slot array of the pool worker running the caller.
+  SlotTotals* WorkerSlots() { return &worker_slots_[pool_->CurrentWorker()]; }
   /// Recomputes into r->job and re-arms the session.
   void RunJob(SessionRecord* r);
   /// Called from a catch block: keeps the exception being handled as
@@ -182,8 +178,8 @@ class Scheduler {
   /// record lock (SessionTable::MutexOf).
   void ScheduleNextLocked(SessionRecord* r);
   void ScheduleEventLocked(SessionRecord* r, uint64_t priority);
-  /// Finish + fold the session's traces into the slots and its mailbox
-  /// marks into mailbox_. Caller holds the record lock.
+  /// Finish + fold the session's mailbox marks into mailbox_. Caller holds
+  /// the record lock.
   void FinalizeLocked(SessionRecord* r);
   void AddOutstanding();
   void SubOutstanding();
@@ -206,9 +202,13 @@ class Scheduler {
   size_t outstanding_ = 0;  ///< queued/running events, jobs, links (idle_mu_)
   size_t holds_ = 0;        ///< outstanding admission holds (idle_mu_)
   std::string error_;       ///< first event/job failure (idle_mu_)
+  /// One slot array per pool worker. A task writes its worker's array
+  /// before SubOutstanding takes idle_mu_, and WaitIdle reads them under
+  /// idle_mu_ with nothing outstanding, so no lock is taken per step.
+  std::vector<SlotTotals> worker_slots_;
+  SlotTotals slots_;  ///< merged slot totals (idle_mu_)
 
   mutable std::mutex stats_mu_;
-  std::vector<Slot> slots_;
   MailboxMarks mailbox_;
 };
 

@@ -20,8 +20,8 @@ constexpr size_t kClientBytes = 16 + 1 + 8 + 4 + 1;
 // A circle region with its kind byte (tile bitmaps are larger and grow
 // the buffer).
 constexpr size_t kCircleRegionBytes = 1 + 24;
-// One timestamp of the four traces: u32 + u8 + two doubles.
-constexpr size_t kTraceEntryBytes = 4 + 1 + 8 + 8;
+// One timestamp of the advance trace: a double.
+constexpr size_t kTraceEntryBytes = 8;
 
 void WriteMsrStats(WireBuffer* out, const MsrStats& s) {
   out->PutU64(s.tiles_tried);
@@ -190,10 +190,10 @@ MpnClient::State ReadClientState(WireReader* r) {
 }  // namespace
 
 void EncodeLiveSession(const GroupSession::State& state, WireBuffer* out) {
-  // Header and fixed fields (47 B), metrics, server state, the clients
-  // and trace counts, the traces, and each client with a circle region.
-  size_t bytes = 47 + kMetricsBytes + 16 + kMsrStatsBytes + 4 + 4 +
-                 kTraceEntryBytes * state.messages_at.size();
+  // Header and fixed fields (39 B), metrics, server state, the clients
+  // and trace counts, the trace, and each client with a circle region.
+  size_t bytes = 39 + kMetricsBytes + 16 + kMsrStatsBytes + 4 + 4 +
+                 kTraceEntryBytes * state.advance_at.size();
   for (const MpnClient::State& c : state.clients) {
     bytes += kClientBytes + kCircleRegionBytes + 8 * c.recent_headings.size();
   }
@@ -206,24 +206,20 @@ void EncodeLiveSession(const GroupSession::State& state, WireBuffer* out) {
   out->PutU32(state.current_po);
   out->PutU64(state.mailbox_peak);
   out->PutU64(state.stall_count);
-  out->PutU64(0);  // unused u64: version 1 keeps its layout and size
   WriteMetrics(out, state.metrics);
   out->PutDouble(state.server.compute_seconds);
   out->PutU64(state.server.recompute_count);
   WriteMsrStats(out, state.server.stats);
   out->PutU32(static_cast<uint32_t>(state.clients.size()));
   for (const MpnClient::State& c : state.clients) WriteClientState(out, c);
-  // All four traces carry exactly the processed prefix (next_t entries).
-  out->PutU32(static_cast<uint32_t>(state.messages_at.size()));
-  for (uint32_t v : state.messages_at) out->PutU32(v);
-  for (uint8_t v : state.violated_at) out->PutU8(v);
+  // The trace carries exactly the processed prefix (next_t entries).
+  out->PutU32(static_cast<uint32_t>(state.advance_at.size()));
   for (double v : state.advance_at) out->PutDouble(v);
-  for (double v : state.seconds_at) out->PutDouble(v);
 }
 
 void EncodeFinalSession(const SessionFinalResult& result, WireBuffer* out) {
-  // Header, metrics, fixed fields (33 B) and the advance times.
-  out->Reserve(out->size() + 2 + kMetricsBytes + 33 +
+  // Header, metrics, fixed fields (25 B) and the advance times.
+  out->Reserve(out->size() + 2 + kMetricsBytes + 25 +
                8 * result.advance_seconds.size());
   out->PutU8(kSessionSnapshotVersion);
   out->PutU8(static_cast<uint8_t>(SnapshotKind::kFinal));
@@ -232,7 +228,6 @@ void EncodeFinalSession(const SessionFinalResult& result, WireBuffer* out) {
   out->PutU32(result.po);
   out->PutU64(result.mailbox_peak);
   out->PutU64(result.stall_count);
-  out->PutU64(0);  // unused u64: version 1 keeps its layout and size
   out->PutU32(static_cast<uint32_t>(result.advance_seconds.size()));
   for (double v : result.advance_seconds) out->PutDouble(v);
 }
@@ -257,7 +252,6 @@ GroupSession::State DecodeLiveSession(WireReader* r) {
   state.current_po = r->GetU32();
   state.mailbox_peak = r->GetU64();
   state.stall_count = r->GetU64();
-  r->GetU64();  // the unused u64
   state.metrics = ReadMetrics(r);
   state.server.compute_seconds = r->GetDouble();
   state.server.recompute_count = r->GetU64();
@@ -269,15 +263,9 @@ GroupSession::State DecodeLiveSession(WireReader* r) {
   if (n != state.next_t) {
     throw FrameError("session trace length does not match next_t");
   }
-  const size_t fits = std::min<size_t>(n, r->remaining() / kTraceEntryBytes);
-  state.messages_at.reserve(fits);
-  state.violated_at.reserve(fits);
-  state.advance_at.reserve(fits);
-  state.seconds_at.reserve(fits);
-  for (uint32_t i = 0; i < n; ++i) state.messages_at.push_back(r->GetU32());
-  for (uint32_t i = 0; i < n; ++i) state.violated_at.push_back(r->GetU8());
+  state.advance_at.reserve(
+      std::min<size_t>(n, r->remaining() / kTraceEntryBytes));
   for (uint32_t i = 0; i < n; ++i) state.advance_at.push_back(r->GetDouble());
-  for (uint32_t i = 0; i < n; ++i) state.seconds_at.push_back(r->GetDouble());
   return state;
 }
 
@@ -288,7 +276,6 @@ SessionFinalResult DecodeFinalSession(WireReader* r) {
   result.po = r->GetU32();
   result.mailbox_peak = r->GetU64();
   result.stall_count = r->GetU64();
-  r->GetU64();  // the unused u64
   const uint32_t n = r->GetU32();
   result.advance_seconds.reserve(std::min<size_t>(n, r->remaining() / 8));
   for (uint32_t i = 0; i < n; ++i) {

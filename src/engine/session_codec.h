@@ -27,7 +27,7 @@
 namespace mpn {
 
 /// Bump when the snapshot layout changes; decoders reject other versions.
-inline constexpr uint8_t kSessionSnapshotVersion = 1;
+inline constexpr uint8_t kSessionSnapshotVersion = 2;
 
 /// What a session snapshot holds (second header byte).
 enum class SnapshotKind : uint8_t { kLive = 0, kFinal = 1 };

@@ -6,10 +6,10 @@
 // in RAM. The store breaks that coupling:
 //
 //   - Every *finalized* session is unconditionally compacted: the full
-//     GroupSession state machine (clients, regions, traces) is distilled
-//     into a small SessionFinalResult and destroyed. This runs budget or
-//     no budget — a drained engine's footprint is per-session results,
-//     not per-session simulators.
+//     GroupSession state machine (clients, regions, advance trace) is
+//     distilled into a small SessionFinalResult and destroyed. This runs
+//     budget or no budget — a drained engine's footprint is per-session
+//     results, not per-session simulators.
 //   - Under a byte budget (EngineOptions::budget.bytes_cap > 0) the store
 //     additionally *spills*: when the resident estimate exceeds the cap,
 //     cold sessions — live-but-idle state machines and compacted final

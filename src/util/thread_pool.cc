@@ -6,11 +6,15 @@
 
 namespace mpn {
 
+// The pool whose worker this thread is, and its index there (WorkerLoop).
+static thread_local const ThreadPool* tl_pool = nullptr;
+static thread_local size_t tl_worker = 0;
+
 ThreadPool::ThreadPool(size_t threads) {
   const size_t count = std::max<size_t>(1, threads);
   workers_.reserve(count);
   for (size_t i = 0; i < count; ++i) {
-    workers_.emplace_back([this]() { WorkerLoop(); });
+    workers_.emplace_back([this, i]() { WorkerLoop(i); });
   }
 }
 
@@ -32,7 +36,14 @@ void ThreadPool::Post(TaskFn fn, void* a, void* b, uint64_t priority) {
   cv_.notify_one();
 }
 
-void ThreadPool::WorkerLoop() {
+size_t ThreadPool::CurrentWorker() const {
+  MPN_ASSERT_MSG(tl_pool == this, "CurrentWorker off this pool's workers");
+  return tl_worker;
+}
+
+void ThreadPool::WorkerLoop(size_t index) {
+  tl_pool = this;
+  tl_worker = index;
   for (;;) {
     Task task{};
     {

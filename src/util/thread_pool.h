@@ -51,6 +51,11 @@ class ThreadPool {
   /// submission order. Allocates nothing beyond the queue's own growth.
   void Post(TaskFn fn, void* a, void* b, uint64_t priority);
 
+  /// Index in [0, thread_count()) of the worker running the caller, so a
+  /// task can write per-worker state without a lock. Asserts that the
+  /// caller is one of this pool's workers.
+  size_t CurrentWorker() const;
+
  private:
   /// One queued task with its ordering key: trivially copyable, so the
   /// heap moves 40-byte entries and never runs a destructor.
@@ -70,7 +75,7 @@ class ThreadPool {
     }
   };
 
-  void WorkerLoop();
+  void WorkerLoop(size_t index);
 
   std::vector<std::thread> workers_;
   std::priority_queue<Task, std::vector<Task>, TaskOrder> queue_;

@@ -91,6 +91,38 @@ TEST(ClusterTest, DigestBitIdenticalToSingleProcessForAnyShardCount) {
   }
 }
 
+// Count, sum, min and max of one per-timestamp column.
+void ExpectSameColumn(const RunningStat& got, const RunningStat& want) {
+  EXPECT_EQ(got.count(), want.count());
+  EXPECT_EQ(got.Sum(), want.Sum());
+  EXPECT_EQ(got.Min(), want.Min());
+  EXPECT_EQ(got.Max(), want.Max());
+}
+
+TEST(ClusterTest, RoundStatColumnsMatchTheEngine) {
+  // Each worker's engine adds its slots up per pool thread and ships the
+  // merged totals in every drain reply; the coordinator adds the shards'
+  // replies up. The message and recompute columns of a plan with mid-run
+  // admission waves must equal a single-process engine's, statistic by
+  // statistic.
+  Rng rng(0xC1057'5107ull);
+  const World w = fuzz::MakeFuzzWorld(&rng, 10, 3, 24);
+  const fuzz::FuzzPlan plan = fuzz::MakeFuzzPlan(&rng, 10, 24);
+  EngineRoundStats want;
+  {
+    Engine engine(&w.pois, &w.tree, MakeEngineOptions(2));
+    fuzz::Replay(&engine, w, plan);
+    want = engine.round_stats();
+  }
+  ASSERT_GT(want.rounds, 1u);
+  ClusterEngine cluster(&w.pois, &w.tree, MakeClusterOptions(2, 2));
+  fuzz::Replay(&cluster, w, plan);
+  const EngineRoundStats& got = cluster.round_stats();
+  EXPECT_EQ(got.rounds, want.rounds);
+  ExpectSameColumn(got.messages_per_round, want.messages_per_round);
+  ExpectSameColumn(got.recomputes_per_round, want.recomputes_per_round);
+}
+
 TEST(ClusterTest, ServingLoopDrainsAcrossAdmissionWaves) {
   const size_t kGroups = 6;
   const World w = MakeWorld(250, kGroups, 100, 0xC1057F);

@@ -55,6 +55,38 @@ TEST(ThreadPoolTest, HardwareThreadsIsPositive) {
   EXPECT_GE(ThreadPool::HardwareThreads(), 1u);
 }
 
+TEST(ThreadPoolTest, CurrentWorkerIsTheRunningWorkersIndex) {
+  // Two tasks that wait for each other run on both workers at once; each
+  // records the index CurrentWorker gives it, so the two must differ.
+  struct Meet {
+    ThreadPool* pool = nullptr;
+    std::mutex mu;
+    std::condition_variable cv;
+    int arrived = 0;
+    std::vector<size_t> seen;
+  };
+  Meet meet;
+  {
+    ThreadPool pool(2);
+    meet.pool = &pool;
+    for (int i = 0; i < 2; ++i) {
+      pool.Post(
+          [](void* a, void*) noexcept {
+            Meet* mt = static_cast<Meet*>(a);
+            const size_t worker = mt->pool->CurrentWorker();
+            std::unique_lock<std::mutex> lock(mt->mu);
+            mt->seen.push_back(worker);
+            ++mt->arrived;
+            mt->cv.notify_all();
+            mt->cv.wait(lock, [mt]() { return mt->arrived == 2; });
+          },
+          &meet, nullptr, 0);
+    }
+  }  // the destructor drains the queue
+  std::sort(meet.seen.begin(), meet.seen.end());
+  EXPECT_EQ(meet.seen, (std::vector<size_t>{0, 1}));
+}
+
 TEST(ThreadPoolTest, PostRunsInPriorityOrder) {
   // Gate the single worker, queue out of order, then observe that the
   // priority heap replays the queue smallest-priority-first, and equal
@@ -840,6 +872,16 @@ void ExpectStateRoundTrips(const GroupSession& s, const World& w,
   EXPECT_EQ(second.data(), first.data()) << "t " << s.next_timestamp();
 }
 
+/// Expects the same slot count and, slot by slot, the same message and
+/// recompute columns (the seconds are wall-clock).
+void ExpectSameCountColumns(const SlotTotals& got, const SlotTotals& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t t = 0; t < want.size(); ++t) {
+    EXPECT_EQ(got[t].messages, want[t].messages) << "t " << t;
+    EXPECT_EQ(got[t].recomputes, want[t].recomputes) << "t " << t;
+  }
+}
+
 uint64_t SessionDigest(const GroupSession& s) {
   Fnv1a fnv;
   AddSessionResultToDigest(&fnv, s.metrics(), s.has_result(),
@@ -853,9 +895,10 @@ TEST(GroupSessionTest, BufferedDriveMatchesUnbufferedDrive) {
   // recompute, the install and the replay run until the mailbox drains or
   // a replayed update violates; such a violation buffers again (behind the
   // updates still queued) before its own install. The logical step order
-  // equals the unbuffered drive's, so every digested field and trace must
-  // too, and the session must export and re-import exactly whenever the
-  // mailbox is drained.
+  // equals the unbuffered drive's, so every digested field and the count
+  // columns of the slot totals each drive was handed must too, and the
+  // session must export and re-import exactly whenever the mailbox is
+  // drained.
   const World w = MakeWorld(120, 1, 160, 0x6B0F);
   const std::vector<const Trajectory*> group = {&w.trajs[0], &w.trajs[1]};
   SimOptions opt;
@@ -865,28 +908,32 @@ TEST(GroupSessionTest, BufferedDriveMatchesUnbufferedDrive) {
   tuning.mailbox_capacity = 3;
 
   GroupSession plain(0, &w.pois, &w.tree, group, opt, tuning);
+  SlotTotals plain_slots;
   GroupSession::Snapshot snap;
   while (!plain.AdvancesExhausted()) {
-    if (!plain.AdvanceAndCheck(&snap)) continue;
-    plain.InstallResult(plain.Recompute(snap));
-    ASSERT_EQ(plain.ReplayOne(&snap), GroupSession::Replay::kEmpty);
+    if (!plain.AdvanceAndCheck(&snap, &plain_slots)) continue;
+    plain.InstallResult(plain.Recompute(snap, &plain_slots), &plain_slots);
+    ASSERT_EQ(plain.ReplayOne(&snap, &plain_slots),
+              GroupSession::Replay::kEmpty);
   }
   plain.Finish();
 
   GroupSession buffered(0, &w.pois, &w.tree, group, opt, tuning);
+  SlotTotals buffered_slots;
   size_t flights = 0;
   size_t queued_violations = 0;  // replay violations with updates left
   while (!buffered.AdvancesExhausted()) {
     ASSERT_TRUE(buffered.MailboxEmpty());
     ExpectStateRoundTrips(buffered, w, group, opt, tuning);
-    if (!buffered.AdvanceAndCheck(&snap)) continue;
+    if (!buffered.AdvanceAndCheck(&snap, &buffered_slots)) continue;
     for (bool violated = true; violated;) {
       ++flights;
-      while (buffered.CanBuffer()) buffered.BufferAdvance();
-      buffered.InstallResult(buffered.Recompute(snap));
+      while (buffered.CanBuffer()) buffered.BufferAdvance(&buffered_slots);
+      buffered.InstallResult(buffered.Recompute(snap, &buffered_slots),
+                             &buffered_slots);
       GroupSession::Replay rr;
       do {
-        rr = buffered.ReplayOne(&snap);
+        rr = buffered.ReplayOne(&snap, &buffered_slots);
       } while (rr == GroupSession::Replay::kClean);
       violated = rr == GroupSession::Replay::kViolation;
       if (violated && !buffered.MailboxEmpty()) ++queued_violations;
@@ -902,8 +949,93 @@ TEST(GroupSessionTest, BufferedDriveMatchesUnbufferedDrive) {
   EXPECT_EQ(plain.mailbox_peak(), 0u);
   EXPECT_EQ(SessionDigest(buffered), SessionDigest(plain));
   EXPECT_EQ(buffered.current_po(), plain.current_po());
-  EXPECT_EQ(buffered.messages_at(), plain.messages_at());
-  EXPECT_EQ(buffered.violated_at(), plain.violated_at());
+  EXPECT_EQ(plain_slots.size(), plain.horizon());
+  ExpectSameCountColumns(buffered_slots, plain_slots);
+}
+
+// --- Per-timestamp slots ----------------------------------------------------
+
+TEST(EngineSlotTest, SlotsMatchAnInOrderFold) {
+  // Each step adds its share to the slot array of the pool worker running
+  // it, and a drain merges the arrays. The message and recompute columns
+  // must equal, slot by slot, a fold of the plan's sessions driven in
+  // order on the test thread: a recompute adds 1 recompute and 3m - 1
+  // messages (the report, m - 1 probes and replies, m results) at its
+  // timestamp. Mid-run admissions, retirements, stalls, spills and the
+  // thread count move no slot.
+  Rng rng(0x5107'F01Dull);
+  const World w = fuzz::MakeFuzzWorld(&rng, 10, 3, 24);
+  const fuzz::FuzzPlan plan = fuzz::MakeFuzzPlan(&rng, 10, 24);
+  const SimOptions sim = MakeEngineOptions(1).sim;
+  const size_t m = w.group_size;
+  SlotTotals want;
+  for (const fuzz::PlannedSession& s : plan.sessions) {
+    const SimMetrics metrics = fuzz::DriveInOrder(
+        &w.pois, &w.tree, fuzz::GroupOf(w, s.group), sim, s.tuning,
+        s.prestart_retire ? s.prestart_retire_at : fuzz::kNoRetire,
+        [&want, m](const GroupSession::Snapshot& snap, const MsrResult&) {
+          AddToSlot(&want, snap.t, {3 * m - 1, 1, 0.0});
+        });
+    if (want.size() < metrics.timestamps) want.resize(metrics.timestamps);
+  }
+  ASSERT_GT(want.size(), 1u);
+
+  for (const size_t cap : {size_t{0}, size_t{1}}) {
+    for (const size_t threads : {size_t{1}, size_t{2}, size_t{4}}) {
+      SCOPED_TRACE("cap " + std::to_string(cap) + " threads " +
+                   std::to_string(threads));
+      Engine engine(&w.pois, &w.tree, MakeEngineOptions(threads, cap));
+      fuzz::Replay(&engine, w, plan);
+      ExpectSameCountColumns(engine.timeline_slots(), want);
+      EXPECT_EQ(engine.round_stats().rounds, want.size());
+    }
+  }
+}
+
+TEST(EngineSlotTest, WaitRacingAdmissionsKeepsEverySlot) {
+  // One thread admits with no hold while another calls Wait() and reads
+  // the round stats: a Wait may find the engine idle between two
+  // admissions and merge the workers' slot arrays while the next
+  // admission's steps are about to write them. Once everything drained,
+  // the totals equal a serial engine's, slot by slot.
+  constexpr size_t kGroups = 24;
+  const World w = MakeWorld(200, kGroups, 40, 0x5107'ADD5);
+  EngineOptions opt = MakeEngineOptions(2);
+  opt.sim.server.method = Method::kCircle;  // cheap recomputes
+
+  EngineOptions serial_opt = opt;
+  serial_opt.threads = 1;
+  SlotTotals want;
+  {
+    Engine serial(&w.pois, &w.tree, serial_opt);
+    for (size_t g = 0; g < kGroups; ++g) {
+      serial.AdmitSession(fuzz::GroupOf(w, g));
+    }
+    serial.Start();
+    serial.Shutdown();
+    want = serial.timeline_slots();
+  }
+
+  Engine engine(&w.pois, &w.tree, opt);
+  engine.Start();
+  std::atomic<bool> admitted{false};
+  std::thread admitter([&]() {
+    for (size_t g = 0; g < kGroups; ++g) {
+      engine.AdmitSession(fuzz::GroupOf(w, g));
+    }
+    admitted.store(true, std::memory_order_release);
+  });
+  double messages = 0.0;
+  while (!admitted.load(std::memory_order_acquire)) {
+    engine.Wait();
+    const EngineRoundStats& rs = engine.round_stats();
+    EXPECT_GE(rs.messages_per_round.Sum(), messages);
+    EXPECT_LE(rs.rounds, want.size());
+    messages = rs.messages_per_round.Sum();
+  }
+  admitter.join();
+  engine.Shutdown();
+  ExpectSameCountColumns(engine.timeline_slots(), want);
 }
 
 // --- 64-group integration run (labeled `integration` in ctest) --------------

@@ -15,6 +15,7 @@
 #include <cstddef>
 #include <cstdlib>
 #include <new>
+#include <string>
 #include <vector>
 
 #include "engine/engine.h"
@@ -100,32 +101,34 @@ TEST(GroupSessionFootprintTest, ClientWalkAllocatesNothing) {
 }
 
 TEST(GroupSessionFootprintTest, FreshPairSessionAllocatesClientsAndTraces) {
-  // A two-member Circle session of horizon 16, fleet_spill's shape: the
-  // client vector and the four per-timestamp traces, nothing else — no
-  // mailbox before the first buffered update, no heading window block.
-  constexpr size_t kHorizon = 16;
+  // A two-member Circle session: the client vector and the advance trace,
+  // nothing else — no per-timestamp counter (the engine adds those up per
+  // pool worker), no mailbox before the first buffered update, no heading
+  // window block. At fleet_spill's horizon of 16 and at the paper's quick
+  // horizon of 1,200.
   const std::vector<Point> pois = {{0, 0}, {100, 0}, {0, 100}, {100, 100}};
   const PackedRTree tree = PackedRTree::Build(pois);
-  const Trajectory a = Walk({10.0, 10.0}, kHorizon - 1);
-  const Trajectory b = Walk({90.0, 90.0}, kHorizon - 1);
-  const std::vector<const Trajectory*> group = {&a, &b};
   SimOptions opt;
   opt.server.method = Method::kCircle;
+  for (const size_t horizon : {size_t{16}, size_t{1200}}) {
+    SCOPED_TRACE("horizon " + std::to_string(horizon));
+    const Trajectory a = Walk({10.0, 10.0}, horizon - 1);
+    const Trajectory b = Walk({90.0, 90.0}, horizon - 1);
+    const std::vector<const Trajectory*> group = {&a, &b};
 
-  CountingScope scope;
-  const GroupSession session(0, &pois, &tree, group, opt);
-  const size_t blocks = scope.blocks();
-  const size_t bytes = scope.bytes();
-  EXPECT_EQ(session.horizon(), kHorizon);
-  EXPECT_EQ(blocks, 5u);
-  EXPECT_EQ(bytes, 2 * sizeof(MpnClient) +
-                       kHorizon * (sizeof(uint32_t) + sizeof(uint8_t) +
-                                   2 * sizeof(double)));
+    CountingScope scope;
+    const GroupSession session(0, &pois, &tree, group, opt);
+    const size_t blocks = scope.blocks();
+    const size_t bytes = scope.bytes();
+    EXPECT_EQ(session.horizon(), horizon);
+    EXPECT_EQ(blocks, 2u);
+    EXPECT_EQ(bytes, 2 * sizeof(MpnClient) + horizon * sizeof(double));
+  }
 }
 
 TEST(GroupSessionFootprintTest, AdmissionAddsNoBlockPerSession) {
   // Pair sessions of horizon 16 on an unbudgeted engine: each admission
-  // allocates its GroupSession and the session's five blocks (above), and
+  // allocates its GroupSession and the session's two blocks (above), and
   // nothing else of its own — the record is built in a table block, its
   // lock is a table stripe and its trajectory pointers go to the table's
   // arena. The table allocates a record block per kBlockRecords sessions,
@@ -159,10 +162,16 @@ TEST(GroupSessionFootprintTest, AdmissionAddsNoBlockPerSession) {
       (2 * kSessions + SessionTable::kArenaChunk - 1) /
       SessionTable::kArenaChunk;
   EXPECT_EQ(engine.session_count(), kSessions);
-  EXPECT_GE(blocks, 6 * kSessions);
-  EXPECT_LE(blocks, 6 * kSessions + 2 * (record_blocks + arena_chunks));
+  EXPECT_GE(blocks, 3 * kSessions);
+  EXPECT_LE(blocks, 3 * kSessions + 2 * (record_blocks + arena_chunks));
   engine.Start();
   engine.Shutdown();
+}
+
+TEST(GroupSessionFootprintTest, SessionIsAtMost600Bytes) {
+  // One per-timestamp vector header, not four: 672 B with four traces.
+  if (sizeof(void*) != 8) GTEST_SKIP() << "the bound is for LP64 targets";
+  EXPECT_LE(sizeof(GroupSession), 600u);
 }
 
 TEST(GroupSessionFootprintTest, SessionRecordIsAtMost112Bytes) {
